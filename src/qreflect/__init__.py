@@ -10,8 +10,8 @@ trajectories whose ensemble mean reproduces the open-system density operator.
 __version__ = "0.1.0"
 
 from .grids import (GridTooNarrowError, PhaseSpaceField, SpatialGrid, WaveFunction,
-                    default_grid, gaussian_packet, gaussian_state_from_moments,
-                    qsd_steady_packet, to_momentum, to_position, wigner_transform)
+                    gaussian_packet, gaussian_state_from_moments, qsd_steady_packet,
+                    to_momentum, to_position, wigner_transform)
 from .model1 import (EnvironmentSpec, ReflectedSpectrum, born_delta_coefficient,
                      broadening_factor_integral, propagator_momentum,
                      propagator_position, reflected_density_p, reflected_density_x,

@@ -28,7 +28,6 @@ from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      reflected_density_env, timescale_cutoffs_model2,
                      total_reflected_model2)
 from .oscquad import QuadratureError
-from .params import PhysicalParams
 from .qsd import (TrajectoryMoments, fluctuation_report, run_ensemble,
                   run_moment_trajectory, run_wavefunction_trajectory, steady_moments)
 from .svgplot import line_plot

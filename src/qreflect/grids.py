@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,20 +43,36 @@ class SpatialGrid:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_points)
 
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers k in FFT order (cached, read-only)."""
+        k = 2.0 * math.pi * np.fft.fftfreq(self.n_points, self.dx)
+        k.setflags(write=False)
+        return k
+
     def momentum_axis(self, hbar: float = 1.0) -> np.ndarray:
-        """Ascending FFT-conjugate momentum axis (spacing 2 pi hbar / span)."""
-        return np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(self.n_points, self.dx))
+        """Ascending FFT-conjugate momentum axis fftshift(hbar k)."""
+        return np.fft.fftshift(hbar * self.wavenumbers)
+
+    @lru_cache(maxsize=64)
+    def kinetic_phase(self, m: float, hbar: float, dt: float) -> np.ndarray:
+        """exp(-i (hbar k)^2 dt / 2 m hbar) in FFT order (cached, read-only)."""
+        phase = np.exp(-1j * (hbar * self.wavenumbers) ** 2 / (2.0 * m) * dt / hbar)
+        phase.setflags(write=False)
+        return phase
 
     def cfl_time(self, m: float = 1.0, hbar: float = 1.0) -> float:
         """Shortest grid-resolved dynamical time, 2 pi m dx^2 / hbar."""
         return 2.0 * math.pi * m * self.dx**2 / hbar
 
 
-def default_grid(params: PhysicalParams, run_time: float = 0.0, n_points: int = 4096) -> SpatialGrid:
-    """Grid wide enough for a packet of width sigma plus the ballistic run."""
-    half = 6.0 * params.sigma + 10.0 * params.p_bar * run_time / params.m
-    half = max(half, 8.0 * params.sigma)
-    return SpatialGrid(-half, half, n_points)
+def reflection_p_grid(params: PhysicalParams, n_points: int,
+                      p_min: float | None = None) -> np.ndarray:
+    """Reflection-side grid on [p_min, 0), p_min = -8 p_bar by default; p = 0
+    is left out because the reflected densities carry a 1/p^2 prefactor."""
+    if p_min is None:
+        p_min = -8.0 * params.p_bar
+    return np.linspace(p_min, 0.0, n_points, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -107,12 +124,6 @@ class WaveFunction:
         rho = self.density()
         return float(np.sum(self.grid.x * rho) * self.dx / np.sum(rho * self.dx))
 
-    def var_x(self) -> float:
-        rho = self.density()
-        w = rho * self.dx / np.sum(rho * self.dx)
-        mu = float(np.sum(self.grid.x * w))
-        return float(np.sum((self.grid.x - mu) ** 2 * w))
-
     def moments(self) -> tuple[float, float, float, float, float]:
         """(mean_x, mean_p, var_x, var_p, cov_xp) by grid quadrature.
 
@@ -127,7 +138,7 @@ class WaveFunction:
         mean_x = float(np.sum(x * rho) * self.dx / norm)
         var_x = float(np.sum((x - mean_x) ** 2 * rho) * self.dx / norm)
         # p applied spectrally: p psi = -i hbar d/dx psi
-        k = 2.0 * math.pi * np.fft.fftfreq(self.grid.n_points, self.dx)
+        k = self.grid.wavenumbers
         p_psi = -1j * self.hbar * np.fft.ifft(1j * k * np.fft.fft(self.values))
         mean_p = float(np.real(np.sum(np.conj(self.values) * p_psi)) * self.dx / norm)
         p2 = float(np.sum(np.abs(p_psi) ** 2) * self.dx / norm)
@@ -145,13 +156,12 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
         raise ValueError("to_momentum expects a position-representation state")
     g = psi.grid
     n, dx, hbar = g.n_points, g.dx, psi.hbar
-    p = 2.0 * math.pi * hbar * np.fft.fftfreq(n, dx)
-    tilde = dx / math.sqrt(2.0 * math.pi * hbar) * np.exp(-1j * p * g.x_min / hbar) * np.fft.fft(psi.values)
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
+    p = g.momentum_axis(hbar)
+    tilde = dx / math.sqrt(2.0 * math.pi * hbar) * np.exp(-1j * p * g.x_min / hbar) \
+        * np.fft.fftshift(np.fft.fft(psi.values))
     dp = 2.0 * math.pi * hbar / (n * dx)
-    p_grid = SpatialGrid(p_sorted[0], p_sorted[0] + n * dp, n)
-    return WaveFunction(p_grid, tilde[order], "momentum", hbar, conjugate_grid=g)
+    p_grid = SpatialGrid(p[0], p[0] + n * dp, n)
+    return WaveFunction(p_grid, tilde, "momentum", hbar, conjugate_grid=g)
 
 
 def to_position(psi: WaveFunction) -> WaveFunction:
@@ -160,14 +170,40 @@ def to_position(psi: WaveFunction) -> WaveFunction:
         raise ValueError("to_position expects a momentum-representation state")
     if psi.conjugate_grid is None:
         raise ValueError("momentum state does not carry its originating position grid")
-    g = psi.conjugate_grid
-    n, dx, hbar = g.n_points, g.dx, psi.hbar
-    p = 2.0 * math.pi * hbar * np.fft.fftfreq(n, dx)
-    order = np.argsort(p, kind="stable")
-    tilde = np.empty_like(psi.values)
-    tilde[order] = psi.values
-    vals = np.fft.ifft(tilde * np.exp(1j * p * g.x_min / hbar)) * math.sqrt(2.0 * math.pi * hbar) / dx
+    g, hbar = psi.conjugate_grid, psi.hbar
+    tilde = np.fft.ifftshift(psi.values) * np.exp(1j * (hbar * g.wavenumbers) * g.x_min / hbar)
+    vals = np.fft.ifft(tilde) * math.sqrt(2.0 * math.pi * hbar) / g.dx
     return WaveFunction(g, vals, "position", hbar)
+
+
+# -- split-step propagation ---------------------------------------------------
+
+
+class SplitStepper:
+    """Strang steps exp(-iK dt/2) M exp(-iK dt/2) on one grid.  M is
+    ``x_middle`` acting in place on the position amplitudes, then ``p_middle``
+    on the FFT-ordered momentum amplitudes (either may be None).  ``advance``
+    fuses adjacent half kinetic steps, so n steps cost 2n + 2 FFTs, not 4n."""
+
+    def __init__(self, grid: SpatialGrid, m: float, hbar: float, dt: float,
+                 x_middle=None, p_middle=None):
+        self.half = grid.kinetic_phase(m, hbar, 0.5 * dt)
+        self.full = grid.kinetic_phase(m, hbar, dt)
+        self.x_middle = x_middle
+        self.p_middle = p_middle
+
+    def advance(self, values: np.ndarray, n_steps: int) -> np.ndarray:
+        """Position amplitudes n_steps >= 1 steps after ``values`` (not modified)."""
+        tilde = np.fft.fft(values) * self.half
+        for step in range(n_steps):
+            if self.x_middle is not None:
+                vals = np.fft.ifft(tilde)
+                self.x_middle(vals)
+                tilde = np.fft.fft(vals)
+            if self.p_middle is not None:
+                self.p_middle(tilde)
+            tilde *= self.full if step < n_steps - 1 else self.half
+        return np.fft.ifft(tilde)
 
 
 # -- state constructors -------------------------------------------------------
@@ -219,13 +255,8 @@ def qsd_steady_packet(
     """
     if params.D <= 0:
         raise ValueError("steady packet undefined for D = 0")
-    sq2 = params.sigma_q**2
-    hbar = params.hbar
-    x = grid.x
-    psi = (2.0 * math.pi * sq2) ** -0.25 * np.exp(
-        -(1.0 - 1j) * (x - center_x) ** 2 / (4.0 * sq2) + 1j * center_p * x / hbar
-    )
-    return WaveFunction(grid, psi, "position", hbar).normalized()
+    return gaussian_state_from_moments(grid, center_x, center_p, params.sigma_q**2,
+                                       0.5 * params.hbar, params.hbar)
 
 
 def gaussian_state_from_moments(
@@ -296,7 +327,7 @@ def wigner_transform(psi: WaveFunction) -> PhaseSpaceField:
     corr = np.zeros((n, n), dtype=complex)
     corr[valid] = np.conj(vals[ip[valid]]) * vals[im[valid]]
     # FFT over the y index: e^{2 i p y / hbar} with y_j = shifts * dx
-    p_axis = np.fft.fftshift(math.pi * hbar * np.fft.fftfreq(n, dx))
+    p_axis = 0.5 * g.momentum_axis(hbar)
     phase = np.exp(2j * np.outer(p_axis, shifts * dx) / hbar)
     w = np.real(phase @ corr) * dx / (math.pi * hbar)
     return PhaseSpaceField(x=g.x.copy(), p=p_axis, values=w)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import reflection_p_grid
 from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum
@@ -224,12 +225,6 @@ def broadening_factor_integral(params: PhysicalParams, D_p: float,
     return F(p_hi) - F(p_lo)
 
 
-def default_p_grid(params: PhysicalParams, n_points: int = 2048) -> np.ndarray:
-    """Reflection-side momentum grid on [-8 p_bar, 0), endpoint excluded."""
-    pb = params.p_bar
-    return np.linspace(-8.0 * pb, 0.0, n_points, endpoint=False)
-
-
 def reflected_spectrum(
     params: PhysicalParams,
     env: EnvironmentSpec,
@@ -246,7 +241,7 @@ def reflected_spectrum(
     the omitted tail mass is below a few permille of the total.)
     """
     if p_grid is None:
-        p_grid = default_p_grid(params)
+        p_grid = reflection_p_grid(params, 2048)
     if tau is None:
         tau = params.tau_default
     if env.kind == "position_coupling":

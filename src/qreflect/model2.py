@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import reflection_p_grid
 from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory, panel_nodes
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
@@ -211,9 +212,8 @@ def joint_reflected_map(
     constraint resolution: marginal(p) = coefficient(p, P*(p)) * M / |p - p_bar|.
     """
     params = cfg.params
-    pb = params.p_bar
     if p_grid is None:
-        p_grid = np.linspace(-3.0 * pb, 0.0, 301, endpoint=False)
+        p_grid = reflection_p_grid(params, 301, -3.0 * params.p_bar)
     if P_grid is None:
         Sg = params.Sigma
         P_grid = np.linspace(params.P_bar - 5.0 * params.hbar / Sg,
@@ -377,11 +377,6 @@ def conditional_reflected_env(
 # -- totals and cutoffs -----------------------------------------------------------
 
 
-def default_p_grid(params: PhysicalParams, n_points: int = 1024) -> np.ndarray:
-    pb = params.p_bar
-    return np.linspace(-8.0 * pb, 0.0, n_points, endpoint=False)
-
-
 def clamp_density(density: np.ndarray, floor_fraction: float = 1e-6) -> np.ndarray:
     """Zero out tiny negative quadrature lobes; reject anything deeper.
 
@@ -410,7 +405,7 @@ def total_reflected_model2(
     each swept D value.
     """
     if p_grid is None:
-        p_grid = default_p_grid(cfg.params)
+        p_grid = reflection_p_grid(cfg.params, 1024)
     totals = []
     for D in D_values:
         c = cfg.with_D(D) if cfg.steady_target else cfg

@@ -20,32 +20,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grids import SpatialGrid, WaveFunction
+from .grids import SpatialGrid, SplitStepper, WaveFunction
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
-
-
-@lru_cache(maxsize=64)
-def _wavenumbers(grid: SpatialGrid) -> np.ndarray:
-    return 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-
-
-@lru_cache(maxsize=64)
-def _kinetic_half_phase(grid: SpatialGrid, m: float, hbar: float, dt: float) -> np.ndarray:
-    k = _wavenumbers(grid)
-    return np.exp(-1j * (hbar * k) ** 2 / (2.0 * m) * (0.5 * dt) / hbar)
-
-
-@lru_cache(maxsize=64)
-def _potential_phase(spec: PotentialSpec, grid: SpatialGrid, hbar: float,
-                     dt: float) -> np.ndarray:
-    v = potential_position(spec, grid.x, hbar)
-    return np.exp(-1j * v * dt / hbar)
 
 
 class NoiseStream:
@@ -118,6 +99,43 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
         raise ValueError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
 
 
+def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: PotentialSpec | None,
+                        params: PhysicalParams, dt: float, noise) -> SplitStepper:
+    """Stepper whose middle operator is the potential phase, then the noise
+    factor exp(-2c A^2 dt + sqrt(2c) A dB), A = a - <a>, then renormalization:
+    a = p, c = D_p in momentum space for momentum coupling, otherwise a = x,
+    c = D/hbar^2 (zero when uncoupled) in position space."""
+    _check_dt(params, env, dt, grid)
+    hbar, dx = params.hbar, grid.dx
+    in_p = env.kind == "momentum_coupling" and env.strength > 0
+    if in_p:
+        a, c, weight = hbar * grid.wavenumbers, env.strength, dx / grid.n_points
+    else:
+        a, c, weight = grid.x, env.strength / hbar**2, dx
+    pot_phase = (np.exp(-1j * potential_position(spec, grid.x, hbar) * dt / hbar)
+                 if spec is not None else None)
+
+    def noise_factor(amps):
+        dB = _resolve_dB(noise, dt)
+        w = np.abs(amps) ** 2
+        A = a - float(np.sum(a * w) / np.sum(w))
+        amps *= np.exp(-2.0 * c * A**2 * dt + math.sqrt(2.0 * c) * A * dB)
+        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * weight)
+        if not math.isfinite(norm):
+            raise FloatingPointError("non-finite amplitudes produced by the step")
+        amps /= norm
+
+    def x_middle(vals):
+        if pot_phase is not None:
+            vals *= pot_phase
+        if not in_p:
+            noise_factor(vals)
+
+    return SplitStepper(grid, params.m, hbar, dt,
+                        x_middle=None if in_p and spec is None else x_middle,
+                        p_middle=noise_factor if in_p else None)
+
+
 def step_trajectory(
     psi: WaveFunction,
     env: EnvironmentSpec,
@@ -131,38 +149,8 @@ def step_trajectory(
     ``noise`` is either a NoiseStream (consumes one increment) or an explicit
     Brownian increment dB.  The returned state has norm exactly 1.
     """
-    _check_dt(params, env, dt, psi.grid)
-    dB = _resolve_dB(noise, dt)
-    grid, hbar, m = psi.grid, params.hbar, params.m
-    k = _wavenumbers(grid)
-    kin_half = _kinetic_half_phase(grid, m, hbar, dt)
-    pot_phase = _potential_phase(spec, grid, hbar, dt) if spec is not None else 1.0
-
-    vals = np.fft.ifft(kin_half * np.fft.fft(psi.values))
-    if env.kind == "position_coupling" and env.strength > 0:
-        D = env.strength
-        rho = np.abs(vals) ** 2
-        mean_x = float(np.sum(grid.x * rho) / np.sum(rho))
-        X = grid.x - mean_x
-        vals *= np.exp(-2.0 * D / hbar**2 * X**2 * dt + math.sqrt(2.0 * D) / hbar * X * dB)
-        vals *= pot_phase
-    elif env.kind == "momentum_coupling" and env.strength > 0:
-        Dp = env.strength
-        vals *= pot_phase
-        tilde = np.fft.fft(vals)
-        w = np.abs(tilde) ** 2
-        mean_p = float(np.sum(hbar * k * w) / np.sum(w))
-        P = hbar * k - mean_p
-        tilde *= np.exp(-2.0 * Dp * P**2 * dt + math.sqrt(2.0 * Dp) * P * dB)
-        vals = np.fft.ifft(tilde)
-    else:
-        vals *= pot_phase
-    vals = np.fft.ifft(kin_half * np.fft.fft(vals))
-
-    if not np.all(np.isfinite(vals.view(float))):
-        raise FloatingPointError("non-finite amplitudes produced by the step")
-    norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.dx)
-    return WaveFunction(grid, vals / norm, "position", hbar)
+    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, noise)
+    return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
 
 def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMoments:
@@ -213,7 +201,7 @@ def moment_step(
     psi0_sq, J0, V0 = _step_barrier_terms(spec, m, mom)
     mx, mp, vx, vp, c = mom.mean_x, mom.mean_p, mom.var_x, mom.var_p, mom.cov_xp
 
-    if env.kind == "position_coupling":
+    if env.kind != "momentum_coupling":  # position; no coupling has D = 0
         D = env.strength
         root = math.sqrt(8.0 * D) / hbar
         d_mx = mp / m * dt + root * vx * dB
@@ -225,7 +213,7 @@ def moment_step(
             d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
         else:
             d_vx = d_vp = d_c = 0.0
-    elif env.kind == "momentum_coupling":
+    else:
         Dp = env.strength
         root = math.sqrt(8.0 * Dp)
         d_mx = mp / m * dt + root * c * dB
@@ -235,14 +223,6 @@ def moment_step(
         d_vx = d_c = 0.0
         d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
                 - 8.0 * Dp * vp**2) * dt if closure == "gaussian" else 0.0
-    elif env.kind == "none":
-        d_mx = mp / m * dt
-        d_mp = -V0 * psi0_sq * dt
-        d_vx = (2.0 * c / m) * dt if closure == "gaussian" else 0.0
-        d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq) * dt if closure == "gaussian" else 0.0
-        d_c = (vp / m + V0 * mx * psi0_sq) * dt if closure == "gaussian" else 0.0
-    else:  # pragma: no cover
-        raise ValueError(env.kind)
 
     return TrajectoryMoments(
         time=mom.time + dt,
@@ -267,8 +247,7 @@ def quantum_current(psi: WaveFunction, x: float | None = None, m: float = 1.0,
     grid = psi.grid
     vals = psi.values
     if method == "spectral":
-        k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-        dpsi = np.fft.ifft(1j * k * np.fft.fft(vals))
+        dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(vals))
     elif method == "centered":
         dpsi = np.empty_like(vals)
         dpsi[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * grid.dx)
@@ -306,12 +285,9 @@ class EnsembleDensity:
 
     def momentum_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(p axis, momentum-representation density matrix)."""
-        g = self.grid
-        n, dx, hbar = g.n_points, g.dx, self.hbar
-        p = np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(n, dx))
-        U = dx / math.sqrt(2.0 * math.pi * hbar) * np.exp(
-            -1j * np.outer(p, g.x) / hbar
-        )
+        g, hbar = self.grid, self.hbar
+        p = g.momentum_axis(hbar)
+        U = g.dx / math.sqrt(2.0 * math.pi * hbar) * np.exp(-1j * np.outer(p, g.x) / hbar)
         return p, U @ self.rho @ np.conj(U.T)
 
     def momentum_moments(self) -> tuple[float, float]:
@@ -359,17 +335,26 @@ def run_wavefunction_trajectory(
     seed: int,
     record_every: int = 1,
 ) -> tuple[list[TrajectoryMoments], WaveFunction]:
-    """Integrate one trajectory, recording moments every record_every steps."""
+    """Integrate one trajectory, recording moments every record_every steps;
+    steps between records are fused, which leaves the result unchanged to
+    roundoff."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     noise = NoiseStream(seed)
     psi = psi0.normalized()
+    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, noise)
     series = [wavefunction_moments(psi, 0.0)]
-    for step in range(1, n_steps + 1):
+    step = 0
+    while step < n_steps:
+        chunk = min(record_every, n_steps - step)
         try:
-            psi = step_trajectory(psi, env, spec, params, dt, noise)
+            psi = WaveFunction(psi.grid, stepper.advance(psi.values, chunk), "position",
+                               params.hbar)
         except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} at step {step}") from exc
-        if step % record_every == 0 or step == n_steps:
-            series.append(wavefunction_moments(psi, step * dt))
+            # each step draws its increment first, so the counter is the step
+            raise FloatingPointError(f"{exc} at step {noise.counter}") from exc
+        step += chunk
+        series.append(wavefunction_moments(psi, step * dt))
     return series, psi
 
 

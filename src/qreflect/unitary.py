@@ -2,8 +2,10 @@
 
 Strang-split spectral stepping (half kinetic, potential, half kinetic) on the
 FFT grid, with optional cosine-ramp absorbing layers at the grid edges.  Real
-barriers propagate unitarily to roundoff; the absorbing half-line barrier
-contracts the norm monotonically and the lost mass is booked as absorption.
+barriers propagate unitarily to roundoff.  Two loss channels are booked
+separately: "absorbed" is the mass removed by a complex (absorbing) barrier,
+which contracts the norm monotonically, and "edge_loss" is the mass eaten by
+the edge layers, which a well-sized grid keeps negligible.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpatialGrid, WaveFunction, to_momentum
+from .grids import SpatialGrid, SplitStepper, WaveFunction, reflection_p_grid, to_momentum
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum, potential_position
 
@@ -58,25 +60,18 @@ def _momentum_split(psi: WaveFunction) -> tuple[float, float]:
     """(reflected, transmitted) mass from the momentum density; p >= 0 counts
     as transmitted."""
     tilde = to_momentum(psi)
-    p = tilde.grid.x
     rho = tilde.density() * tilde.grid.dx
-    reflected = float(np.sum(rho[p < 0]))
-    transmitted = float(np.sum(rho[p >= 0]))
-    return reflected, transmitted
+    negative = tilde.grid.x < 0
+    return float(np.sum(rho[negative])), float(np.sum(rho[~negative]))
 
 
 def _absorber_profile(grid: SpatialGrid, width_fraction: float, strength: float) -> np.ndarray:
     """Imaginary-potential magnitude: cosine ramp from 0 to `strength` over the
     outer `width_fraction` of the grid on each side."""
-    x = grid.x
-    span = grid.x_max - grid.x_min
-    w = width_fraction * span
-    ramp = np.zeros_like(x)
-    left = x < grid.x_min + w
-    right = x > grid.x_max - w
-    ramp[left] = np.sin(0.5 * math.pi * (grid.x_min + w - x[left]) / w) ** 2
-    ramp[right] = np.sin(0.5 * math.pi * (x[right] - (grid.x_max - w)) / w) ** 2
-    return strength * ramp
+    x, w = grid.x, width_fraction * (grid.x_max - grid.x_min)
+    # depth into the nearer edge layer; negative between the layers
+    depth = np.maximum(grid.x_min + w - x, x - (grid.x_max - w))
+    return strength * np.where(depth > 0, np.sin(0.5 * math.pi * depth / w) ** 2, 0.0)
 
 
 def propagate(
@@ -107,8 +102,7 @@ def propagate(
     if dt > dt_max:
         raise CFLViolationError(f"dt = {dt:.3g} exceeds 0.1*min(t_E, cfl) = {dt_max:.3g}")
 
-    x = grid.x
-    v = potential_position(spec, x, hbar)
+    v = potential_position(spec, grid.x, hbar)
     if check_start and spec.V0 > 0:
         vmax = float(np.max(np.abs(v)))
         inside = np.abs(v) > 1e-6 * vmax
@@ -118,51 +112,52 @@ def propagate(
                 f"initial overlap with the barrier region is {overlap:.3e} (> 1e-8)"
             )
 
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-    kinetic_half = np.exp(-1j * (hbar * k) ** 2 / (2.0 * m) * (0.5 * dt) / hbar)
     pot_phase = np.exp(-1j * v * dt / hbar)
+    factor = pot_phase
     if absorber:
         strength = absorber_strength if absorber_strength is not None else 2.0 * params.energy
         mask = np.exp(-_absorber_profile(grid, absorber_width, strength) * dt / hbar)
-    else:
-        mask = None
-
-    wanted = sorted(set((snapshot_times or [])))
-    snap_steps = sorted({0, n_steps, *(int(round(t / dt)) for t in wanted)})
-    snap_steps = [s for s in snap_steps if 0 <= s <= n_steps]
-
-    vals = psi0.values.copy()
+        factor = pot_phase * mask
+    # with both loss channels active, each is booked step by step
+    complex_barrier = bool(np.any(v.imag != 0.0))
+    book_steps = absorber and complex_barrier
+    losses = [0.0, 0.0]  # barrier absorption, edge loss
     dx = grid.dx
-    edge_loss = 0.0
-    absorbed_pot = 0.0
-    times, states, probs = [], [], []
 
-    def record(step: int):
-        psi = WaveFunction(grid, vals.copy(), "position", hbar)
-        norm = psi.norm_squared()
-        refl, trans = _momentum_split(psi)
-        times.append(step * dt)
-        states.append(psi)
-        probs.append(ProbabilityLedger(
-            norm=norm, reflected=refl, transmitted=trans,
-            absorbed=absorbed_pot, edge_loss=edge_loss,
-        ))
-
-    if 0 in snap_steps:
-        record(0)
-    for step in range(1, n_steps + 1):
-        vals = np.fft.ifft(kinetic_half * np.fft.fft(vals))
+    def middle(vals):
+        if not book_steps:
+            vals *= factor
+            return
         before = float(np.sum(np.abs(vals) ** 2)) * dx
         vals *= pot_phase
         after = float(np.sum(np.abs(vals) ** 2)) * dx
-        absorbed_pot += before - after
-        if mask is not None:
-            vals *= mask
-            lost = after - float(np.sum(np.abs(vals) ** 2)) * dx
-            edge_loss += lost
-        vals = np.fft.ifft(kinetic_half * np.fft.fft(vals))
-        if step in snap_steps:
-            record(step)
+        vals *= mask
+        losses[0] += before - after
+        losses[1] += after - float(np.sum(np.abs(vals) ** 2)) * dx
+
+    stepper = SplitStepper(grid, m, hbar, dt, x_middle=middle)
+
+    wanted = {0, n_steps, *(int(round(t / dt)) for t in snapshot_times or ())}
+    snap_steps = sorted(s for s in wanted if 0 <= s <= n_steps)
+
+    norm0 = psi0.norm_squared()
+    vals = psi0.values.copy()
+    prev = 0
+    times, states, probs = [], [], []
+    for step in snap_steps:
+        if step > prev:
+            vals = stepper.advance(vals, step - prev)
+            prev = step
+        psi = WaveFunction(grid, vals, "position", hbar)
+        norm = psi.norm_squared()
+        if absorber != complex_barrier:  # one loss channel: the deficit is its loss
+            losses[1 if absorber else 0] = norm0 - norm
+        absorbed, edge_loss = losses
+        refl, trans = _momentum_split(psi)
+        times.append(step * dt)
+        states.append(psi)
+        probs.append(ProbabilityLedger(norm=norm, reflected=refl, transmitted=trans,
+                                       absorbed=absorbed, edge_loss=edge_loss))
 
     if absorber and edge_loss > edge_tolerance:
         raise BoundaryLeakageError(
@@ -176,10 +171,9 @@ def propagate(
 def mean_energy(psi: WaveFunction, spec: PotentialSpec, params: PhysicalParams) -> float:
     """<H> = kinetic (spectral) + potential (real part) expectation."""
     grid = psi.grid
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
     tilde = np.fft.fft(psi.values)
-    kin = float(np.sum((params.hbar * k) ** 2 / (2.0 * params.m) * np.abs(tilde) ** 2))
-    kin *= grid.dx / grid.n_points
+    kin = float(np.sum((params.hbar * grid.wavenumbers) ** 2 / (2.0 * params.m)
+                       * np.abs(tilde) ** 2)) * (grid.dx / grid.n_points)
     v = np.real(potential_position(spec, grid.x, params.hbar))
     pot = float(np.sum(v * psi.density()) * grid.dx)
     return kin + pot
@@ -194,7 +188,8 @@ def reflection_probability(
     """(reflected, transmitted, absorbed) from the final snapshot.
 
     Reflected/transmitted are the negative/nonnegative momentum masses;
-    absorbed is the norm deficit (complex barriers).  Raises
+    absorbed is the barrier absorption (complex barriers only; edge-layer
+    loss stays in the ledger's edge_loss).  Raises
     PrematureMeasurementError when more than overlap_tolerance of position
     mass still sits within 4a of the splitting boundary.
     """
@@ -207,8 +202,7 @@ def reflection_probability(
         raise PrematureMeasurementError(
             f"{near_mass:.3e} of the density is still within 4a of the boundary"
         )
-    absorbed = 1.0 - ledger.norm
-    return ledger.reflected, ledger.transmitted, absorbed
+    return ledger.reflected, ledger.transmitted, ledger.absorbed
 
 
 @dataclass(frozen=True)
@@ -235,9 +229,7 @@ def born_reflection(
     if spec is None:
         spec = params.potential
     m, hbar, pb, sigma = params.m, params.hbar, params.p_bar, params.sigma
-    if p_min is None:
-        p_min = -8.0 * pb
-    p = np.linspace(p_min, 0.0, n_points, endpoint=False)
+    p = reflection_p_grid(params, n_points, p_min)
     v = potential_momentum(spec, 2.0 * p, hbar)
     incoming = math.sqrt(2.0 * sigma**2 / (math.pi * hbar**2)) * np.exp(
         -2.0 * sigma**2 * (-p - pb) ** 2 / hbar**2

@@ -1,13 +1,16 @@
 """Wave-function construction, transforms and the Wigner map."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qreflect
 from qreflect import (GridTooNarrowError, PhysicalParams, SpatialGrid, WaveFunction,
-                      gaussian_packet, qsd_steady_packet, to_momentum, to_position,
-                      wigner_transform)
+                      born_reflection, gaussian_packet, qsd_steady_packet, to_momentum,
+                      to_position, wigner_transform)
+from qreflect.grids import reflection_p_grid
 
 
 def test_grid_validation():
@@ -150,3 +153,29 @@ def test_wigner_marginals_random_state():
     U = grid.dx / math.sqrt(2 * math.pi) * np.exp(-1j * np.outer(W.p, x))
     direct = np.abs(U @ psi.values) ** 2
     assert np.max(np.abs(W.marginal_p() - direct)) < 1e-6
+
+
+def test_momentum_axis_is_shifted_wavenumber_axis():
+    grid = SpatialGrid(-13.0, 19.0, 256)
+    k = grid.wavenumbers
+    assert np.array_equal(k, 2.0 * math.pi * np.fft.fftfreq(256, grid.dx))
+    for hbar in (1.0, 0.7):
+        assert np.array_equal(grid.momentum_axis(hbar), np.fft.fftshift(hbar * k))
+    # cached and read-only, so threads can share them
+    assert grid.wavenumbers is k and not k.flags.writeable
+    phase = grid.kinetic_phase(1.0, 1.0, 0.01)
+    assert grid.kinetic_phase(1.0, 1.0, 0.01) is phase and not phase.flags.writeable
+
+
+def test_fftfreq_only_in_grids():
+    # one FFT wavenumber convention: every other module goes through SpatialGrid
+    package = Path(qreflect.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "fftfreq" in p.read_text())
+    assert users == ["grids.py"]
+
+
+def test_reflection_p_grid_is_open_at_zero():
+    params = PhysicalParams(p_bar=1.5)
+    p = reflection_p_grid(params, 64)
+    assert np.array_equal(p, np.linspace(-12.0, 0.0, 64, endpoint=False))
+    assert np.array_equal(born_reflection(params, n_points=64).p, p)

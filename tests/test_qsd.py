@@ -1,6 +1,7 @@
 """State-diffusion trajectories: stepping, moments, ensembles, currents."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -315,3 +316,42 @@ def test_momentum_coupling_wavefunction_localizes_in_p():
     # continuum law: dVar(p) = -8 D_p Var(p)^2 dt
     expected = 1.0 / (1.0 / vp0 + 8.0 * 1.0 * 0.8)
     assert m.var_p == pytest.approx(expected, rel=0.05)
+
+
+@pytest.mark.parametrize("env, params, width", [
+    (EnvironmentSpec.position(1.0), PhysicalParams(D=1.0, sigma=1.0), 16),
+    (EnvironmentSpec.momentum(1.0), PhysicalParams(D_p=1.0, sigma=1.0), 24),
+])
+def test_fused_trajectory_matches_stepwise_records(env, params, width):
+    grid = SpatialGrid(-width, width, 256)
+    psi0 = gaussian_packet(params, grid, center=0.0)
+    n_steps = 200
+    every, psi_every = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
+                                                   n_steps, seed=9, record_every=1)
+    ends, psi_ends = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
+                                                 n_steps, seed=9, record_every=n_steps)
+    assert len(every) == n_steps + 1 and len(ends) == 2
+    assert np.max(np.abs(psi_every.values - psi_ends.values)) < 1e-10
+    assert psi_ends.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_threaded_wavefunction_ensemble_is_identical():
+    # trajectories share the grid's cached read-only phases across threads;
+    # an unusual grid makes the caches fill while the threads contend
+    params = PhysicalParams(D=1.0)
+    grid = SpatialGrid(-16.25, 16.25, 256)
+    psi0 = qsd_steady_packet(params, grid)
+    env = EnvironmentSpec.position(1.0)
+
+    def task(seed):
+        return run_wavefunction_trajectory(psi0, env, None, params, 0.002, 60, seed,
+                                           record_every=7)[1].values
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threaded = run_ensemble(task, range(8), workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run_ensemble(task, range(8))
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))

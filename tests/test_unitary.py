@@ -103,6 +103,39 @@ def test_free_run_reflection_bookkeeping():
     assert abs(absd) < 1e-8
 
 
+def test_edge_loss_is_not_booked_as_absorption():
+    # free flight into the edge layers: the edges eat the mass, the barrier none
+    params = PhysicalParams(sigma=2.0)
+    grid = SpatialGrid(-30, 30, 512)
+    psi0 = gaussian_packet(params, grid, center=-15.0)
+    series = propagate(psi0, FREE, params, dt=0.008, n_steps=5000,
+                       check_start=False, edge_tolerance=1.0)
+    _, _, absd = reflection_probability(series, force=True)
+    assert abs(absd) < 1e-12
+    ledger = series.probabilities[-1]
+    assert ledger.edge_loss > 0.1
+    assert ledger.edge_loss == pytest.approx(1.0 - ledger.norm, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec, absorber", [
+    (PotentialSpec.gaussian(0.3, 0.5), True),
+    (PotentialSpec.complex_step(0.5), False),
+])
+def test_fused_steps_match_stepwise_snapshots(spec, absorber):
+    params = PhysicalParams(sigma=1.5)
+    grid = SpatialGrid(-30, 30, 512)
+    psi0 = gaussian_packet(params, grid, center=-6.0)
+    dt, n_steps = 0.008, 750
+    every = propagate(psi0, spec, params, dt, n_steps, absorber=absorber, check_start=False,
+                      snapshot_times=[k * dt for k in range(n_steps)])
+    ends = propagate(psi0, spec, params, dt, n_steps, absorber=absorber, check_start=False)
+    assert len(every.states) == n_steps + 1 and len(ends.states) == 2
+    assert np.max(np.abs(every.states[-1].values - ends.states[-1].values)) < 1e-12
+    # the packet reached the barrier: a complex step absorbs, a real one reflects
+    refl, _, absd = reflection_probability(ends, force=True)
+    assert (absd if spec.kind == "complex_step" else refl) > 1e-3
+
+
 def test_complex_step_absorption_bookkeeping():
     params = PhysicalParams(sigma=8.0)
     grid = SpatialGrid(-200, 200, 2048)
