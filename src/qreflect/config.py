@@ -109,6 +109,8 @@ class RunConfig:
             raise ConfigError("coupling must be 'x' or 'p'")
         if self.level not in ("wavefunction", "moments"):
             raise ConfigError("level must be 'wavefunction' or 'moments'")
+        if self.P is not None and not math.isfinite(self.P):
+            raise ConfigError(f"P must be finite, got {self.P!r}")
 
     def potential(self) -> PotentialSpec:
         kind = self.potential_kind

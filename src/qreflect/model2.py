@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
 from .grids import reflection_p_grid
 from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory, panel_nodes
@@ -294,6 +295,42 @@ def reflected_density_env(
     return 2.0 * m / (hbar**2 * pb) * _v_squared(params, delta) * integral
 
 
+def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
+    """int_0^U exp(A u^2 + B u + C) du, elementwise, for real A >= 0, complex
+    B and C, and U > 0.
+
+    Closed form through the Faddeeva function w (scipy.special.wofz), with
+    t = sqrt(A) u + B / 2 sqrt(A):
+
+        (sign i sqrt(pi) / 2 sqrt(A)) [e^(C + A U^2 + B U) w(z1) - e^C w(z0)],
+
+    where z = -t, sign = +1 if Im t <= 0, else z = t, sign = -1.  The integral
+    of e^(t^2) is odd in t, so this flip keeps both arguments in Im z >= 0,
+    where |w| <= 1 and the two terms stay bounded by the integrand's endpoint
+    values.  When the exponent is nearly linear (A U^2 < 1e-2 and |B| U < pi)
+    the two terms cancel; there one 24-node Gauss-Legendre panel in u, which
+    is exact to roundoff for an exponent that varies that little, is used.
+    """
+    A, B, C, U = np.broadcast_arrays(np.asarray(A, float), np.asarray(B, complex),
+                                     np.asarray(C, complex), np.asarray(U, float))
+    out = np.empty(A.shape, complex)
+    near = (A * U**2 < 1e-2) & (np.abs(B) * U < math.pi)
+    far = ~near
+    # A = 0 is the A -> 0 limit of the same formula; the floor keeps 1/a finite
+    a = np.sqrt(np.maximum(A[far], np.finfo(float).tiny))
+    t0 = B[far] / (2.0 * a)
+    sign = np.where(t0.imag > 0.0, -1.0, 1.0)
+    e0 = np.exp(C[far])
+    e1 = np.exp(C[far] + A[far] * U[far] ** 2 + B[far] * U[far])
+    bracket = e1 * wofz(-sign * (t0 + a * U[far])) - e0 * wofz(-sign * t0)
+    out[far] = sign * 0.5j * math.sqrt(math.pi) / a * bracket
+    x, wx = panel_nodes(0.0, 1.0, 1)
+    u = U[near, None] * x
+    f = np.exp(A[near, None] * u**2 + B[near, None] * u + C[near, None])
+    out[near] = U[near] * (f @ wx)
+    return out
+
+
 def conditional_reflected_env(
     cfg: Model2Config,
     p: float,
@@ -301,17 +338,22 @@ def conditional_reflected_env(
     D: float | None = None,
     tau: float | None = None,
     reduced: bool = False,
-    n_u_panels: int = 200,
 ) -> float:
     """Reflected density at p conditioned on target momentum P, with environment.
 
-    Full double (s, u) quadrature of the second-order expression plus its
-    complex conjugate (u = first-interaction time, s = separation of the two
-    barrier insertions).  With reduced=True the large-tau form of the
-    integrand is used instead: the u-dependent phase is dropped and the final
-    growth factor replaced by its limit exp(-s^2 delta^2 / 4 Sigma^2 M^2),
-    which collapses the u-integral into the traced-out kernel; the result is
-    then the conditional prefactor times reflected_density_env.
+    The second-order expression plus its complex conjugate is a double
+    integral over s (separation of the two barrier insertions) and u
+    (first-interaction time, 0 <= u <= tau - s).  At fixed s the integrand is
+    exp(A u^2 + B u + C) with real A >= 0 and complex B, C, so the u-integral
+    is done in closed form by exp_quadratic_integral (Faddeeva function, or
+    one Gauss-Legendre panel where the exponent is nearly linear), for all s
+    nodes at once.  Only the oscillatory s-integral is done by quadrature.
+
+    With reduced=True the large-tau form of the integrand is used instead:
+    the u-dependent phase is dropped and the final growth factor replaced by
+    its limit exp(-s^2 delta^2 / 4 Sigma^2 M^2), which collapses the
+    u-integral into the traced-out kernel; the result is then the
+    conditional prefactor times reflected_density_env.
     """
     params = cfg.params
     m, M, hbar, pb, Pb, Sg = _target(cfg)
@@ -331,20 +373,6 @@ def conditional_reflected_env(
 
     omega = _recoil_omega(cfg, p)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
-    kappa = D * delta**2 / (M**2 * hbar**2)
-
-    def integrand(s, u):
-        """Complex integrand at arrays s, u of equal shape."""
-        s2u = s + 2.0 * u
-        phase = -s * omega
-        phase = phase - s * (4.0 * D * s2u * Sg**2 + 2.0 * hbar**2) / (
-            2.0 * M * hbar * G
-        ) * delta * (delta + dP)
-        real = -beta * s**3 - kappa * s**2 * u
-        real = real + (D * s**2 * delta**2 / (4.0 * M**2 * hbar**2)) * (
-            4.0 * D * s2u**2 * Sg**2 + 4.0 * hbar**2 * (s2u - tau)
-        ) / G
-        return np.exp(real + 1j * phase)
 
     # outer oscillatory s-grid.  The real exponent is convex in u, so it is
     # maximized at the u-endpoints, and both endpoints decay at least as fast
@@ -357,21 +385,20 @@ def conditional_reflected_env(
     n_s = int(math.ceil(upper / h))
     if n_s > 40_000:
         raise QuadratureError("conditional kernel: too many s panels")
-    s_nodes, s_weights = panel_nodes(0.0, upper, n_s)
+    s, w = panel_nodes(0.0, upper, n_s)
 
-    total = 0.0 + 0.0j
-    for s, w in zip(s_nodes, s_weights):
-        u_hi = tau - s
-        if u_hi <= 0.0:
-            continue
-        # the real exponent is a concave-up quadratic in u: resolve it with
-        # panels bounded by its total variation
-        n_u = min(n_u_panels, max(8, int(8 + kappa * s**2 * u_hi)))
-        u, wu = panel_nodes(0.0, u_hi, n_u)
-        inner = np.sum(integrand(np.full_like(u, s), u) * wu)
-        total += w * inner
+    # exponent at (s, u): real part -beta s^3 - 4 c1 u + c1 (4 D Sigma^2
+    # (s + 2u)^2 + 4 hbar^2 (s + 2u - tau)) / G, phase -s omega - q (4 D
+    # Sigma^2 (s + 2u) + 2 hbar^2); collected in powers of u
+    c1 = D * s**2 * delta**2 / (4.0 * M**2 * hbar**2)
+    q = s * delta * (delta + dP) / (2.0 * M * hbar * G)
+    A = 16.0 * c1 * D * Sg**2 / G
+    B = 4.0 * c1 * (4.0 * D * Sg**2 * (s - tau) + hbar**2) / G - 8j * D * Sg**2 * q
+    C = (-beta * s**3 + 4.0 * c1 * (D * Sg**2 * s**2 + hbar**2 * (s - tau)) / G
+         - 1j * (s * omega + q * (4.0 * D * Sg**2 * s + 2.0 * hbar**2)))
+    inner = exp_quadratic_integral(A, B, C, tau - s)
     # the displayed expression is I + I*, so only the real part survives
-    return float(prefactor * 2.0 * (total / tau).real)
+    return float(prefactor * 2.0 * (np.sum(w * inner) / tau).real)
 
 
 # -- totals and cutoffs -----------------------------------------------------------
@@ -380,10 +407,12 @@ def conditional_reflected_env(
 def clamp_density(density: np.ndarray, floor_fraction: float = 1e-6) -> np.ndarray:
     """Zero out tiny negative quadrature lobes; reject anything deeper.
 
-    The sampled density must stay above -floor_fraction of its peak (anything
-    lower signals an unresolved integral, not truncation noise).
+    The sampled density must be finite and stay above -floor_fraction of its
+    peak (anything lower signals an unresolved integral, not truncation noise).
     """
     density = np.asarray(density, float)
+    if not np.all(np.isfinite(density)):
+        raise QuadratureError("density has non-finite entries")
     peak = float(np.max(density)) if density.size else 0.0
     low = float(np.min(density))
     if low < -floor_fraction * max(peak, 0.0):

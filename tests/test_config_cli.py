@@ -65,6 +65,17 @@ def test_exit_codes(tmp_path):
     assert rc == 0  # warning only without --strict
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_P_rejected_before_any_kernel(tmp_path, capsys, value):
+    outdir = tmp_path / "out"
+    rc = main(["model2", "--M", "10", "--sigma", "100", "--P", value,
+               "--outdir", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "P must be finite" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_timescales_csv_columns(tmp_path):
     assert main(["timescales", "--D", "1", "--M", "10", "--Sigma", "1",
                  "--outdir", str(tmp_path)]) == 0

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
@@ -12,6 +15,9 @@ from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
                       model2_kinematics, potential_momentum, reflected_density_env,
                       steady_target_width, target_momentum_density,
                       timescale_cutoffs_model2, total_reflected_model2)
+from qreflect import model2
+from qreflect.model2 import exp_quadratic_integral
+from qreflect.oscquad import decay_cutoff, panel_nodes
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
 
@@ -210,6 +216,102 @@ def test_conditional_env_large_tau_reduction():
         assert full == pytest.approx(red, rel=0.01)
 
 
+def _double_quadrature(cfg, p, P, D):
+    """Reference conditional kernel: the (s, u) double Gauss-Legendre
+    quadrature, one u-panel set per s node.
+
+    Returns the value and its roundoff scale |prefactor| (2/tau) sum_s w U
+    max_u |integrand|; the real exponent is convex in u, so the maximum sits
+    at an endpoint.
+    """
+    m, M, hbar, pb, Pb, Sg = model2._target(cfg)
+    tau = cfg.tau
+    delta, dP = p - pb, P - Pb
+    G = 4.0 * D * tau * Sg**2 + hbar**2
+    prefactor = (m / (hbar**2 * pb) * model2._v_squared(cfg.params, delta)
+                 * math.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / G))
+    omega = model2._recoil_omega(cfg, p)
+    beta = D * delta**2 / (3.0 * M**2 * hbar**2)
+    kappa = D * delta**2 / (M**2 * hbar**2)
+
+    def integrand(s, u):
+        s2u = s + 2.0 * u
+        phase = -s * omega - s * (4.0 * D * s2u * Sg**2 + 2.0 * hbar**2) / (
+            2.0 * M * hbar * G) * delta * (delta + dP)
+        real = -beta * s**3 - kappa * s**2 * u + (
+            D * s**2 * delta**2 / (4.0 * M**2 * hbar**2)) * (
+            4.0 * D * s2u**2 * Sg**2 + 4.0 * hbar**2 * (s2u - tau)) / G
+        return np.exp(real + 1j * phase)
+
+    upper = min(tau, decay_cutoff((0.25 * beta, 3)))
+    h = min(math.pi / abs(omega) if omega != 0.0 else upper, 0.125 * upper)
+    total, scale = 0.0j, 0.0
+    for s, w in zip(*panel_nodes(0.0, upper, int(math.ceil(upper / h)))):
+        u_hi = tau - s
+        u, wu = panel_nodes(0.0, u_hi, min(200, max(8, int(8 + kappa * s**2 * u_hi))))
+        total += w * np.sum(integrand(np.full_like(u, s), u) * wu)
+        scale += w * u_hi * np.abs(integrand(np.array([s, s]), np.array([0.0, u_hi]))).max()
+    return (float(prefactor * 2.0 * (total / tau).real),
+            abs(prefactor) * 2.0 * scale / tau)
+
+
+FIG4 = Model2Config(PhysicalParams(M=10.0, sigma=100.0, D=0.01, potential=GAUSS),
+                    steady_target=True)
+HEAVY = Model2Config(PhysicalParams(M=1000.0, Sigma=50.0, sigma=1.0, D=0.01,
+                                    potential=GAUSS), tau=100.0)
+ORACLE_CASES = (
+    [("fig4", D, p, P) for D in (0.01, 1.0, 10.0) for p in (-1.8, -1.0, -0.5)
+     for P in (0.0, 0.3)]
+    # (1e-4, -2.5, -0.3): the plain Dawson form is ~1e146 times off here
+    + [("heavy", D, p, P) for D in (1e-4, 0.01) for p in (-2.5, -0.998)
+       for P in (-0.3, 0.02)]
+    # every s node takes the nearly-linear branch; (delta + dP)^2 = dP^2 at
+    # P = 0.999, so the Sigma = 50 suppression factor does not underflow
+    + [("heavy", 1e-8, -0.998, 0.999)]
+)
+
+
+@pytest.mark.parametrize("target,D,p,P", ORACLE_CASES)
+def test_conditional_env_matches_double_quadrature(target, D, p, P):
+    cfg = FIG4.with_D(D) if target == "fig4" else HEAVY
+    ref, scale = _double_quadrature(cfg, p, P, D)
+    got = conditional_reflected_env(cfg, p, P, D=D)
+    assert scale > 0.0
+    assert abs(got - ref) <= 1e-9 * scale
+
+
+def test_conditional_env_nearly_linear_branch(monkeypatch):
+    # at D = 1e-8 the u^2 term and the u-phase are tiny at every s node, so
+    # the closed form must hand all of them to the Gauss-Legendre branch
+    seen = []
+
+    def spy(A, B, C, U):
+        seen.append((A, B, U))
+        return exp_quadratic_integral(A, B, C, U)
+
+    monkeypatch.setattr(model2, "exp_quadratic_integral", spy)
+    conditional_reflected_env(HEAVY, -0.998, 0.999, D=1e-8)
+    (A, B, U), = seen
+    assert np.all(A * U**2 < 1e-2) and np.all(np.abs(B) * U < math.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(U=st.floats(1e-2, 10.0), alpha=st.floats(0.0, 40.0),
+       beta_re=st.floats(-40.0, 40.0), beta_im=st.floats(-60.0, 60.0))
+@example(U=1.0, alpha=0.0, beta_re=30.0, beta_im=-5.0)  # no u^2 term at all
+@example(U=2.0, alpha=1e-3, beta_re=0.5, beta_im=1.0)  # nearly-linear branch
+def test_exp_quadratic_integral_against_mpmath(U, alpha, beta_re, beta_im):
+    # draw the dimensionless exponent alpha t^2 + beta t on t = u / U in [0, 1]
+    A, B = alpha / U**2, complex(beta_re, beta_im) / U
+    got = complex(exp_quadratic_integral(A, B, 0.0, U))
+    pieces = int(abs(complex(beta_re, beta_im)) / 2.0 + alpha) + 3
+    with mpmath.workdps(30):
+        ref = complex(mpmath.quad(lambda u: mpmath.exp(A * u * u + B * u),
+                                  mpmath.linspace(0, U, pieces), method="gauss-legendre"))
+    scale = U * max(1.0, math.exp(alpha + beta_re))  # U max |integrand|
+    assert abs(got - ref) <= 1e-13 * scale
+
+
 def test_cutoff_report_identities_and_velocity_form():
     cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0)
     rep = timescale_cutoffs_model2(cfg, D=1.0)
@@ -269,6 +371,13 @@ def test_density_clamp_behavior():
     assert np.all(out >= 0.0) and out[2] == 0.0
     with pytest.raises(QuadratureError):
         clamp_density(np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_clamp_rejects_non_finite(bad):
+    from qreflect import QuadratureError, clamp_density
+    with pytest.raises(QuadratureError):
+        clamp_density(np.array([1.0, bad, 0.2]))
 
 
 def test_env_density_nonnegative_over_sweep():
