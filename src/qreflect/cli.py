@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure, 4 regime warning escalated by --strict.  Every run writes its
 resolved configuration and a version stamp next to its CSV/SVG outputs, and
-reruns with the same configuration and seed are byte-identical for any
---threads value.
+reruns with the same configuration and seed are byte-identical.  --threads is
+accepted but selects nothing: QSD ensembles run serially, and trajectory k
+draws increment i from Philox block [i, 0, 0, 0] under key seed + k.
 """
 
 from __future__ import annotations
@@ -197,7 +198,11 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
         dx_target = params.sigma / 10.0
         if cfg.coupling == "x":
             dx_target = min(dx_target, params.sigma_q / 4.0)
-        half = 8.0 * params.sigma + 4.0 * abs(params.x_bar)
+            # the grid is periodic, so leave room for 4 sd of the packet center's
+            # walk, Var<x>(t) ~ 2 D t^3 / 3 m^2; a center that crosses an edge wraps
+            half = 8.0 * params.sigma + 4.0 * math.sqrt(2.0 * cfg.D * t_final**3 / 3.0) / params.m
+        else:
+            half = 8.0 * params.sigma + 4.0 * abs(params.x_bar)
         n = min(cfg.n_points, 2 ** math.ceil(math.log2(2.0 * half / dx_target)))
         grid = SpatialGrid(-n * dx_target / 2.0, n * dx_target / 2.0, max(n, 256))
         if cfg.dt is None:

@@ -27,9 +27,6 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
     try:
         return float(text)
     except ValueError as exc:
@@ -48,8 +45,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
     return str(value)
 
 
@@ -109,8 +104,18 @@ class RunConfig:
             raise ConfigError("coupling must be 'x' or 'p'")
         if self.level not in ("wavefunction", "moments"):
             raise ConfigError("level must be 'wavefunction' or 'moments'")
-        if self.P is not None and not math.isfinite(self.P):
-            raise ConfigError(f"P must be finite, got {self.P!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
+        for name, value, least in (("n_traj", self.n_traj, 1), ("threads", self.threads, 1),
+                                   ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        for name, value in (("dt", self.dt), ("t_final", self.t_final), ("tau", self.tau)):
+            if value is not None and not value > 0:  # tau_inf asks for an infinite tau
+                raise ConfigError(f"{name} must be positive, got {value!r}")
 
     def potential(self) -> PotentialSpec:
         kind = self.potential_kind

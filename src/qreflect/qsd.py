@@ -18,8 +18,8 @@ are evaluated from the closed-form Gaussian at the step edge.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import length_hint
 
 import numpy as np
 
@@ -30,25 +30,31 @@ from .potentials import potential_position
 
 
 class NoiseStream:
-    """Counter-based Gaussian increments: (seed, counter) fixes the value.
+    """Counter-based Gaussian increments: (seed, index) fixes the value.
 
-    Increment k is drawn from an independent Philox generator keyed by the
-    seed with the counter embedded in the key block, so replay is exact and
-    independent of scheduling or batching.
+    Increment i is one Box-Muller normal made from the 4-word Philox block at
+    counter [i, 0, 0, 0] under the key ``seed``.  A bulk draw from counter
+    [start, 0, 0, 0] yields those same blocks in order, so bulk and
+    one-at-a-time draws agree bit for bit however they are batched.
     """
 
     def __init__(self, seed: int, counter: int = 0):
         self.seed = int(seed)
         self.counter = int(counter)
 
+    def increments(self, start: int, n: int, dt: float) -> np.ndarray:
+        """Increments start, ..., start + n - 1 as one array."""
+        words = np.random.Philox(key=self.seed, counter=[start, 0, 0, 0]).random_raw(4 * n)
+        u1 = ((words[0::4] >> 11) + 1) * 2.0**-53  # (0, 1], so the log is finite
+        u2 = (words[1::4] >> 11) * 2.0**-53
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2) * math.sqrt(dt)
+
     def increment_at(self, index: int, dt: float) -> float:
-        bit = np.random.Philox(key=self.seed, counter=[0, 0, 0, index])
-        return float(np.random.Generator(bit).standard_normal() * math.sqrt(dt))
+        return float(self.increments(index, 1, dt)[0])
 
     def next_increment(self, dt: float) -> float:
-        value = self.increment_at(self.counter, dt)
         self.counter += 1
-        return value
+        return self.increment_at(self.counter - 1, dt)
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,11 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
 
 
 def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: PotentialSpec | None,
-                        params: PhysicalParams, dt: float, noise) -> SplitStepper:
+                        params: PhysicalParams, dt: float, draw) -> SplitStepper:
     """Stepper whose middle operator is the potential phase, then the noise
-    factor exp(-2c A^2 dt + sqrt(2c) A dB), A = a - <a>, then renormalization:
-    a = p, c = D_p in momentum space for momentum coupling, otherwise a = x,
-    c = D/hbar^2 (zero when uncoupled) in position space."""
+    factor exp(-2c A^2 dt + sqrt(2c) A dB), dB = draw(), A = a - <a>, then
+    renormalization: a = p, c = D_p in momentum space for momentum coupling,
+    otherwise a = x, c = D/hbar^2 (zero when uncoupled) in position space."""
     _check_dt(params, env, dt, grid)
     hbar, dx = params.hbar, grid.dx
     in_p = env.kind == "momentum_coupling" and env.strength > 0
@@ -116,7 +122,7 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
                  if spec is not None else None)
 
     def noise_factor(amps):
-        dB = _resolve_dB(noise, dt)
+        dB = draw()
         w = np.abs(amps) ** 2
         A = a - float(np.sum(a * w) / np.sum(w))
         amps *= np.exp(-2.0 * c * A**2 * dt + math.sqrt(2.0 * c) * A * dB)
@@ -149,7 +155,8 @@ def step_trajectory(
     ``noise`` is either a NoiseStream (consumes one increment) or an explicit
     Brownian increment dB.  The returned state has norm exactly 1.
     """
-    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, noise)
+    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt,
+                                  lambda: _resolve_dB(noise, dt))
     return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
 
@@ -162,17 +169,16 @@ def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMome
 # -- moment-level integration --------------------------------------------------
 
 
-def _step_barrier_terms(spec: PotentialSpec | None, m: float,
-                        mom: TrajectoryMoments) -> tuple[float, float, float]:
+def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx: float, mp: float,
+                        vx: float, c: float) -> tuple[float, float, float]:
     """(|psi(0)|^2, J(0), V0) for a step barrier at the origin under the
     Gaussian closure; zero barrier when spec is None or V0 = 0."""
     if spec is None or spec.V0 == 0.0:
         return 0.0, 0.0, 0.0
     if spec.kind != "step":
         raise ValueError("the moment system is closed for the step barrier only")
-    vx = mom.var_x
-    psi0_sq = math.exp(-mom.mean_x**2 / (2.0 * vx)) / math.sqrt(2.0 * math.pi * vx)
-    current = psi0_sq * (mom.mean_p - mom.cov_xp * mom.mean_x / vx) / m
+    psi0_sq = math.exp(-mx**2 / (2.0 * vx)) / math.sqrt(2.0 * math.pi * vx)
+    current = psi0_sq * (mp - c * mx / vx) / m
     return psi0_sq, current, spec.V0
 
 
@@ -193,42 +199,46 @@ def moment_step(
     (position coupling) or frozen at their current values (momentum coupling),
     and only the means evolve.
     """
+    step = _moment_map(params, env, spec, dt, closure)
+    return TrajectoryMoments(*step(mom.time, mom.mean_x, mom.mean_p, mom.var_x, mom.var_p,
+                                   mom.cov_xp, _resolve_dB(noise, dt)))
+
+
+def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
+                dt: float, closure: str):
+    """Checked moment_step on floats: step(t, <x>, <p>, Vx, Vp, Cov, dB) -> six at t + dt."""
     if closure not in ("gaussian", "steady_state"):
         raise ValueError("closure must be 'gaussian' or 'steady_state'")
     _check_dt(params, env, dt, None)
-    dB = _resolve_dB(noise, dt)
-    m, hbar = params.m, params.hbar
-    psi0_sq, J0, V0 = _step_barrier_terms(spec, m, mom)
-    mx, mp, vx, vp, c = mom.mean_x, mom.mean_p, mom.var_x, mom.var_p, mom.cov_xp
+    m, hbar, D = params.m, params.hbar, env.strength
+    in_x = env.kind != "momentum_coupling"  # position; no coupling has D = 0
+    root = math.sqrt(8.0 * D) / hbar if in_x else math.sqrt(8.0 * D)
 
-    if env.kind != "momentum_coupling":  # position; no coupling has D = 0
-        D = env.strength
-        root = math.sqrt(8.0 * D) / hbar
-        d_mx = mp / m * dt + root * vx * dB
-        d_mp = -V0 * psi0_sq * dt + root * c * dB
-        if closure == "gaussian":
-            d_vx = (2.0 * c / m - 8.0 * D * vx**2 / hbar**2) * dt
-            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                    + 2.0 * D * (1.0 - 4.0 * c**2 / hbar**2)) * dt
-            d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
+    def step(t, mx, mp, vx, vp, c, dB):
+        psi0_sq, J0, V0 = _step_barrier_terms(spec, m, mx, mp, vx, c)
+        if in_x:
+            d_mx = mp / m * dt + root * vx * dB
+            d_mp = -V0 * psi0_sq * dt + root * c * dB
+            if closure == "gaussian":
+                d_vx = (2.0 * c / m - 8.0 * D * vx**2 / hbar**2) * dt
+                d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
+                        + 2.0 * D * (1.0 - 4.0 * c**2 / hbar**2)) * dt
+                d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
+            else:
+                d_vx = d_vp = d_c = 0.0
         else:
-            d_vx = d_vp = d_c = 0.0
-    else:
-        Dp = env.strength
-        root = math.sqrt(8.0 * Dp)
-        d_mx = mp / m * dt + root * c * dB
-        d_mp = -V0 * psi0_sq * dt + root * vp * dB
-        # three-moment system: the spatial profile (var_x, cov) is frozen for
-        # the barrier-term closure
-        d_vx = d_c = 0.0
-        d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                - 8.0 * Dp * vp**2) * dt if closure == "gaussian" else 0.0
+            d_mx = mp / m * dt + root * c * dB
+            d_mp = -V0 * psi0_sq * dt + root * vp * dB
+            # three-moment system: the spatial profile (var_x, cov) is frozen for
+            # the barrier-term closure
+            d_vx = d_c = 0.0
+            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
+                    - 8.0 * D * vp**2) * dt if closure == "gaussian" else 0.0
+        if not (vx + d_vx > 0 and vp + d_vp > 0):
+            raise ValueError("variances must stay positive (closure inconsistency)")
+        return t + dt, mx + d_mx, mp + d_mp, vx + d_vx, vp + d_vp, c + d_c
 
-    return TrajectoryMoments(
-        time=mom.time + dt,
-        mean_x=mx + d_mx, mean_p=mp + d_mp,
-        var_x=vx + d_vx, var_p=vp + d_vp, cov_xp=c + d_c,
-    )
+    return step
 
 
 # -- observables ----------------------------------------------------------------
@@ -340,9 +350,9 @@ def run_wavefunction_trajectory(
     roundoff."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    noise = NoiseStream(seed)
+    dBs = iter(NoiseStream(seed).increments(0, n_steps, dt).tolist())
     psi = psi0.normalized()
-    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, noise)
+    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, dBs.__next__)
     series = [wavefunction_moments(psi, 0.0)]
     step = 0
     while step < n_steps:
@@ -351,8 +361,8 @@ def run_wavefunction_trajectory(
             psi = WaveFunction(psi.grid, stepper.advance(psi.values, chunk), "position",
                                params.hbar)
         except FloatingPointError as exc:
-            # each step draws its increment first, so the counter is the step
-            raise FloatingPointError(f"{exc} at step {noise.counter}") from exc
+            # each step draws its increment first, so the draws taken count the step
+            raise FloatingPointError(f"{exc} at step {n_steps - length_hint(dBs)}") from exc
         step += chunk
         series.append(wavefunction_moments(psi, step * dt))
     return series, psi
@@ -369,27 +379,26 @@ def run_moment_trajectory(
     record_every: int = 1,
     closure: str = "gaussian",
 ) -> list[TrajectoryMoments]:
-    noise = NoiseStream(seed)
-    mom = mom0
-    series = [mom]
-    for step in range(1, n_steps + 1):
-        mom = moment_step(mom, params, env, spec, dt, noise, closure)
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    step_map = _moment_map(params, env, spec, dt, closure)
+    state = (mom0.time, mom0.mean_x, mom0.mean_p, mom0.var_x, mom0.var_p, mom0.cov_xp)
+    series = [mom0]
+    for step, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
+        state = step_map(*state, dB)
         if step % record_every == 0 or step == n_steps:
-            series.append(mom)
+            series.append(TrajectoryMoments(*state))
     return series
 
 
 def run_ensemble(task, seeds, workers: int = 1) -> list:
-    """Run task(seed) for every seed; results returned in seed order.
+    """Run task(seed) for every seed, in seed order, on the calling thread.
 
-    Reduction order is fixed by the seed list, so the output is identical for
-    any worker count.
+    ``workers`` is accepted but selects nothing: every run is serial, so the
+    output is identical for any value.  Each seed's increments depend only on
+    (seed, step index), never on how the ensemble is scheduled.
     """
-    seeds = list(seeds)
-    if workers <= 1:
-        return [task(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, seeds))
+    return [task(s) for s in seeds]
 
 
 @dataclass(frozen=True)

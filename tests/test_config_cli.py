@@ -76,6 +76,26 @@ def test_non_finite_P_rejected_before_any_kernel(tmp_path, capsys, value):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("args, key", [
+    (["qsd", "--D", "1", "--n_traj", "0"], "n_traj"),
+    (["qsd", "--D", "1", "--dt", "0"], "dt"),
+    (["qsd", "--D", "1", "--t_final", "-1"], "t_final"),
+    (["qsd", "--D", "1", "--seed", "-3"], "seed"),
+    (["qsd", "--D", "1", "--threads", "0"], "threads"),
+    (["qsd", "--D", "nan"], "D"),
+    (["timescales", "--D", "inf"], "D"),
+    (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D", "1",
+      "--tau", "-5"], "tau"),
+])
+def test_bad_run_keys_rejected_at_config_time(tmp_path, capsys, args, key):
+    rc = main(args + ["--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"config error: {key} must be ")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_timescales_csv_columns(tmp_path):
     assert main(["timescales", "--D", "1", "--M", "10", "--Sigma", "1",
                  "--outdir", str(tmp_path)]) == 0
@@ -94,6 +114,22 @@ def test_figure3_outputs_monotone(tmp_path):
         totals = [float(r[1]) for r in rows[1:]]
         assert all(b < x for x, b in zip(totals, totals[1:]))
     assert (tmp_path / "figure3.svg").read_text().startswith("<?xml")
+
+
+def test_qsd_wavefunction_grid_holds_the_center_walk(tmp_path):
+    # the grid is periodic: trajectory 24 of this run takes its center past
+    # |x| = 25.6, the edge of a grid sized without room for the center's random
+    # walk, where it wrapped around and its final var_x read 0.62, not 0.354
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
+                 "--n_traj", "8", "--seed", "21", "--outdir", str(tmp_path)]) == 0
+    wander, var_x = [], []
+    for path in sorted(tmp_path.glob("trajectory_*.csv")):
+        rows = list(csv.DictReader(open(path)))
+        wander.append(max(abs(float(r["mean_x"])) for r in rows))
+        var_x.append(float(rows[-1]["var_x"]))
+    steady = 0.125**0.5  # sigma_q^2 at m = hbar = D = 1
+    assert len(var_x) == 8 and all(abs(v / steady - 1.0) < 1e-3 for v in var_x)
+    assert max(wander) > 25.6
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -2,10 +2,15 @@
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qreflect
 from qreflect import (EnvironmentSpec, NoiseStream, PhysicalParams, PotentialSpec,
                       SpatialGrid, TrajectoryMoments, WaveFunction, ensemble_density,
                       fluctuation_report, gaussian_packet, gaussian_state_from_moments,
@@ -23,6 +28,32 @@ def test_noise_stream_replay_and_counter():
     c = NoiseStream(123)
     assert c.increment_at(3, 0.01) == seq[3]
     assert NoiseStream(124).next_increment(0.01) != seq[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64), start=st.integers(0, 2**40), n=st.integers(0, 40),
+       split=st.integers(0, 40), dt=st.floats(1e-6, 10.0))
+def test_bulk_increments_match_any_batching(seed, start, n, split, dt):
+    # block i of a bulk draw is the block at counter i, so the values do not
+    # depend on how the draws are batched
+    ns = NoiseStream(seed)
+    bulk = ns.increments(start, n, dt)
+    assert bulk.shape == (n,)
+    assert [ns.increment_at(start + i, dt) for i in range(n)] == bulk.tolist()
+    k = min(split, n)
+    two = np.concatenate([ns.increments(start, k, dt), ns.increments(start + k, n - k, dt)])
+    assert np.array_equal(two, bulk)
+    stream = NoiseStream(seed, counter=start)
+    assert [stream.next_increment(dt) for _ in range(n)] == bulk.tolist()
+
+
+def test_one_noise_primitive_and_no_thread_pool_in_src():
+    # one counter-based noise contract: a single Philox construction, no
+    # Generator objects and no executor anywhere in the package
+    package = Path(qreflect.__file__).parent
+    texts = {p.name: p.read_text() for p in package.glob("*.py")}
+    assert not [n for n, t in texts.items() if "concurrent.futures" in t or "random.Generator" in t]
+    assert {n: t.count("Philox(") for n, t in texts.items() if "Philox(" in t} == {"qsd.py": 1}
 
 
 def test_noise_stream_ito_statistics():
@@ -196,6 +227,13 @@ def test_position_coupling_fluctuation_growth_2D():
     assert rep.fitted_rate == pytest.approx(2.0, rel=0.25)  # 128-seed fit
 
 
+def test_moment_trajectory_rejects_zero_record_interval():
+    params = PhysicalParams(D=1.0)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        run_moment_trajectory(steady_moments(params), EnvironmentSpec.position(1.0), None,
+                              params, 0.005, 10, seed=1, record_every=0)
+
+
 def test_zero_coupling_constant_fluctuation():
     params = PhysicalParams()
     env = EnvironmentSpec.none()
@@ -350,7 +388,8 @@ def test_threaded_wavefunction_ensemble_is_identical():
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        threaded = run_ensemble(task, range(8), workers=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(task, range(8)))
     finally:
         sys.setswitchinterval(interval)
     serial = run_ensemble(task, range(8))
