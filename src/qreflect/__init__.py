@@ -28,8 +28,8 @@ from .oscquad import QuadratureError, integrate_oscillatory
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_momentum_numeric, potential_position
 from .qsd import (EnsembleDensity, FluctuationReport, NoiseStream, TrajectoryMoments,
-                  ensemble_density, fluctuation_report, moment_step, quantum_current,
-                  run_ensemble, run_moment_trajectory, run_wavefunction_trajectory,
+                  ensemble_density, fluctuation_report, moment_step, quantum_current, run_ensemble,
+                  run_moment_trajectory, run_wavefunction_ensemble, run_wavefunction_trajectory,
                   steady_moments, step_trajectory, wavefunction_moments)
 from .timescales import (RegimeVerdict, TimescaleReport, check_regime,
                          compute_timescales, model2_kinematics,

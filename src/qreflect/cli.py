@@ -3,15 +3,18 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure, 4 regime warning escalated by --strict.  Every run writes its
 resolved configuration and a version stamp next to its CSV/SVG outputs, and
-reruns with the same configuration and seed are byte-identical.  --threads is
-accepted but selects nothing: QSD ensembles run serially, and trajectory k
-draws increment i from Philox block [i, 0, 0, 0] under key seed + k.
+reruns with the same configuration and seed are byte-identical.  Trajectory k
+of a QSD ensemble draws increment i from Philox block [i, 0, 0, 0] under key
+seed + k; wavefunction ensembles step all trajectories as rows of one array.
+--threads selects nothing and changes no output: an (8, 1024) FFT took 56-60
+us with one scipy.fft worker and 64-86 us with two (2 vCPU Xeon).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from dataclasses import fields
@@ -30,7 +33,7 @@ from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      total_reflected_model2)
 from .oscquad import QuadratureError
 from .qsd import (TrajectoryMoments, fluctuation_report, run_ensemble,
-                  run_moment_trajectory, run_wavefunction_trajectory, steady_moments)
+                  run_moment_trajectory, run_wavefunction_ensemble, steady_moments)
 from .svgplot import line_plot
 from .timescales import FORMULAS, check_regime, compute_timescales
 from .unitary import propagate, reflection_probability
@@ -211,15 +214,21 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
 
     n_steps = int(math.ceil(t_final / dt))
     record_every = max(1, n_steps // 200)
-    if cfg.level == "moments":
-        task = lambda seed: run_moment_trajectory(
-            mom0, env, None, params, dt, n_steps, seed, record_every)
-    else:
-        task = lambda seed: run_wavefunction_trajectory(
-            psi0, env, None, params, dt, n_steps, seed, record_every)[0]
+    if cfg.n_traj >= 64:
+        # before any run: the fit needs two record times, made as the drivers make them
+        clock = (itertools.accumulate([dt] * n_steps, initial=0.0) if cfg.level == "moments"
+                 else (k * dt for k in range(n_steps + 1)))
+        if sum(t_loc <= t <= t_final for k, t in enumerate(clock)
+               if k % record_every == 0 or k == n_steps) < 2:
+            raise ConfigError(f"fit window [{t_loc:g}, {t_final:g}] holds < 2 record times")
 
     seeds = [cfg.seed + k for k in range(cfg.n_traj)]
-    series = run_ensemble(task, seeds, workers=cfg.threads)
+    if cfg.level == "moments":
+        series = run_ensemble(lambda seed: run_moment_trajectory(
+            mom0, env, None, params, dt, n_steps, seed, record_every), seeds, cfg.threads)
+    else:
+        series = [run[0] for run in run_wavefunction_ensemble(
+            psi0, env, None, params, dt, n_steps, seeds, record_every)]
     for seed, traj in zip(seeds, series):
         rows = [(m.time, m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp) for m in traj]
         _write_csv(outdir / f"trajectory_{seed}.csv",

@@ -23,7 +23,7 @@ from operator import length_hint
 
 import numpy as np
 
-from .grids import SpatialGrid, SplitStepper, WaveFunction
+from .grids import GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
@@ -110,7 +110,8 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
     """Stepper whose middle operator is the potential phase, then the noise
     factor exp(-2c A^2 dt + sqrt(2c) A dB), dB = draw(), A = a - <a>, then
     renormalization: a = p, c = D_p in momentum space for momentum coupling,
-    otherwise a = x, c = D/hbar^2 (zero when uncoupled) in position space."""
+    otherwise a = x, c = D/hbar^2 (zero when uncoupled) in position space.
+    Rows of (rows, N) amplitudes are trajectories; draw() then gives (rows, 1)."""
     _check_dt(params, env, dt, grid)
     hbar, dx = params.hbar, grid.dx
     in_p = env.kind == "momentum_coupling" and env.strength > 0
@@ -124,11 +125,13 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
     def noise_factor(amps):
         dB = draw()
         w = np.abs(amps) ** 2
-        A = a - float(np.sum(a * w) / np.sum(w))
+        A = a - (a * w).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
         amps *= np.exp(-2.0 * c * A**2 * dt + math.sqrt(2.0 * c) * A * dB)
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * weight)
-        if not math.isfinite(norm):
-            raise FloatingPointError("non-finite amplitudes produced by the step")
+        norm = np.sqrt((np.abs(amps) ** 2).sum(axis=-1, keepdims=True) * weight)
+        if not np.isfinite(norm).all():
+            exc = FloatingPointError("non-finite amplitudes produced by the step")
+            exc.row = int(np.argmin(np.isfinite(norm)))  # first failing row of a batch
+            raise exc
         amps /= norm
 
     def x_middle(vals):
@@ -335,37 +338,64 @@ def ensemble_density(trajectories: list[WaveFunction]) -> EnsembleDensity:
 # -- drivers --------------------------------------------------------------------
 
 
-def run_wavefunction_trajectory(
-    psi0: WaveFunction,
-    env: EnvironmentSpec,
-    spec: PotentialSpec | None,
-    params: PhysicalParams,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    record_every: int = 1,
-) -> tuple[list[TrajectoryMoments], WaveFunction]:
-    """Integrate one trajectory, recording moments every record_every steps;
-    steps between records are fused, which leaves the result unchanged to
-    roundoff."""
+_BLOCK_ROWS = 64  # rows stepped together; fixed, so peak memory does not grow with n_traj
+
+
+def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
+                              spec: PotentialSpec | None, params: PhysicalParams,
+                              dt: float, n_steps: int, seeds, record_every: int = 1
+                              ) -> list[tuple[list[TrajectoryMoments], WaveFunction]]:
+    """(series, final state) per seed, in seed order, with moments recorded every
+    record_every steps.  The trajectories are the rows of one array, stepped in
+    blocks of 64 with the steps between records fused; each row equals its seed's
+    run alone, bit for bit.  Raises GridTooNarrowError when a record holds more
+    than 1e-5 of a row's probability in the outer 1/16 of the grid on either side."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    dBs = iter(NoiseStream(seed).increments(0, n_steps, dt).tolist())
     psi = psi0.normalized()
-    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, dBs.__next__)
-    series = [wavefunction_moments(psi, 0.0)]
-    step = 0
-    while step < n_steps:
-        chunk = min(record_every, n_steps - step)
-        try:
-            psi = WaveFunction(psi.grid, stepper.advance(psi.values, chunk), "position",
-                               params.hbar)
-        except FloatingPointError as exc:
-            # each step draws its increment first, so the draws taken count the step
-            raise FloatingPointError(f"{exc} at step {n_steps - length_hint(dBs)}") from exc
-        step += chunk
-        series.append(wavefunction_moments(psi, step * dt))
-    return series, psi
+    grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
+    runs = []
+    for first in range(0, len(seeds), _BLOCK_ROWS):
+        block = seeds[first:first + _BLOCK_ROWS]
+        dBs = iter(np.array([NoiseStream(s).increments(0, n_steps, dt)
+                             for s in block]).T[..., None])
+        stepper = _trajectory_stepper(grid, env, spec, params, dt, dBs.__next__)
+        vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one trajectory
+        records, step = [[] for _ in block], 0
+        while True:
+            rho = np.abs(vals) ** 2
+            mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
+            if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
+                row = int(np.argmax(mass))
+                raise GridTooNarrowError(f"seed {block[row]} holds probability {mass[row]:.3g} "
+                                         f"in the outer 1/16 of the grid at t = {step * dt:.6g}")
+            if step == n_steps:
+                break
+            chunk = min(record_every, n_steps - step)
+            try:
+                vals = stepper.advance(vals, chunk)
+            except FloatingPointError as exc:
+                # each step draws its increments first, so the draws taken count the step
+                raise FloatingPointError(f"{exc} for seed {block[exc.row]} at step "
+                                         f"{n_steps - length_hint(dBs)}") from exc
+            step += chunk
+            for rec, row in zip(records, vals):
+                rec.append(wavefunction_moments(WaveFunction(grid, row, hbar=hbar), step * dt))
+        runs += [(rec, WaveFunction(grid, row, hbar=hbar)) for rec, row in zip(records, vals)]
+    # every row starts from psi; taken last, so a non-finite psi fails in step 1
+    return [([wavefunction_moments(psi, 0.0)] + rec, final) for rec, final in runs]
+
+
+def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
+                                spec: PotentialSpec | None, params: PhysicalParams,
+                                dt: float, n_steps: int, seed: int, record_every: int = 1
+                                ) -> tuple[list[TrajectoryMoments], WaveFunction]:
+    """Integrate one trajectory: run_wavefunction_ensemble for the one seed."""
+    return run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, [seed],
+                                     record_every)[0]
 
 
 def run_moment_trajectory(
@@ -394,9 +424,10 @@ def run_moment_trajectory(
 def run_ensemble(task, seeds, workers: int = 1) -> list:
     """Run task(seed) for every seed, in seed order, on the calling thread.
 
-    ``workers`` is accepted but selects nothing: every run is serial, so the
-    output is identical for any value.  Each seed's increments depend only on
-    (seed, step index), never on how the ensemble is scheduled.
+    Serves the moment level; run_wavefunction_ensemble steps wavefunction
+    trajectories together.  ``workers`` is accepted but selects nothing, so
+    the output is identical for any value.  Each seed's increments depend
+    only on (seed, step index), never on how the ensemble is scheduled.
     """
     return [task(s) for s in seeds]
 

@@ -1,12 +1,15 @@
 """Flat config parsing, flag overrides, CLI outputs and exit codes."""
 
 import csv
+import math
 import os
 
 import pytest
 
+from qreflect import cli, run_wavefunction_trajectory
 from qreflect.cli import build_config, main
 from qreflect.config import ConfigError, RunConfig, parse_config, serialize_config
+from qreflect.grids import SplitStepper
 
 
 def test_defaults_are_unit_system():
@@ -130,6 +133,54 @@ def test_qsd_wavefunction_grid_holds_the_center_walk(tmp_path):
     steady = 0.125**0.5  # sigma_q^2 at m = hbar = D = 1
     assert len(var_x) == 8 and all(abs(v / steady - 1.0) < 1e-3 for v in var_x)
     assert max(wander) > 25.6
+
+
+def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch):
+    # one advance per record chunk for all 8 trajectories, not one per trajectory,
+    # and every CSV equals the library run of its seed alone, byte for byte
+    shapes, captured = [], []
+    advance, ensemble = SplitStepper.advance, cli.run_wavefunction_ensemble
+
+    def advance_spy(self, values, n_steps):
+        shapes.append(values.shape)
+        return advance(self, values, n_steps)
+
+    def ensemble_spy(*args):
+        captured.append(args)
+        return ensemble(*args)
+
+    monkeypatch.setattr(SplitStepper, "advance", advance_spy)
+    monkeypatch.setattr(cli, "run_wavefunction_ensemble", ensemble_spy)
+    outdir = tmp_path / "cli"
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
+                 "--n_traj", "8", "--seed", "7", "--t_final", "2",
+                 "--outdir", str(outdir)]) == 0
+    psi0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
+    assert record_every > 1 and seeds == list(range(7, 15))
+    assert shapes == [(8, psi0.grid.n_points)] * math.ceil(n_steps / record_every)
+    header = "t,mean_x,mean_p,var_x,var_p,cov_xp\n"
+    for seed in seeds:
+        series, _ = run_wavefunction_trajectory(psi0, env, spec, params, dt, n_steps, seed,
+                                                record_every)
+        text = header + "".join(",".join(map(repr, (m.time, m.mean_x, m.mean_p, m.var_x,
+                                                   m.var_p, m.cov_xp))) + "\n"
+                                for m in series)
+        assert (outdir / f"trajectory_{seed}.csv").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("args, message", [
+    # the periodic grid is too small for the center's walk: seed 24 wraps around
+    (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
+      "--seed", "21", "--n_points", "512"], "seed 24 holds probability"),
+    # t_final < t_loc leaves no record time in the fit window of a 64-seed run
+    (["qsd", "--D", "1", "--level", "moments", "--n_traj", "64", "--t_final", "0.5"],
+     "fit window"),
+])
+def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert not list(tmp_path.glob("trajectory_*.csv"))
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect
-from qreflect import (EnvironmentSpec, NoiseStream, PhysicalParams, PotentialSpec,
-                      SpatialGrid, TrajectoryMoments, WaveFunction, ensemble_density,
-                      fluctuation_report, gaussian_packet, gaussian_state_from_moments,
-                      moment_step, qsd_steady_packet, quantum_current, run_ensemble,
-                      run_moment_trajectory, run_wavefunction_trajectory, steady_moments,
+from qreflect import (EnvironmentSpec, GridTooNarrowError, NoiseStream, PhysicalParams,
+                      PotentialSpec, SpatialGrid, TrajectoryMoments, WaveFunction,
+                      ensemble_density, fluctuation_report, gaussian_packet,
+                      gaussian_state_from_moments, moment_step, qsd_steady_packet,
+                      quantum_current, run_ensemble, run_moment_trajectory,
+                      run_wavefunction_ensemble, run_wavefunction_trajectory, steady_moments,
                       step_trajectory, wavefunction_moments)
+from qreflect import qsd
 
 
 def test_noise_stream_replay_and_counter():
@@ -310,12 +313,8 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     dt, t_final = 0.004, 3.0
     n_steps = int(t_final / dt)
 
-    def task(seed):
-        _, psi = run_wavefunction_trajectory(psi0, env, None, par_b, dt,
-                                             n_steps, seed, record_every=n_steps)
-        return psi
-
-    finals = run_ensemble(task, range(400, 464))
+    finals = [psi for _, psi in run_wavefunction_ensemble(
+        psi0, env, None, par_b, dt, n_steps, range(400, 464), record_every=n_steps)]
     rho = ensemble_density(finals)
     _, var_tot = rho.momentum_moments()
     expect = wavefunction_moments(psi0).var_p + 2.0 * 1.0 * t_final
@@ -394,3 +393,84 @@ def test_threaded_wavefunction_ensemble_is_identical():
         sys.setswitchinterval(interval)
     serial = run_ensemble(task, range(8))
     assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+
+
+def _bits(series):
+    return np.array([astuple(m) for m in series]).view(np.uint64)
+
+
+def _coupled(coupling):
+    if coupling == "x":
+        return PhysicalParams(D=1.0, sigma=1.0), EnvironmentSpec.position(1.0)
+    return PhysicalParams(D_p=1.0, sigma=1.0), EnvironmentSpec.momentum(1.0)
+
+
+@pytest.mark.parametrize("coupling, spec, n_steps, record_every, block_rows", [
+    ("x", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # potential phase, noise in x
+    ("p", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # potential phase, noise in p
+    ("p", None, 90, 10, 64),                              # noise in p, no x_middle
+    ("x", None, 95, 7, 64),                               # record_every does not divide n_steps
+    ("x", None, 30, 4, 3),                                # more seeds than one block holds
+])
+def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_steps,
+                                              record_every, block_rows):
+    monkeypatch.setattr(qsd, "_BLOCK_ROWS", block_rows)
+    params, env = _coupled(coupling)
+    psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
+    seeds = list(range(30, 38))
+    runs = run_wavefunction_ensemble(psi0, env, spec, params, 0.002, n_steps, seeds,
+                                     record_every)
+    assert len(runs) == len(seeds)
+    for seed, (series, final) in zip(seeds, runs):
+        alone, final_alone = run_wavefunction_trajectory(psi0, env, spec, params, 0.002,
+                                                         n_steps, seed, record_every)
+        assert len(series) == 1 + math.ceil(n_steps / record_every)
+        assert np.array_equal(_bits(series), _bits(alone))
+        assert np.array_equal(final.values.view(np.uint64), final_alone.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("coupling", ["x", "p"])
+def test_ensemble_rows_equal_stepwise_reference(coupling):
+    # unfused reference: one step_trajectory per increment of the seed's stream
+    params, env = _coupled(coupling)
+    spec = PotentialSpec.gaussian(0.5, 0.5)
+    psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
+    n_steps, dt, seeds = 40, 0.002, [3, 8]
+    runs = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, seeds)
+    for seed, (series, final) in zip(seeds, runs):
+        psi = psi0.normalized()
+        ref = [wavefunction_moments(psi, 0.0)]
+        for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
+            psi = step_trajectory(psi, env, spec, params, dt, dB)
+            ref.append(wavefunction_moments(psi, k * dt))
+        assert np.array_equal(_bits(series), _bits(ref))
+        assert np.array_equal(final.values, psi.values)
+
+
+def test_ensemble_argument_and_state_errors():
+    params, env = _coupled("x")
+    grid = SpatialGrid(-16, 16, 256)
+    psi0 = gaussian_packet(params, grid, center=0.0)
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_wavefunction_ensemble(psi0, env, None, params, 0.002, 10, [])
+    with pytest.raises(ValueError, match="record_every"):
+        run_wavefunction_ensemble(psi0, env, None, params, 0.002, 10, [1], record_every=0)
+    values = psi0.values.copy()
+    values[5] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=r"seed 12 at step 1$"):
+        run_wavefunction_ensemble(WaveFunction(grid, values), env, None, params, 0.002,
+                                  10, [12, 13])
+
+
+def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
+    # an uncoupled packet moving right reaches the outer 1/16 of the grid
+    # (x > 7) after t = 0.5; past the edge it would wrap around silently
+    params = PhysicalParams(sigma=0.5)
+    grid = SpatialGrid(-8, 8, 128)
+    psi0 = gaussian_packet(params, grid, center=0.0, mean_p=4.0)
+    env = EnvironmentSpec.none()
+    run_wavefunction_trajectory(psi0, env, None, params, 0.002, 250, 5, record_every=50)
+    with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 0\.\d+$"):
+        run_wavefunction_trajectory(psi0, env, None, params, 0.002, 1000, 5,
+                                    record_every=50)
