@@ -24,7 +24,7 @@ from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
                      joint_reflected_noenv, marginal_reflected_noenv,
                      reflected_density_env, target_momentum_density,
                      timescale_cutoffs_model2, total_reflected_model2)
-from .oscquad import QuadratureError, integrate_oscillatory
+from .oscquad import QuadratureError, integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_momentum_numeric, potential_position
 from .qsd import (EnsembleDensity, FluctuationReport, NoiseStream, TrajectoryMoments,

@@ -36,7 +36,8 @@ from .qsd import (TrajectoryMoments, fluctuation_report, run_ensemble,
                   run_moment_trajectory, run_wavefunction_ensemble, steady_moments)
 from .svgplot import line_plot
 from .timescales import FORMULAS, check_regime, compute_timescales
-from .unitary import propagate, reflection_probability
+from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate,
+                      reflection_probability)
 
 
 class RegimeEscalation(RuntimeError):
@@ -156,7 +157,7 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     plot_series = []
     for strength in sweep:
-        dens = [density_of(float(p), strength) for p in p_grid]
+        dens = density_of(p_grid, strength).tolist()
         name = f"density_{cfg.coupling}_{strength:g}.csv"
         _write_csv(outdir / name, ["p", "density"], list(zip(map(float, p_grid), dens)))
         plot_series.append((f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}",
@@ -205,7 +206,11 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
             # walk, Var<x>(t) ~ 2 D t^3 / 3 m^2; a center that crosses an edge wraps
             half = 8.0 * params.sigma + 4.0 * math.sqrt(2.0 * cfg.D * t_final**3 / 3.0) / params.m
         else:
-            half = 8.0 * params.sigma + 4.0 * abs(params.x_bar)
+            # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
+            # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
+            spread = (params.hbar * t_final / (2.0 * params.m * params.sigma)) ** 2
+            half = 8.0 * math.sqrt(params.sigma**2 + spread
+                                   + 2.0 * params.hbar**2 * cfg.D_p * t_final)
         n = min(cfg.n_points, 2 ** math.ceil(math.log2(2.0 * half / dx_target)))
         grid = SpatialGrid(-n * dx_target / 2.0, n * dx_target / 2.0, max(n, 256))
         if cfg.dt is None:
@@ -263,7 +268,7 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
             dens = [conditional_reflected_env(c, float(p), cfg.P, D=D) for p in p_grid]
             name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
         else:
-            dens = [reflected_density_env(c, float(p), D=D) for p in p_grid]
+            dens = reflected_density_env(c, p_grid, D=D)
             name = f"density_D{D:g}.csv"
         dens = list(map(float, clamp_density(dens)))
         _write_csv(outdir / name, ["p", "density"], list(zip(map(float, p_grid), dens)))
@@ -419,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
+    except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except RegimeEscalation as exc:

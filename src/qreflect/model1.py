@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import reflection_p_grid
-from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory
+from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum
 
@@ -133,17 +133,19 @@ def born_delta_coefficient(p, params: PhysicalParams) -> np.ndarray:
 
 
 def reflected_density_x(
-    p: float,
+    p,
     params: PhysicalParams,
     D: float | None = None,
     tau: float | None = None,
-) -> float:
+):
     """Diagonal reflected density at momentum p for position coupling.
 
     Evaluates (2m / hbar^2 p_bar) V^2(p - p_bar) *
         int_0^tau ds (1 - s/tau) cos(omega s) exp(-D s^3 (p-p_bar)^2 / 12 m^2 hbar^2)
     with omega = (p^2 - p_bar^2) / 2 m hbar.  tau defaults to the packet
     standoff time 2 m x_bar / p_bar; tau = inf drops the (1 - s/tau) factor.
+    p may be an array: every point is integrated in one batched quadrature
+    and an array is returned; a float p returns a float.
 
     The D = 0, tau = inf corner is distributional -- the integral resolves to
     pi delta(omega) -- and returns the delta coefficient born_delta_coefficient(p),
@@ -154,37 +156,38 @@ def reflected_density_x(
         D = params.D
     if tau is None:
         tau = params.tau_default
-    delta = p - pb
-    omega = (p**2 - pb**2) / (2.0 * m * hbar)
+    p_arr = np.atleast_1d(np.asarray(p, float))
+    delta = p_arr - pb
+    omega = (p_arr**2 - pb**2) / (2.0 * m * hbar)
     beta = D * delta**2 / (12.0 * m**2 * hbar**2)
 
     if D == 0.0 and math.isinf(tau):
-        return float(born_delta_coefficient(p, params))
-
-    v2 = float(_momentum_form(params.potential, delta, hbar)) ** 2
-    pref = 2.0 * m / (hbar**2 * pb) * v2
-
-    if D == 0.0:
+        dens = born_delta_coefficient(p_arr, params)
+    elif D == 0.0:
         # closed form: Fejer kernel (1 - cos(omega tau)) / (omega^2 tau)
-        if omega == 0.0:
-            return pref * tau / 2.0
-        return pref * (1.0 - math.cos(omega * tau)) / (omega**2 * tau)
-
-    cutoff = decay_cutoff((beta, 3))
-    upper = min(tau, cutoff)
-    if not math.isfinite(upper):
-        raise QuadratureError("integral does not converge: D = 0 with infinite tau")
-    scale = min(cutoff, tau if math.isfinite(tau) else cutoff)
-
-    if math.isinf(tau):
-        env = lambda s: np.exp(-beta * s**3)
+        safe = np.where(omega == 0.0, 1.0, omega)
+        fejer = np.where(omega == 0.0, tau / 2.0,
+                         (1.0 - np.cos(safe * tau)) / (safe**2 * tau))
+        dens = _x_prefactor(params, delta) * fejer
     else:
-        env = lambda s: (1.0 - s / tau) * np.exp(-beta * s**3)
-    integral = integrate_oscillatory(env, omega, upper, scale)
-    return pref * integral
+        cutoff = decay_cutoff((beta, 3))
+        upper = np.minimum(tau, cutoff)
+        if not np.all(np.isfinite(upper)):
+            raise QuadratureError("integral does not converge: D = 0 with infinite tau")
+        if math.isinf(tau):
+            env = lambda s, i: np.exp(-beta[i] * s**3)
+        else:
+            env = lambda s, i: (1.0 - s / tau) * np.exp(-beta[i] * s**3)
+        dens = _x_prefactor(params, delta) * integrate_oscillatory_batch(env, omega, upper, upper)
+    return float(dens[0]) if np.ndim(p) == 0 else dens
 
 
-def reflected_density_p(p: float, params: PhysicalParams, D_p: float | None = None) -> float:
+def _x_prefactor(params: PhysicalParams, delta: np.ndarray) -> np.ndarray:
+    v = _momentum_form(params.potential, delta, params.hbar)
+    return 2.0 * params.m / (params.hbar**2 * params.p_bar) * v**2
+
+
+def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     """Closed-form diagonal reflected density for momentum coupling.
 
     (2 pi m^2 / hbar p_bar^2) V^2(p - p_bar) * B(p) where the broadening factor
@@ -196,7 +199,8 @@ def reflected_density_p(p: float, params: PhysicalParams, D_p: float | None = No
     delta(p + p_bar) as D_p -> 0.  (The often-quoted representation with
     (p - p_bar)^2 in the numerator and (p^2 - p_bar^2)^2 in the denominator is
     the same function; the (p - p_bar)^2 factor cancels, so the point
-    p = p_bar is perfectly regular.)
+    p = p_bar is perfectly regular.)  Elementwise over an array p; a float p
+    returns a float.
     """
     m, hbar, pb = params.m, params.hbar, params.p_bar
     if D_p is None:
@@ -204,9 +208,11 @@ def reflected_density_p(p: float, params: PhysicalParams, D_p: float | None = No
     if D_p <= 0:
         raise ValueError("momentum-coupling density requires D_p > 0")
     c = 2.0 * m * hbar * D_p
-    v2 = float(_momentum_form(params.potential, p - pb, hbar)) ** 2
-    bracket = (2.0 * c * pb / math.pi) / ((p + pb) ** 2 + c**2 * (p - pb) ** 2)
-    return 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
+    p_arr = np.asarray(p, float)
+    v2 = _momentum_form(params.potential, p_arr - pb, hbar) ** 2
+    bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + c**2 * (p_arr - pb) ** 2)
+    dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
+    return float(dens) if np.ndim(p) == 0 else dens
 
 
 def broadening_factor_integral(params: PhysicalParams, D_p: float,
@@ -245,9 +251,9 @@ def reflected_spectrum(
     if tau is None:
         tau = params.tau_default
     if env.kind == "position_coupling":
-        dens = np.array([reflected_density_x(p, params, env.strength, tau) for p in p_grid])
+        dens = reflected_density_x(p_grid, params, env.strength, tau)
     elif env.kind == "momentum_coupling":
-        dens = np.array([reflected_density_p(p, params, env.strength) for p in p_grid])
+        dens = reflected_density_p(p_grid, params, env.strength)
     else:
         raise ValueError("reflected_spectrum needs an environment coupling")
     peak = float(np.max(np.abs(dens)))

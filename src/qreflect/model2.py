@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .grids import reflection_p_grid
-from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory, panel_nodes
+from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch, panel_nodes
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
@@ -100,11 +99,13 @@ class ConstrainedDensity:
     constraint: EnergyConstraint
 
 
-def _v_squared(params: PhysicalParams, delta: float) -> float:
+def _v_squared(params: PhysicalParams, delta):
+    """V^2(delta): a float for a float delta, else an array."""
     spec = params.potential
     if not spec.has_analytic_transform:
         raise ValueError("two-particle kernels need an analytic barrier transform")
-    return float(potential_momentum(spec, delta, params.hbar)) ** 2
+    v = potential_momentum(spec, delta, params.hbar)
+    return v**2 if np.ndim(v) else float(v) ** 2
 
 
 def _target(cfg: Model2Config) -> tuple[float, float, float, float, float, float]:
@@ -135,7 +136,7 @@ def target_momentum_density(cfg: Model2Config, P: float) -> float:
     return Sg / (math.sqrt(math.pi) * hbar) * math.exp(-(Sg**2) * (P - Pb) ** 2 / hbar**2)
 
 
-def marginal_reflected_noenv(cfg: Model2Config, p: float, simplified: bool = False) -> float:
+def marginal_reflected_noenv(cfg: Model2Config, p, simplified: bool = False):
     """Reflected density of the light particle with the target traced out.
 
     The delta(E) is absorbed analytically (Jacobian M/|p - p_bar|), giving
@@ -145,20 +146,24 @@ def marginal_reflected_noenv(cfg: Model2Config, p: float, simplified: bool = Fal
 
     with F the energy mismatch at the incoming target momentum P_bar.  With
     simplified=True, uses the light-particle limit m << M at P_bar = 0, where
-    the exponent becomes Sigma^2 M^2 (p + p_bar)^2 / 4 hbar^2 m^2.
+    the exponent becomes Sigma^2 M^2 (p + p_bar)^2 / 4 hbar^2 m^2.  Elementwise
+    over an array p; a float p returns a float.
     """
     m, M, hbar, pb, Pb, Sg = _target(cfg)
-    if p == pb:
+    p_arr = np.asarray(p, float)
+    if np.any(p_arr == pb):
         raise ValueError("marginal density is singular exactly at p = p_bar")
-    delta = p - pb
+    delta = p_arr - pb
     pref = (
-        2.0 * math.sqrt(math.pi) * Sg * m * M / (hbar**2 * pb * abs(delta))
+        2.0 * math.sqrt(math.pi) * Sg * m * M / (hbar**2 * pb * np.abs(delta))
         * _v_squared(cfg.params, delta)
     )
     if simplified:
-        return pref * math.exp(-(Sg**2) * M**2 * (p + pb) ** 2 / (4.0 * hbar**2 * m**2))
-    F = (pb**2 - p**2) / (2.0 * m) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M)
-    return pref * math.exp(-(Sg**2) * M**2 * F**2 / (hbar**2 * delta**2))
+        dens = pref * np.exp(-(Sg**2) * M**2 * (p_arr + pb) ** 2 / (4.0 * hbar**2 * m**2))
+    else:
+        F = (pb**2 - p_arr**2) / (2.0 * m) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M)
+        dens = pref * np.exp(-(Sg**2) * M**2 * F**2 / (hbar**2 * delta**2))
+    return float(dens) if np.ndim(p) == 0 else dens
 
 
 def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedDensity:
@@ -237,7 +242,7 @@ def joint_reflected_map(
                                 conditional=conditional)
 
 
-def _recoil_omega(cfg: Model2Config, p: float) -> float:
+def _recoil_omega(cfg: Model2Config, p):
     """Oscillation rate of the s-integral: light + target recoil phases."""
     m, M, hbar, pb, Pb, _ = _target(cfg)
     delta = p - pb
@@ -246,10 +251,10 @@ def _recoil_omega(cfg: Model2Config, p: float) -> float:
 
 def reflected_density_env(
     cfg: Model2Config,
-    p: float,
+    p,
     D: float | None = None,
     tau: float | None = None,
-) -> float:
+):
     """Traced-out reflected density with the target coupled to its environment.
 
     Single oscillatory s-integral (the first-interaction time is integrated in
@@ -259,6 +264,9 @@ def reflected_density_env(
             * ((tau - s)/tau) * (1 - e^-x)/x
             * exp(-D s^3 delta^2 / 3 M^2 hbar^2 - s^2 delta^2 / 4 Sigma^2 M^2),
         x = D s^2 (tau - s) delta^2 / M^2 hbar^2.
+
+    p may be an array: every point is integrated in one batched quadrature
+    and an array is returned; a float p returns a float.
 
     tau = inf is the joint D -> 0, tau -> inf limit and returns the
     environment-free marginal (for fixed D > 0 the density scales as 1/tau and
@@ -274,25 +282,24 @@ def reflected_density_env(
         return marginal_reflected_noenv(cfg, p)
     if D < 0:
         raise ValueError("D must be nonnegative")
-    delta = p - pb
-    omega = _recoil_omega(cfg, p)
+    p_arr = np.atleast_1d(np.asarray(p, float))
+    delta = p_arr - pb
+    omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
     gamma = delta**2 / (4.0 * Sg**2 * M**2)
     kappa = D * delta**2 / (M**2 * hbar**2)  # x = kappa s^2 (tau - s)
 
-    def envelope(s):
-        x = kappa * s**2 * (tau - s)
-        h = np.empty_like(x)
+    def envelope(s, i):
+        s2, rest = s * s, tau - s
+        x = kappa[i] * s2 * rest
         big = x > 1e-8
-        h[big] = -np.expm1(-x[big]) / x[big]
-        h[~big] = 1.0 - 0.5 * x[~big]
-        return (tau - s) / tau * h * np.exp(-beta * s**3 - gamma * s**2)
+        h = np.where(big, -np.expm1(-x) / np.where(big, x, 1.0), 1.0 - 0.5 * x)
+        return rest / tau * h * np.exp(-(beta[i] * s + gamma[i]) * s2)
 
-    cutoff = decay_cutoff((beta, 3), (gamma, 2))
-    upper = min(tau, cutoff)
-    scale = min(upper, cutoff)
-    integral = integrate_oscillatory(envelope, omega, upper, scale)
-    return 2.0 * m / (hbar**2 * pb) * _v_squared(params, delta) * integral
+    upper = np.minimum(tau, decay_cutoff((beta, 3), (gamma, 2)))
+    integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
+    dens = 2.0 * m / (hbar**2 * pb) * _v_squared(params, delta) * integral
+    return float(dens[0]) if np.ndim(p) == 0 else dens
 
 
 def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
@@ -311,6 +318,8 @@ def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
     the two terms cancel; there one 24-node Gauss-Legendre panel in u, which
     is exact to roundoff for an exponent that varies that little, is used.
     """
+    from scipy.special import wofz  # scipy.special costs ~0.3 s to import
+
     A, B, C, U = np.broadcast_arrays(np.asarray(A, float), np.asarray(B, complex),
                                      np.asarray(C, complex), np.asarray(U, float))
     out = np.empty(A.shape, complex)
@@ -438,8 +447,7 @@ def total_reflected_model2(
     totals = []
     for D in D_values:
         c = cfg.with_D(D) if cfg.steady_target else cfg
-        dens = clamp_density(
-            [reflected_density_env(c, p, D=D, tau=tau) for p in p_grid])
+        dens = clamp_density(reflected_density_env(c, p_grid, D=D, tau=tau))
         totals.append(float(np.trapezoid(dens, p_grid)))
     return np.array(totals)
 

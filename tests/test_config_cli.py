@@ -3,10 +3,12 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from qreflect import cli, run_wavefunction_trajectory
+from qreflect import cli, qsd, run_wavefunction_trajectory
 from qreflect.cli import build_config, main
 from qreflect.config import ConfigError, RunConfig, parse_config, serialize_config
 from qreflect.grids import SplitStepper
@@ -238,3 +240,43 @@ def test_svg_outputs_are_valid_xml(tmp_path):
             root = ET.fromstring((tmp_path / name).read_text())
             assert root.tag.endswith("svg")
             assert any(child.tag.endswith("polyline") for child in root)
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's source."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
+    # a step barrier leaks past the edge absorbers: exit 3 with one line
+    run = _python("-m", "qreflect.cli", "unitary", "--potential", "step", "--V0", "0.3",
+                  "--outdir", str(tmp_path))
+    assert run.returncode == 3
+    assert run.stderr.startswith("numerical failure: edge absorbers removed")
+    assert len(run.stderr.strip().splitlines()) == 1 and "Traceback" not in run.stderr
+
+
+def test_import_leaves_scipy_special_unloaded():
+    run = _python("-c", "import sys, qreflect, qreflect.cli; "
+                        "print('scipy.special' in sys.modules)")
+    assert run.returncode == 0 and run.stdout.strip() == "False"
+
+
+def test_qsd_p_coupling_grid_holds_the_ensemble_spread(tmp_path, monkeypatch):
+    # seed 8 of this run put 1.7e-6 of its probability in the outer 1/16 of a
+    # grid sized 8 sigma + 4 |x_bar|; the grid now spans 8 sd of the spread
+    worst, moments = [0.0], qsd.wavefunction_moments
+
+    def edge_spy(psi, t):
+        rho, edge = psi.density(), psi.grid.n_points // 16
+        worst[0] = max(worst[0], float((rho[:edge].sum() + rho[-edge:].sum()) / rho.sum()))
+        return moments(psi, t)
+
+    monkeypatch.setattr(qsd, "wavefunction_moments", edge_spy)
+    assert main(["qsd", "--coupling", "p", "--D_p", "1", "--level", "wavefunction",
+                 "--n_traj", "8", "--seed", "3", "--outdir", str(tmp_path)]) == 0
+    assert 0.0 < worst[0] < 1e-12
