@@ -10,8 +10,8 @@ trajectories whose ensemble mean reproduces the open-system density operator.
 __version__ = "0.1.0"
 
 from .grids import (GridTooNarrowError, PhaseSpaceField, SpatialGrid, WaveFunction,
-                    gaussian_packet, gaussian_state_from_moments, qsd_steady_packet,
-                    to_momentum, to_position, wigner_transform)
+                    gaussian_packet, gaussian_state_from_moments, position_moments,
+                    qsd_steady_packet, to_momentum, to_position, wigner_transform)
 from .model1 import (EnvironmentSpec, ReflectedSpectrum, born_delta_coefficient,
                      broadening_factor_integral, propagator_momentum,
                      propagator_position, reflected_density_p, reflected_density_x,
@@ -27,10 +27,11 @@ from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
 from .oscquad import QuadratureError, integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_momentum_numeric, potential_position
-from .qsd import (EnsembleDensity, FluctuationReport, NoiseStream, TrajectoryMoments,
-                  ensemble_density, fluctuation_report, moment_step, quantum_current, run_ensemble,
-                  run_moment_trajectory, run_wavefunction_ensemble, run_wavefunction_trajectory,
-                  steady_moments, step_trajectory, wavefunction_moments)
+from .qsd import (ClosureError, EnsembleDensity, FluctuationReport, NoiseStream,
+                  TrajectoryMoments, ensemble_density, fluctuation_report, moment_step,
+                  quantum_current, run_ensemble, run_moment_ensemble, run_moment_trajectory,
+                  run_wavefunction_ensemble, run_wavefunction_trajectory, steady_moments,
+                  step_trajectory, wavefunction_moments)
 from .timescales import (RegimeVerdict, TimescaleReport, check_regime,
                          compute_timescales, model2_kinematics,
                          wigner_spreading_check, wigner_spreading_ratio)

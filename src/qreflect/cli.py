@@ -1,20 +1,20 @@
 """Command-line entry point: batch runs, parameter sweeps, figure suite.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
-failure, 4 regime warning escalated by --strict.  Every run writes its
-resolved configuration and a version stamp next to its CSV/SVG outputs, and
-reruns with the same configuration and seed are byte-identical.  Trajectory k
-of a QSD ensemble draws increment i from Philox block [i, 0, 0, 0] under key
-seed + k; wavefunction ensembles step all trajectories as rows of one array.
---threads selects nothing and changes no output: an (8, 1024) FFT took 56-60
-us with one scipy.fft worker and 64-86 us with two (2 vCPU Xeon).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (quadrature,
+leakage, premature measurement, moment-closure breakdown), 4 regime warning
+escalated by --strict.  Every run writes its resolved configuration and a
+version stamp beside its outputs; reruns of one configuration are byte-identical.
+QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
+seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
+the fit and every CSV.  --threads selects nothing and changes no output: an
+(8, 1024) FFT took 56-60 us with one scipy.fft worker and 64-86 us with two
+(2 vCPU Xeon).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 from dataclasses import fields
@@ -32,8 +32,8 @@ from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      reflected_density_env, timescale_cutoffs_model2,
                      total_reflected_model2)
 from .oscquad import QuadratureError
-from .qsd import (TrajectoryMoments, fluctuation_report, run_ensemble,
-                  run_moment_trajectory, run_wavefunction_ensemble, steady_moments)
+from .qsd import (MIN_SEEDS, ClosureError, TrajectoryMoments, fluctuation_report,
+                  run_moment_ensemble, run_wavefunction_ensemble, steady_moments)
 from .svgplot import line_plot
 from .timescales import FORMULAS, check_regime, compute_timescales
 from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate,
@@ -188,14 +188,11 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     dt = cfg.dt if cfg.dt is not None else t_loc / 200.0
 
     if cfg.level == "moments":
-        grid = None
         if cfg.coupling == "x":
             mom0 = steady_moments(params)
         else:
-            mom0 = TrajectoryMoments(time=0.0, mean_x=0.0, mean_p=params.p_bar,
-                                     var_x=params.sigma**2,
-                                     var_p=params.hbar**2 / (4.0 * params.sigma**2),
-                                     cov_xp=0.0)
+            mom0 = TrajectoryMoments(0.0, 0.0, params.p_bar, params.sigma**2,
+                                     params.hbar**2 / (4.0 * params.sigma**2), 0.0)
     else:
         # resolve the packet and, for position coupling, the localized width;
         # keep dx fixed when rounding the point count up to a power of two
@@ -219,35 +216,22 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
 
     n_steps = int(math.ceil(t_final / dt))
     record_every = max(1, n_steps // 200)
-    if cfg.n_traj >= 64:
-        # before any run: the fit needs two record times, made as the drivers make them
-        clock = (itertools.accumulate([dt] * n_steps, initial=0.0) if cfg.level == "moments"
-                 else (k * dt for k in range(n_steps + 1)))
-        if sum(t_loc <= t <= t_final for k, t in enumerate(clock)
-               if k % record_every == 0 or k == n_steps) < 2:
-            raise ConfigError(f"fit window [{t_loc:g}, {t_final:g}] holds < 2 record times")
-
     seeds = [cfg.seed + k for k in range(cfg.n_traj)]
     if cfg.level == "moments":
-        series = run_ensemble(lambda seed: run_moment_trajectory(
-            mom0, env, None, params, dt, n_steps, seed, record_every), seeds, cfg.threads)
+        records = run_moment_ensemble(mom0, env, None, params, dt, n_steps, seeds, record_every)
     else:
-        series = [run[0] for run in run_wavefunction_ensemble(
-            psi0, env, None, params, dt, n_steps, seeds, record_every)]
-    for seed, traj in zip(seeds, series):
-        rows = [(m.time, m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp) for m in traj]
-        _write_csv(outdir / f"trajectory_{seed}.csv",
-                   ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"], rows)
-    times = [m.time for m in series[0]]
-    mean_of = lambda attr: [float(np.mean([getattr(s[i], attr) for s in series]))
-                            for i in range(len(times))]
-    rows = zip(times, mean_of("mean_x"), mean_of("mean_p"), mean_of("var_x"),
-               mean_of("var_p"), mean_of("cov_xp"))
-    _write_csv(outdir / "ensemble_summary.csv",
-               ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"], list(rows))
-    if cfg.n_traj >= 64:
-        rep = fluctuation_report(series, (t_loc, t_final))
-        print(f"fitted total momentum fluctuation rate: {rep.fitted_rate:.6g}")
+        records, _ = run_wavefunction_ensemble(psi0, env, None, params, dt, n_steps, seeds,
+                                               record_every)
+    if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
+        rate = fluctuation_report(records, (t_loc, t_final)).fitted_rate
+        print(f"fitted total momentum fluctuation rate: {rate:.6g}")
+    header = ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"]
+    for seed, rows in zip(seeds, records.tolist()):
+        _write_csv(outdir / f"trajectory_{seed}.csv", header, rows)
+    # each mean runs along one contiguous row, as np.mean of a column does
+    summary = np.ascontiguousarray(records.transpose(1, 2, 0)).mean(axis=-1)
+    summary[:, 0] = records[0, :, 0]
+    _write_csv(outdir / "ensemble_summary.csv", header, summary.tolist())
     return []
 
 
@@ -421,12 +405,13 @@ def main(argv: list[str] | None = None) -> int:
         warnings = _RUNNERS[cfg.command](cfg, outdir)
         if warnings and cfg.strict:
             raise RegimeEscalation("; ".join(warnings))
+    except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError,
+            ClosureError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except RegimeEscalation as exc:
         print(f"regime warning escalated (--strict): {exc}", file=sys.stderr)
         return 4

@@ -121,33 +121,37 @@ class WaveFunction:
                             self.hbar, self.conjugate_grid)
 
     def mean_x(self) -> float:
-        rho = self.density()
-        return float(np.sum(self.grid.x * rho) * self.dx / np.sum(rho * self.dx))
+        return self.moments()[0]
 
     def moments(self) -> tuple[float, float, float, float, float]:
-        """(mean_x, mean_p, var_x, var_p, cov_xp) by grid quadrature.
-
-        Position representation only; momentum moments via the spectral
-        derivative, covariance from the symmetrized product.
-        """
+        """(mean_x, mean_p, var_x, var_p, cov_xp): position_moments of this state."""
         if self.representation != "position":
             raise ValueError("moments() expects the position representation")
-        x = self.grid.x
-        rho = self.density()
-        norm = np.sum(rho) * self.dx
-        mean_x = float(np.sum(x * rho) * self.dx / norm)
-        var_x = float(np.sum((x - mean_x) ** 2 * rho) * self.dx / norm)
-        # p applied spectrally: p psi = -i hbar d/dx psi
-        k = self.grid.wavenumbers
-        p_psi = -1j * self.hbar * np.fft.ifft(1j * k * np.fft.fft(self.values))
-        mean_p = float(np.real(np.sum(np.conj(self.values) * p_psi)) * self.dx / norm)
-        p2 = float(np.sum(np.abs(p_psi) ** 2) * self.dx / norm)
-        var_p = p2 - mean_p**2
-        # Re<(x-<x>)(p-<p>)> is the symmetrized covariance for pure states
-        cov_xp = float(
-            np.real(np.sum(np.conj(self.values) * (x - mean_x) * p_psi)) * self.dx / norm
-        )
-        return mean_x, mean_p, var_x, var_p, cov_xp
+        return tuple(position_moments(self.values, self.grid, self.hbar).tolist())
+
+
+# C pow(), as x**2 on a Python float, which differs from x*x in ~1e-3 of cases
+_pow = np.vectorize(math.pow, otypes=[float])
+
+
+def position_moments(values: np.ndarray, grid: SpatialGrid, hbar: float = 1.0) -> np.ndarray:
+    """(mean_x, mean_p, var_x, var_p, cov_xp) of position amplitudes along the
+    last axis, shape values.shape[:-1] + (5,), by grid quadrature: p through
+    the spectral derivative, Cov from the symmetrized product.  Every sum runs
+    along one C-ordered row, so a row of a batch gets the bits it gets alone."""
+    x, dx = grid.x, grid.dx
+    rho = np.abs(values) ** 2
+    norm = np.sum(rho, axis=-1) * dx
+    mean_x = np.sum(x * rho, axis=-1) * dx / norm
+    dev = x - mean_x[..., None]
+    var_x = np.sum(dev**2 * rho, axis=-1) * dx / norm
+    # p applied spectrally: p psi = -i hbar d/dx psi
+    p_psi = -1j * hbar * np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(values))
+    mean_p = np.real(np.sum(np.conj(values) * p_psi, axis=-1)) * dx / norm
+    var_p = np.sum(np.abs(p_psi) ** 2, axis=-1) * dx / norm - _pow(mean_p, 2.0)
+    # Re<(x-<x>)(p-<p>)> is the symmetrized covariance for pure states
+    cov_xp = np.real(np.sum(np.conj(values) * dev * p_psi, axis=-1)) * dx / norm
+    return np.stack([mean_x, mean_p, var_x, var_p, cov_xp], axis=-1)
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:

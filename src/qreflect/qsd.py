@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import length_hint
+from operator import attrgetter, length_hint
 
 import numpy as np
 
-from .grids import GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction
+from .grids import GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction, position_moments
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
@@ -74,6 +74,9 @@ class TrajectoryMoments:
 
     def uncertainty_product(self) -> float:
         return self.var_x * self.var_p - self.cov_xp**2
+
+
+_record = attrgetter("time", "mean_x", "mean_p", "var_x", "var_p", "cov_xp")  # one record row
 
 
 def steady_moments(params: PhysicalParams, mean_x: float = 0.0, mean_p: float = 0.0,
@@ -145,14 +148,8 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
                         p_middle=noise_factor if in_p else None)
 
 
-def step_trajectory(
-    psi: WaveFunction,
-    env: EnvironmentSpec,
-    spec: PotentialSpec | None,
-    params: PhysicalParams,
-    dt: float,
-    noise,
-) -> WaveFunction:
+def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, spec: PotentialSpec | None,
+                    params: PhysicalParams, dt: float, noise) -> WaveFunction:
     """One stochastic step of the normalized nonlinear diffusion equation.
 
     ``noise`` is either a NoiseStream (consumes one increment) or an explicit
@@ -164,12 +161,14 @@ def step_trajectory(
 
 
 def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMoments:
-    mx, mp, vx, vp, cxp = psi.moments()
-    return TrajectoryMoments(time=time, mean_x=mx, mean_p=mp,
-                             var_x=vx, var_p=vp, cov_xp=cxp)
+    return TrajectoryMoments(time, *psi.moments())
 
 
 # -- moment-level integration --------------------------------------------------
+
+
+class ClosureError(ValueError):
+    """An explicit moment step drove a variance to zero or below."""
 
 
 def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx: float, mp: float,
@@ -185,15 +184,9 @@ def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx: float, mp: flo
     return psi0_sq, current, spec.V0
 
 
-def moment_step(
-    mom: TrajectoryMoments,
-    params: PhysicalParams,
-    env: EnvironmentSpec,
-    spec: PotentialSpec | None,
-    dt: float,
-    noise,
-    closure: str = "gaussian",
-) -> TrajectoryMoments:
+def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
+                spec: PotentialSpec | None, dt: float, noise,
+                closure: str = "gaussian") -> TrajectoryMoments:
     """Euler-Maruyama step of the closed moment system, one shared dB.
 
     closure = "gaussian": all five moments evolve; third central moments
@@ -203,8 +196,7 @@ def moment_step(
     and only the means evolve.
     """
     step = _moment_map(params, env, spec, dt, closure)
-    return TrajectoryMoments(*step(mom.time, mom.mean_x, mom.mean_p, mom.var_x, mom.var_p,
-                                   mom.cov_xp, _resolve_dB(noise, dt)))
+    return TrajectoryMoments(*step(*_record(mom), _resolve_dB(noise, dt)))
 
 
 def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
@@ -238,7 +230,7 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
             d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
                     - 8.0 * D * vp**2) * dt if closure == "gaussian" else 0.0
         if not (vx + d_vx > 0 and vp + d_vp > 0):
-            raise ValueError("variances must stay positive (closure inconsistency)")
+            raise ClosureError("variances must stay positive (closure inconsistency)")
         return t + dt, mx + d_mx, mp + d_mp, vx + d_vx, vp + d_vp, c + d_c
 
     return step
@@ -336,57 +328,68 @@ def ensemble_density(trajectories: list[WaveFunction]) -> EnsembleDensity:
 
 
 # -- drivers --------------------------------------------------------------------
+# An ensemble is one (seeds, records, 6) float array, seeds in order, with columns
+# t, <x>, <p>, Var x, Var p, Cov xp at t = 0, every record_every steps and the end.
 
 
 _BLOCK_ROWS = 64  # rows stepped together; fixed, so peak memory does not grow with n_traj
 
 
-def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
-                              spec: PotentialSpec | None, params: PhysicalParams,
-                              dt: float, n_steps: int, seeds, record_every: int = 1
-                              ) -> list[tuple[list[TrajectoryMoments], WaveFunction]]:
-    """(series, final state) per seed, in seed order, with moments recorded every
-    record_every steps.  The trajectories are the rows of one array, stepped in
-    blocks of 64 with the steps between records fused; each row equals its seed's
-    run alone, bit for bit.  Raises GridTooNarrowError when a record holds more
-    than 1e-5 of a row's probability in the outer 1/16 of the grid on either side."""
+def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]:
+    """(seeds as a list, their unfilled record array), after checking the arguments."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    return seeds, np.empty((len(seeds), 1 + -(-n_steps // record_every), 6))
+
+
+def _series(rows: np.ndarray) -> list[TrajectoryMoments]:
+    return [TrajectoryMoments(*r) for r in rows.tolist()]
+
+
+def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
+                              spec: PotentialSpec | None, params: PhysicalParams,
+                              dt: float, n_steps: int, seeds, record_every: int = 1
+                              ) -> tuple[np.ndarray, list[WaveFunction]]:
+    """(records, final states) of one trajectory per seed: the rows of one array,
+    stepped in blocks of 64 with the steps between records fused and the moments
+    of a block taken in one call per record.  Each row equals its seed's run alone,
+    bit for bit.  Raises GridTooNarrowError when a record holds more than 1e-5 of
+    a row's probability in the outer 1/16 of the grid on either side."""
+    seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()
     grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
-    runs = []
+    finals = []
     for first in range(0, len(seeds), _BLOCK_ROWS):
         block = seeds[first:first + _BLOCK_ROWS]
+        out = records[first:first + len(block)]
         dBs = iter(np.array([NoiseStream(s).increments(0, n_steps, dt)
                              for s in block]).T[..., None])
         stepper = _trajectory_stepper(grid, env, spec, params, dt, dBs.__next__)
         vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one trajectory
-        records, step = [[] for _ in block], 0
-        while True:
+        step = 0
+        for j in range(records.shape[1]):
+            if j:
+                chunk = min(record_every, n_steps - step)
+                try:
+                    vals = stepper.advance(vals, chunk)
+                except FloatingPointError as exc:
+                    # each step draws its increments first, so the draws taken count the step
+                    raise FloatingPointError(f"{exc} for seed {block[exc.row]} at step "
+                                             f"{n_steps - length_hint(dBs)}") from exc
+                step += chunk
             rho = np.abs(vals) ** 2
             mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
             if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
                 row = int(np.argmax(mass))
                 raise GridTooNarrowError(f"seed {block[row]} holds probability {mass[row]:.3g} "
                                          f"in the outer 1/16 of the grid at t = {step * dt:.6g}")
-            if step == n_steps:
-                break
-            chunk = min(record_every, n_steps - step)
-            try:
-                vals = stepper.advance(vals, chunk)
-            except FloatingPointError as exc:
-                # each step draws its increments first, so the draws taken count the step
-                raise FloatingPointError(f"{exc} for seed {block[exc.row]} at step "
-                                         f"{n_steps - length_hint(dBs)}") from exc
-            step += chunk
-            for rec, row in zip(records, vals):
-                rec.append(wavefunction_moments(WaveFunction(grid, row, hbar=hbar), step * dt))
-        runs += [(rec, WaveFunction(grid, row, hbar=hbar)) for rec, row in zip(records, vals)]
-    # every row starts from psi; taken last, so a non-finite psi fails in step 1
-    return [([wavefunction_moments(psi, 0.0)] + rec, final) for rec, final in runs]
+            out[:, j, 0] = step * dt
+            out[:, j, 1:] = position_moments(vals, grid, hbar)
+        finals += [WaveFunction(grid, row, hbar=hbar) for row in vals]
+    return records, finals
 
 
 def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
@@ -394,40 +397,48 @@ def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
                                 dt: float, n_steps: int, seed: int, record_every: int = 1
                                 ) -> tuple[list[TrajectoryMoments], WaveFunction]:
     """Integrate one trajectory: run_wavefunction_ensemble for the one seed."""
-    return run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, [seed],
-                                     record_every)[0]
+    records, finals = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps,
+                                                [seed], record_every)
+    return _series(records[0]), finals[0]
 
 
-def run_moment_trajectory(
-    mom0: TrajectoryMoments,
-    env: EnvironmentSpec,
-    spec: PotentialSpec | None,
-    params: PhysicalParams,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    record_every: int = 1,
-    closure: str = "gaussian",
-) -> list[TrajectoryMoments]:
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
+                        spec: PotentialSpec | None, params: PhysicalParams, dt: float,
+                        n_steps: int, seeds, record_every: int = 1,
+                        closure: str = "gaussian") -> np.ndarray:
+    """Records of one moment trajectory per seed, all starting from mom0.  Each
+    seed steps on Python floats, since a one-row array step costs about 20x
+    more.  A ClosureError names the seed and the step that broke the closure."""
+    seeds, records = _ensemble(seeds, n_steps, record_every)
     step_map = _moment_map(params, env, spec, dt, closure)
-    state = (mom0.time, mom0.mean_x, mom0.mean_p, mom0.var_x, mom0.var_p, mom0.cov_xp)
-    series = [mom0]
-    for step, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
-        state = step_map(*state, dB)
-        if step % record_every == 0 or step == n_steps:
-            series.append(TrajectoryMoments(*state))
-    return series
+    for row, seed in zip(records, seeds):
+        state = _record(mom0)
+        series = [state]
+        for step, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
+            try:
+                state = step_map(*state, dB)
+            except ClosureError as exc:
+                raise ClosureError(f"{exc} for seed {seed} at step {step}") from exc
+            if step % record_every == 0 or step == n_steps:
+                series.append(state)
+        row[:] = series
+    return records
 
 
-def run_ensemble(task, seeds, workers: int = 1) -> list:
+def run_moment_trajectory(mom0: TrajectoryMoments, env: EnvironmentSpec,
+                          spec: PotentialSpec | None, params: PhysicalParams, dt: float,
+                          n_steps: int, seed: int, record_every: int = 1,
+                          closure: str = "gaussian") -> list[TrajectoryMoments]:
+    """Integrate one trajectory: run_moment_ensemble for the one seed."""
+    return _series(run_moment_ensemble(mom0, env, spec, params, dt, n_steps, [seed],
+                                       record_every, closure)[0])
+
+
+def run_ensemble(task, seeds) -> list:
     """Run task(seed) for every seed, in seed order, on the calling thread.
 
-    Serves the moment level; run_wavefunction_ensemble steps wavefunction
-    trajectories together.  ``workers`` is accepted but selects nothing, so
-    the output is identical for any value.  Each seed's increments depend
-    only on (seed, step index), never on how the ensemble is scheduled.
+    No driver or CLI path calls it; it stays for the acceptance tests, which
+    run one-seed trajectories through it.
     """
     return [task(s) for s in seeds]
 
@@ -445,33 +456,32 @@ class FluctuationReport:
     n_seeds: int
 
 
-def fluctuation_report(
-    series_by_seed: list[list[TrajectoryMoments]],
-    fit_window: tuple[float, float],
-    min_seeds: int = 64,
-) -> FluctuationReport:
+MIN_SEEDS = 64  # fewest seeds that fluctuation_report fits a growth rate to
+
+
+def fluctuation_report(records, fit_window: tuple[float, float]) -> FluctuationReport:
     """Split the ensemble momentum spread into Var_seeds(<p>) + mean Var(p).
 
-    The total fluctuation growth rate is fitted by least squares over
-    fit_window; for position coupling with no barrier the continuum rate is
-    exactly 2D, for momentum coupling it vanishes.
+    ``records`` is a driver's (seeds, records, 6) array or one list of
+    TrajectoryMoments per seed.  The total fluctuation growth rate is fitted by
+    least squares over fit_window; for position coupling with no barrier the
+    continuum rate is exactly 2D, for momentum coupling it vanishes.
     """
-    n = len(series_by_seed)
-    if n < min_seeds:
-        raise ValueError(f"need at least {min_seeds} seeds, got {n}")
-    lengths = {len(s) for s in series_by_seed}
-    if len(lengths) != 1:
-        raise ValueError("all seed series must share the sampling times")
-    times = np.array([m.time for m in series_by_seed[0]])
-    mean_p = np.array([[m.mean_p for m in s] for s in series_by_seed])
-    var_p = np.array([[m.var_p for m in s] for s in series_by_seed])
-    stoch = np.var(mean_p, axis=0, ddof=1)
-    quantum = np.mean(var_p, axis=0)
+    n = len(records)
+    if n < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n}")
+    if not isinstance(records, np.ndarray):
+        if len({len(s) for s in records}) != 1:
+            raise ValueError("all seed series must share the sampling times")
+        records = np.array([[_record(m) for m in s] for s in records])
+    times = records[0, :, 0]
+    stoch = np.var(records[:, :, 2], axis=0, ddof=1)
+    quantum = np.mean(records[:, :, 4], axis=0)
     total = stoch + quantum
     lo, hi = fit_window
     sel = (times >= lo) & (times <= hi)
     if np.sum(sel) < 2:
-        raise ValueError("fit window contains fewer than two samples")
+        raise ValueError(f"fit window [{lo:g}, {hi:g}] holds fewer than two record times")
     rate = float(np.polyfit(times[sel], total[sel], 1)[0])
     return FluctuationReport(times=times, stochastic_var_p=stoch,
                              mean_quantum_var_p=quantum, total=total,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qreflect import cli, qsd, run_wavefunction_trajectory
@@ -269,14 +270,61 @@ def test_import_leaves_scipy_special_unloaded():
 def test_qsd_p_coupling_grid_holds_the_ensemble_spread(tmp_path, monkeypatch):
     # seed 8 of this run put 1.7e-6 of its probability in the outer 1/16 of a
     # grid sized 8 sigma + 4 |x_bar|; the grid now spans 8 sd of the spread
-    worst, moments = [0.0], qsd.wavefunction_moments
+    worst, moments = [0.0], qsd.position_moments
 
-    def edge_spy(psi, t):
-        rho, edge = psi.density(), psi.grid.n_points // 16
-        worst[0] = max(worst[0], float((rho[:edge].sum() + rho[-edge:].sum()) / rho.sum()))
-        return moments(psi, t)
+    def edge_spy(values, grid, hbar):
+        for row in values:
+            rho, edge = np.abs(row) ** 2, grid.n_points // 16
+            worst[0] = max(worst[0], float((rho[:edge].sum() + rho[-edge:].sum()) / rho.sum()))
+        return moments(values, grid, hbar)
 
-    monkeypatch.setattr(qsd, "wavefunction_moments", edge_spy)
+    monkeypatch.setattr(qsd, "position_moments", edge_spy)
     assert main(["qsd", "--coupling", "p", "--D_p", "1", "--level", "wavefunction",
                  "--n_traj", "8", "--seed", "3", "--outdir", str(tmp_path)]) == 0
     assert 0.0 < worst[0] < 1e-12
+
+
+def test_qsd_closure_breakdown_is_a_numerical_failure(tmp_path, capsys):
+    # explicit Euler on Var p' = -8 D_p Var p^2 needs dt < 1 / (8 D_p Var p) = 5e-5
+    # here; the default dt = 0.005 drives Var p negative in the first step
+    assert main(["qsd", "--coupling", "p", "--D_p", "1", "--level", "moments",
+                 "--sigma", "0.01", "--n_traj", "4", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: variances must stay positive (closure inconsistency) "
+                   "for seed 1234 at step 1\n")
+    assert not list(tmp_path.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("level", ["moments", "wavefunction"])
+def test_qsd_summary_is_the_mean_of_the_trajectory_csvs(tmp_path, level):
+    # bit for bit: records.mean(axis=0) adds the seeds in another order and can
+    # differ from np.mean of a column in the last bit
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", level, "--n_traj", "8",
+                 "--seed", "5", "--t_final", "1", "--outdir", str(tmp_path)]) == 0
+    per_seed = [list(csv.reader(open(tmp_path / f"trajectory_{seed}.csv")))
+                for seed in range(5, 13)]
+    summary = list(csv.reader(open(tmp_path / "ensemble_summary.csv")))
+    assert len(summary) == len(per_seed[0]) > 100 and summary[0] == per_seed[0][0]
+    for i, row in enumerate(summary[1:], 1):
+        assert row[0] == per_seed[0][i][0]
+        for col in range(1, 6):
+            column = [float(rows[i][col]) for rows in per_seed]
+            assert row[col] == repr(float(np.mean(column)))
+
+
+def test_qsd_wavefunction_records_moments_in_bulk(tmp_path, monkeypatch):
+    # one moments call per record on the whole (8, N) ensemble, none per trajectory
+    shapes, per_row, bulk = [], [], qsd.position_moments
+
+    def bulk_spy(values, grid, hbar):
+        shapes.append(values.shape)
+        return bulk(values, grid, hbar)
+
+    monkeypatch.setattr(qsd, "position_moments", bulk_spy)
+    monkeypatch.setattr(qsd, "wavefunction_moments", lambda *a: per_row.append(a))
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
+                 "--n_traj", "8", "--seed", "7", "--t_final", "2",
+                 "--outdir", str(tmp_path)]) == 0
+    n_records = len((tmp_path / "trajectory_7.csv").read_text().splitlines()) - 1
+    assert n_records > 100 and not per_row
+    assert shapes == [(8, shapes[0][1])] * n_records and shapes[0][1] >= 256

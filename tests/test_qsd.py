@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect
-from qreflect import (EnvironmentSpec, GridTooNarrowError, NoiseStream, PhysicalParams,
+from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream, PhysicalParams,
                       PotentialSpec, SpatialGrid, TrajectoryMoments, WaveFunction,
                       ensemble_density, fluctuation_report, gaussian_packet,
                       gaussian_state_from_moments, moment_step, qsd_steady_packet,
-                      quantum_current, run_ensemble, run_moment_trajectory,
-                      run_wavefunction_ensemble, run_wavefunction_trajectory, steady_moments,
-                      step_trajectory, wavefunction_moments)
+                      quantum_current, run_ensemble, run_moment_ensemble,
+                      run_moment_trajectory, run_wavefunction_ensemble,
+                      run_wavefunction_trajectory, steady_moments, step_trajectory,
+                      wavefunction_moments)
 from qreflect import qsd
 
 
@@ -237,6 +238,35 @@ def test_moment_trajectory_rejects_zero_record_interval():
                               params, 0.005, 10, seed=1, record_every=0)
 
 
+def test_fluctuation_report_reads_records_and_series_alike():
+    params = PhysicalParams(D=1.0)
+    env = EnvironmentSpec.position(1.0)
+    mom0 = steady_moments(params)
+    records = run_moment_ensemble(mom0, env, None, params, 0.005, 200, range(64), 20)
+    series = [run_moment_trajectory(mom0, env, None, params, 0.005, 200, seed, 20)
+              for seed in range(64)]
+    assert np.array_equal(records[5], [astuple(m) for m in series[5]])
+    a, b = fluctuation_report(records, (0.2, 1.0)), fluctuation_report(series, (0.2, 1.0))
+    assert a.fitted_rate == b.fitted_rate and np.array_equal(a.total, b.total)
+    with pytest.raises(ValueError, match="at least 64 seeds"):
+        fluctuation_report(records[:63], (0.2, 1.0))
+    with pytest.raises(ValueError, match="share the sampling times"):
+        fluctuation_report(series[:-1] + [series[-1][:-1]], (0.2, 1.0))
+    with pytest.raises(ValueError, match=r"fit window \[2, 3\]"):
+        fluctuation_report(records, (2.0, 3.0))
+
+
+def test_moment_closure_breakdown_names_seed_and_step():
+    # Var p = 2500 and dt = 0.005: the explicit step overshoots past zero at once
+    params = PhysicalParams(D_p=1.0, sigma=0.01)
+    mom0 = TrajectoryMoments(0.0, 0.0, 1.0, 1e-4, 2500.0, 0.0)
+    env = EnvironmentSpec.momentum(1.0)
+    with pytest.raises(ClosureError, match="closure inconsistency"):
+        moment_step(mom0, params, env, None, 0.005, 0.0)
+    with pytest.raises(ClosureError, match=r"for seed 41 at step 1$"):
+        run_moment_ensemble(mom0, env, None, params, 0.005, 10, [41, 42])
+
+
 def test_zero_coupling_constant_fluctuation():
     params = PhysicalParams()
     env = EnvironmentSpec.none()
@@ -313,8 +343,8 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     dt, t_final = 0.004, 3.0
     n_steps = int(t_final / dt)
 
-    finals = [psi for _, psi in run_wavefunction_ensemble(
-        psi0, env, None, par_b, dt, n_steps, range(400, 464), record_every=n_steps)]
+    _, finals = run_wavefunction_ensemble(psi0, env, None, par_b, dt, n_steps, range(400, 464),
+                                          record_every=n_steps)
     rho = ensemble_density(finals)
     _, var_tot = rho.momentum_moments()
     expect = wavefunction_moments(psi0).var_p + 2.0 * 1.0 * t_final
@@ -396,7 +426,9 @@ def test_threaded_wavefunction_ensemble_is_identical():
 
 
 def _bits(series):
-    return np.array([astuple(m) for m in series]).view(np.uint64)
+    # a driver's (records, 6) rows, or a list of TrajectoryMoments
+    rows = series if isinstance(series, np.ndarray) else [astuple(m) for m in series]
+    return np.array(rows).view(np.uint64)
 
 
 def _coupled(coupling):
@@ -418,10 +450,10 @@ def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_ste
     params, env = _coupled(coupling)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     seeds = list(range(30, 38))
-    runs = run_wavefunction_ensemble(psi0, env, spec, params, 0.002, n_steps, seeds,
-                                     record_every)
+    runs, finals = run_wavefunction_ensemble(psi0, env, spec, params, 0.002, n_steps, seeds,
+                                             record_every)
     assert len(runs) == len(seeds)
-    for seed, (series, final) in zip(seeds, runs):
+    for seed, series, final in zip(seeds, runs, finals):
         alone, final_alone = run_wavefunction_trajectory(psi0, env, spec, params, 0.002,
                                                          n_steps, seed, record_every)
         assert len(series) == 1 + math.ceil(n_steps / record_every)
@@ -436,8 +468,8 @@ def test_ensemble_rows_equal_stepwise_reference(coupling):
     spec = PotentialSpec.gaussian(0.5, 0.5)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     n_steps, dt, seeds = 40, 0.002, [3, 8]
-    runs = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, seeds)
-    for seed, (series, final) in zip(seeds, runs):
+    runs, finals = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, seeds)
+    for seed, series, final in zip(seeds, runs, finals):
         psi = psi0.normalized()
         ref = [wavefunction_moments(psi, 0.0)]
         for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
