@@ -1,9 +1,9 @@
 """Command-line entry point: batch runs, parameter sweeps, figure suite.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (quadrature,
-leakage, premature measurement, moment-closure breakdown), 4 regime warning
-escalated by --strict.  Every run writes its resolved configuration and a
-version stamp beside its outputs; reruns of one configuration are byte-identical.
+non-finite density, leakage, premature measurement, moment-closure breakdown),
+4 regime warning escalated by --strict.  Every run writes its resolved config
+and a version stamp beside its outputs; reruns of one config are byte-identical.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  --threads selects nothing and changes no output: an
@@ -29,7 +29,7 @@ from .grids import SpatialGrid, gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
                      reflected_density_x, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
-                     reflected_density_env, timescale_cutoffs_model2,
+                     finite_density, reflected_density_env, timescale_cutoffs_model2,
                      total_reflected_model2)
 from .oscquad import QuadratureError
 from .qsd import (MIN_SEEDS, ClosureError, TrajectoryMoments, fluctuation_report,
@@ -155,9 +155,10 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
         density_of = lambda p, s: reflected_density_p(p, params, s)
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
+    # checked before any CSV is written; model1 densities are not clamped
+    densities = [finite_density(density_of(p_grid, s)).tolist() for s in sweep]
     plot_series = []
-    for strength in sweep:
-        dens = density_of(p_grid, strength).tolist()
+    for strength, dens in zip(sweep, densities):
         name = f"density_{cfg.coupling}_{strength:g}.csv"
         _write_csv(outdir / name, ["p", "density"], list(zip(map(float, p_grid), dens)))
         plot_series.append((f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}",
@@ -249,7 +250,7 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     for D in sweep:
         c = m2.with_D(D) if cfg.steady_target else m2
         if cfg.P is not None:
-            dens = [conditional_reflected_env(c, float(p), cfg.P, D=D) for p in p_grid]
+            dens = conditional_reflected_env(c, p_grid, cfg.P, D=D)
             name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
         else:
             dens = reflected_density_env(c, p_grid, D=D)
@@ -407,6 +408,8 @@ def main(argv: list[str] | None = None) -> int:
             raise RegimeEscalation("; ".join(warnings))
     except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError,
             ClosureError) as exc:
+        if isinstance(exc, ClosureError):  # a hint on stdout; stderr keeps one line
+            print(f"hint: explicit moment steps need --dt below {exc.dt_max:.3g} here")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

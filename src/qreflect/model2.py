@@ -340,14 +340,8 @@ def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
     return out
 
 
-def conditional_reflected_env(
-    cfg: Model2Config,
-    p: float,
-    P: float,
-    D: float | None = None,
-    tau: float | None = None,
-    reduced: bool = False,
-) -> float:
+def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = None,
+                              tau: float | None = None, reduced: bool = False):
     """Reflected density at p conditioned on target momentum P, with environment.
 
     The second-order expression plus its complex conjugate is a double
@@ -355,8 +349,10 @@ def conditional_reflected_env(
     (first-interaction time, 0 <= u <= tau - s).  At fixed s the integrand is
     exp(A u^2 + B u + C) with real A >= 0 and complex B, C, so the u-integral
     is done in closed form by exp_quadratic_integral (Faddeeva function, or
-    one Gauss-Legendre panel where the exponent is nearly linear), for all s
-    nodes at once.  Only the oscillatory s-integral is done by quadrature.
+    one Gauss-Legendre panel where the exponent is nearly linear).  Less its
+    phase e^(-i Omega s), that is the complex envelope of one batched
+    oscillatory s-integral over an array p (a float p returns a float), with
+    the run-time error estimate of integrate_oscillatory_batch.
 
     With reduced=True the large-tau form of the integrand is used instead:
     the u-dependent phase is dropped and the final growth factor replaced by
@@ -372,45 +368,51 @@ def conditional_reflected_env(
         tau = cfg.tau
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("the conditional kernel needs a finite positive tau")
-    delta = p - pb
+    p_arr = np.atleast_1d(np.asarray(p, float))
+    delta = p_arr - pb
     dP = P - Pb
     G = 4.0 * D * tau * Sg**2 + hbar**2
-    suppression = math.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / G)
+    with np.errstate(over="ignore"):  # inf at an improbable P; clamp_density rejects it
+        suppression = np.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / G)
     if reduced:
-        return suppression * reflected_density_env(cfg, p, D=D, tau=tau)
-    prefactor = m / (hbar**2 * pb) * _v_squared(params, delta) * suppression
+        dens = suppression * reflected_density_env(cfg, p_arr, D=D, tau=tau)
+        return float(dens[0]) if np.ndim(p) == 0 else dens
 
-    omega = _recoil_omega(cfg, p)
+    omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
 
-    # outer oscillatory s-grid.  The real exponent is convex in u, so it is
-    # maximized at the u-endpoints, and both endpoints decay at least as fast
-    # as exp(-beta s^3 / 4): that is the only uniform-in-u cutoff (the Zeno
-    # factor gamma_lim suppresses the u ~ 0 region only).
-    s_cut = decay_cutoff((0.25 * beta, 3))
-    upper = min(tau, s_cut)
-    h_osc = math.pi / abs(omega) if omega != 0.0 else upper
-    h = min(h_osc, 0.125 * upper)
-    n_s = int(math.ceil(upper / h))
-    if n_s > 40_000:
-        raise QuadratureError("conditional kernel: too many s panels")
-    s, w = panel_nodes(0.0, upper, n_s)
+    def envelope(s, i):
+        # exponent at (s, u): real part -beta s^3 - 4 c1 u + c1 (4 D Sigma^2
+        # (s + 2u)^2 + 4 hbar^2 (s + 2u - tau)) / G, phase -s omega - q (4 D
+        # Sigma^2 (s + 2u) + 2 hbar^2); in powers of u, without the -s omega
+        d = delta[i]
+        c1 = D * s**2 * d**2 / (4.0 * M**2 * hbar**2)
+        q = s * d * (d + dP) / (2.0 * M * hbar * G)
+        A = 16.0 * c1 * D * Sg**2 / G
+        B = 4.0 * c1 * (4.0 * D * Sg**2 * (s - tau) + hbar**2) / G - 8j * D * Sg**2 * q
+        C = (-beta[i] * s**3 + 4.0 * c1 * (D * Sg**2 * s**2 + hbar**2 * (s - tau)) / G
+             - 1j * q * (4.0 * D * Sg**2 * s + 2.0 * hbar**2))
+        return exp_quadratic_integral(A, B, C, tau - s)
 
-    # exponent at (s, u): real part -beta s^3 - 4 c1 u + c1 (4 D Sigma^2
-    # (s + 2u)^2 + 4 hbar^2 (s + 2u - tau)) / G, phase -s omega - q (4 D
-    # Sigma^2 (s + 2u) + 2 hbar^2); collected in powers of u
-    c1 = D * s**2 * delta**2 / (4.0 * M**2 * hbar**2)
-    q = s * delta * (delta + dP) / (2.0 * M * hbar * G)
-    A = 16.0 * c1 * D * Sg**2 / G
-    B = 4.0 * c1 * (4.0 * D * Sg**2 * (s - tau) + hbar**2) / G - 8j * D * Sg**2 * q
-    C = (-beta * s**3 + 4.0 * c1 * (D * Sg**2 * s**2 + hbar**2 * (s - tau)) / G
-         - 1j * (s * omega + q * (4.0 * D * Sg**2 * s + 2.0 * hbar**2)))
-    inner = exp_quadratic_integral(A, B, C, tau - s)
+    # the real exponent is convex in u, so it peaks at the u-endpoints, which both
+    # decay at least as fast as exp(-beta s^3 / 4): the only uniform-in-u cutoff
+    # (the Zeno factor gamma_lim suppresses only the u ~ 0 region)
+    upper = np.minimum(tau, decay_cutoff((0.25 * beta, 3)))
+    integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
     # the displayed expression is I + I*, so only the real part survives
-    return float(prefactor * 2.0 * (np.sum(w * inner) / tau).real)
+    dens = m / (hbar**2 * pb) * _v_squared(params, delta) * suppression * 2.0 * integral / tau
+    return float(dens[0]) if np.ndim(p) == 0 else dens
 
 
 # -- totals and cutoffs -----------------------------------------------------------
+
+
+def finite_density(density) -> np.ndarray:
+    """The density as a float array; QuadratureError if an entry is not finite."""
+    density = np.asarray(density, float)
+    if not np.all(np.isfinite(density)):
+        raise QuadratureError("density has non-finite entries")
+    return density
 
 
 def clamp_density(density: np.ndarray, floor_fraction: float = 1e-6) -> np.ndarray:
@@ -419,9 +421,7 @@ def clamp_density(density: np.ndarray, floor_fraction: float = 1e-6) -> np.ndarr
     The sampled density must be finite and stay above -floor_fraction of its
     peak (anything lower signals an unresolved integral, not truncation noise).
     """
-    density = np.asarray(density, float)
-    if not np.all(np.isfinite(density)):
-        raise QuadratureError("density has non-finite entries")
+    density = finite_density(density)
     peak = float(np.max(density)) if density.size else 0.0
     low = float(np.min(density))
     if low < -floor_fraction * max(peak, 0.0):

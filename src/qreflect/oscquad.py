@@ -4,10 +4,11 @@ The reflected-norm kernels all reduce to integrals of the form
 
     I = int_0^U  env(s) * cos(omega s) ds
 
-where env is smooth, nonnegative and decays on a known scale while the cosine
-oscillates on the scale pi/|omega|; the two scales can differ by orders of
-magnitude.  One call integrates a whole grid of such integrals, one per
-momentum point, on 24-node Gauss-Legendre panels laid end to end.
+where env is smooth and decays on a known scale while the cosine oscillates on
+the scale pi/|omega| (a complex env stands for Re[env(s) e^(-i omega s)]); the
+two scales can differ by orders of magnitude.  One call integrates a whole grid
+of such integrals, one per momentum point, on 24-node Gauss-Legendre panels
+laid end to end.
 
 Two limits set the first-pass panel width.  The phase cap keeps omega * h at
 or below 10 pi, where one panel integrates cos times any degree <= 10
@@ -18,10 +19,10 @@ a starting guess: the error estimate below checks it at run time.
 The error estimate uses the panel's own nodes and costs no extra envelope
 evaluation: the last two Legendre coefficients c22, c23 of the 24-node
 envelope interpolant measure how far the envelope is from being resolved.  A
-panel with |c22| + |c23| above 1e-13 of its point's envelope peak is bisected
-and both halves are evaluated again; a panel that still fails after 12 rounds
-raises QuadratureError.  The only truncation left is the explicit envelope
-tail cutoff of decay_cutoff.
+panel with |c22| + |c23| above 1e-13 of its point's envelope peak max |env| is
+bisected and both halves are evaluated again; a panel that still fails after
+12 rounds raises QuadratureError.  The only truncation left is the explicit
+envelope tail cutoff of decay_cutoff.
 """
 
 from __future__ import annotations
@@ -76,20 +77,17 @@ def _panel_counts(omega: np.ndarray, upper: np.ndarray, scale: np.ndarray) -> np
         return np.where(upper > 0.0, np.ceil(upper / h), 0.0).astype(np.int64)
 
 
-def integrate_oscillatory_batch(
-    envelope: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    omega,
-    upper,
-    scale,
-) -> np.ndarray:
+def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                                omega, upper, scale) -> np.ndarray:
     """Integrate envelope(s, i) * cos(omega[i] s) over [0, upper[i]] for every i.
 
     ``envelope(s, i)`` receives flat node values s and, for each node, the
-    index i of its point, and returns the envelope values.  ``scale[i]`` is
-    the s-scale on which point i's envelope varies (decay scale or domain
-    length); it sizes the first pass, and the run-time estimate of the module
-    docstring refines every panel it does not resolve.  A point with
-    upper <= 0 integrates to 0; a non-finite upper raises QuadratureError.
+    index i of its point, and returns the envelope values (complex values f
+    integrate Re[f e^(-i omega s)]).  ``scale[i]`` is the s-scale on which
+    point i's envelope varies (decay scale or domain length); it sizes the
+    first pass, and the run-time estimate of the module docstring refines every
+    panel it does not resolve.  A point with upper <= 0 integrates to 0; a
+    non-finite upper raises QuadratureError.
     """
     omega, upper, scale = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, float) for v in (omega, upper, scale))))
@@ -125,7 +123,9 @@ def _integrate_points(envelope, idx, omega, upper, n) -> np.ndarray:
         if peak is None:  # first pass: each point's panels are contiguous
             peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
         bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
-        f *= np.cos(omega[point, None] * s)
+        phase = omega[point, None] * s
+        f = (f.real * np.cos(phase) + f.imag * np.sin(phase) if np.iscomplexobj(f)
+             else f * np.cos(phase))
         total += np.bincount(point, weights=np.where(bad, 0.0, half * (f @ _GL_WEIGHTS)),
                              minlength=idx.size)
         if not bad.any():
@@ -139,26 +139,15 @@ def _integrate_points(envelope, idx, omega, upper, n) -> np.ndarray:
     )
 
 
-def integrate_oscillatory(
-    envelope: Callable[[np.ndarray], np.ndarray],
-    omega: float,
-    upper: float,
-    scale: float,
-    max_panels: int = 400_000,
-) -> float:
+def integrate_oscillatory(envelope: Callable[[np.ndarray], np.ndarray], omega: float,
+                          upper: float, scale: float) -> float:
     """Integrate envelope(s) * cos(omega * s) over [0, upper].
 
     One point of integrate_oscillatory_batch: the first pass caps panels at
     10 pi of phase and 0.125 * scale, and the run-time error estimate splits
     every panel whose envelope it does not resolve (see the module
-    docstring).  Raises QuadratureError above max_panels first-pass panels
-    (or above the batch's own limit of 400,000).
+    docstring).  Raises QuadratureError above 400,000 first-pass panels.
     """
-    if math.isfinite(upper) and _panel_counts(omega, upper, scale) > max_panels:
-        raise QuadratureError(
-            f"oscillatory integral needs more than {max_panels} panels; "
-            "omega and the envelope scale are too disparate"
-        )
     return float(integrate_oscillatory_batch(lambda s, i: envelope(s), omega, upper, scale)[0])
 
 

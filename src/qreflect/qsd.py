@@ -168,7 +168,13 @@ def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMome
 
 
 class ClosureError(ValueError):
-    """An explicit moment step drove a variance to zero or below."""
+    """An explicit moment step drove a variance to zero or below.  dt_max is the
+    explicit Euler bound of the variance damping at the failing state: hbar^2 /
+    (8 D Var x) for position coupling, 1/(8 D_p Var p) for momentum coupling."""
+
+    def __init__(self, message: str, dt_max: float = math.inf):
+        super().__init__(message)
+        self.dt_max = dt_max
 
 
 def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx: float, mp: float,
@@ -230,7 +236,9 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
             d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
                     - 8.0 * D * vp**2) * dt if closure == "gaussian" else 0.0
         if not (vx + d_vx > 0 and vp + d_vp > 0):
-            raise ClosureError("variances must stay positive (closure inconsistency)")
+            damping = 8.0 * D * (vx / hbar**2 if in_x else vp)
+            raise ClosureError("variances must stay positive (closure inconsistency)",
+                               1.0 / damping if damping > 0.0 else math.inf)
         return t + dt, mx + d_mx, mp + d_mp, vx + d_vx, vp + d_vp, c + d_c
 
     return step
@@ -418,7 +426,7 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
             try:
                 state = step_map(*state, dB)
             except ClosureError as exc:
-                raise ClosureError(f"{exc} for seed {seed} at step {step}") from exc
+                raise ClosureError(f"{exc} for seed {seed} at step {step}", exc.dt_max) from exc
             if step % record_every == 0 or step == n_steps:
                 series.append(state)
         row[:] = series

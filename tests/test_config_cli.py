@@ -295,6 +295,31 @@ def test_qsd_closure_breakdown_is_a_numerical_failure(tmp_path, capsys):
     assert not list(tmp_path.glob("trajectory_*.csv"))
 
 
+def test_qsd_closure_breakdown_hints_at_the_euler_bound(tmp_path, capsys):
+    assert main(["qsd", "--coupling", "p", "--D_p", "1", "--level", "moments",
+                 "--sigma", "0.01", "--n_traj", "4", "--outdir", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == (
+        "hint: explicit moment steps need --dt below 5e-05 here\n")
+    assert main(["qsd", "--coupling", "p", "--D_p", "1", "--level", "moments",
+                 "--sigma", "0.01", "--n_traj", "4", "--dt", "4e-5",
+                 "--outdir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    # the conditional density at an improbable P overflows
+    ["model2", "--M", "1000", "--Sigma", "50", "--sigma", "1", "--D", "1e-8",
+     "--tau", "100", "--P", "0.999"],
+    # V^2 overflows at V0 = 1e200
+    ["model1", "--coupling", "x", "--D", "1", "--V0", "1e200"],
+])
+def test_non_finite_density_is_a_numerical_failure(tmp_path, args):
+    run = _python("-m", "qreflect.cli", *args, "--outdir", str(tmp_path))
+    assert run.returncode == 3 and "Traceback" not in run.stderr
+    assert run.stderr.strip().splitlines()[-1] == (
+        "numerical failure: density has non-finite entries")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("level", ["moments", "wavefunction"])
 def test_qsd_summary_is_the_mean_of_the_trajectory_csvs(tmp_path, level):
     # bit for bit: records.mean(axis=0) adds the seeds in another order and can

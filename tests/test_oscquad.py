@@ -112,6 +112,18 @@ def test_empty_and_non_finite_limits():
             integrate_oscillatory(lambda s: np.exp(-s), 1.0, bad, 1.0)
 
 
+@pytest.mark.parametrize("k", [0.0, 3.0, -7.5])
+def test_complex_envelope_integrates_the_real_part(k):
+    # Re[e^((-1 + ik) s) e^(-i omega s)] = e^-s cos((omega - k) s), in closed form
+    omega = np.array([0.0, 2.0, 40.0])
+    upper = 30.0
+    got = integrate_oscillatory_batch(lambda s, i: np.exp((-1.0 + 1j * k) * s),
+                                      omega, upper, 1.0)
+    z = 1.0 + 1j * (omega - k)
+    want = ((1.0 - np.exp(-z * upper)) / z).real
+    assert np.all(np.abs(got - want) <= 1e-15)
+
+
 def test_decay_cutoff_is_elementwise():
     c = np.array([0.0, 1e-3, 2.0, -1.0])
     got = decay_cutoff((c, 3), (0.5, 2))
@@ -141,7 +153,8 @@ def test_figure5_makes_one_batch_call_per_sweep_value(tmp_path, monkeypatch):
     assert batch == [1024] * 39
 
 
-@pytest.mark.parametrize("kernel", ["x", "x_fejer", "x_born", "p", "env", "env_tau_inf"])
+@pytest.mark.parametrize("kernel", ["x", "x_fejer", "x_born", "p", "env", "env_tau_inf",
+                                    "conditional", "conditional_reduced"])
 def test_kernel_array_paths_equal_their_scalar_views(kernel):
     # every closed-form branch and the batched integral, over a grid and point by point
     from qreflect import Model2Config, PhysicalParams, PotentialSpec
@@ -149,6 +162,9 @@ def test_kernel_array_paths_equal_their_scalar_views(kernel):
     params = PhysicalParams(sigma=10.0, potential=PotentialSpec.gaussian(0.01, 0.1),
                             M=10.0, Sigma=100.0)
     cfg = Model2Config(params.replace(D=1.0), steady_target=True)
+    fig4 = Model2Config(PhysicalParams(M=10.0, sigma=100.0, D=1.0,
+                                       potential=PotentialSpec.gaussian(0.01, 0.1)),
+                        steady_target=True)
     p = np.linspace(-3.0, 0.9, 40)
     call = {
         "x": lambda q: model1.reflected_density_x(q, params, 0.1),
@@ -157,8 +173,46 @@ def test_kernel_array_paths_equal_their_scalar_views(kernel):
         "p": lambda q: model1.reflected_density_p(q, params, 0.5),
         "env": lambda q: model2.reflected_density_env(cfg, q, D=1.0),
         "env_tau_inf": lambda q: model2.reflected_density_env(cfg, q, D=1.0, tau=math.inf),
+        "conditional": lambda q: model2.conditional_reflected_env(fig4, q, 0.3, D=1.0),
+        "conditional_reduced": lambda q: model2.conditional_reflected_env(
+            fig4, q, 0.3, D=1.0, reduced=True),
     }[kernel]
     grid = call(p)
     points = [call(float(q)) for q in p]
     assert isinstance(points[0], float) and grid.shape == p.shape
     np.testing.assert_allclose(grid, points, rtol=1e-13, atol=1e-15 * np.max(np.abs(grid)))
+
+
+def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
+    # the s-integral runs through the shared batch integrator; panel_nodes is
+    # left only to the nearly-linear branch of the closed-form u-integral
+    batch, stray, inside = [], [], [0]
+    many, nodes, closed = (oscquad.integrate_oscillatory_batch, oscquad.panel_nodes,
+                           model2.exp_quadratic_integral)
+
+    def batch_spy(envelope, omega, upper, scale):
+        batch.append(np.size(omega))
+        return many(envelope, omega, upper, scale)
+
+    def nodes_spy(*args):
+        if not inside[0]:
+            stray.append(args)
+        return nodes(*args)
+
+    def closed_spy(*args):
+        inside[0] += 1
+        try:
+            return closed(*args)
+        finally:
+            inside[0] -= 1
+
+    for mod in (oscquad, model1, model2):
+        monkeypatch.setattr(mod, "integrate_oscillatory_batch", batch_spy)
+    monkeypatch.setattr(model2, "panel_nodes", nodes_spy)
+    monkeypatch.setattr(model2, "exp_quadratic_integral", closed_spy)
+    assert main(["model2", "--M", "10", "--sigma", "100", "--a", "0.1", "--V0", "0.01",
+                 "--steady-target", "true", "--D_sweep", "0.01,1,10", "--P", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    # one conditional call per D over the 400-point grid, then the 1024-point totals
+    assert batch == [400] * 3 + [1024] * 3
+    assert stray == []

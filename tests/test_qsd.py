@@ -267,6 +267,22 @@ def test_moment_closure_breakdown_names_seed_and_step():
         run_moment_ensemble(mom0, env, None, params, 0.005, 10, [41, 42])
 
 
+@pytest.mark.parametrize("coupling, start, dt, bound", [
+    # 1 / (8 D_p Var p) with Var p = 2500
+    ("p", TrajectoryMoments(0.0, 0.0, 1.0, 1e-4, 2500.0, 0.0), 0.005, 5e-5),
+    # hbar^2 / (8 D Var x) with Var x = 10
+    ("x", TrajectoryMoments(0.0, 0.0, 1.0, 10.0, 1.0, 0.0), 0.02, 0.0125),
+], ids=["p", "x"])
+def test_closure_breakdown_carries_the_euler_bound(coupling, start, dt, bound):
+    params = PhysicalParams(D=1.0, D_p=1.0)
+    env = (EnvironmentSpec.momentum(1.0) if coupling == "p"
+           else EnvironmentSpec.position(1.0))
+    with pytest.raises(ClosureError) as info:
+        run_moment_ensemble(start, env, None, params, dt, 10, [5])
+    assert info.value.dt_max == pytest.approx(bound, rel=1e-15)
+    assert str(info.value).endswith("for seed 5 at step 1")
+
+
 def test_zero_coupling_constant_fluctuation():
     params = PhysicalParams()
     env = EnvironmentSpec.none()
