@@ -40,6 +40,9 @@ from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate
                       reflection_probability)
 
 
+_MAX_QSD_STEPS = 10**6  # a 64-seed block holds (steps, 64) increments: 512 MB at the cap
+
+
 class RegimeEscalation(RuntimeError):
     """A regime warning escalated to an error by --strict."""
 
@@ -215,6 +218,8 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
             dt = min(dt, 0.045 * grid.cfl_time(params.m, params.hbar))
         psi0 = gaussian_packet(params, grid, center=0.0, mean_p=0.0)
 
+    if not t_final / dt <= _MAX_QSD_STEPS:  # also nan, when t_loc overflows
+        raise ConfigError(f"t_final / dt = {t_final / dt:.3g} steps exceeds {_MAX_QSD_STEPS}")
     n_steps = int(math.ceil(t_final / dt))
     record_every = max(1, n_steps // 200)
     seeds = [cfg.seed + k for k in range(cfg.n_traj)]
@@ -343,8 +348,13 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
 _FLAG_KEYS = [f.name for f in fields(RunConfig) if f.name != "command"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, as for any config error
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qreflect",
         description="1D scattering laboratory: reflection under environmental decoherence",
     )

@@ -184,7 +184,8 @@ def reflected_density_x(
 
 def _x_prefactor(params: PhysicalParams, delta: np.ndarray) -> np.ndarray:
     v = _momentum_form(params.potential, delta, params.hbar)
-    return 2.0 * params.m / (params.hbar**2 * params.p_bar) * v**2
+    with np.errstate(over="ignore"):  # an inf density fails the caller's finite check
+        return 2.0 * params.m / (params.hbar**2 * params.p_bar) * v**2
 
 
 def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):

@@ -98,6 +98,8 @@ class PhysicalParams:
     def __post_init__(self):
         if not (self.m > 0 and self.hbar > 0 and self.sigma > 0):
             raise ValueError("m, hbar and sigma must be positive")
+        if not 0.0 < self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma^2 must be finite and nonzero, got sigma = {self.sigma!r}")
         if not self.p_bar > 0:
             raise ValueError("p_bar must be positive (incoming packet moves right)")
         if self.D < 0 or self.D_p < 0:

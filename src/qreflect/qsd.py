@@ -170,22 +170,23 @@ def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMome
 class ClosureError(ValueError):
     """An explicit moment step drove a variance to zero or below.  dt_max is the
     explicit Euler bound of the variance damping at the failing state: hbar^2 /
-    (8 D Var x) for position coupling, 1/(8 D_p Var p) for momentum coupling."""
+    (8 D Var x) for position coupling, 1/(8 D_p Var p) for momentum coupling.
+    row is the first failing row of a block (0 on floats)."""
 
-    def __init__(self, message: str, dt_max: float = math.inf):
+    def __init__(self, message: str, dt_max: float = math.inf, row: int = 0):
         super().__init__(message)
-        self.dt_max = dt_max
+        self.dt_max, self.row = dt_max, row
 
 
-def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx: float, mp: float,
-                        vx: float, c: float) -> tuple[float, float, float]:
-    """(|psi(0)|^2, J(0), V0) for a step barrier at the origin under the
-    Gaussian closure; zero barrier when spec is None or V0 = 0."""
+def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx, mp, vx, c):
+    """(|psi(0)|^2, J(0), V0) for a step barrier at the origin under the Gaussian
+    closure, on floats or (rows,) arrays; zero barrier when spec is None or V0 = 0."""
     if spec is None or spec.V0 == 0.0:
         return 0.0, 0.0, 0.0
     if spec.kind != "step":
         raise ValueError("the moment system is closed for the step barrier only")
-    psi0_sq = math.exp(-mx**2 / (2.0 * vx)) / math.sqrt(2.0 * math.pi * vx)
+    exp, sqrt = (np.exp, np.sqrt) if isinstance(vx, np.ndarray) else (math.exp, math.sqrt)
+    psi0_sq = exp(-(mx * mx) / (2.0 * vx)) / sqrt(2.0 * math.pi * vx)
     current = psi0_sq * (mp - c * mx / vx) / m
     return psi0_sq, current, spec.V0
 
@@ -207,7 +208,9 @@ def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: Environment
 
 def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
                 dt: float, closure: str):
-    """Checked moment_step on floats: step(t, <x>, <p>, Vx, Vp, Cov, dB) -> six at t + dt."""
+    """Checked moment_step: step(t, <x>, <p>, Vx, Vp, Cov, dB) -> the six at t + dt, on
+    floats or (rows,) arrays.  Squares are products, as numpy squares arrays: float ** 2
+    goes through libm pow, which can round otherwise, and a row must equal a float run."""
     if closure not in ("gaussian", "steady_state"):
         raise ValueError("closure must be 'gaussian' or 'steady_state'")
     _check_dt(params, env, dt, None)
@@ -221,9 +224,9 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
             d_mx = mp / m * dt + root * vx * dB
             d_mp = -V0 * psi0_sq * dt + root * c * dB
             if closure == "gaussian":
-                d_vx = (2.0 * c / m - 8.0 * D * vx**2 / hbar**2) * dt
+                d_vx = (2.0 * c / m - 8.0 * D * (vx * vx) / hbar**2) * dt
                 d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                        + 2.0 * D * (1.0 - 4.0 * c**2 / hbar**2)) * dt
+                        + 2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
                 d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
             else:
                 d_vx = d_vp = d_c = 0.0
@@ -234,12 +237,15 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
             # the barrier-term closure
             d_vx = d_c = 0.0
             d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                    - 8.0 * D * vp**2) * dt if closure == "gaussian" else 0.0
-        if not (vx + d_vx > 0 and vp + d_vp > 0):
-            damping = 8.0 * D * (vx / hbar**2 if in_x else vp)
+                    - 8.0 * D * (vp * vp)) * dt if closure == "gaussian" else 0.0
+        vx1, vp1 = vx + d_vx, vp + d_vp
+        ok = (vx1 > 0) & (vp1 > 0)  # a bool on floats, a (rows,) array on a block
+        if ok is not True and not np.all(ok):
+            row = int(np.argmin(ok))
+            damping = 8.0 * D * float(np.ravel(vx / hbar**2 if in_x else vp)[row])
             raise ClosureError("variances must stay positive (closure inconsistency)",
-                               1.0 / damping if damping > 0.0 else math.inf)
-        return t + dt, mx + d_mx, mp + d_mp, vx + d_vx, vp + d_vp, c + d_c
+                               1.0 / damping if damping > 0.0 else math.inf, row)
+        return t + dt, mx + d_mx, mp + d_mp, vx1, vp1, c + d_c
 
     return step
 
@@ -357,6 +363,14 @@ def _series(rows: np.ndarray) -> list[TrajectoryMoments]:
     return [TrajectoryMoments(*r) for r in rows.tolist()]
 
 
+def _block_increments(block: list, n_steps: int, dt: float) -> np.ndarray:
+    """(n_steps, rows) Brownian increments: column r is seed block[r]'s stream."""
+    dBs = np.empty((n_steps, len(block)))
+    for row, seed in enumerate(block):
+        dBs[:, row] = NoiseStream(seed).increments(0, n_steps, dt)
+    return dBs
+
+
 def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
                               spec: PotentialSpec | None, params: PhysicalParams,
                               dt: float, n_steps: int, seeds, record_every: int = 1
@@ -373,8 +387,7 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
     for first in range(0, len(seeds), _BLOCK_ROWS):
         block = seeds[first:first + _BLOCK_ROWS]
         out = records[first:first + len(block)]
-        dBs = iter(np.array([NoiseStream(s).increments(0, n_steps, dt)
-                             for s in block]).T[..., None])
+        dBs = iter(_block_increments(block, n_steps, dt)[..., None])
         stepper = _trajectory_stepper(grid, env, spec, params, dt, dBs.__next__)
         vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one trajectory
         step = 0
@@ -414,22 +427,33 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
                         spec: PotentialSpec | None, params: PhysicalParams, dt: float,
                         n_steps: int, seeds, record_every: int = 1,
                         closure: str = "gaussian") -> np.ndarray:
-    """Records of one moment trajectory per seed, all starting from mom0.  Each
-    seed steps on Python floats, since a one-row array step costs about 20x
-    more.  A ClosureError names the seed and the step that broke the closure."""
+    """Records of one moment trajectory per seed, all starting from mom0.  Blocks of
+    up to 64 seeds step together, each moment a (rows,) array, through the moment map
+    that steps a one-seed block on Python floats.  Without a barrier each row equals
+    its seed's run alone bit for bit; a step barrier's np.exp can differ from math.exp
+    in the last bit.  A ClosureError names the first failing seed and its step."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     step_map = _moment_map(params, env, spec, dt, closure)
-    for row, seed in zip(records, seeds):
-        state = _record(mom0)
+    start = _record(mom0)
+    for first in range(0, len(seeds), _BLOCK_ROWS):
+        block = seeds[first:first + _BLOCK_ROWS]
+        dBs = _block_increments(block, n_steps, dt)
+        if len(block) == 1:  # floats: a one-row array step costs about 20x more
+            state, dBs = start, dBs[:, 0].tolist()
+        else:
+            state = (start[0], *np.outer(start[1:], np.ones(len(block))))
         series = [state]
-        for step, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
-            try:
-                state = step_map(*state, dB)
-            except ClosureError as exc:
-                raise ClosureError(f"{exc} for seed {seed} at step {step}", exc.dt_max) from exc
-            if step % record_every == 0 or step == n_steps:
-                series.append(state)
-        row[:] = series
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as on floats
+            for step, dB in enumerate(dBs, 1):
+                try:
+                    state = step_map(*state, dB)
+                except ClosureError as exc:
+                    raise ClosureError(f"{exc} for seed {block[exc.row]} at step {step}",
+                                       exc.dt_max) from exc
+                if step % record_every == 0 or step == n_steps:
+                    series.append(state)
+        for k, column in enumerate(zip(*series)):  # t is a float, the rest (rows,) arrays
+            records[first:first + len(block), :, k] = np.array(column).T
     return records
 
 

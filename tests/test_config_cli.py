@@ -1,15 +1,21 @@
 """Flat config parsing, flag overrides, CLI outputs and exit codes."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qreflect import cli, qsd, run_wavefunction_trajectory
+from qreflect import cli, qsd, run_moment_trajectory, run_wavefunction_trajectory
 from qreflect.cli import build_config, main
 from qreflect.config import ConfigError, RunConfig, parse_config, serialize_config
 from qreflect.grids import SplitStepper
@@ -138,6 +144,13 @@ def test_qsd_wavefunction_grid_holds_the_center_walk(tmp_path):
     assert max(wander) > 25.6
 
 
+def _csv_text(series) -> bytes:
+    header = "t,mean_x,mean_p,var_x,var_p,cov_xp\n"
+    return (header + "".join(",".join(map(repr, (m.time, m.mean_x, m.mean_p, m.var_x,
+                                                 m.var_p, m.cov_xp))) + "\n"
+                             for m in series)).encode()
+
+
 def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch):
     # one advance per record chunk for all 8 trajectories, not one per trajectory,
     # and every CSV equals the library run of its seed alone, byte for byte
@@ -161,14 +174,43 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
     psi0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
     assert record_every > 1 and seeds == list(range(7, 15))
     assert shapes == [(8, psi0.grid.n_points)] * math.ceil(n_steps / record_every)
-    header = "t,mean_x,mean_p,var_x,var_p,cov_xp\n"
     for seed in seeds:
         series, _ = run_wavefunction_trajectory(psi0, env, spec, params, dt, n_steps, seed,
                                                 record_every)
-        text = header + "".join(",".join(map(repr, (m.time, m.mean_x, m.mean_p, m.var_x,
-                                                   m.var_p, m.cov_xp))) + "\n"
-                                for m in series)
-        assert (outdir / f"trajectory_{seed}.csv").read_bytes() == text.encode()
+        assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
+
+
+@pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
+def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coupling, flag):
+    # one step-map call per step for all 8 trajectories, not one per trajectory and
+    # step, and every CSV equals the library run of its seed alone, byte for byte
+    shapes, captured = [], []
+    moment_map, ensemble = qsd._moment_map, cli.run_moment_ensemble
+
+    def map_spy(*args):
+        step = moment_map(*args)
+
+        def counted(t, mx, *rest):
+            shapes.append(np.shape(mx))
+            return step(t, mx, *rest)
+        return counted
+
+    def ensemble_spy(*args):
+        captured.append(args)
+        return ensemble(*args)
+
+    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    monkeypatch.setattr(cli, "run_moment_ensemble", ensemble_spy)
+    outdir = tmp_path / "cli"
+    assert main(["qsd", "--coupling", coupling, flag, "1", "--level", "moments",
+                 "--n_traj", "8", "--seed", "7", "--outdir", str(outdir)]) == 0
+    mom0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
+    assert seeds == list(range(7, 15)) and n_steps == 1000
+    assert shapes == [(8,)] * n_steps
+    for seed in seeds:
+        series = run_moment_trajectory(mom0, env, spec, params, dt, n_steps, seed,
+                                       record_every)
+        assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -178,6 +220,8 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
     # t_final < t_loc leaves no record time in the fit window of a 64-seed run
     (["qsd", "--D", "1", "--level", "moments", "--n_traj", "64", "--t_final", "0.5"],
      "fit window"),
+    # 5e300 steps: the increments would not fit in memory
+    (["qsd", "--D", "1", "--level", "moments", "--dt", "1e-300"], "steps exceeds 1000000"),
 ])
 def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
     assert main(args + ["--outdir", str(tmp_path)]) == 2
@@ -318,6 +362,48 @@ def test_non_finite_density_is_a_numerical_failure(tmp_path, args):
     assert run.stderr.strip().splitlines()[-1] == (
         "numerical failure: density has non-finite entries")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_model1_overflow_prints_no_numpy_warning(tmp_path):
+    # V^2 overflows at V0 = 1e200; the finite check reports it, numpy stays quiet
+    run = _python("-m", "qreflect.cli", "model1", "--coupling", "x", "--D", "1",
+                  "--V0", "1e200", "--outdir", str(tmp_path))
+    assert run.returncode == 3 and "RuntimeWarning" not in run.stderr
+    assert run.stderr.strip().splitlines()[-1] == (
+        "numerical failure: density has non-finite entries")
+
+
+# zero, tiny, huge and negative values: a mantissa times a power of ten
+_any_scale = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                       st.floats(-10.0, 10.0), st.integers(-330, 300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupling=st.sampled_from(["x", "p"]), strength=_any_scale,
+       sigma=st.none() | _any_scale, dt=st.none() | _any_scale,
+       t_final=st.none() | _any_scale, n_traj=st.integers(1, 4))
+# sigma^2 overflowed in PhysicalParams; sigma^2 underflowed to a zero division;
+# t_final / dt steps overflowed an int and would not fit in memory; argparse took
+# -1e-05 for a flag and printed a two-line usage error
+@example(coupling="x", strength=1.0, sigma=1e200, dt=None, t_final=None, n_traj=1)
+@example(coupling="p", strength=1.0, sigma=1e-200, dt=None, t_final=None, n_traj=2)
+@example(coupling="x", strength=1.0, sigma=None, dt=1e-300, t_final=None, n_traj=1)
+@example(coupling="p", strength=1.0, sigma=None, dt=1e-30, t_final=1e300, n_traj=4)
+@example(coupling="x", strength=1.0, sigma=None, dt=None, t_final=-1e-05, n_traj=1)
+def test_qsd_moments_inputs_end_in_a_documented_exit_code(coupling, strength, sigma, dt,
+                                                          t_final, n_traj):
+    args = ["qsd", "--level", "moments", "--coupling", coupling,
+            "--D" if coupling == "x" else "--D_p", repr(strength), "--n_traj", str(n_traj)]
+    for flag, value in (("--sigma", sigma), ("--dt", dt), ("--t_final", t_final)):
+        if value is not None:
+            args += [flag, repr(value)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 @pytest.mark.parametrize("level", ["moments", "wavefunction"])

@@ -511,6 +511,50 @@ def test_ensemble_argument_and_state_errors():
                                   10, [12, 13])
 
 
+def _moment_start(coupling):
+    params, env = _coupled(coupling)
+    if coupling == "x":
+        return params, env, steady_moments(params, mean_x=-1.0, mean_p=1.0)
+    return params, env, TrajectoryMoments(0.0, -1.0, 1.0, 1.0, 0.25, 0.0)
+
+
+@pytest.mark.parametrize("closure", ["gaussian", "steady_state"])
+@pytest.mark.parametrize("coupling", ["x", "p"])
+def test_moment_ensemble_rows_equal_single_seed_runs(coupling, closure):
+    # 70 seeds: a 64-row block, then a 6-row block, each stepped as (rows,) arrays
+    params, env, mom0 = _moment_start(coupling)
+    seeds = range(200, 270)
+    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7, closure)
+    assert records.shape == (70, 1 + math.ceil(300 / 7), 6)
+    for seed, rows in zip(seeds, records):
+        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7, closure)
+        assert np.array_equal(_bits(rows), _bits(alone))
+
+
+@pytest.mark.parametrize("coupling", ["x", "p"])
+def test_moment_ensemble_rows_follow_single_seed_runs_past_a_step_barrier(coupling):
+    # the array path's np.exp may differ from math.exp in the last bit
+    params, env, mom0 = _moment_start(coupling)
+    spec = PotentialSpec.step(0.02)
+    seeds = range(200, 270)
+    records = run_moment_ensemble(mom0, env, spec, params, 0.005, 300, seeds, 7)
+    free = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
+    assert not np.array_equal(records, free)  # the barrier acts
+    for seed, rows in zip(seeds, records):
+        alone = run_moment_trajectory(mom0, env, spec, params, 0.005, 300, seed, 7)
+        np.testing.assert_allclose(rows, [astuple(m) for m in alone], rtol=1e-12, atol=0)
+
+
+def test_moment_block_breakdown_carries_the_failing_row():
+    # every row of the block breaks at step 1; the error names the first seed
+    params = PhysicalParams(D_p=1.0)
+    start = TrajectoryMoments(0.0, 0.0, 1.0, 1e-4, 2500.0, 0.0)
+    with pytest.raises(ClosureError, match=r"for seed 5 at step 1$") as info:
+        run_moment_ensemble(start, EnvironmentSpec.momentum(1.0), None, params, 0.005, 10,
+                            [5, 6, 7])
+    assert info.value.dt_max == pytest.approx(5e-5, rel=1e-15)
+
+
 def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
     # an uncoupled packet moving right reaches the outer 1/16 of the grid
     # (x > 7) after t = 0.5; past the edge it would wrap around silently
