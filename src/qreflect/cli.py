@@ -201,18 +201,23 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
         # resolve the packet and, for position coupling, the localized width;
         # keep dx fixed when rounding the point count up to a power of two
         dx_target = params.sigma / 10.0
-        if cfg.coupling == "x":
-            dx_target = min(dx_target, params.sigma_q / 4.0)
-            # the grid is periodic, so leave room for 4 sd of the packet center's
-            # walk, Var<x>(t) ~ 2 D t^3 / 3 m^2; a center that crosses an edge wraps
-            half = 8.0 * params.sigma + 4.0 * math.sqrt(2.0 * cfg.D * t_final**3 / 3.0) / params.m
-        else:
-            # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
-            # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
-            spread = (params.hbar * t_final / (2.0 * params.m * params.sigma)) ** 2
-            half = 8.0 * math.sqrt(params.sigma**2 + spread
-                                   + 2.0 * params.hbar**2 * cfg.D_p * t_final)
-        n = min(cfg.n_points, 2 ** math.ceil(math.log2(2.0 * half / dx_target)))
+        try:  # float ** and math.ceil raise on overflow where * and + give inf
+            if cfg.coupling == "x":
+                dx_target = min(dx_target, params.sigma_q / 4.0)
+                # the grid is periodic, so leave room for 4 sd of the packet center's
+                # walk, Var<x>(t) ~ 2 D t^3 / 3 m^2; a center that crosses an edge wraps
+                half = (8.0 * params.sigma
+                        + 4.0 * math.sqrt(2.0 * cfg.D * t_final**3 / 3.0) / params.m)
+            else:
+                # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
+                # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
+                spread = (params.hbar * t_final / (2.0 * params.m * params.sigma)) ** 2
+                half = 8.0 * math.sqrt(params.sigma**2 + spread
+                                       + 2.0 * params.hbar**2 * cfg.D_p * t_final)
+            n = min(cfg.n_points, 2 ** math.ceil(math.log2(2.0 * half / dx_target)))
+        except OverflowError:
+            raise ConfigError(
+                f"the spread by t_final = {t_final:.3g} overflows the grid size") from None
         grid = SpatialGrid(-n * dx_target / 2.0, n * dx_target / 2.0, max(n, 256))
         if cfg.dt is None:
             dt = min(dt, 0.045 * grid.cfl_time(params.m, params.hbar))
@@ -323,16 +328,16 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
         sub = base.replace(command="model2", M=10.0, sigma=100.0, a=0.1, V0=0.01,
                            steady_target=True, D_sweep=(0.01, 0.1, 1.0, 10.0))
         return _run_model2(sub, outdir)
-    # figure 5
+    # figure 5: one s-integral per D serves every width
     a_values = base.a_list or (0.1, 0.2, 0.4)
     ds = tuple(float(v) for v in np.logspace(-2, 2, 13))
+    subs = [base.replace(command="model2", M=10.0, sigma=100.0, a=a, V0=0.01,
+                         D=ds[0], steady_target=True) for a in a_values]
+    barriers = [sub.physical_params().potential for sub in subs]
+    m2 = Model2Config(subs[0].physical_params(), tau=subs[0].resolved_tau(),
+                      steady_target=True)
     series = []
-    for a in a_values:
-        sub = base.replace(command="model2", M=10.0, sigma=100.0, a=a, V0=0.01,
-                           D=ds[0], steady_target=True)
-        m2 = Model2Config(sub.physical_params(), tau=sub.resolved_tau(),
-                          steady_target=True)
-        totals = total_reflected_model2(m2, ds)
+    for a, totals in zip(a_values, total_reflected_model2(m2, ds, barriers=barriers)):
         _write_csv(outdir / f"total_vs_D_a{a:g}.csv", ["D", "total_reflected"],
                    list(zip(ds, map(float, totals))))
         series.append((f"a={a:g}", list(ds), list(map(float, totals))))

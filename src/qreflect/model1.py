@@ -245,7 +245,9 @@ def reflected_spectrum(
     edge_fraction of the peak, since the total would then be visibly
     truncated.  (The momentum-coupling kernel has 1/p^2 tails, so on the
     default [-8 p_bar, 0) grid the edge sits near 1e-5..1e-2 of the peak and
-    the omitted tail mass is below a few permille of the total.)
+    the omitted tail mass is below a few permille of the total.)  Only the
+    lower edge truncates: the upper edge p -> 0- is where the reflected range
+    itself ends, and the density may peak there (it does at a = 0.1, D_p = 1).
     """
     if p_grid is None:
         p_grid = reflection_p_grid(params, 2048)

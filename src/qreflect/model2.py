@@ -11,7 +11,7 @@ root and its Jacobian, never by numerical smearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,6 +136,7 @@ def target_momentum_density(cfg: Model2Config, P: float) -> float:
     return Sg / (math.sqrt(math.pi) * hbar) * math.exp(-(Sg**2) * (P - Pb) ** 2 / hbar**2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
 def marginal_reflected_noenv(cfg: Model2Config, p, simplified: bool = False):
     """Reflected density of the light particle with the target traced out.
 
@@ -272,17 +273,30 @@ def reflected_density_env(
     environment-free marginal (for fixed D > 0 the density scales as 1/tau and
     vanishes pointwise as tau grows).
     """
+    dens, = _env_densities(cfg, p, D, tau, (cfg.params.potential,))
+    return float(dens[0]) if np.ndim(p) == 0 else dens
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
+def _env_densities(cfg: Model2Config, p, D: float | None, tau: float | None,
+                   barriers) -> list[np.ndarray]:
+    """reflected_density_env over an array of p, once for each barrier.
+
+    The s-integral reads the target, D and tau but never the barrier, which
+    enters only through V^2(delta), so one quadrature serves every barrier.
+    """
     params = cfg.params
     m, M, hbar, pb, _, Sg = _target(cfg)
     if D is None:
         D = params.D
     if tau is None:
         tau = cfg.tau
+    p_arr = np.atleast_1d(np.asarray(p, float))
+    each = [params.replace(potential=spec) for spec in barriers]
     if math.isinf(tau):
-        return marginal_reflected_noenv(cfg, p)
+        return [marginal_reflected_noenv(replace(cfg, params=q), p_arr) for q in each]
     if D < 0:
         raise ValueError("D must be nonnegative")
-    p_arr = np.atleast_1d(np.asarray(p, float))
     delta = p_arr - pb
     omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
@@ -298,8 +312,7 @@ def reflected_density_env(
 
     upper = np.minimum(tau, decay_cutoff((beta, 3), (gamma, 2)))
     integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
-    dens = 2.0 * m / (hbar**2 * pb) * _v_squared(params, delta) * integral
-    return float(dens[0]) if np.ndim(p) == 0 else dens
+    return [2.0 * m / (hbar**2 * pb) * _v_squared(q, delta) * integral for q in each]
 
 
 def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
@@ -340,6 +353,7 @@ def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
 def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = None,
                               tau: float | None = None, reduced: bool = False):
     """Reflected density at p conditioned on target momentum P, with environment.
@@ -372,8 +386,8 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     delta = p_arr - pb
     dP = P - Pb
     G = 4.0 * D * tau * Sg**2 + hbar**2
-    with np.errstate(over="ignore"):  # inf at an improbable P; clamp_density rejects it
-        suppression = np.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / G)
+    suppression = np.exp(-(Sg**2) * (delta * (delta + 2.0 * dP)) / G)  # inf at an improbable P
+    finite_density(suppression)  # the density would not be finite: fail before integrating
     if reduced:
         dens = suppression * reflected_density_env(cfg, p_arr, D=D, tau=tau)
         return float(dens[0]) if np.ndim(p) == 0 else dens
@@ -398,6 +412,8 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     # decay at least as fast as exp(-beta s^3 / 4): the only uniform-in-u cutoff
     # (the Zeno factor gamma_lim suppresses only the u ~ 0 region)
     upper = np.minimum(tau, decay_cutoff((0.25 * beta, 3)))
+    # where the suppression underflows the density is 0 whatever the integral
+    upper = np.where(suppression > 0.0, upper, 0.0)
     integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
     # the displayed expression is I + I*, so only the real part survives
     dens = m / (hbar**2 * pb) * _v_squared(params, delta) * suppression * 2.0 * integral / tau
@@ -436,20 +452,24 @@ def total_reflected_model2(
     D_values,
     p_grid: np.ndarray | None = None,
     tau: float | None = None,
+    barriers=None,
 ) -> np.ndarray:
     """Total reflected probability versus diffusion constant (quadrature over p < 0).
 
     When the configuration pins the target to its steady width, Sigma tracks
-    each swept D value.
+    each swept D value.  Given a sequence of PotentialSpec barriers, returns a
+    (len(barriers), len(D_values)) array from one s-integral per D value;
+    otherwise the totals for the configured barrier.
     """
     if p_grid is None:
         p_grid = reflection_p_grid(cfg.params, 1024)
-    totals = []
-    for D in D_values:
+    specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
+    totals = np.empty((len(specs), len(D_values)))
+    for j, D in enumerate(D_values):
         c = cfg.with_D(D) if cfg.steady_target else cfg
-        dens = clamp_density(reflected_density_env(c, p_grid, D=D, tau=tau))
-        totals.append(float(np.trapezoid(dens, p_grid)))
-    return np.array(totals)
+        for i, dens in enumerate(_env_densities(c, p_grid, D, tau, specs)):
+            totals[i, j] = np.trapezoid(clamp_density(dens), p_grid)
+    return totals[0] if barriers is None else totals
 
 
 @dataclass(frozen=True)
@@ -485,7 +505,7 @@ def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None,
     t_z = m * params.sigma / pb
     T_z = M * Sg / pb
     T_d_p = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-    T_1 = M * hbar / (pb * math.sqrt(D * t_z))
+    T_1 = M * hbar / (pb * math.sqrt(D) * math.sqrt(t_z))  # D * t_z may underflow
     named = {"T_z": T_z, "T_d_p": T_d_p, "T_1": T_1}
     dominant = min(named, key=named.get)
     margin = named[dominant] / t_E

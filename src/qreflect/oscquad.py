@@ -21,8 +21,11 @@ evaluation: the last two Legendre coefficients c22, c23 of the 24-node
 envelope interpolant measure how far the envelope is from being resolved.  A
 panel with |c22| + |c23| above 1e-13 of its point's envelope peak max |env| is
 bisected and both halves are evaluated again; a panel that still fails after
-12 rounds raises QuadratureError.  The only truncation left is the explicit
-envelope tail cutoff of decay_cutoff.
+12 rounds raises QuadratureError, as does a call that would evaluate more than
+400,000 panels in all (first pass and refinement), which bounds its run time,
+or more than 2^15 for one point's first pass or in one refinement round, which
+bounds its memory.  The only truncation left is the explicit envelope tail
+cutoff of decay_cutoff.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ _TOLERANCE = 1e-13
 _MAX_ROUNDS = 12
 # points are integrated in groups of about this many first-pass nodes
 _CHUNK_NODES = 2**14
-# first-pass panels allowed per point
+# panels one call may evaluate, over its first pass and every refinement round
 _MAX_PANELS = 400_000
+# panels one point's first pass or one refinement round may hold: this bounds
+# memory, and the figures stay below 1,000
+_MAX_ROUND_PANELS = 2**15
 
 # envelope values below exp(-_TAIL_LOG) of the peak are dropped
 _TAIL_LOG = 41.0
@@ -70,11 +76,11 @@ def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _panel_counts(omega: np.ndarray, upper: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """First-pass panels per point: width min(10 pi/|omega|, 0.125 scale, upper);
-    none where upper <= 0."""
+    """First-pass panels per point, as floats: width min(10 pi/|omega|, 0.125 scale,
+    upper); none where upper <= 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.minimum(np.minimum(_PHASE_CAP / np.abs(omega), _ENVELOPE_CAP * scale), upper)
-        return np.where(upper > 0.0, np.ceil(upper / h), 0.0).astype(np.int64)
+        return np.where(upper > 0.0, np.ceil(upper / h), 0.0)
 
 
 def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -94,22 +100,28 @@ def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.
     if not np.all(np.isfinite(upper) | (upper <= 0.0)):
         raise QuadratureError("upper limit must be finite (apply a tail cutoff first)")
     n = _panel_counts(omega, upper, scale)
-    if np.any(n > _MAX_PANELS):
+    # checked in floats, since a count can overflow an int
+    if not (np.sum(n) <= _MAX_PANELS and np.all(n <= _MAX_ROUND_PANELS)):
         raise QuadratureError(
-            f"oscillatory integral needs {int(np.max(n))} panels (> {_MAX_PANELS}); "
+            f"oscillatory integral needs {np.max(n):.6g} panels for one point and "
+            f"{np.sum(n):.6g} in all (at most {_MAX_ROUND_PANELS} and {_MAX_PANELS}); "
             "omega and the envelope scale are too disparate"
         )
+    n = n.astype(np.int64)
+    spare = _MAX_PANELS - int(np.sum(n))
     out = np.zeros(upper.shape)
     live = np.flatnonzero(n)
     first_node = (np.cumsum(n[live]) - n[live]) * _GL_ORDER
     cuts = np.flatnonzero(np.diff(first_node // _CHUNK_NODES)) + 1
     for idx in filter(len, np.split(live, cuts)):  # no call when no point is live
-        out[idx] = _integrate_points(envelope, idx, omega[idx], upper[idx], n[idx])
+        out[idx], spare = _integrate_points(envelope, idx, omega[idx], upper[idx], n[idx],
+                                            spare)
     return out
 
 
-def _integrate_points(envelope, idx, omega, upper, n) -> np.ndarray:
-    """Integrals of the points idx (each with n >= 1 first-pass panels)."""
+def _integrate_points(envelope, idx, omega, upper, n, spare: int):
+    """Integrals of the points idx (each with n >= 1 first-pass panels), and what
+    is left of spare, the panels the call may still evaluate."""
     point = np.repeat(np.arange(idx.size), n)
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     a = upper[point] * k / n[point]
@@ -119,7 +131,10 @@ def _integrate_points(envelope, idx, omega, upper, n) -> np.ndarray:
     for _ in range(_MAX_ROUNDS + 1):
         half = 0.5 * (b - a)
         s = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES
-        f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
+        with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
+            f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureError("oscillatory integral: the envelope is not finite")
         if peak is None:  # first pass: each point's panels are contiguous
             peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
         bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
@@ -129,7 +144,13 @@ def _integrate_points(envelope, idx, omega, upper, n) -> np.ndarray:
         total += np.bincount(point, weights=np.where(bad, 0.0, half * (f @ _GL_WEIGHTS)),
                              minlength=idx.size)
         if not bad.any():
-            return total
+            return total, spare
+        split = 2 * int(np.count_nonzero(bad))
+        spare -= split
+        if spare < 0 or split > _MAX_ROUND_PANELS:
+            raise QuadratureError(
+                f"oscillatory integral: refinement needs more than {_MAX_PANELS} panels "
+                f"in all or {_MAX_ROUND_PANELS} in one round, near s = {a[bad][0]:.6g}")
         lo, hi, point = a[bad], b[bad], np.repeat(point[bad], 2)
         mid = 0.5 * (lo + hi)
         a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
@@ -146,7 +167,7 @@ def integrate_oscillatory(envelope: Callable[[np.ndarray], np.ndarray], omega: f
     One point of integrate_oscillatory_batch: the first pass caps panels at
     10 pi of phase and 0.125 * scale, and the run-time error estimate splits
     every panel whose envelope it does not resolve (see the module
-    docstring).  Raises QuadratureError above 400,000 first-pass panels.
+    docstring).  Raises QuadratureError above 32,768 first-pass panels.
     """
     return float(integrate_oscillatory_batch(lambda s, i: envelope(s), omega, upper, scale)[0])
 
@@ -163,6 +184,7 @@ def decay_cutoff(*inverse_scales):
     for c, k in inverse_scales:
         c = np.asarray(c, float)
         positive = c > 0.0
-        cut = np.minimum(cut, np.where(
-            positive, (_TAIL_LOG / np.where(positive, c, 1.0)) ** (1.0 / k), np.inf))
+        with np.errstate(over="ignore"):  # a subnormal c decays nowhere: inf
+            cut = np.minimum(cut, np.where(
+                positive, (_TAIL_LOG / np.where(positive, c, 1.0)) ** (1.0 / k), np.inf))
     return float(cut) if np.ndim(cut) == 0 else cut

@@ -37,8 +37,10 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.V0 < 0:
             raise ValueError("V0 must be >= 0 (complex_step applies -i V0 theta(x))")
-        if self.kind in ("smeared_window", "gaussian") and not self.a > 0:
-            raise ValueError(f"{self.kind} potential requires a > 0")
+        if self.kind in ("smeared_window", "gaussian") and not (
+                self.a > 0 and 0.0 < self.a * self.a < math.inf):
+            raise ValueError(f"{self.kind} potential requires a > 0 with a^2 finite and "
+                             f"nonzero, got a = {self.a!r}")
         if self.kind == "smeared_window" and not self.L > 0:
             raise ValueError("smeared_window potential requires L > 0")
 
@@ -106,8 +108,12 @@ class PhysicalParams:
             raise ValueError("diffusion constants must be nonnegative")
         if self.M is not None and not self.M > self.m:
             raise ValueError("target mass M must exceed the light mass m")
+        if self.M is not None and not self.M * self.M < math.inf:
+            raise ValueError(f"M^2 must be finite, got M = {self.M!r}")
         if self.Sigma is not None and not self.Sigma > 0:
             raise ValueError("target width Sigma must be positive")
+        if self.Sigma is not None and not 0.0 < self.Sigma * self.Sigma < math.inf:
+            raise ValueError(f"Sigma^2 must be finite and nonzero, got Sigma = {self.Sigma!r}")
         if self.x_bar is None:
             object.__setattr__(self, "x_bar", _default_launch_distance(self.sigma))
 

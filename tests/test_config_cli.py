@@ -230,6 +230,17 @@ def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
     assert not list(tmp_path.glob("trajectory_*.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["--D", "1", "--t_final", "1e150"],
+    ["--coupling", "p", "--D_p", "1", "--t_final", "1e160", "--dt", "1e155"],
+])
+def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, args):
+    # t_final^3 (x) or t_final^2 (p) overflows while sizing the grid
+    assert main(["qsd", "--level", "wavefunction", *args, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: the spread by t_final")
+
+
 def test_rerun_byte_identical(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     args = ["qsd", "--coupling", "x", "--D", "1", "--level", "moments",
@@ -405,6 +416,49 @@ def test_qsd_moments_inputs_end_in_a_documented_exit_code(coupling, strength, si
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
 
+
+@settings(max_examples=30, deadline=None)
+@given(steady=st.booleans(), D=_any_scale, Sigma=_any_scale,
+       M=st.none() | _any_scale, sigma=st.none() | _any_scale, a=st.none() | _any_scale,
+       V0=st.none() | _any_scale, tau=st.none() | _any_scale, P=st.none() | _any_scale)
+# a^2, M^2 and P^2 overflowed (tracebacks); V^2 overflowed with a numpy warning;
+# Sigma^2 underflowed to a zero division; a panel count overflowed an int and
+# was reported as a config error; (P + delta)^2 - P^2 cancelled at large P; the
+# u-integral overflowed at a huge D; the tail cutoff overflowed at a tiny D
+@example(steady=True, D=1.0, Sigma=0.0, M=None, sigma=None, a=1e300, V0=None, tau=None,
+         P=None)
+@example(steady=True, D=1.0, Sigma=0.0, M=1e300, sigma=None, a=None, V0=None, tau=None,
+         P=None)
+@example(steady=True, D=1.0, Sigma=0.0, M=None, sigma=None, a=None, V0=None, tau=None,
+         P=1e300)
+@example(steady=True, D=1.0, Sigma=0.0, M=None, sigma=None, a=None, V0=1e200, tau=None,
+         P=None)
+@example(steady=False, D=1.0, Sigma=1e-200, M=None, sigma=None, a=None, V0=None, tau=None,
+         P=None)
+@example(steady=False, D=0.0, Sigma=1e100, M=None, sigma=None, a=None, V0=None, tau=1e30,
+         P=None)
+@example(steady=True, D=1.0, Sigma=0.0, M=None, sigma=None, a=None, V0=None, tau=None,
+         P=-1e20)
+@example(steady=False, D=1e43, Sigma=0.1, M=None, sigma=None, a=None, V0=None, tau=None,
+         P=0.0)
+@example(steady=False, D=1e-301, Sigma=1.0, M=None, sigma=None, a=None, V0=None, tau=None,
+         P=None)
+def test_model2_inputs_end_in_a_documented_exit_code(steady, D, Sigma, M, sigma, a, V0,
+                                                     tau, P):
+    # the figure-4 target, one D value; each drawn flag overrides it
+    args = ["model2", "--M=10", "--sigma=100", f"--D={D!r}",
+            "--steady-target=true" if steady else f"--Sigma={Sigma!r}"]
+    for flag, value in (("M", M), ("sigma", sigma), ("a", a), ("V0", V0), ("tau", tau),
+                        ("P", P)):
+        if value is not None:
+            args.append(f"--{flag}={value!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
 
 @pytest.mark.parametrize("level", ["moments", "wavefunction"])
 def test_qsd_summary_is_the_mean_of_the_trajectory_csvs(tmp_path, level):

@@ -1,5 +1,6 @@
 """Two-particle scattering kernels: limits, identities, suppression."""
 
+import csv
 import math
 
 import mpmath
@@ -16,7 +17,9 @@ from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
                       steady_target_width, target_momentum_density,
                       timescale_cutoffs_model2, total_reflected_model2)
 from qreflect import model2
-from qreflect.model2 import exp_quadratic_integral
+from qreflect.cli import main
+from qreflect.grids import reflection_p_grid
+from qreflect.model2 import clamp_density, exp_quadratic_integral
 from qreflect.oscquad import decay_cutoff, panel_nodes
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
@@ -182,6 +185,22 @@ def test_total_reflected_suppression_curve():
         c = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0, a=a)
         at.append(total_reflected_model2(c, [1.0])[0])
     assert at[0] > at[1] > at[2]
+
+
+def test_figure5_widths_equal_their_own_env_densities(tmp_path):
+    # the widths share each D's s-integral; each total must still be its own
+    # width's reflected_density_env total, bit for bit
+    assert main(["figures", "--figure", "5", "--a_list", "0.05,0.3",
+                 "--outdir", str(tmp_path)]) == 0
+    for a in (0.05, 0.3):
+        cfg_a = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.01, a=a)
+        p_grid = reflection_p_grid(cfg_a.params, 1024)
+        rows = list(csv.reader(open(tmp_path / f"total_vs_D_a{a:g}.csv")))[1:]
+        assert len(rows) == 13
+        for D_text, total in rows:
+            D = float(D_text)
+            dens = clamp_density(reflected_density_env(cfg_a.with_D(D), p_grid, D=D))
+            assert float(total) == float(np.trapezoid(dens, p_grid))
 
 
 def test_conditional_env_real_and_prefactor():
