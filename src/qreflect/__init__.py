@@ -18,15 +18,15 @@ from .model1 import (EnvironmentSpec, ReflectedSpectrum, born_delta_coefficient,
                      reflected_spectrum, sweep_total_p, total_reflected,
                      narrow_sideband_ratio)
 from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
-                     JointReflectedResult, Model2Config, clamp_density,
+                     Model2Config, clamp_density,
                      conditional_reflected_env,
-                     conditional_reflected_noenv, joint_reflected_map,
+                     conditional_reflected_noenv,
                      joint_reflected_noenv, marginal_reflected_noenv,
                      reflected_density_env, target_momentum_density,
                      timescale_cutoffs_model2, total_reflected_model2)
 from .oscquad import QuadratureError, integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
-from .potentials import potential_momentum, potential_momentum_numeric, potential_position
+from .potentials import potential_momentum, potential_position
 from .qsd import (ClosureError, EnsembleDensity, FluctuationReport, NoiseStream,
                   TrajectoryMoments, ensemble_density, fluctuation_report, moment_step,
                   quantum_current, run_ensemble, run_moment_ensemble, run_moment_trajectory,

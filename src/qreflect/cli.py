@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -40,7 +41,7 @@ from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate
                       reflection_probability)
 
 
-_MAX_QSD_STEPS = 10**6  # a 64-seed block holds (steps, 64) increments: 512 MB at the cap
+_MAX_STEPS = 10**6  # a 64-seed QSD block holds (steps, 64) increments: 512 MB at the cap
 
 
 class RegimeEscalation(RuntimeError):
@@ -64,6 +65,12 @@ def _emit_config(cfg: RunConfig, outdir: Path) -> None:
 def _warn(messages: list[str], text: str) -> None:
     messages.append(text)
     print(f"warning: {text}", file=sys.stderr)
+
+
+def _n_steps(t_final: float, dt: float) -> int:
+    if not t_final / dt <= _MAX_STEPS:  # also nan: an inf t_loc makes t_final and dt inf
+        raise ConfigError(f"t_final / dt = {t_final / dt:.3g} steps exceeds {_MAX_STEPS}")
+    return int(math.ceil(t_final / dt))
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -102,11 +109,14 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     half = abs(start) + 6.0 * params.sigma + params.p_bar * t_final / params.m
     # resolve the packet and the barrier without over-refining small domains
     dx_target = min(params.sigma / 10.0, spec.a / 3.0 if spec.a > 0 else params.sigma)
-    n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
-    grid = SpatialGrid(-half, half, min(cfg.n_points, max(n, 256)))
-    dt = cfg.dt if cfg.dt is not None else 0.09 * min(
-        params.hbar / params.energy, grid.cfl_time(params.m, params.hbar))
-    n_steps = int(math.ceil(t_final / dt))
+    try:  # float ** and math.ceil raise on overflow where * and + give inf
+        n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
+        grid = SpatialGrid(-half, half, min(cfg.n_points, max(n, 256)))
+        dt = cfg.dt if cfg.dt is not None else 0.09 * min(
+            params.hbar / params.energy, grid.cfl_time(params.m, params.hbar))
+    except OverflowError:
+        raise ConfigError(f"the grid for t_final = {t_final:.3g} overflows") from None
+    n_steps = _n_steps(t_final, dt)
     snaps = [k * t_final / 5.0 for k in range(6)]
     psi0 = gaussian_packet(params, grid, center=start)
     series = propagate(psi0, spec, params, dt, n_steps, snapshot_times=snaps)
@@ -223,9 +233,7 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
             dt = min(dt, 0.045 * grid.cfl_time(params.m, params.hbar))
         psi0 = gaussian_packet(params, grid, center=0.0, mean_p=0.0)
 
-    if not t_final / dt <= _MAX_QSD_STEPS:  # also nan, when t_loc overflows
-        raise ConfigError(f"t_final / dt = {t_final / dt:.3g} steps exceeds {_MAX_QSD_STEPS}")
-    n_steps = int(math.ceil(t_final / dt))
+    n_steps = _n_steps(t_final, dt)
     record_every = max(1, n_steps // 200)
     seeds = [cfg.seed + k for k in range(cfg.n_traj)]
     if cfg.level == "moments":
@@ -284,13 +292,6 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     return []
 
 
-def _run_figures(cfg: RunConfig, outdir: Path) -> list[str]:
-    which = cfg.figure
-    if which not in (1, 2, 3, 4, 5):
-        raise ConfigError("figures requires --figure N with N in 1..5")
-    return run_figures(which, outdir, cfg)
-
-
 def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[str]:
     """Reproduce one of the five standard figure data sets into outdir.
 
@@ -298,6 +299,8 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
     m = p_bar = hbar = 1); figure 1 ships representative defaults, labeled as
     such in the resolved configuration.
     """
+    if which not in (1, 2, 3, 4, 5):
+        raise ConfigError("figures requires --figure N with N in 1..5")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base = cfg or RunConfig()
@@ -351,6 +354,7 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
 
 
 _FLAG_KEYS = [f.name for f in fields(RunConfig) if f.name != "command"]
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,7 +388,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv: list[str]) -> RunConfig:
     """Resolve config file plus flag overrides into a RunConfig."""
-    ns = _build_parser().parse_args(argv)
+    args: list[str] = []
+    for arg in argv:  # argparse reads "-1e10" as a flag: bind it as "--flag=-1e10"
+        if args and args[-1].startswith("--") and "=" not in args[-1] \
+                and _NEGATIVE_NUMBER.fullmatch(arg):
+            args[-1] += f"={arg}"
+        else:
+            args.append(arg)
+    ns = _build_parser().parse_args(args)
     cfg = RunConfig(command=ns.command)
     if ns.config:
         path = Path(ns.config)
@@ -408,7 +419,7 @@ _RUNNERS = {
     "model1": _run_model1,
     "qsd": _run_qsd,
     "model2": _run_model2,
-    "figures": _run_figures,
+    "figures": lambda cfg, outdir: run_figures(cfg.figure, outdir, cfg),
 }
 
 

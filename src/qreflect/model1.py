@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import reflection_p_grid
 from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch
-from .params import PhysicalParams, PotentialSpec
+from .params import PhysicalParams
 from .potentials import potential_momentum
 
 
@@ -115,20 +115,11 @@ def propagator_momentum(p, q, t, pp, qp, tp, params: PhysicalParams,
 # -- reflected densities ------------------------------------------------------
 
 
-def _momentum_form(spec: PotentialSpec, p, hbar: float):
-    if not spec.has_analytic_transform:
-        raise ValueError(
-            "perturbative kernels need a barrier with a square-integrable "
-            f"momentum transform, not {spec.kind!r}"
-        )
-    return potential_momentum(spec, p, hbar)
-
-
 def born_delta_coefficient(p, params: PhysicalParams) -> np.ndarray:
     """Coefficient of delta(p + p_bar) in the plane-wave Born reflected density,
     (2 pi m^2 / hbar p_bar^2) V(p - p_bar)^2."""
     m, hbar, pb = params.m, params.hbar, params.p_bar
-    v = _momentum_form(params.potential, np.asarray(p, float) - pb, hbar)
+    v = potential_momentum(params.potential, np.asarray(p, float) - pb, hbar)
     return 2.0 * math.pi * m**2 / (hbar * pb**2) * v**2
 
 
@@ -183,7 +174,7 @@ def reflected_density_x(
 
 
 def _x_prefactor(params: PhysicalParams, delta: np.ndarray) -> np.ndarray:
-    v = _momentum_form(params.potential, delta, params.hbar)
+    v = potential_momentum(params.potential, delta, params.hbar)
     with np.errstate(over="ignore"):  # an inf density fails the caller's finite check
         return 2.0 * params.m / (params.hbar**2 * params.p_bar) * v**2
 
@@ -209,8 +200,10 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     if D_p <= 0:
         raise ValueError("momentum-coupling density requires D_p > 0")
     c = 2.0 * m * hbar * D_p
+    if not c * c < math.inf:  # c**2 below would raise OverflowError
+        raise ValueError(f"(2 m hbar D_p)^2 overflows, got D_p = {D_p!r}")
     p_arr = np.asarray(p, float)
-    v2 = _momentum_form(params.potential, p_arr - pb, hbar) ** 2
+    v2 = potential_momentum(params.potential, p_arr - pb, hbar) ** 2
     bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + c**2 * (p_arr - pb) ** 2)
     dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
     return float(dens) if np.ndim(p) == 0 else dens

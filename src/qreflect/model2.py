@@ -101,10 +101,7 @@ class ConstrainedDensity:
 
 def _v_squared(params: PhysicalParams, delta):
     """V^2(delta): a float for a float delta, else an array."""
-    spec = params.potential
-    if not spec.has_analytic_transform:
-        raise ValueError("two-particle kernels need an analytic barrier transform")
-    v = potential_momentum(spec, delta, params.hbar)
+    v = potential_momentum(params.potential, delta, params.hbar)
     return v**2 if np.ndim(v) else float(v) ** 2
 
 
@@ -187,60 +184,6 @@ def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> Constr
 
 
 # -- with environment -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JointReflectedResult:
-    """Gridded joint/marginal/conditional densities for the unitary case.
-
-    ``coefficient[i, j]`` is the smooth factor of the joint density at
-    (p[i], P[j]) with delta(E) symbolic; the marginal has the delta resolved
-    analytically.  A conditional slice at conditional_P is included on request.
-    """
-
-    p: np.ndarray
-    P: np.ndarray
-    coefficient: np.ndarray
-    marginal: np.ndarray
-    total_marginal: float
-    conditional_P: float | None = None
-    conditional: np.ndarray | None = None
-
-
-def joint_reflected_map(
-    cfg: Model2Config,
-    p_grid: np.ndarray | None = None,
-    P_grid: np.ndarray | None = None,
-    conditional_P: float | None = None,
-) -> JointReflectedResult:
-    """Assemble the environment-free joint, marginal and conditional densities.
-
-    The marginal is consistent with the joint by construction of the
-    constraint resolution: marginal(p) = coefficient(p, P*(p)) * M / |p - p_bar|.
-    """
-    params = cfg.params
-    if p_grid is None:
-        p_grid = reflection_p_grid(params, 301, -3.0 * params.p_bar)
-    if P_grid is None:
-        Sg = params.Sigma
-        P_grid = np.linspace(params.P_bar - 5.0 * params.hbar / Sg,
-                             params.P_bar + 5.0 * params.hbar / Sg, 201)
-    coefficient = np.array([
-        [joint_reflected_noenv(cfg, float(p), float(P)).coefficient for P in P_grid]
-        for p in p_grid
-    ])
-    marginal = np.array([marginal_reflected_noenv(cfg, float(p)) for p in p_grid])
-    total = float(np.trapezoid(marginal, p_grid))
-    conditional = None
-    if conditional_P is not None:
-        conditional = np.array([
-            conditional_reflected_noenv(cfg, float(p), conditional_P).coefficient
-            for p in p_grid
-        ])
-    return JointReflectedResult(p=np.asarray(p_grid, float), P=np.asarray(P_grid, float),
-                                coefficient=coefficient, marginal=marginal,
-                                total_marginal=total, conditional_P=conditional_P,
-                                conditional=conditional)
 
 
 def _recoil_omega(cfg: Model2Config, p):

@@ -60,11 +60,6 @@ class PotentialSpec:
     def complex_step(cls, V0: float) -> "PotentialSpec":
         return cls("complex_step", V0=V0)
 
-    @property
-    def has_analytic_transform(self) -> bool:
-        """True when the momentum-space form is available in closed form."""
-        return self.kind in ("gaussian", "smeared_window")
-
 
 def _default_launch_distance(sigma: float) -> float:
     # Standoff of the incoming packet, sets the interaction time

@@ -44,8 +44,8 @@ def potential_momentum(spec: PotentialSpec, p, hbar: float = 1.0):
     """Closed-form momentum transform V(p) for barriers that have one.
 
     Raises ValueError for step/complex_step, whose transforms are not
-    square-integrable; use potential_momentum_numeric with an explicit
-    truncation window for those.
+    square-integrable.  This is the one barrier check of the perturbative
+    kernels, which all take V(p) from here.
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "gaussian":
@@ -56,8 +56,8 @@ def potential_momentum(spec: PotentialSpec, p, hbar: float = 1.0):
         gauss = np.exp(-(spec.a**2) * p**2 / (2.0 * hbar**2))
         return spec.V0 * gauss * _window_transform(p, spec.L, hbar)
     raise ValueError(
-        f"{spec.kind} potential has no closed-form momentum transform; "
-        "use potential_momentum_numeric"
+        f"the perturbative kernels need a gaussian or smeared_window barrier, not "
+        f"{spec.kind!r}: its momentum transform is not square-integrable"
     )
 
 
@@ -73,26 +73,3 @@ def _window_transform(p, L: float, hbar: float):
         )
     return 2.0 * out / math.sqrt(2.0 * math.pi * hbar)
 
-
-def potential_momentum_numeric(
-    spec: PotentialSpec,
-    p,
-    hbar: float = 1.0,
-    x_max: float | None = None,
-    n_points: int = 2**16,
-):
-    """Brute-force transform by direct quadrature on a truncated x-window.
-
-    Serves as the oracle for the closed forms and as the fallback for barrier
-    kinds without a square-integrable transform (truncation window explicit).
-    """
-    if x_max is None:
-        scale = max(spec.a, spec.L, 1.0)
-        x_max = 40.0 * scale
-    x = np.linspace(-x_max, x_max, n_points)
-    dx = x[1] - x[0]
-    v = potential_position(spec, x, hbar)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    phases = np.exp(-1j * np.outer(p, x) / hbar)
-    out = phases @ v * dx / math.sqrt(2.0 * math.pi * hbar)
-    return out if out.size > 1 else out[0]

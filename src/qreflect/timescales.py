@@ -15,12 +15,6 @@ from dataclasses import dataclass, field
 from .params import PhysicalParams
 
 
-def _req(value, name: str):
-    if value is None:
-        raise ValueError(f"timescale {name} undefined for these parameters")
-    return value
-
-
 @dataclass(frozen=True)
 class TimescaleReport:
     """Every named timescale, the derived widths, and diagnostic ratios.
@@ -270,7 +264,9 @@ def model2_kinematics(params: PhysicalParams, P_in: float, p_in: float) -> tuple
     Total momentum and kinetic energy are conserved exactly.
     """
     m = params.m
-    M = _req(params.M, "target mass M")
+    M = params.M
+    if M is None:
+        raise ValueError("model2 kinematics need the target mass M")
     s = M + m
     P_out = ((M - m) * P_in + 2.0 * M * p_in) / s
     p_out = (2.0 * m * P_in - (M - m) * p_in) / s

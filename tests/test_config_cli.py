@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -239,6 +240,50 @@ def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, ar
     assert main(["qsd", "--level", "wavefunction", *args, "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: the spread by t_final")
+
+
+@pytest.mark.parametrize("args, message", [
+    # (2 m hbar D_p)^2 overflows a float
+    (["model1", "--coupling", "p", "--D_p", "1e300"], "(2 m hbar D_p)^2 overflows"),
+    # the grid spacing squared overflows in the CFL time
+    (["unitary", "--t_final", "1e300"], "the grid for t_final = 1e+300 overflows"),
+    # the grid's half-width p_bar t_final / m overflows
+    (["unitary", "--t_final", "1e308", "--p_bar", "10"], "the grid for t_final"),
+    # 1e10 split steps
+    (["unitary", "--dt", "1e-9"], "steps exceeds 1000000"),
+])
+def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
+    start = time.perf_counter()
+    run = _python("-m", "qreflect.cli", *args, "--outdir", str(tmp_path))
+    assert time.perf_counter() - start < 10.0
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    err = run.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["model1", "--coupling", "p", "--D_p", "1", "--potential", "step"],
+    ["model2", "--M", "10", "--Sigma", "1", "--potential", "step"],
+])
+def test_kernels_reject_a_step_barrier(tmp_path, capsys, args):
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "'step'" in err[0]
+
+
+@pytest.mark.parametrize("value", ["-1e10", "-2.5E-3", "-1e+2", "-3"])
+def test_negative_number_parses_after_a_space(value):
+    head = ["model2", "--M", "10", "--sigma", "100"]
+    cfg = build_config(head + ["--P", value])
+    assert cfg == build_config(head + [f"--P={value}"]) and cfg.P == float(value)
+
+
+@pytest.mark.parametrize("which", [0, 6])
+def test_run_figures_rejects_an_unknown_figure(tmp_path, which):
+    with pytest.raises(ConfigError, match="N in 1..5"):
+        cli.run_figures(which, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qreflect import PotentialSpec, potential_momentum, potential_momentum_numeric, potential_position
+from qreflect import PotentialSpec, potential_momentum, potential_position
+
+
+def potential_momentum_numeric(spec, p, hbar=1.0):
+    """Oracle: direct quadrature of the transform on 2^16 points of |x| <= 40 max(a, L, 1)."""
+    x_max = 40.0 * max(spec.a, spec.L, 1.0)
+    x = np.linspace(-x_max, x_max, 2**16)
+    v = potential_position(spec, x, hbar)
+    phases = np.exp(-1j * np.outer(np.asarray(p, dtype=float), x) / hbar)
+    return phases @ v * (x[1] - x[0]) / math.sqrt(2.0 * math.pi * hbar)
 
 
 def test_smeared_window_deep_interior_equals_plateau():
@@ -70,8 +79,9 @@ def test_step_and_complex_step_values():
     assert potential_position(step, 0.0) == 1.0  # theta(0) = 1/2
     absorber = PotentialSpec.complex_step(2.0)
     assert potential_position(absorber, 3.0) == -2.0j
-    with pytest.raises(ValueError):
-        potential_momentum(step, 1.0)
+    for spec in (step, absorber):
+        with pytest.raises(ValueError, match=f"gaussian or smeared_window.*{spec.kind}"):
+            potential_momentum(spec, 1.0)
 
 
 def test_invalid_specs_rejected():
