@@ -86,12 +86,10 @@ def _run_timescales(cfg: RunConfig, outdir: Path) -> list[str]:
     for name, value in values.items():
         print(f"{name.ljust(width)}  {value:.9g}")
     print("\nregime verdicts (threshold %g):" % cfg.threshold)
-    for f in ("small_fluctuations_chain", "suppression_x_possible", "suppression_p",
-              "model2_velocity_condition", "model2_T1_condition",
-              "model2_Tz_condition", "model2_Tdp_condition", "model1_exclusion_holds"):
-        v = getattr(verdict, f)
-        if v is not None:
-            print(f"  {f}: {v}")
+    for f in fields(verdict):
+        v = getattr(verdict, f.name)
+        if isinstance(v, bool):  # the verdicts, not margins or threshold
+            print(f"  {f.name}: {v}")
     inputs = f"m={params.m} hbar={params.hbar} p_bar={params.p_bar} sigma={params.sigma} " \
              f"D={params.D} D_p={params.D_p} M={params.M} Sigma={params.Sigma} ell={report.ell}"
     rows = [(name, value, FORMULAS[name], inputs) for name, value in values.items()]
@@ -378,9 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 flags.append(f"--{key.replace('_', '-')}")
             p.add_argument(*flags, dest=f"set_{key}", metavar="VALUE")
         for alias, target in _ALIASES.items():
-            if alias.replace("_", "-") == alias and f"--{alias}" in (
-                    f"--{k.replace('_', '-')}" for k in _FLAG_KEYS):
-                continue
             p.add_argument(f"--{alias}", dest=f"set_{target}", metavar="VALUE")
         p.add_argument("--conditional", dest="set_P", metavar="P")
     return parser

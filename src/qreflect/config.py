@@ -151,32 +151,27 @@ class RunConfig:
         return replace(self, **changes)
 
 
-_OPTIONAL_FLOATS = {"x_bar", "M", "Sigma", "window_L", "dt", "t_final", "tau", "ell", "P"}
-_FLOAT_LISTS = {"D_sweep", "Dp_sweep", "a_list"}
-_INTS = {"n_points", "n_traj", "seed", "threads", "figure"}
-_BOOLS = {"steady_target", "tau_inf", "strict"}
 _ALIASES = {"Dp": "D_p", "pbar": "p_bar", "Pbar": "P_bar", "potential": "potential_kind",
             "L": "window_L"}
 
-_KNOWN = {f.name for f in fields(RunConfig)}
+_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations, as strings
 
 
 def _convert(key: str, text: str):
-    if key in _BOOLS:
+    kind = _TYPES[key]
+    if kind == "bool":
         return _parse_bool(text)
-    if key in _INTS:
+    if kind == "int":
         try:
             return int(text)
         except ValueError as exc:
             raise ConfigError(f"expected an integer for {key}, got {text!r}") from exc
-    if key in _FLOAT_LISTS:
+    if kind == "tuple":
         return _parse_float_list(text)
-    if key in _OPTIONAL_FLOATS:
-        if text.strip().lower() in ("none", ""):
-            return None
-        return _parse_float(text)
-    if key in ("command", "potential_kind", "coupling", "level", "outdir"):
+    if kind == "str":
         return text.strip()
+    if kind == "float | None" and text.strip().lower() in ("none", ""):
+        return None
     return _parse_float(text)
 
 
@@ -191,7 +186,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in _KNOWN:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, val)
     cfg = base if base is not None else RunConfig()

@@ -23,6 +23,8 @@ from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch
 from .params import PhysicalParams
 from .potentials import potential_momentum
 
+_EDGE_FRACTION = 0.02  # largest lower-edge density, relative to the peak, of a sampled spectrum
+
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
@@ -200,9 +202,10 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     if D_p <= 0:
         raise ValueError("momentum-coupling density requires D_p > 0")
     c = 2.0 * m * hbar * D_p
-    if not c * c < math.inf:  # c**2 below would raise OverflowError
-        raise ValueError(f"(2 m hbar D_p)^2 overflows, got D_p = {D_p!r}")
     p_arr = np.asarray(p, float)
+    # c**2 below raises OverflowError on its own, and numpy warns where c**2 (p - p_bar)^2 does
+    if not c * c * float(np.max((p_arr - pb) ** 2, initial=0.0)) < math.inf:
+        raise ValueError(f"(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got D_p = {D_p!r}")
     v2 = potential_momentum(params.potential, p_arr - pb, hbar) ** 2
     bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + c**2 * (p_arr - pb) ** 2)
     dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
@@ -230,12 +233,11 @@ def reflected_spectrum(
     env: EnvironmentSpec,
     tau: float | None = None,
     p_grid: np.ndarray | None = None,
-    edge_fraction: float = 0.02,
 ) -> ReflectedSpectrum:
     """Sample the chosen kernel on a momentum grid and integrate it.
 
     Raises QuadratureError when the density at the lower grid edge exceeds
-    edge_fraction of the peak, since the total would then be visibly
+    _EDGE_FRACTION of the peak, since the total would then be visibly
     truncated.  (The momentum-coupling kernel has 1/p^2 tails, so on the
     default [-8 p_bar, 0) grid the edge sits near 1e-5..1e-2 of the peak and
     the omitted tail mass is below a few permille of the total.)  Only the
@@ -253,9 +255,9 @@ def reflected_spectrum(
     else:
         raise ValueError("reflected_spectrum needs an environment coupling")
     peak = float(np.max(np.abs(dens)))
-    if peak > 0 and abs(dens[0]) > edge_fraction * peak:
+    if peak > 0 and abs(dens[0]) > _EDGE_FRACTION * peak:
         raise QuadratureError(
-            f"density at the lower grid edge exceeds {edge_fraction:g} of the peak; "
+            f"density at the lower grid edge exceeds {_EDGE_FRACTION:g} of the peak; "
             "widen p_range"
         )
     total = float(np.trapezoid(dens, p_grid))

@@ -20,6 +20,8 @@ from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch,
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
+_FLOOR_FRACTION = 1e-6  # deepest negative lobe, relative to the peak, that clamp_density zeroes
+
 
 @dataclass(frozen=True)
 class Model2Config:
@@ -374,18 +376,18 @@ def finite_density(density) -> np.ndarray:
     return density
 
 
-def clamp_density(density: np.ndarray, floor_fraction: float = 1e-6) -> np.ndarray:
+def clamp_density(density: np.ndarray) -> np.ndarray:
     """Zero out tiny negative quadrature lobes; reject anything deeper.
 
-    The sampled density must be finite and stay above -floor_fraction of its
+    The sampled density must be finite and stay above -_FLOOR_FRACTION of its
     peak (anything lower signals an unresolved integral, not truncation noise).
     """
     density = finite_density(density)
     peak = float(np.max(density)) if density.size else 0.0
     low = float(np.min(density))
-    if low < -floor_fraction * max(peak, 0.0):
+    if low < -_FLOOR_FRACTION * max(peak, 0.0):
         raise QuadratureError(
-            f"density dips to {low:.3e}, below -{floor_fraction:g} of the peak"
+            f"density dips to {low:.3e}, below -{_FLOOR_FRACTION:g} of the peak"
         )
     return np.where(density < 0.0, 0.0, density)
 

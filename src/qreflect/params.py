@@ -72,7 +72,7 @@ class PhysicalParams:
     """All scalar physical constants of a run.
 
     ``m, p_bar, sigma, x_bar`` describe the light incoming particle;
-    ``M, P_bar, Sigma, X_bar`` the massive target (two-particle runs only);
+    ``M, P_bar, Sigma`` the massive target (two-particle runs only);
     ``D`` is the position-coupling diffusion constant (momentum^2 / time) and
     ``D_p`` the momentum-coupling constant (1 / (momentum^2 time)).
     """
@@ -87,7 +87,6 @@ class PhysicalParams:
     M: float | None = None
     P_bar: float = 0.0
     Sigma: float | None = None
-    X_bar: float = 0.0
     potential: PotentialSpec = field(
         default_factory=lambda: PotentialSpec.gaussian(V0=0.01, a=0.1)
     )
@@ -95,20 +94,20 @@ class PhysicalParams:
     def __post_init__(self):
         if not (self.m > 0 and self.hbar > 0 and self.sigma > 0):
             raise ValueError("m, hbar and sigma must be positive")
-        if not 0.0 < self.sigma * self.sigma < math.inf:
-            raise ValueError(f"sigma^2 must be finite and nonzero, got sigma = {self.sigma!r}")
         if not self.p_bar > 0:
             raise ValueError("p_bar must be positive (incoming packet moves right)")
         if self.D < 0 or self.D_p < 0:
             raise ValueError("diffusion constants must be nonnegative")
         if self.M is not None and not self.M > self.m:
             raise ValueError("target mass M must exceed the light mass m")
-        if self.M is not None and not self.M * self.M < math.inf:
-            raise ValueError(f"M^2 must be finite, got M = {self.M!r}")
         if self.Sigma is not None and not self.Sigma > 0:
             raise ValueError("target width Sigma must be positive")
-        if self.Sigma is not None and not 0.0 < self.Sigma * self.Sigma < math.inf:
-            raise ValueError(f"Sigma^2 must be finite and nonzero, got Sigma = {self.Sigma!r}")
+        for name in ("m", "hbar", "p_bar", "sigma", "M", "Sigma"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value * value < math.inf:
+                raise ValueError(f"{name}^2 must be finite and nonzero, got {name} = {value!r}")
+        if not 0.0 < self.energy < math.inf:
+            raise ValueError(f"E = p_bar^2 / 2m must be finite and nonzero, got {self.energy!r}")
         if self.x_bar is None:
             object.__setattr__(self, "x_bar", _default_launch_distance(self.sigma))
 

@@ -1,23 +1,22 @@
 """Characteristic timescales of the decohering scattering problem.
 
-Every named timescale is a closed form in the run parameters.  The report
-also carries the dimensionless ratios that control the regime analysis; the
-exact algebraic relations between them (including their order-unity
-constants, which the qualitative treatment drops) are verified to machine
-precision at construction time.
+Every named timescale is a closed form in the run parameters, and FORMULAS
+lists them in report order.  The exact algebraic relations between them
+(including their order-unity constants, which the qualitative treatment
+drops) are verified to machine precision at construction time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .params import PhysicalParams
 
 
 @dataclass(frozen=True)
 class TimescaleReport:
-    """Every named timescale, the derived widths, and diagnostic ratios.
+    """Every named timescale and the derived widths.
 
     Entries that need an absent coupling (D, D_p) or an absent target (M,
     Sigma) are None rather than zero.
@@ -25,33 +24,25 @@ class TimescaleReport:
 
     t_E: float
     t_z: float
-    t_d: float | None
-    t_z_qsd: float | None
-    t_loc: float | None
-    t_d_p: float | None
-    t_f: float | None
-    t_p: float | None
-    sigma_q: float | None
-    sigma_p: float | None
-    T_z: float | None
-    T_d: float | None
-    T_f: float | None
-    T_loc: float | None
-    T_d_p: float | None
-    T_1: float | None
-    Sigma_p: float | None
     ell: float
-    ratios: dict = field(default_factory=dict)
+    t_d: float | None = None
+    t_z_qsd: float | None = None
+    t_loc: float | None = None
+    t_d_p: float | None = None
+    t_f: float | None = None
+    t_p: float | None = None
+    T_z: float | None = None
+    T_d: float | None = None
+    T_f: float | None = None
+    T_loc: float | None = None
+    T_d_p: float | None = None
+    T_1: float | None = None
+    sigma_q: float | None = None
+    sigma_p: float | None = None
+    Sigma_p: float | None = None
 
     def defined(self) -> dict:
-        out = {}
-        for name in ("t_E", "t_z", "t_d", "t_z_qsd", "t_loc", "t_d_p", "t_f", "t_p",
-                     "T_z", "T_d", "T_f", "T_loc", "T_d_p", "T_1",
-                     "sigma_q", "sigma_p", "Sigma_p"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return {name: getattr(self, name) for name in FORMULAS if getattr(self, name) is not None}
 
 
 FORMULAS = {
@@ -63,14 +54,14 @@ FORMULAS = {
     "t_d_p": "(m^2 hbar^2 / (D p_bar^2))^(1/3)",
     "t_f": "p_bar^2 / D",
     "t_p": "1 / (D_p p_bar^2)",
-    "sigma_q": "(hbar^3 / (8 m D))^(1/4)",
-    "sigma_p": "(2 m hbar D)^(1/4)",
     "T_z": "M Sigma / p_bar",
     "T_d": "hbar^2 / (D Sigma^2)",
     "T_f": "Sigma_p^2 / D",
     "T_loc": "(M hbar / D)^(1/2)",
     "T_d_p": "(M^2 hbar^2 / (D p_bar^2))^(1/3)",
     "T_1": "M hbar / (p_bar sqrt(D t_z))",
+    "sigma_q": "(hbar^3 / (8 m D))^(1/4)",
+    "sigma_p": "(2 m hbar D)^(1/4)",
     "Sigma_p": "hbar / Sigma",
 }
 
@@ -79,63 +70,43 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
     """Evaluate every defined timescale for the given parameters.
 
     ell is the decoherence length scale entering t_d; it defaults to the
-    incoming packet width sigma.
+    incoming packet width sigma.  A timescale out of float range is a ValueError.
     """
     m, hbar, pb, sg = params.m, params.hbar, params.p_bar, params.sigma
-    D, Dp = params.D, params.D_p
+    D, Dp, M, Sg = params.D, params.D_p, params.M, params.Sigma
     if ell is None:
         ell = sg
     if not ell > 0:
         raise ValueError("ell must be positive")
-
-    t_E = hbar / params.energy
-    t_z = m * sg / pb
-
-    t_d = t_z_qsd = t_loc = t_d_p = t_f = sigma_q = sigma_p = None
-    if D > 0:
-        sigma_q = params.sigma_q
-        sigma_p = params.sigma_p
-        t_d = hbar**2 / (D * ell**2)
-        t_z_qsd = m * sigma_q / pb
-        t_loc = math.sqrt(m * hbar / D)
-        t_d_p = (m**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-        t_f = pb**2 / D
-
-    t_p = 1.0 / (Dp * pb**2) if Dp > 0 else None
-
-    T_z = T_d = T_f = T_loc = T_d_p = T_1 = Sigma_p = None
-    M, Sg = params.M, params.Sigma
-    if M is not None:
-        if Sg is not None:
-            T_z = M * Sg / pb
-            Sigma_p = hbar / Sg
+    try:
+        values = {"t_E": hbar / params.energy, "t_z": m * sg / pb}
         if D > 0:
-            T_loc = math.sqrt(M * hbar / D)
-            T_d_p = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-            T_1 = M * hbar / (pb * math.sqrt(D * t_z))
+            values["sigma_q"] = params.sigma_q
+            values["sigma_p"] = params.sigma_p
+            values["t_d"] = hbar**2 / (D * ell**2)
+            values["t_z_qsd"] = m * values["sigma_q"] / pb
+            values["t_loc"] = math.sqrt(m * hbar / D)
+            values["t_d_p"] = (m**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
+            values["t_f"] = pb**2 / D
+        if Dp > 0:
+            values["t_p"] = 1.0 / (Dp * pb**2)
+        if M is not None and Sg is not None:
+            values["T_z"] = M * Sg / pb
+            values["Sigma_p"] = hbar / Sg
+        if M is not None and D > 0:
+            values["T_loc"] = math.sqrt(M * hbar / D)
+            values["T_d_p"] = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
+            values["T_1"] = M * hbar / (pb * math.sqrt(D * values["t_z"]))
             if Sg is not None:
-                T_d = hbar**2 / (D * Sg**2)
-                T_f = Sigma_p**2 / D
-
-    ratios = {"hbar_over_sigma_p_bar": (hbar / sg) / pb}
-    if sigma_p is not None:
-        ratios["fluctuation"] = sigma_p / pb
-    if t_d_p is not None:
-        ratios["t_d_p_over_t_E"] = t_d_p / t_E
-    if Sigma_p is not None and M is not None:
-        ratios["velocity_target_over_light"] = (Sigma_p / M) / (pb / m)
-    if T_1 is not None:
-        ratios["T_1_over_t_E"] = T_1 / t_E
-    if T_z is not None:
-        ratios["T_z_over_t_E"] = T_z / t_E
-
-    report = TimescaleReport(
-        t_E=t_E, t_z=t_z, t_d=t_d, t_z_qsd=t_z_qsd, t_loc=t_loc, t_d_p=t_d_p,
-        t_f=t_f, t_p=t_p, sigma_q=sigma_q, sigma_p=sigma_p,
-        T_z=T_z, T_d=T_d, T_f=T_f, T_loc=T_loc, T_d_p=T_d_p, T_1=T_1,
-        Sigma_p=Sigma_p, ell=ell, ratios=ratios,
-    )
-    _verify_internal_identities(report, params)
+                values["T_d"] = hbar**2 / (D * Sg**2)
+                values["T_f"] = values["Sigma_p"]**2 / D
+        for name, value in values.items():
+            if not 0.0 < value < math.inf:  # also nan
+                raise ValueError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
+        report = TimescaleReport(ell=ell, **values)
+        _verify_internal_identities(report, params)
+    except (ArithmeticError, AssertionError):  # a 0 divisor, ** overflow, or subnormal product
+        raise ValueError("a timescale or its identities leave the normal float range") from None
     return report
 
 
@@ -172,8 +143,8 @@ def _verify_internal_identities(r: TimescaleReport, params: PhysicalParams, tol:
 class RegimeVerdict:
     """Machine-checkable booleans for the regime conditions.
 
-    Each boolean is exactly (margin <= threshold) for the margin recorded
-    under the same key; "much less than" defaults to ratio <= 0.1.
+    Each boolean but suppression_x_possible (margin < 1) and model1_exclusion_holds
+    is (margin <= threshold) for its margin key; "much less than" is ratio <= 0.1.
     """
 
     small_fluctuations_chain: bool | None
@@ -201,57 +172,36 @@ def check_regime(
     provably incompatible with the chain; model1_exclusion_holds records that
     the two demands were not met simultaneously.
     """
-    margins: dict[str, float] = {}
-    pb, m, hbar = params.p_bar, params.m, params.hbar
+    pb, m, hbar, M = params.p_bar, params.m, params.hbar, params.M
 
-    small = None
+    def ratio(num, den):  # a den that underflowed to 0 makes the margin infinite
+        return num / den if den else math.inf
+
+    margins: dict[str, float | None] = {}
     if report.sigma_p is not None:
-        fluct = report.sigma_p / pb
-        margins["small_fluctuations"] = fluct
-        small = fluct <= threshold
-
-    sup_x = None
-    V0 = params.potential.V0
-    if report.t_d_p is not None and V0 > 0:
-        ratio = report.t_d_p * V0 / hbar
-        margins["suppression_x"] = ratio
-        sup_x = ratio < 1.0
-
-    sup_p = None
+        margins["small_fluctuations"] = report.sigma_p / pb
+    if report.t_d_p is not None and params.potential.V0 > 0:
+        margins["suppression_x"] = report.t_d_p * params.potential.V0 / hbar
     if params.D_p > 0:
-        ratio = 1.0 / (m * hbar * params.D_p)
-        margins["suppression_p"] = ratio
-        sup_p = ratio <= threshold
+        margins["suppression_p"] = ratio(1.0, m * hbar * params.D_p)
+    if M is not None and report.Sigma_p is not None:
+        margins["model2_velocity"] = ratio(pb / m, report.Sigma_p / M)
+    if M is not None and report.T_1 is not None:
+        margins["model2_T1"] = report.T_1 / report.t_E
+        margins["model2_Tz"] = (report.T_z / report.t_E) if report.T_z is not None else None
+        margins["model2_Tdp"] = ratio(report.T_d_p, (m / M) ** (1 / 3) * report.t_E)
 
-    vel = t1 = tz = tdp = None
-    if params.M is not None:
-        M = params.M
-        if report.Sigma_p is not None:
-            ratio = (pb / m) / (report.Sigma_p / M)
-            margins["model2_velocity"] = ratio
-            vel = ratio <= threshold
-        if report.T_1 is not None:
-            margins["model2_T1"] = report.T_1 / report.t_E
-            t1 = margins["model2_T1"] <= threshold
-            margins["model2_Tz"] = (report.T_z / report.t_E) if report.T_z is not None else None
-            if report.T_z is not None:
-                tz = margins["model2_Tz"] <= threshold
-            margins["model2_Tdp"] = report.T_d_p / ((m / M) ** (1 / 3) * report.t_E)
-            tdp = margins["model2_Tdp"] <= threshold
-
-    exclusion = None
-    if small is not None and report.t_d_p is not None:
-        wants_suppression = report.t_d_p < report.t_E
-        exclusion = not (small and wants_suppression)
-
+    below = {key: None if v is None else v <= threshold for key, v in margins.items()}
+    small, sup_x = below.get("small_fluctuations"), margins.get("suppression_x")
+    exclusion = None if small is None else not (small and report.t_d_p < report.t_E)
     return RegimeVerdict(
         small_fluctuations_chain=small,
-        suppression_x_possible=sup_x,
-        suppression_p=sup_p,
-        model2_velocity_condition=vel,
-        model2_T1_condition=t1,
-        model2_Tz_condition=tz,
-        model2_Tdp_condition=tdp,
+        suppression_x_possible=None if sup_x is None else sup_x < 1.0,
+        suppression_p=below.get("suppression_p"),
+        model2_velocity_condition=below.get("model2_velocity"),
+        model2_T1_condition=below.get("model2_T1"),
+        model2_Tz_condition=below.get("model2_Tz"),
+        model2_Tdp_condition=below.get("model2_Tdp"),
         model1_exclusion_holds=exclusion,
         margins=margins,
         threshold=threshold,

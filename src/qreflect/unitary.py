@@ -19,6 +19,9 @@ from .grids import SpatialGrid, SplitStepper, WaveFunction, reflection_p_grid, t
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum, potential_position
 
+_ABSORBER_WIDTH = 0.05  # fraction of the grid each edge layer covers
+_OVERLAP_TOLERANCE = 1e-4  # position mass near the barrier that blocks a measurement
+
 
 class CFLViolationError(ValueError):
     """Time step too large for the requested accuracy contract."""
@@ -82,8 +85,6 @@ def propagate(
     n_steps: int,
     snapshot_times=None,
     absorber: bool = True,
-    absorber_width: float = 0.05,
-    absorber_strength: float | None = None,
     edge_tolerance: float = 1e-6,
     check_start: bool = True,
 ) -> SnapshotSeries:
@@ -115,8 +116,7 @@ def propagate(
     pot_phase = np.exp(-1j * v * dt / hbar)
     factor = pot_phase
     if absorber:
-        strength = absorber_strength if absorber_strength is not None else 2.0 * params.energy
-        mask = np.exp(-_absorber_profile(grid, absorber_width, strength) * dt / hbar)
+        mask = np.exp(-_absorber_profile(grid, _ABSORBER_WIDTH, 2.0 * params.energy) * dt / hbar)
         factor = pot_phase * mask
     # with both loss channels active, each is booked step by step
     complex_barrier = bool(np.any(v.imag != 0.0))
@@ -181,8 +181,6 @@ def mean_energy(psi: WaveFunction, spec: PotentialSpec, params: PhysicalParams) 
 
 def reflection_probability(
     series: SnapshotSeries,
-    boundary: float = 0.0,
-    overlap_tolerance: float = 1e-4,
     force: bool = False,
 ) -> tuple[float, float, float]:
     """(reflected, transmitted, absorbed) from the final snapshot.
@@ -190,15 +188,15 @@ def reflection_probability(
     Reflected/transmitted are the negative/nonnegative momentum masses;
     absorbed is the barrier absorption (complex barriers only; edge-layer
     loss stays in the ledger's edge_loss).  Raises
-    PrematureMeasurementError when more than overlap_tolerance of position
-    mass still sits within 4a of the splitting boundary.
+    PrematureMeasurementError when more than _OVERLAP_TOLERANCE of position
+    mass still sits within 4a of the barrier at x = 0.
     """
     psi = series.states[-1]
     ledger = series.probabilities[-1]
     a = max(series.spec.a, psi.grid.dx)
-    near = np.abs(psi.grid.x - boundary) < 4.0 * a
+    near = np.abs(psi.grid.x) < 4.0 * a
     near_mass = float(np.sum(psi.density()[near]) * psi.grid.dx)
-    if near_mass > overlap_tolerance and not force:
+    if near_mass > _OVERLAP_TOLERANCE and not force:
         raise PrematureMeasurementError(
             f"{near_mass:.3e} of the density is still within 4a of the boundary"
         )

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ def test_roundtrip_serialize_parse():
                     steady_target=True, tau_inf=True, seed=99)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
+    # every key away from its default: each is read back with its annotated type
+    changed = dict(
+        command="model2", m=2.0, hbar=0.5, p_bar=3.0, sigma=100.0, x_bar=7.5, D=0.25,
+        D_p=1e-3, M=10.0, P_bar=-0.5, Sigma=2.0, steady_target=True,
+        potential_kind="smeared_window", V0=0.02, a=0.3, window_L=4.0, n_points=2048,
+        dt=0.01, t_final=12.0, tau=3.0, tau_inf=True, ell=0.7, threshold=0.05,
+        D_sweep=(0.01, 1.0), Dp_sweep=(0.1, 0.2), a_list=(0.1, 0.4), P=0.3, coupling="p",
+        level="moments", n_traj=8, seed=99, outdir="elsewhere", threads=2, strict=True,
+        figure=4)
+    assert sorted(changed) == sorted(f.name for f in fields(RunConfig))
+    assert all(value != getattr(RunConfig(), key) for key, value in changed.items())
+    again = parse_config(serialize_config(RunConfig(**changed)))
+    assert {key: (type(getattr(again, key)), getattr(again, key)) for key in changed} == {
+        key: (type(value), value) for key, value in changed.items()}
 
 
 def test_unknown_key_and_bad_values():
@@ -251,6 +266,20 @@ def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, ar
     (["unitary", "--t_final", "1e308", "--p_bar", "10"], "the grid for t_final"),
     # 1e10 split steps
     (["unitary", "--dt", "1e-9"], "steps exceeds 1000000"),
+    # p_bar^2 underflows, so E = p_bar^2 / 2m is 0
+    (["unitary", "--p_bar", "1e-200"], "p_bar^2 must be finite and nonzero"),
+    (["qsd", "--level", "moments", "--p_bar", "1e-200", "--D", "1", "--n_traj", "1"],
+     "p_bar^2 must be finite and nonzero"),
+    (["model1", "--p_bar", "1e-200", "--coupling", "p", "--D_p", "1"],
+     "p_bar^2 must be finite and nonzero"),
+    # p_bar^2 and m^2 are finite, but E = p_bar^2 / 2m underflows to 0
+    (["unitary", "--p_bar", "1e-150", "--m", "1e150"], "E = p_bar^2 / 2m must be finite"),
+    # p_bar^2 and m^2 overflow a float; hbar^2 underflows to 0
+    (["timescales", "--p_bar", "1e200", "--D", "1"], "p_bar^2 must be finite and nonzero"),
+    (["timescales", "--m", "1e300", "--D", "1"], "m^2 must be finite and nonzero"),
+    (["timescales", "--hbar", "1e-300", "--D", "1"], "hbar^2 must be finite and nonzero"),
+    # (2 m hbar D_p)^2 is finite, but times (p - p_bar)^2 it overflows (a numpy warning)
+    (["model1", "--coupling", "p", "--D_p", "5e153"], "(2 m hbar D_p)^2 overflows"),
 ])
 def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
     start = time.perf_counter()
@@ -504,6 +533,35 @@ def test_model2_inputs_end_in_a_documented_exit_code(steady, D, Sigma, M, sigma,
         rc = main(args + ["--outdir", outdir])
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+_TIMESCALE_FLAGS = ("D", "D_p", "sigma", "ell", "M", "Sigma", "m", "hbar", "p_bar")
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional=dict.fromkeys(_TIMESCALE_FLAGS, _any_scale)))
+# D t_z underflowed to a zero division in T_1, and D ell^2 in t_d; sigma_q was inf
+# and failed an identity check, as did sigma_p from a subnormal 2 m hbar D; the
+# margins 1 / (m hbar D_p), (p_bar / m) / (Sigma_p / M) and T_d_p / ((m / M)^(1/3) t_E)
+# divided by an underflowed 0
+@example(values={"D": 1e-300, "sigma": 1e-30, "ell": 1.0, "M": 10.0})
+@example(values={"ell": 1e-200, "D": 1.0})
+@example(values={"D": 1e-320})
+@example(values={"D": 5.8e-225, "hbar": 5e-97})
+@example(values={"m": 1e-100, "hbar": 1e-100, "D_p": 1e-200})
+@example(values={"hbar": 1e-150, "Sigma": 1e150, "M": 1e100})
+@example(values={"m": 1e-100, "M": 1e-10, "hbar": 5e-51, "p_bar": 1e75, "sigma": 1e40,
+                 "D": 1e-150})
+def test_timescales_inputs_end_in_a_documented_exit_code(values):
+    args = ["timescales"] + [f"--{flag}={value!r}" for flag, value in values.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
 
 @pytest.mark.parametrize("level", ["moments", "wavefunction"])
 def test_qsd_summary_is_the_mean_of_the_trajectory_csvs(tmp_path, level):

@@ -155,3 +155,18 @@ def test_wigner_spreading_identities():
         direct = wigner_spreading_ratio(params, t)
         via_ratio = (t / tdp) ** 3
         assert direct == pytest.approx(via_ratio, rel=1e-12)
+
+
+def test_a_margin_over_an_underflowed_zero_is_infinite():
+    # m hbar D_p = 1e-400, Sigma_p / M = 1e-400 and (m / M)^(1/3) t_E = 1e-330 are 0
+    # as floats, while every timescale and identity holds
+    params = PhysicalParams(m=1e-100, hbar=1e-100, D_p=1e-200)
+    v = check_regime(compute_timescales(params), params)
+    assert v.margins["suppression_p"] == math.inf and v.suppression_p is False
+    params = PhysicalParams(hbar=1e-150, M=1e100, Sigma=1e150)
+    v = check_regime(compute_timescales(params), params)
+    assert v.margins["model2_velocity"] == math.inf and v.model2_velocity_condition is False
+    params = PhysicalParams(m=1e-100, M=1e-10, hbar=5e-51, p_bar=1e75, sigma=1e40, D=1e-150)
+    v = check_regime(compute_timescales(params), params)
+    assert v.margins["model2_Tdp"] == math.inf and v.model2_Tdp_condition is False
+
