@@ -6,9 +6,11 @@ non-finite density, leakage, premature measurement, moment-closure breakdown),
 and a version stamp beside its outputs; reruns of one config are byte-identical.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
-the fit and every CSV.  --threads selects nothing and changes no output: an
-(8, 1024) FFT took 56-60 us with one scipy.fft worker and 64-86 us with two
-(2 vCPU Xeon).
+the fit and every CSV.  A moment-level block steps 64e6 // n_steps seeds as one
+array (every seed of a default 1000-step run); a wavefunction block steps 64.
+CSV floats are Python's shortest round-trip repr.  --threads selects nothing
+and changes no output: an (8, 1024) FFT took 56-60 us with one scipy.fft
+worker and 64-86 us with two (2 vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import csv
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +43,41 @@ from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate
                       reflection_probability)
 
 
-_MAX_STEPS = 10**6  # a 64-seed QSD block holds (steps, 64) increments: 512 MB at the cap
+# a QSD block holds (steps, rows) increments; a wavefunction block has 64 rows and a
+# moment block 64e6 // steps, so either holds at most 512 MB at the cap
+_MAX_STEPS = 10**6
+_CSV_BLOCK_ROWS = 1024  # rows formatted per write; only unitary's density CSVs are longer
 
 
 class RegimeEscalation(RuntimeError):
     """A regime warning escalated to an error by --strict."""
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+def _write_csv(tables) -> None:
+    """Write each (path, header, rows) of tables as one CSV file.
+
+    A 2-D float array is written a column at a time in Python's shortest
+    round-trip repr, one write per block of _CSV_BLOCK_ROWS rows, so memory holds
+    the strings of two blocks at most.  A column of a block whose bytes match a
+    column of the block before reuses its strings (bytes, not values: 0.0 ==
+    -0.0 and nan != nan): a QSD ensemble's deterministic columns recur in every
+    trajectory file.  Rows holding strings go through csv.writer.
+    """
+    memo: dict[bytes, list[str]] = {}
+    for path, header, rows in tables:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if not isinstance(rows, np.ndarray):
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)  # csv.writer formats a float as repr does
+                continue
+            fh.write(",".join(header) + "\n")
+            for first in range(0, len(rows), _CSV_BLOCK_ROWS):
+                block = rows[first:first + _CSV_BLOCK_ROWS]
+                keys = [col.tobytes() for col in block.T]
+                memo = {key: memo.get(key) or list(map(repr, col.tolist()))
+                        for key, col in zip(keys, block.T)}
+                fh.write("\n".join(map(",".join, zip(*(memo[key] for key in keys)))) + "\n")
 
 
 def _emit_config(cfg: RunConfig, outdir: Path) -> None:
@@ -93,7 +117,8 @@ def _run_timescales(cfg: RunConfig, outdir: Path) -> list[str]:
     inputs = f"m={params.m} hbar={params.hbar} p_bar={params.p_bar} sigma={params.sigma} " \
              f"D={params.D} D_p={params.D_p} M={params.M} Sigma={params.Sigma} ell={report.ell}"
     rows = [(name, value, FORMULAS[name], inputs) for name, value in values.items()]
-    _write_csv(outdir / "timescales.csv", ["name", "value", "defining_formula", "inputs"], rows)
+    _write_csv([(outdir / "timescales.csv", ["name", "value", "defining_formula", "inputs"],
+                 rows)])
     return []
 
 
@@ -122,26 +147,22 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     pos_series, mom_series = [], []
     for t, psi in zip(series.times, series.states):
         rho = psi.density()
-        pos_rows.extend((t, float(x), float(d)) for x, d in zip(psi.grid.x[::4], rho[::4]))
-        pos_series.append((f"t={t:g}", list(map(float, psi.grid.x[::8])),
-                           list(map(float, rho[::8]))))
+        pos_rows.append(np.column_stack(np.broadcast_arrays(t, psi.grid.x[::4], rho[::4])))
+        pos_series.append((f"t={t:g}", psi.grid.x[::8].tolist(), rho[::8].tolist()))
         tilde = to_momentum(psi)
         w = tilde.density()
-        mom_rows.extend((t, float(pv), float(d)) for pv, d in zip(tilde.grid.x[::4], w[::4]))
+        mom_rows.append(np.column_stack(np.broadcast_arrays(t, tilde.grid.x[::4], w[::4])))
         keep = np.abs(tilde.grid.x) < 3.0 * params.p_bar
-        mom_series.append((f"t={t:g}", list(map(float, tilde.grid.x[keep])),
-                           list(map(float, w[keep]))))
-    _write_csv(outdir / "position_density.csv", ["t", "x", "density"], pos_rows)
-    _write_csv(outdir / "momentum_density.csv", ["t", "p", "density"], mom_rows)
+        mom_series.append((f"t={t:g}", tilde.grid.x[keep].tolist(), w[keep].tolist()))
     (outdir / "position_density.svg").write_text(line_plot(
         pos_series, "position probability density", "x", "|psi|^2"), encoding="utf-8")
     (outdir / "momentum_density.svg").write_text(line_plot(
         mom_series, "momentum probability density", "p", "|psi~|^2"), encoding="utf-8")
-    ledger_rows = [(t, pl.norm, pl.reflected, pl.transmitted, pl.absorbed, pl.edge_loss)
-                   for t, pl in zip(series.times, series.probabilities)]
-    _write_csv(outdir / "probabilities.csv",
-               ["t", "norm", "reflected", "transmitted", "absorbed", "edge_loss"],
-               ledger_rows)
+    ledger = np.column_stack((series.times, [astuple(pl) for pl in series.probabilities]))
+    _write_csv([(outdir / "position_density.csv", ["t", "x", "density"], np.vstack(pos_rows)),
+                (outdir / "momentum_density.csv", ["t", "p", "density"], np.vstack(mom_rows)),
+                (outdir / "probabilities.csv",
+                 ["t", "norm", "reflected", "transmitted", "absorbed", "edge_loss"], ledger)])
     refl, trans, absd = reflection_probability(series, force=True)
     print(f"final reflected={refl:.6g} transmitted={trans:.6g} absorbed={absd:.6g}")
     return []
@@ -167,21 +188,18 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     # checked before any CSV is written; model1 densities are not clamped
-    densities = [finite_density(density_of(p_grid, s)).tolist() for s in sweep]
-    plot_series = []
-    for strength, dens in zip(sweep, densities):
-        name = f"density_{cfg.coupling}_{strength:g}.csv"
-        _write_csv(outdir / name, ["p", "density"], list(zip(map(float, p_grid), dens)))
-        plot_series.append((f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}",
-                            list(map(float, p_grid)), dens))
+    densities = [finite_density(density_of(p_grid, s)) for s in sweep]
+    _write_csv((outdir / f"density_{cfg.coupling}_{strength:g}.csv", ["p", "density"],
+                np.column_stack((p_grid, dens))) for strength, dens in zip(sweep, densities))
+    plot_series = [(f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}", p_grid.tolist(),
+                    dens.tolist()) for strength, dens in zip(sweep, densities)]
     (outdir / "density.svg").write_text(line_plot(
         plot_series, f"reflected momentum density ({cfg.coupling}-coupling)",
         "p", "density"))
     if len(sweep) > 1:
         totals = [total_reflected(params, env_of(s), tau=tau) for s in sweep]
-        _write_csv(outdir / f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
-                   ["coupling_strength", "total_reflected"],
-                   list(zip(sweep, totals)))
+        _write_csv([(outdir / f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
+                     ["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))])
         (outdir / "total.svg").write_text(line_plot(
             [("total", list(sweep), totals)], "total reflected probability",
             "coupling strength", "probability", logx=True))
@@ -242,13 +260,13 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
         rate = fluctuation_report(records, (t_loc, t_final)).fitted_rate
         print(f"fitted total momentum fluctuation rate: {rate:.6g}")
-    header = ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"]
-    for seed, rows in zip(seeds, records.tolist()):
-        _write_csv(outdir / f"trajectory_{seed}.csv", header, rows)
     # each mean runs along one contiguous row, as np.mean of a column does
     summary = np.ascontiguousarray(records.transpose(1, 2, 0)).mean(axis=-1)
     summary[:, 0] = records[0, :, 0]
-    _write_csv(outdir / "ensemble_summary.csv", header, summary.tolist())
+    header = ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"]
+    _write_csv([*((outdir / f"trajectory_{seed}.csv", header, rows)
+                  for seed, rows in zip(seeds, records)),
+                (outdir / "ensemble_summary.csv", header, summary)])
     return []
 
 
@@ -271,9 +289,9 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
         else:
             dens = reflected_density_env(c, p_grid, D=D)
             name = f"density_D{D:g}.csv"
-        dens = list(map(float, clamp_density(dens)))
-        _write_csv(outdir / name, ["p", "density"], list(zip(map(float, p_grid), dens)))
-        plot_series.append((f"D={D:g}", list(map(float, p_grid)), dens))
+        dens = clamp_density(dens)
+        _write_csv([(outdir / name, ["p", "density"], np.column_stack((p_grid, dens)))])
+        plot_series.append((f"D={D:g}", p_grid.tolist(), dens.tolist()))
         cut = timescale_cutoffs_model2(c, D=D) if D > 0 else None
         if cut is not None and not cut.suppressed:
             print(f"D={D:g}: dominant cutoff {cut.dominant} = {cut.margin:.3g} t_E "
@@ -282,10 +300,10 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
         plot_series, "two-particle reflected density", "p", "density"))
     if len(sweep) > 1:
         totals = total_reflected_model2(m2, sweep)
-        _write_csv(outdir / "total_vs_D.csv", ["D", "total_reflected"],
-                   list(zip(sweep, map(float, totals))))
+        _write_csv([(outdir / "total_vs_D.csv", ["D", "total_reflected"],
+                     np.column_stack((sweep, totals)))])
         (outdir / "total.svg").write_text(line_plot(
-            [("total", list(sweep), list(map(float, totals)))],
+            [("total", list(sweep), totals.tolist())],
             "two-particle total reflected probability", "D", "probability", logx=True))
     return []
 
@@ -318,8 +336,8 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
             sub = base.replace(command="model1", coupling="p", a=a, V0=0.01)
             params = sub.physical_params()
             totals = [total_reflected(params, EnvironmentSpec.momentum(dp)) for dp in dps]
-            _write_csv(outdir / f"total_vs_Dp_a{a:g}.csv",
-                       ["D_p", "total_reflected"], list(zip(dps, totals)))
+            _write_csv([(outdir / f"total_vs_Dp_a{a:g}.csv", ["D_p", "total_reflected"],
+                         np.column_stack((dps, totals)))])
             series.append((f"a={a:g}", list(dps), totals))
         (outdir / "figure3.svg").write_text(line_plot(
             series, "total reflected probability vs D_p", "D_p", "probability",
@@ -337,11 +355,10 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
     barriers = [sub.physical_params().potential for sub in subs]
     m2 = Model2Config(subs[0].physical_params(), tau=subs[0].resolved_tau(),
                       steady_target=True)
-    series = []
-    for a, totals in zip(a_values, total_reflected_model2(m2, ds, barriers=barriers)):
-        _write_csv(outdir / f"total_vs_D_a{a:g}.csv", ["D", "total_reflected"],
-                   list(zip(ds, map(float, totals))))
-        series.append((f"a={a:g}", list(ds), list(map(float, totals))))
+    totals = total_reflected_model2(m2, ds, barriers=barriers)
+    _write_csv((outdir / f"total_vs_D_a{a:g}.csv", ["D", "total_reflected"],
+                np.column_stack((ds, row))) for a, row in zip(a_values, totals))
+    series = [(f"a={a:g}", list(ds), row.tolist()) for a, row in zip(a_values, totals)]
     (outdir / "figure5.svg").write_text(line_plot(
         series, "two-particle total reflected probability vs D", "D",
         "probability", logx=True))

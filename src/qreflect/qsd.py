@@ -346,7 +346,13 @@ def ensemble_density(trajectories: list[WaveFunction]) -> EnsembleDensity:
 # t, <x>, <p>, Var x, Var p, Cov xp at t = 0, every record_every steps and the end.
 
 
-_BLOCK_ROWS = 64  # rows stepped together; fixed, so peak memory does not grow with n_traj
+_BLOCK_ROWS = 64  # wavefunction rows stepped together; fixed, so memory does not grow with n_traj
+_INCREMENT_BUDGET = 64 * 10**6  # float64 increments a moment block holds: 512 MB
+
+
+def _moment_block_rows(n_steps: int) -> int:
+    """Seeds a moment block steps together: as many as the increment budget holds."""
+    return max(1, _INCREMENT_BUDGET // max(1, n_steps))
 
 
 def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]:
@@ -427,16 +433,20 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
                         spec: PotentialSpec | None, params: PhysicalParams, dt: float,
                         n_steps: int, seeds, record_every: int = 1,
                         closure: str = "gaussian") -> np.ndarray:
-    """Records of one moment trajectory per seed, all starting from mom0.  Blocks of
-    up to 64 seeds step together, each moment a (rows,) array, through the moment map
-    that steps a one-seed block on Python floats.  Without a barrier each row equals
-    its seed's run alone bit for bit; a step barrier's np.exp can differ from math.exp
-    in the last bit.  A ClosureError names the first failing seed and its step."""
+    """Records of one moment trajectory per seed, all starting from mom0.  A block of
+    seeds steps together, each moment a (rows,) array, through the moment map that
+    steps a one-seed block on Python floats.  A block takes 64e6 // n_steps seeds, so
+    that its (n_steps, rows) increments hold at most 64e6 values: 64,000 seeds at the
+    CLI's default of 1000 steps, 64 at its cap of 10^6 steps.  Without a barrier
+    each row equals its seed's run alone bit for bit; a step barrier's np.exp can
+    differ from math.exp in the last bit.  A ClosureError names the first failing
+    seed and its step."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     step_map = _moment_map(params, env, spec, dt, closure)
     start = _record(mom0)
-    for first in range(0, len(seeds), _BLOCK_ROWS):
-        block = seeds[first:first + _BLOCK_ROWS]
+    rows = _moment_block_rows(n_steps)
+    for first in range(0, len(seeds), rows):
+        block = seeds[first:first + rows]
         dBs = _block_increments(block, n_steps, dt)
         if len(block) == 1:  # floats: a one-row array step costs about 20x more
             state, dBs = start, dBs[:, 0].tolist()

@@ -11,6 +11,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,12 +197,9 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
-@pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
-def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coupling, flag):
-    # one step-map call per step for all 8 trajectories, not one per trajectory and
-    # step, and every CSV equals the library run of its seed alone, byte for byte
-    shapes, captured = [], []
-    moment_map, ensemble = qsd._moment_map, cli.run_moment_ensemble
+def _moment_step_shapes(monkeypatch) -> list:
+    """The shape of <x> at every moment-map call from here on, in call order."""
+    shapes, moment_map = [], qsd._moment_map
 
     def map_spy(*args):
         step = moment_map(*args)
@@ -211,11 +209,21 @@ def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coup
             return step(t, mx, *rest)
         return counted
 
+    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    return shapes
+
+
+@pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
+def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coupling, flag):
+    # one step-map call per step for all 8 trajectories, not one per trajectory and
+    # step, and every CSV equals the library run of its seed alone, byte for byte
+    captured, ensemble = [], cli.run_moment_ensemble
+
     def ensemble_spy(*args):
         captured.append(args)
         return ensemble(*args)
 
-    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    shapes = _moment_step_shapes(monkeypatch)
     monkeypatch.setattr(cli, "run_moment_ensemble", ensemble_spy)
     outdir = tmp_path / "cli"
     assert main(["qsd", "--coupling", coupling, flag, "1", "--level", "moments",
@@ -227,6 +235,15 @@ def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coup
         series = run_moment_trajectory(mom0, env, spec, params, dt, n_steps, seed,
                                        record_every)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
+
+
+def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypatch):
+    # at the default 1000 steps one block holds every seed: one step-map call per step
+    shapes = _moment_step_shapes(monkeypatch)
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "moments",
+                 "--n_traj", "128", "--seed", "3", "--outdir", str(tmp_path)]) == 0
+    assert shapes == [(128,)] * 1000
+    assert len(list(tmp_path.glob("trajectory_*.csv"))) == 128
 
 
 @pytest.mark.parametrize("args, message", [
@@ -393,6 +410,15 @@ def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
 def test_import_leaves_scipy_special_unloaded():
     run = _python("-c", "import sys, qreflect, qreflect.cli; "
                         "print('scipy.special' in sys.modules)")
+    assert run.returncode == 0 and run.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    run = _python("-m", "qreflect", "timescales", "--outdir", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "timescales.csv").read_text().startswith("name,value,")
+    run = _python("-c", "import sys, qreflect, qreflect.cli; "
+                        "print('qreflect.__main__' in sys.modules)")
     assert run.returncode == 0 and run.stdout.strip() == "False"
 
 
@@ -596,3 +622,71 @@ def test_qsd_wavefunction_records_moments_in_bulk(tmp_path, monkeypatch):
     n_records = len((tmp_path / "trajectory_7.csv").read_text().splitlines()) - 1
     assert n_records > 100 and not per_row
     assert shapes == [(8, shapes[0][1])] * n_records and shapes[0][1] >= 256
+
+
+def test_no_csv_holds_a_numpy_scalar_repr(tmp_path):
+    # on numpy 2, repr(np.float64(x)) is "np.float64(x)": every cell must be a Python float
+    runs = [["timescales"], ["unitary", "--sigma", "4", "--V0", "1.0", "--a", "1"],
+            ["model1", "--coupling", "x", "--D_sweep", "0.001,0.01", "--sigma", "10"],
+            ["model1", "--coupling", "p", "--Dp_sweep", "0.1,1"],
+            ["model2", "--M", "10", "--sigma", "100", "--steady-target", "true",
+             "--D_sweep", "0.01,1"],
+            ["qsd", "--D", "1", "--level", "moments", "--n_traj", "4", "--t_final", "0.5"],
+            ["qsd", "--D", "1", "--level", "wavefunction", "--n_traj", "2", "--t_final", "0.2"],
+            ["figures", "--figure", "2"], ["figures", "--figure", "3"]]
+    for k, args in enumerate(runs):
+        assert main(args + ["--outdir", str(tmp_path / str(k))]) == 0, args
+    texts = {p: p.read_text() for p in tmp_path.glob("*/*.csv")}
+    assert {p.parent.name for p in texts} == {str(k) for k in range(len(runs))}
+    assert not [p for p, text in texts.items() if "np." in text or "float64" in text]
+
+
+def _oracle_csv(header, rows) -> str:
+    # the writer before columns were formatted once: csv.writer and repr per cell
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return out.getvalue()
+
+
+# values where repr changes form (1e16, 1e-4), subnormals, signed zeros, inf and nan
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+          2.2250738585072014e-308, 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16),
+          9999999999999998.0, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+          9.999999999999999e-05, 1e-5, 0.1, -1.5, 1.7976931348623157e308]
+_cells = st.one_of(st.sampled_from([float(v) for v in _EDGES]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+_nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.tuples(st.integers(0, 6), st.integers(1, 4)), data=st.data(),
+       label=st.text(alphabet='ab ,="/', max_size=12), value=_cells,
+       block_rows=st.sampled_from([1, 2, 1024]))
+def test_csv_writer_matches_the_per_cell_oracle(tmp_path_factory, shape, data, label, value,
+                                                block_rows):
+    base = np.array(data.draw(st.lists(_cells, min_size=shape[0] * shape[1],
+                                       max_size=shape[0] * shape[1])),
+                    dtype=float).reshape(shape)
+    # equal in value but not in bits: the other signed zero, other nan payloads
+    flipped = np.where(base == 0.0, -base, base)
+    flipped[np.isnan(base)] = _nan_payload[0]
+    renan = base.copy()
+    renan[np.isnan(base)] = _nan_payload[1]
+    header = [f"c{k}" for k in range(shape[1])]
+    tables = [("base", base), ("flipped", flipped), ("base_again", base.copy()),
+              ("renan", renan), ("column", np.ascontiguousarray(base[:, :1]))]
+    strings = [(label, value, f'formula "{label}", with commas', "m=1.0 hbar=1.0"),
+               ("t_E", 2.0, "hbar / E, E = p_bar^2 / 2m", label)]
+    outdir = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):  # files of several writes
+        cli._write_csv([(outdir / f"{name}.csv", header[:t.shape[1]], t) for name, t in tables]
+                       + [(outdir / "strings.csv", ["name", "value", "formula", "inputs"],
+                           strings)])
+    for name, t in tables:
+        want = _oracle_csv(header[:t.shape[1]], t.tolist())
+        assert (outdir / f"{name}.csv").read_bytes() == want.encode(), name
+    want = _oracle_csv(["name", "value", "formula", "inputs"], strings)
+    assert (outdir / "strings.csv").read_bytes() == want.encode()

@@ -520,8 +520,9 @@ def _moment_start(coupling):
 
 @pytest.mark.parametrize("closure", ["gaussian", "steady_state"])
 @pytest.mark.parametrize("coupling", ["x", "p"])
-def test_moment_ensemble_rows_equal_single_seed_runs(coupling, closure):
+def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, closure):
     # 70 seeds: a 64-row block, then a 6-row block, each stepped as (rows,) arrays
+    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", 64 * 300)
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
     records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7, closure)
@@ -529,6 +530,41 @@ def test_moment_ensemble_rows_equal_single_seed_runs(coupling, closure):
     for seed, rows in zip(seeds, records):
         alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7, closure)
         assert np.array_equal(_bits(rows), _bits(alone))
+
+
+@pytest.mark.parametrize("coupling", ["x", "p"])
+@pytest.mark.parametrize("block_rows, blocks", [(70, [70]), (35, [35, 35]),
+                                                (24, [24, 24, 22])])
+def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch, coupling,
+                                                                    block_rows, blocks):
+    # the budget fixes the block sizes; each row still equals its seed's run alone
+    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", block_rows * 300)
+    shapes, moment_map = [], qsd._moment_map
+
+    def map_spy(*args):
+        step = moment_map(*args)
+
+        def counted(t, mx, *rest):
+            shapes.append(np.shape(mx))
+            return step(t, mx, *rest)
+        return counted
+
+    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    params, env, mom0 = _moment_start(coupling)
+    seeds = range(200, 270)
+    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
+    assert shapes == [(rows,) for rows in blocks for _ in range(300)]
+    monkeypatch.setattr(qsd, "_moment_map", moment_map)
+    for seed, rows in zip(seeds, records):
+        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
+        assert np.array_equal(_bits(rows), _bits(alone))
+
+
+@pytest.mark.parametrize("n_steps, rows", [(1, 64 * 10**6), (1000, 64000), (10**6, 64)])
+def test_moment_block_increments_stay_within_the_budget(n_steps, rows):
+    # a block holds (n_steps, rows) increments: at most 64e6 values, 512 MB of float64
+    assert qsd._moment_block_rows(n_steps) == rows
+    assert rows * n_steps <= 64 * 10**6
 
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
