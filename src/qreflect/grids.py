@@ -130,27 +130,35 @@ class WaveFunction:
         return tuple(position_moments(self.values, self.grid, self.hbar).tolist())
 
 
-# C pow(), as x**2 on a Python float, which differs from x*x in ~1e-3 of cases
-_pow = np.vectorize(math.pow, otypes=[float])
+def abs_squared(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2: no hypot, and exact squares."""
+    out = np.square(values.real)
+    out += np.square(values.imag)
+    return out
 
 
 def position_moments(values: np.ndarray, grid: SpatialGrid, hbar: float = 1.0) -> np.ndarray:
     """(mean_x, mean_p, var_x, var_p, cov_xp) of position amplitudes along the
-    last axis, shape values.shape[:-1] + (5,), by grid quadrature: p through
-    the spectral derivative, Cov from the symmetrized product.  Every sum runs
-    along one C-ordered row, so a row of a batch gets the bits it gets alone."""
+    last axis, shape values.shape[:-1] + (5,), by grid quadrature: p psi =
+    hbar k psi through the spectral derivative, Cov from the symmetrized
+    product.  Every sum runs along one C-ordered row (never BLAS), so a row of a
+    batch gets the bits it gets alone."""
     x, dx = grid.x, grid.dx
-    rho = np.abs(values) ** 2
+    rho = abs_squared(values)
     norm = np.sum(rho, axis=-1) * dx
     mean_x = np.sum(x * rho, axis=-1) * dx / norm
     dev = x - mean_x[..., None]
     var_x = np.sum(dev**2 * rho, axis=-1) * dx / norm
-    # p applied spectrally: p psi = -i hbar d/dx psi
-    p_psi = -1j * hbar * np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(values))
-    mean_p = np.real(np.sum(np.conj(values) * p_psi, axis=-1)) * dx / norm
-    var_p = np.sum(np.abs(p_psi) ** 2, axis=-1) * dx / norm - _pow(mean_p, 2.0)
-    # Re<(x-<x>)(p-<p>)> is the symmetrized covariance for pure states
-    cov_xp = np.real(np.sum(np.conj(values) * dev * p_psi, axis=-1)) * dx / norm
+    k_psi = np.fft.fft(values)
+    k_psi *= grid.wavenumbers
+    k_psi = np.fft.ifft(k_psi)
+    # Re(psi* k psi) gives <p> and, as dev is real, Cov(x, p): for a pure state
+    # Re<(x - <x>)(p - <p>)> is the symmetrized covariance
+    cross = values.real * k_psi.real
+    cross += values.imag * k_psi.imag
+    mean_p = hbar * cross.sum(axis=-1) * dx / norm
+    var_p = hbar * hbar * abs_squared(k_psi).sum(axis=-1) * dx / norm - mean_p * mean_p
+    cov_xp = hbar * (dev * cross).sum(axis=-1) * dx / norm
     return np.stack([mean_x, mean_p, var_x, var_p, cov_xp], axis=-1)
 
 

@@ -7,7 +7,10 @@ exp(-(2D/hbar^2) X^2 dt + (sqrt(2D)/hbar) X dB), X = x - <x> (momentum
 analogue for momentum coupling), followed by exact renormalization.  This
 agrees with plain Euler-Maruyama to O(dt) per step while staying stable on the
 FFT grid, where naive explicit stepping of the stiff kinetic and quadratic
-drift terms blows up at any useful dt.
+drift terms blows up at any useful dt.  The factor is real: |psi|^2 is taken
+once, the norm comes from sum |psi|^2 f^2, and 1/norm is folded into f before
+one multiply.  Every sum runs along a C-ordered row, never through BLAS, so a
+trajectory gets the same bits in a block of rows as alone.
 
 The moment-level integrator propagates the closed moment system under a
 Gaussian closure: for pure Gaussians all third central moments vanish, which
@@ -23,10 +26,13 @@ from operator import attrgetter, length_hint
 
 import numpy as np
 
-from .grids import GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction, position_moments
+from .grids import (GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction, abs_squared,
+                    position_moments)
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
+
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal range
 
 
 class NoiseStream:
@@ -110,11 +116,13 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
 
 def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: PotentialSpec | None,
                         params: PhysicalParams, dt: float, draw) -> SplitStepper:
-    """Stepper whose middle operator is the potential phase, then the noise
-    factor exp(-2c A^2 dt + sqrt(2c) A dB), dB = draw(), A = a - <a>, then
-    renormalization: a = p, c = D_p in momentum space for momentum coupling,
-    otherwise a = x, c = D/hbar^2 (zero when uncoupled) in position space.
-    Rows of (rows, N) amplitudes are trajectories; draw() then gives (rows, 1)."""
+    """Stepper whose middle operator is the potential phase, then the real noise
+    factor f = exp(A (k1 A + k2 dB)), k1 = -2c dt, k2 = sqrt(2c), dB = draw(),
+    A = a - <a>, divided by the norm it leaves: a = p, c = D_p in momentum space
+    for momentum coupling, otherwise a = x, c = D/hbar^2 (zero when uncoupled)
+    in position space.  Rows of (rows, N) amplitudes are trajectories; draw()
+    then gives (rows, 1).  A row whose norm^2 sum(|psi|^2 f^2) dx is zero,
+    subnormal or non-finite raises FloatingPointError with .row set."""
     _check_dt(params, env, dt, grid)
     hbar, dx = params.hbar, grid.dx
     in_p = env.kind == "momentum_coupling" and env.strength > 0
@@ -122,20 +130,31 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
         a, c, weight = hbar * grid.wavenumbers, env.strength, dx / grid.n_points
     else:
         a, c, weight = grid.x, env.strength / hbar**2, dx
+    k1, k2 = -2.0 * c * dt, math.sqrt(2.0 * c)
     pot_phase = (np.exp(-1j * potential_position(spec, grid.x, hbar) * dt / hbar)
                  if spec is not None else None)
 
     def noise_factor(amps):
         dB = draw()
-        w = np.abs(amps) ** 2
+        w = abs_squared(amps)
+        # row sums, not w @ a: BLAS gives a row other bits inside a block than alone
         A = a - (a * w).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
-        amps *= np.exp(-2.0 * c * A**2 * dt + math.sqrt(2.0 * c) * A * dB)
-        norm = np.sqrt((np.abs(amps) ** 2).sum(axis=-1, keepdims=True) * weight)
-        if not np.isfinite(norm).all():
-            exc = FloatingPointError("non-finite amplitudes produced by the step")
-            exc.row = int(np.argmin(np.isfinite(norm)))  # first failing row of a batch
+        f = k1 * A
+        f += k2 * dB
+        f *= A
+        np.exp(f, out=f)
+        w *= f
+        w *= f
+        norm2 = w.sum(axis=-1, keepdims=True) * weight
+        ok = (norm2 >= _TINY) & (norm2 <= _HUGE)  # False on 0, subnormals, inf and nan
+        if not ok.all():
+            row = int(np.argmin(ok))  # first failing row of a batch
+            exc = FloatingPointError(f"norm^2 {float(norm2.flat[row]):.3g} after the noise "
+                                     "factor is zero, subnormal or non-finite")
+            exc.row = row
             raise exc
-        amps /= norm
+        f /= np.sqrt(norm2)
+        amps *= f
 
     def x_middle(vals):
         if pot_phase is not None:
@@ -348,11 +367,27 @@ def ensemble_density(trajectories: list[WaveFunction]) -> EnsembleDensity:
 
 _BLOCK_ROWS = 64  # wavefunction rows stepped together; fixed, so memory does not grow with n_traj
 _INCREMENT_BUDGET = 64 * 10**6  # float64 increments a moment block holds: 512 MB
+# fewest seeds a moment block steps as (rows,) arrays: an array step took 52-55 us for
+# 4 to 24 rows, a float step 2.0-2.7 us per seed, so they break even near 22 seeds
+# (2000 steps, 2 vCPU Xeon); fewer seeds step seed by seed on floats
+_ARRAY_MIN_ROWS = 20
 
 
 def _moment_block_rows(n_steps: int) -> int:
     """Seeds a moment block steps together: as many as the increment budget holds."""
     return max(1, _INCREMENT_BUDGET // max(1, n_steps))
+
+
+def _moment_blocks(n_seeds: int, n_steps: int):
+    """(first seed, seeds) of each moment block: blocks of _moment_block_rows seeds,
+    and one-seed blocks, stepped on floats, in place of a block under _ARRAY_MIN_ROWS."""
+    rows = _moment_block_rows(n_steps)
+    for first in range(0, n_seeds, rows):
+        size = min(rows, n_seeds - first)
+        if size < _ARRAY_MIN_ROWS:
+            yield from ((seed, 1) for seed in range(first, first + size))
+        else:
+            yield first, size
 
 
 def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]:
@@ -383,9 +418,13 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
                               ) -> tuple[np.ndarray, list[WaveFunction]]:
     """(records, final states) of one trajectory per seed: the rows of one array,
     stepped in blocks of 64 with the steps between records fused and the moments
-    of a block taken in one call per record.  Each row equals its seed's run alone,
-    bit for bit.  Raises GridTooNarrowError when a record holds more than 1e-5 of
-    a row's probability in the outer 1/16 of the grid on either side."""
+    of a block taken in one call per record.  The noise factor is real and applied
+    once per step, with the norm from sum |psi|^2 f^2, and every sum runs along a
+    C-ordered row, not through BLAS: each row equals its seed's run alone, bit for
+    bit, and within 2.2e-13 of a column's peak of the direct complex-factor form.
+    Raises GridTooNarrowError when a record holds more than 1e-5 of a row's
+    probability in the outer 1/16 of the grid on either side, and FloatingPointError
+    naming the seed and step when a row's norm^2 is zero, subnormal or non-finite."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()
     grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
@@ -407,7 +446,7 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
                     raise FloatingPointError(f"{exc} for seed {block[exc.row]} at step "
                                              f"{n_steps - length_hint(dBs)}") from exc
                 step += chunk
-            rho = np.abs(vals) ** 2
+            rho = abs_squared(vals)
             mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
             if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
                 row = int(np.argmax(mass))
@@ -437,16 +476,17 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
     seeds steps together, each moment a (rows,) array, through the moment map that
     steps a one-seed block on Python floats.  A block takes 64e6 // n_steps seeds, so
     that its (n_steps, rows) increments hold at most 64e6 values: 64,000 seeds at the
-    CLI's default of 1000 steps, 64 at its cap of 10^6 steps.  Without a barrier
-    each row equals its seed's run alone bit for bit; a step barrier's np.exp can
-    differ from math.exp in the last bit.  A ClosureError names the first failing
-    seed and its step."""
+    CLI's default of 1000 steps, 64 at its cap of 10^6 steps.  A block of fewer than
+    _ARRAY_MIN_ROWS seeds steps seed by seed on floats instead.  Without a barrier
+    each row equals its seed's run alone bit for bit; in an array block a step
+    barrier's np.exp can differ from math.exp in the last bit.  A ClosureError names
+    the failing seed and its step: the first failing row at the earliest failing step
+    of an array block, the first seed to fail of the seeds stepped on floats."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     step_map = _moment_map(params, env, spec, dt, closure)
     start = _record(mom0)
-    rows = _moment_block_rows(n_steps)
-    for first in range(0, len(seeds), rows):
-        block = seeds[first:first + rows]
+    for first, size in _moment_blocks(len(seeds), n_steps):
+        block = seeds[first:first + size]
         dBs = _block_increments(block, n_steps, dt)
         if len(block) == 1:  # floats: a one-row array step costs about 20x more
             state, dBs = start, dBs[:, 0].tolist()

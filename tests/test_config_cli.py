@@ -215,8 +215,9 @@ def _moment_step_shapes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
 def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coupling, flag):
-    # one step-map call per step for all 8 trajectories, not one per trajectory and
+    # one step-map call per step for all 24 trajectories, not one per trajectory and
     # step, and every CSV equals the library run of its seed alone, byte for byte
+    # (fewer than qsd._ARRAY_MIN_ROWS seeds step seed by seed on floats)
     captured, ensemble = [], cli.run_moment_ensemble
 
     def ensemble_spy(*args):
@@ -227,10 +228,10 @@ def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coup
     monkeypatch.setattr(cli, "run_moment_ensemble", ensemble_spy)
     outdir = tmp_path / "cli"
     assert main(["qsd", "--coupling", coupling, flag, "1", "--level", "moments",
-                 "--n_traj", "8", "--seed", "7", "--outdir", str(outdir)]) == 0
+                 "--n_traj", "24", "--seed", "7", "--outdir", str(outdir)]) == 0
     mom0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
-    assert seeds == list(range(7, 15)) and n_steps == 1000
-    assert shapes == [(8,)] * n_steps
+    assert seeds == list(range(7, 31)) and n_steps == 1000
+    assert shapes == [(24,)] * n_steps
     for seed in seeds:
         series = run_moment_trajectory(mom0, env, spec, params, dt, n_steps, seed,
                                        record_every)

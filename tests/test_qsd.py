@@ -15,8 +15,8 @@ import qreflect
 from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream, PhysicalParams,
                       PotentialSpec, SpatialGrid, TrajectoryMoments, WaveFunction,
                       ensemble_density, fluctuation_report, gaussian_packet,
-                      gaussian_state_from_moments, moment_step, qsd_steady_packet,
-                      quantum_current, run_ensemble, run_moment_ensemble,
+                      gaussian_state_from_moments, moment_step, position_moments,
+                      qsd_steady_packet, quantum_current, run_ensemble, run_moment_ensemble,
                       run_moment_trajectory, run_wavefunction_ensemble,
                       run_wavefunction_trajectory, steady_moments, step_trajectory,
                       wavefunction_moments)
@@ -459,6 +459,11 @@ def _coupled(coupling):
     ("p", None, 90, 10, 64),                              # noise in p, no x_middle
     ("x", None, 95, 7, 64),                               # record_every does not divide n_steps
     ("x", None, 30, 4, 3),                                # more seeds than one block holds
+    # blocks of 2 and 5 rows: a BLAS product (w @ a) gives a row of such a block
+    # other bits than the row alone, a row sum does not
+    ("x", None, 30, 4, 2),
+    ("x", PotentialSpec.gaussian(0.5, 0.5), 30, 4, 5),
+    ("p", None, 30, 4, 5),
 ])
 def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_steps,
                                               record_every, block_rows):
@@ -521,7 +526,7 @@ def _moment_start(coupling):
 @pytest.mark.parametrize("closure", ["gaussian", "steady_state"])
 @pytest.mark.parametrize("coupling", ["x", "p"])
 def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, closure):
-    # 70 seeds: a 64-row block, then a 6-row block, each stepped as (rows,) arrays
+    # 70 seeds: a 64-row block stepped as (rows,) arrays, then 6 seeds stepped on floats
     monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", 64 * 300)
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
@@ -534,10 +539,13 @@ def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, clos
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
 @pytest.mark.parametrize("block_rows, blocks", [(70, [70]), (35, [35, 35]),
-                                                (24, [24, 24, 22])])
+                                                (24, [24, 24, 22]),
+                                                (20, [20, 20, 20, 10]),
+                                                (19, [19, 19, 19, 13])])
 def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch, coupling,
                                                                     block_rows, blocks):
-    # the budget fixes the block sizes; each row still equals its seed's run alone
+    # the budget fixes the block sizes, and a block under qsd._ARRAY_MIN_ROWS (20)
+    # steps seed by seed on floats; each row still equals its seed's run alone
     monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", block_rows * 300)
     shapes, moment_map = [], qsd._moment_map
 
@@ -553,7 +561,8 @@ def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch,
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
     records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
-    assert shapes == [(rows,) for rows in blocks for _ in range(300)]
+    steps = [[()] * rows if rows < qsd._ARRAY_MIN_ROWS else [(rows,)] for rows in blocks]
+    assert shapes == [shape for block in steps for shape in block for _ in range(300)]
     monkeypatch.setattr(qsd, "_moment_map", moment_map)
     for seed, rows in zip(seeds, records):
         alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
@@ -581,6 +590,17 @@ def test_moment_ensemble_rows_follow_single_seed_runs_past_a_step_barrier(coupli
         np.testing.assert_allclose(rows, [astuple(m) for m in alone], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("coupling", ["x", "p"])
+def test_small_moment_blocks_equal_single_seed_runs_past_a_step_barrier(coupling):
+    # on floats a row takes math.exp as its run alone does: the same bits
+    params, env, mom0 = _moment_start(coupling)
+    spec, seeds = PotentialSpec.step(0.5), range(300, 306)
+    records = run_moment_ensemble(mom0, env, spec, params, 0.005, 1000, seeds, 10)
+    for seed, rows in zip(seeds, records):
+        alone = run_moment_trajectory(mom0, env, spec, params, 0.005, 1000, seed, 10)
+        assert np.array_equal(_bits(rows), _bits(alone))
+
+
 def test_moment_block_breakdown_carries_the_failing_row():
     # every row of the block breaks at step 1; the error names the first seed
     params = PhysicalParams(D_p=1.0)
@@ -602,3 +622,107 @@ def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
     with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 0\.\d+$"):
         run_wavefunction_trajectory(psi0, env, None, params, 0.002, 1000, 5,
                                     record_every=50)
+
+
+# -- element-wise kernels of the wavefunction step against their direct forms ------
+
+
+def _noise_factor_oracle(amps, a, c, dt, weight, dB):
+    # direct form: |psi|^2 through np.abs twice, a complex factor, a complex division
+    w = np.abs(amps) ** 2
+    A = a - (a * w).sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)
+    out = amps * np.exp(-2.0 * c * A**2 * dt + math.sqrt(2.0 * c) * A * dB)
+    return out / np.sqrt((np.abs(out) ** 2).sum(axis=-1, keepdims=True) * weight)
+
+
+def _position_moments_oracle(values, grid, hbar):
+    # direct form: p psi = -i hbar d/dx psi as a complex array, two complex cross terms
+    x, dx = grid.x, grid.dx
+    rho = np.abs(values) ** 2
+    norm = np.sum(rho, axis=-1) * dx
+    mean_x = np.sum(x * rho, axis=-1) * dx / norm
+    dev = x - mean_x[..., None]
+    var_x = np.sum(dev**2 * rho, axis=-1) * dx / norm
+    p_psi = -1j * hbar * np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(values))
+    mean_p = np.real(np.sum(np.conj(values) * p_psi, axis=-1)) * dx / norm
+    var_p = np.sum(np.abs(p_psi) ** 2, axis=-1) * dx / norm - mean_p**2
+    cov_xp = np.real(np.sum(np.conj(values) * dev * p_psi, axis=-1)) * dx / norm
+    return np.stack([mean_x, mean_p, var_x, var_p, cov_xp], axis=-1)
+
+
+@st.composite
+def _packet_rows(draw):
+    # (grid, (rows, N) amplitudes): a Gaussian packet per row, unnormalized
+    width = draw(st.floats(12.0, 24.0))
+    grid = SpatialGrid(-width, width, draw(st.sampled_from([128, 256])))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        center = draw(st.floats(-width / 4, width / 4))
+        sigma = draw(st.floats(0.5, width / 8))
+        p, scale = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 10.0))
+        rows.append(scale * np.exp(-((grid.x - center) ** 2) / (4 * sigma**2)
+                                   + 1j * p * grid.x))
+    return grid, np.array(rows)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(packets=_packet_rows(), coupling=st.sampled_from(["x", "p"]),
+       strength=st.floats(0.1, 4.0), dt=st.floats(1e-4, 2e-3), data=st.data())
+def test_noise_factor_matches_its_direct_form_row_by_row(packets, coupling, strength, dt,
+                                                         data):
+    grid, values = packets
+    dB = np.array([[data.draw(st.floats(-10.0, 10.0)) * math.sqrt(dt)] for _ in values])
+    if coupling == "x":
+        params, env = PhysicalParams(D=strength), EnvironmentSpec.position(strength)
+        a, weight = grid.x, grid.dx
+    else:  # the factor acts on the FFT-ordered momentum amplitudes
+        params, env = PhysicalParams(D_p=strength), EnvironmentSpec.momentum(strength)
+        a, weight, values = grid.wavenumbers, grid.dx / grid.n_points, np.fft.fft(values)
+
+    def factor(amps, draw):
+        stepper = qsd._trajectory_stepper(grid, env, None, params, dt, draw)
+        out = amps.copy()
+        (stepper.x_middle if coupling == "x" else stepper.p_middle)(out)
+        return out
+
+    block = factor(values, lambda: dB)
+    oracle = _noise_factor_oracle(values, a, strength, dt, weight, dB)
+    assert np.max(np.abs(block - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    for row, dB_row, out in zip(values, dB[:, 0].tolist(), block):
+        assert _bitwise_equal(factor(row, lambda: dB_row), out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(packets=_packet_rows(), hbar=st.sampled_from([1.0, 0.5, 3.0]))
+def test_position_moments_match_their_direct_form_row_by_row(packets, hbar):
+    grid, values = packets
+    moments = position_moments(values, grid, hbar)
+    oracle = _position_moments_oracle(values, grid, hbar)
+    assert np.max(np.abs(moments - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    for row, out in zip(values, moments):
+        assert _bitwise_equal(position_moments(row, grid, hbar), out)
+
+
+def test_noise_factor_names_the_row_whose_norm_underflows():
+    # row 1 holds two narrow packets at x = -+8, where exp(-2c dt A^2) = e^-6400:
+    # every |psi|^2 f^2 underflows to 0, so the norm would divide 0 by 0
+    params, env, dt = PhysicalParams(D=1e6), EnvironmentSpec.position(1e6), 5e-5
+    grid = SpatialGrid(-16, 16, 256)
+    x = grid.x
+    split = np.exp(-((x - 8) ** 2) / 0.04) + np.exp(-((x + 8) ** 2) / 0.04)
+    values = np.array([np.exp(-(x**2) / 4), split], dtype=complex)
+    for rows in (1, 2):
+        stepper = qsd._trajectory_stepper(grid, env, None, params, dt,
+                                          lambda: np.zeros((rows, 1)))
+        block = values[:rows].copy()
+        if rows == 1:  # the packet alone passes
+            stepper.x_middle(block)
+            assert np.isfinite(block).all()
+            continue
+        with pytest.raises(FloatingPointError, match="zero, subnormal or non-finite") as info:
+            stepper.x_middle(block)
+        assert info.value.row == 1
