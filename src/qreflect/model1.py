@@ -157,10 +157,11 @@ def reflected_density_x(
     if D == 0.0 and math.isinf(tau):
         dens = born_delta_coefficient(p_arr, params)
     elif D == 0.0:
-        # closed form: Fejer kernel (1 - cos(omega tau)) / (omega^2 tau)
+        # closed form: Fejer kernel (1 - cos(omega tau)) / (omega^2 tau), written as
+        # 2 sin^2(omega tau / 2) / (omega^2 tau), which keeps its digits at small omega tau
         safe = np.where(omega == 0.0, 1.0, omega)
         fejer = np.where(omega == 0.0, tau / 2.0,
-                         (1.0 - np.cos(safe * tau)) / (safe**2 * tau))
+                         2.0 * np.sin(0.5 * safe * tau) ** 2 / (safe**2 * tau))
         dens = _x_prefactor(params, delta) * fejer
     else:
         cutoff = decay_cutoff((beta, 3))
@@ -168,9 +169,9 @@ def reflected_density_x(
         if not np.all(np.isfinite(upper)):
             raise QuadratureError("integral does not converge: D = 0 with infinite tau")
         if math.isinf(tau):
-            env = lambda s, i: np.exp(-beta[i] * s**3)
+            env = lambda s, i: np.exp(-beta[i] * (s * s * s))
         else:
-            env = lambda s, i: (1.0 - s / tau) * np.exp(-beta[i] * s**3)
+            env = lambda s, i: (1.0 - s / tau) * np.exp(-beta[i] * (s * s * s))
         dens = _x_prefactor(params, delta) * integrate_oscillatory_batch(env, omega, upper, upper)
     return float(dens[0]) if np.ndim(p) == 0 else dens
 

@@ -242,22 +242,47 @@ def _env_densities(cfg: Model2Config, p, D: float | None, tau: float | None,
         return [marginal_reflected_noenv(replace(cfg, params=q), p_arr) for q in each]
     if D < 0:
         raise ValueError("D must be nonnegative")
+    if tau <= 0:  # the prefactor below divides by tau
+        raise ValueError("tau must be positive")
     delta = p_arr - pb
     omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
     gamma = delta**2 / (4.0 * Sg**2 * M**2)
     kappa = D * delta**2 / (M**2 * hbar**2)  # x = kappa s^2 (tau - s)
+    upper = np.minimum(tau, decay_cutoff((beta, 3), (gamma, 2)))
+    integral = integrate_oscillatory_batch(_traced_envelope(tau, beta, gamma, kappa),
+                                           omega, upper, upper)
+    return [2.0 * m / (hbar**2 * pb * tau) * _v_squared(q, delta) * integral for q in each]
+
+
+def _traced_envelope(tau: float, beta, gamma, kappa):
+    """The traced-out kernel's envelope times tau, for integrate_oscillatory_batch:
+
+        (tau - s) (1 - e^-x)/x e^(-(beta s + gamma) s^2),  x = kappa s^2 (tau - s),
+
+    built in place.  x is floored at 1e-300, where (1 - e^-x)/x is exactly 1,
+    its x -> 0 limit.
+    """
+    neg_beta, neg_gamma, neg_kappa = -beta, -gamma, -kappa
 
     def envelope(s, i):
-        s2, rest = s * s, tau - s
-        x = kappa[i] * s2 * rest
-        big = x > 1e-8
-        h = np.where(big, -np.expm1(-x) / np.where(big, x, 1.0), 1.0 - 0.5 * x)
-        return rest / tau * h * np.exp(-(beta[i] * s + gamma[i]) * s2)
+        s2 = s * s
+        rest = tau - s
+        y = neg_kappa[i]  # y = -x
+        y *= s2
+        y *= rest
+        np.minimum(y, -1e-300, out=y)
+        h = np.expm1(y)
+        h /= y
+        e = neg_beta[i]
+        e *= s
+        e += neg_gamma[i]
+        e *= s2
+        rest *= h
+        rest *= np.exp(e, out=e)
+        return rest
 
-    upper = np.minimum(tau, decay_cutoff((beta, 3), (gamma, 2)))
-    integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
-    return [2.0 * m / (hbar**2 * pb) * _v_squared(q, delta) * integral for q in each]
+    return envelope
 
 
 def exp_quadratic_integral(A, B, C, U) -> np.ndarray:

@@ -10,6 +10,12 @@ two scales can differ by orders of magnitude.  One call integrates a whole grid
 of such integrals, one per momentum point, on 24-node Gauss-Legendre panels
 laid end to end.
 
+A point's first-pass panels are uniform, so the phase at node j of panel k
+splits as e^(-i omega mid_k) e^(-i omega h x_j): the first pass takes two trig
+calls per panel plus a per-point table of w_j h e^(-i omega h x_j), in place of
+one cosine per node.  Refined panels are few per point, so they take cos (and
+sin) directly at their nodes.
+
 Two limits set the first-pass panel width.  The phase cap keeps omega * h at
 or below 10 pi, where one panel integrates cos times any degree <= 10
 polynomial to within a few 1e-15 of sum w |f| (a test pins this), so the
@@ -92,8 +98,10 @@ def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.
     integrate Re[f e^(-i omega s)]).  ``scale[i]`` is the s-scale on which
     point i's envelope varies (decay scale or domain length); it sizes the
     first pass, and the run-time estimate of the module docstring refines every
-    panel it does not resolve.  A point with upper <= 0 integrates to 0; a
-    non-finite upper raises QuadratureError.
+    panel it does not resolve.  First-pass panels take their phase from two
+    trig calls per panel and a per-point table, refined panels from one cosine
+    (and for a complex envelope one sine) per node.  A point with upper <= 0
+    integrates to 0; a non-finite upper raises QuadratureError.
     """
     omega, upper, scale = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, float) for v in (omega, upper, scale))))
@@ -126,23 +134,27 @@ def _integrate_points(envelope, idx, omega, upper, n, spare: int):
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     a = upper[point] * k / n[point]
     b = upper[point] * (k + 1) / n[point]
+    h = 0.5 * upper / n  # a point's first-pass panels share one half-width
+    half = h[point]
     total = np.zeros(idx.size)
     peak = None
     for _ in range(_MAX_ROUNDS + 1):
-        half = 0.5 * (b - a)
-        s = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES
+        mid = 0.5 * (a + b)
+        s = mid[:, None] + half[:, None] * _GL_NODES
         with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
             f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
         if not np.all(np.isfinite(f)):
             raise QuadratureError("oscillatory integral: the envelope is not finite")
         if peak is None:  # first pass: each point's panels are contiguous
             peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
+            value = _first_pass_sums(f, omega, h, mid, point)
+        else:  # refined panels are few: direct cosines cost no more than a table
+            phase = omega[point, None] * s
+            g = (f.real * np.cos(phase) + f.imag * np.sin(phase) if np.iscomplexobj(f)
+                 else f * np.cos(phase))
+            value = half * (g @ _GL_WEIGHTS)
         bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
-        phase = omega[point, None] * s
-        f = (f.real * np.cos(phase) + f.imag * np.sin(phase) if np.iscomplexobj(f)
-             else f * np.cos(phase))
-        total += np.bincount(point, weights=np.where(bad, 0.0, half * (f @ _GL_WEIGHTS)),
-                             minlength=idx.size)
+        total += np.bincount(point, weights=np.where(bad, 0.0, value), minlength=idx.size)
         if not bad.any():
             return total, spare
         split = 2 * int(np.count_nonzero(bad))
@@ -151,13 +163,33 @@ def _integrate_points(envelope, idx, omega, upper, n, spare: int):
             raise QuadratureError(
                 f"oscillatory integral: refinement needs more than {_MAX_PANELS} panels "
                 f"in all or {_MAX_ROUND_PANELS} in one round, near s = {a[bad][0]:.6g}")
-        lo, hi, point = a[bad], b[bad], np.repeat(point[bad], 2)
-        mid = 0.5 * (lo + hi)
+        lo, mid, hi, point = a[bad], mid[bad], b[bad], np.repeat(point[bad], 2)
         a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        half = 0.5 * (b - a)
     raise QuadratureError(
         f"oscillatory integral: {point.size // 2} panel(s) still unresolved after "
         f"{_MAX_ROUNDS} bisections, near s = {a[0]:.6g}"
     )
+
+
+def _first_pass_sums(f, omega, h, mid, point):
+    """Re sum_j w_j h f_j e^(-i omega s_j) for each first-pass panel, s_j = mid + h x_j.
+
+    e^(-i omega s_j) = e^(-i omega mid) e^(-i omega h x_j): one cosine and one sine
+    per panel, and per point a table T_j = w_j h e^(-i omega h x_j), whose
+    cosines and sines the symmetric nodes x_(23-j) = -x_j halve.
+    """
+    wx = (omega * h)[:, None] * _GL_NODES[:_GL_ORDER // 2]
+    wh = h[:, None] * _GL_WEIGHTS[:_GL_ORDER // 2]
+    c, sn = wh * np.cos(wx), wh * np.sin(wx)
+    cos_t = np.concatenate([c, c[:, ::-1]], axis=1)
+    sin_t = np.concatenate([sn, -sn[:, ::-1]], axis=1)
+    phase = omega[point] * mid
+    cm, sm = np.cos(phase), np.sin(phase)
+    if np.iscomplexobj(f):  # Re[(sum_j f_j T_j) e^(-i omega mid)]
+        return (np.einsum("pj,pj->p", f, (cos_t - 1j * sin_t)[point]) * (cm - 1j * sm)).real
+    dots = np.einsum("pj,pkj->pk", f, np.stack([cos_t, sin_t], axis=1)[point])
+    return cm * dots[:, 0] - sm * dots[:, 1]
 
 
 def integrate_oscillatory(envelope: Callable[[np.ndarray], np.ndarray], omega: float,

@@ -111,6 +111,25 @@ def test_zero_coupling_limit_equals_born_coefficient():
         assert born_delta_coefficient(p, params) == pytest.approx(got, rel=1e-14)
 
 
+@pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3, 20.0])
+def test_fejer_kernel_keeps_its_digits_at_small_omega_tau(tau):
+    # D = 0, finite tau: (1 - cos(omega tau)) / (omega^2 tau), here in 50 digits,
+    # whose float form cancels to 0 as omega tau -> 0
+    import mpmath
+
+    from qreflect import model1
+
+    mpmath.mp.dps = 50
+    params = make_params(sigma=10.0)
+    p = np.array([-3.0, -1.01, -1.0, -0.99, -0.5, -0.01])
+    omega = (p**2 - params.p_bar**2) / (2.0 * params.m * params.hbar)
+    fejer = [mpmath.mpf(tau) / 2 if w == 0.0 else
+             (1 - mpmath.cos(mpmath.mpf(w) * tau)) / (mpmath.mpf(w) ** 2 * tau) for w in omega]
+    want = model1._x_prefactor(params, p - params.p_bar) * np.array(fejer, dtype=float)
+    got = reflected_density_x(p, params, D=0.0, tau=tau)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
 def test_small_coupling_negligible_effect_at_reflection_peak():
     # fluctuation ratio 0.067 << 1: the environment changes the peak density
     # by less than 1%

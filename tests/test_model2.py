@@ -396,6 +396,53 @@ def test_density_clamp_rejects_non_finite(bad):
         clamp_density(np.array([1.0, bad, 0.2]))
 
 
+def _traced_envelope_oracle(s, tau, beta, gamma, kappa):
+    # two-branch form: (1 - e^-x)/x through expm1 above x = 1e-8, 1 - x/2 below
+    s2, rest = s * s, tau - s
+    x = kappa * s2 * rest
+    big = x > 1e-8
+    h = np.where(big, -np.expm1(-x) / np.where(big, x, 1.0), 1.0 - 0.5 * x)
+    return rest / tau * h * np.exp(-(beta * s + gamma) * s2)
+
+
+# x = kappa s^2 (tau - s) at a node: the branch point 1e-8 and both sides of it,
+# a subnormal x, and an x that overflows to inf
+_X_VALUES = (1e-8 * (1.0 - 1e-12), 1e-8, 1e-8 * (1.0 + 1e-12), 1e-30, 0.3, 700.0,
+             5e-324, 1e-310, math.inf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tau=st.floats(1e-2, 1e3), beta=st.floats(0.0, 10.0), gamma=st.floats(0.0, 10.0),
+       inner=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8),
+       x=st.lists(st.sampled_from(_X_VALUES), min_size=1, max_size=8))
+def test_traced_envelope_matches_its_two_branch_form(tau, beta, gamma, inner, x):
+    # one point per node, so that every node gets the kappa that puts its x where asked;
+    # s = 0 and s = tau, where x = 0, close the list
+    s = np.array([tau * t for t in inner] + [0.0, tau])
+    x = np.resize(np.array(x), s.size)
+    with np.errstate(divide="ignore"):
+        kappa = x / (s * s * (tau - s))
+    kappa[-2:] = 1.0
+    beta, gamma = np.full(s.size, beta / tau**3), np.full(s.size, gamma / tau**2)
+    i = np.arange(s.size)
+    with np.errstate(all="ignore"):
+        got = model2._traced_envelope(tau, beta, gamma, kappa)(s, i) / tau
+        want = _traced_envelope_oracle(s, tau, beta, gamma, kappa)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want + np.finfo(float).tiny)
+
+
+def test_traced_density_rejects_a_non_finite_envelope_and_a_zero_tau():
+    # D = inf: kappa = inf * 0 is nan at delta = 0, so the envelope is nan there
+    from qreflect import QuadratureError
+
+    cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0)
+    with pytest.raises(QuadratureError, match="not finite"):
+        reflected_density_env(cfg, np.array([-1.0, 1.0]), D=math.inf)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        reflected_density_env(cfg, -1.0, D=1.0, tau=0.0)
+
+
 def test_env_density_nonnegative_over_sweep():
     cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.01)
     pg = np.linspace(-6.0, 0.0, 257, endpoint=False)

@@ -6,12 +6,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qreflect import model1, model2, oscquad
 from qreflect.cli import main
-from qreflect.oscquad import (QuadratureError, decay_cutoff, integrate_oscillatory,
-                              integrate_oscillatory_batch)
+from qreflect.oscquad import (_GL_NODES, _GL_ORDER, _GL_WEIGHTS, _MAX_ROUND_PANELS,
+                              _MAX_ROUNDS, _TAIL_COEFFS, _TOLERANCE, QuadratureError,
+                              decay_cutoff, integrate_oscillatory, integrate_oscillatory_batch)
 
 
 def _counting(envelope):
@@ -216,3 +219,98 @@ def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
     # one conditional call per D over the 400-point grid, then the 1024-point totals
     assert batch == [400] * 3 + [1024] * 3
     assert stray == []
+
+
+def _integrate_points_oracle(envelope, idx, omega, upper, n, spare: int):
+    # direct form: one cosine (and for a complex envelope one sine) per node in
+    # every round, the first pass included
+    point = np.repeat(np.arange(idx.size), n)
+    k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
+    a = upper[point] * k / n[point]
+    b = upper[point] * (k + 1) / n[point]
+    total = np.zeros(idx.size)
+    peak = None
+    for _ in range(_MAX_ROUNDS + 1):
+        half = 0.5 * (b - a)
+        s = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES
+        with np.errstate(all="ignore"):
+            f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureError("oscillatory integral: the envelope is not finite")
+        if peak is None:
+            peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
+        bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
+        phase = omega[point, None] * s
+        f = (f.real * np.cos(phase) + f.imag * np.sin(phase) if np.iscomplexobj(f)
+             else f * np.cos(phase))
+        total += np.bincount(point, weights=np.where(bad, 0.0, half * (f @ _GL_WEIGHTS)),
+                             minlength=idx.size)
+        if not bad.any():
+            return total, spare
+        split = 2 * int(np.count_nonzero(bad))
+        spare -= split
+        if spare < 0 or split > _MAX_ROUND_PANELS:
+            raise QuadratureError("refinement budget exceeded")
+        lo, hi, point = a[bad], b[bad], np.repeat(point[bad], 2)
+        mid = 0.5 * (lo + hi)
+        a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+    raise QuadratureError("unresolved")
+
+
+@st.composite
+def _first_pass(draw):
+    # (omega, upper, n) for 1-6 points whose phase omega * upper reaches up to 1e4 rad
+    size = draw(st.integers(1, 6))
+    omega = np.array([draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 3.0))
+                      for _ in range(size)])
+    upper = np.array([10.0 ** draw(st.floats(-1.0, 4.0)) for _ in range(size)]) / np.abs(omega)
+    scale = upper * np.array([10.0 ** draw(st.floats(-1.0, 0.0)) for _ in range(size)])
+    return omega, upper, oscquad._panel_counts(omega, upper, scale).astype(np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=_first_pass(), complex_env=st.booleans(), decay=st.floats(0.0, 5.0),
+       wave=st.floats(-50.0, 50.0))
+def test_first_pass_phase_table_matches_direct_cosines(points, complex_env, decay, wave):
+    # the per-point table e^(-i omega h x_j) times e^(-i omega mid) per panel against
+    # cos(omega s) and sin(omega s) at every node: both round the phase argument, so
+    # they may differ by 2 eps |omega s| per node on top of 1e-15 of sum w |f|
+    omega, upper, n = points
+    point = np.repeat(np.arange(omega.size), n)
+    k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
+    mid = 0.5 * (upper[point] * k / n[point] + upper[point] * (k + 1) / n[point])
+    h = 0.5 * upper / n
+    s = mid[:, None] + h[point, None] * _GL_NODES
+    t = s / upper[point, None]
+    f = (np.exp((-decay + 1j * wave) * t) if complex_env
+         else np.exp(-decay * t) * (1.0 + 0.5 * np.sin(wave * t)))
+    got = np.bincount(point, oscquad._first_pass_sums(f, omega, h, mid, point))
+    phase = omega[point, None] * s
+    direct = f.real * np.cos(phase) + f.imag * np.sin(phase)
+    want = np.bincount(point, h[point] * (direct @ _GL_WEIGHTS))
+    wf = h[point, None] * _GL_WEIGHTS * np.abs(f)
+    bound = np.bincount(point, np.sum(wf * (1e-15 + 2.0 * np.finfo(float).eps * np.abs(phase)),
+                                      axis=1))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_integrals_match_the_direct_cosine_loop(monkeypatch):
+    # the kernels' own envelopes, real and complex, through the table path and
+    # through the direct form
+    from qreflect import Model2Config, PhysicalParams, PotentialSpec
+
+    barrier = PotentialSpec.gaussian(0.01, 0.1)
+    fig4 = Model2Config(PhysicalParams(M=10.0, sigma=100.0, D=1.0, potential=barrier),
+                        steady_target=True)
+    params = PhysicalParams(sigma=10.0, potential=barrier)
+    p = np.linspace(-3.0, -0.01, 300)
+    kernels = (lambda: model2.reflected_density_env(fig4, p, D=1.0),
+               lambda: model2.reflected_density_env(fig4, p, D=0.01),
+               lambda: model2.conditional_reflected_env(fig4, p[::10], 0.3, D=1.0),
+               lambda: model1.reflected_density_x(p, params, 0.1))
+    for kernel in kernels:
+        with monkeypatch.context() as patch:
+            patch.setattr(oscquad, "_integrate_points", _integrate_points_oracle)
+            want = kernel()
+        got = kernel()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
