@@ -10,11 +10,11 @@ two scales can differ by orders of magnitude.  One call integrates a whole grid
 of such integrals, one per momentum point, on 24-node Gauss-Legendre panels
 laid end to end.
 
-A point's first-pass panels are uniform, so the phase at node j of panel k
-splits as e^(-i omega mid_k) e^(-i omega h x_j): the first pass takes two trig
-calls per panel plus a per-point table of w_j h e^(-i omega h x_j), in place of
-one cosine per node.  Refined panels are few per point, so they take cos (and
-sin) directly at their nodes.
+A point's panels share one half-width h in each round (its first-pass width,
+halved at every bisection), so the phase at node j of panel k splits as
+e^(-i omega mid_k) e^(-i omega h x_j): every round takes two trig calls per
+panel plus a per-point table of w_j h e^(-i omega h x_j), in place of one
+cosine per node.
 
 Two limits set the first-pass panel width.  The phase cap keeps omega * h at
 or below 10 pi, where one panel integrates cos times any degree <= 10
@@ -98,10 +98,10 @@ def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.
     integrate Re[f e^(-i omega s)]).  ``scale[i]`` is the s-scale on which
     point i's envelope varies (decay scale or domain length); it sizes the
     first pass, and the run-time estimate of the module docstring refines every
-    panel it does not resolve.  First-pass panels take their phase from two
-    trig calls per panel and a per-point table, refined panels from one cosine
-    (and for a complex envelope one sine) per node.  A point with upper <= 0
-    integrates to 0; a non-finite upper raises QuadratureError.
+    panel it does not resolve.  Every panel, first-pass or refined, takes its
+    phase from two trig calls per panel and a per-point table, not from one
+    cosine per node.  A point with upper <= 0 integrates to 0; a non-finite
+    upper raises QuadratureError.
     """
     omega, upper, scale = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, float) for v in (omega, upper, scale))))
@@ -134,25 +134,19 @@ def _integrate_points(envelope, idx, omega, upper, n, spare: int):
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     a = upper[point] * k / n[point]
     b = upper[point] * (k + 1) / n[point]
-    h = 0.5 * upper / n  # a point's first-pass panels share one half-width
-    half = h[point]
+    h = 0.5 * upper / n  # all of a point's panels in one round share one half-width
     total = np.zeros(idx.size)
     peak = None
     for _ in range(_MAX_ROUNDS + 1):
         mid = 0.5 * (a + b)
-        s = mid[:, None] + half[:, None] * _GL_NODES
+        s = mid[:, None] + h[point, None] * _GL_NODES
         with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
             f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
         if not np.all(np.isfinite(f)):
             raise QuadratureError("oscillatory integral: the envelope is not finite")
         if peak is None:  # first pass: each point's panels are contiguous
             peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
-            value = _first_pass_sums(f, omega, h, mid, point)
-        else:  # refined panels are few: direct cosines cost no more than a table
-            phase = omega[point, None] * s
-            g = (f.real * np.cos(phase) + f.imag * np.sin(phase) if np.iscomplexobj(f)
-                 else f * np.cos(phase))
-            value = half * (g @ _GL_WEIGHTS)
+        value = _panel_sums(f, omega, h, mid, point)
         bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
         total += np.bincount(point, weights=np.where(bad, 0.0, value), minlength=idx.size)
         if not bad.any():
@@ -165,15 +159,16 @@ def _integrate_points(envelope, idx, omega, upper, n, spare: int):
                 f"in all or {_MAX_ROUND_PANELS} in one round, near s = {a[bad][0]:.6g}")
         lo, mid, hi, point = a[bad], mid[bad], b[bad], np.repeat(point[bad], 2)
         a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-        half = 0.5 * (b - a)
+        h = 0.5 * h
     raise QuadratureError(
         f"oscillatory integral: {point.size // 2} panel(s) still unresolved after "
         f"{_MAX_ROUNDS} bisections, near s = {a[0]:.6g}"
     )
 
 
-def _first_pass_sums(f, omega, h, mid, point):
-    """Re sum_j w_j h f_j e^(-i omega s_j) for each first-pass panel, s_j = mid + h x_j.
+def _panel_sums(f, omega, h, mid, point):
+    """Re sum_j w_j h f_j e^(-i omega s_j) for each panel, s_j = mid + h x_j, where
+    h[i] is the half-width that all of point i's panels share in this round.
 
     e^(-i omega s_j) = e^(-i omega mid) e^(-i omega h x_j): one cosine and one sine
     per panel, and per point a table T_j = w_j h e^(-i omega h x_j), whose

@@ -119,13 +119,14 @@ def test_fejer_kernel_keeps_its_digits_at_small_omega_tau(tau):
 
     from qreflect import model1
 
-    mpmath.mp.dps = 50
     params = make_params(sigma=10.0)
     p = np.array([-3.0, -1.01, -1.0, -0.99, -0.5, -0.01])
     omega = (p**2 - params.p_bar**2) / (2.0 * params.m * params.hbar)
-    fejer = [mpmath.mpf(tau) / 2 if w == 0.0 else
-             (1 - mpmath.cos(mpmath.mpf(w) * tau)) / (mpmath.mpf(w) ** 2 * tau) for w in omega]
-    want = model1._x_prefactor(params, p - params.p_bar) * np.array(fejer, dtype=float)
+    with mpmath.workdps(50):
+        fejer = [float(mpmath.mpf(tau) / 2 if w == 0.0 else
+                       (1 - mpmath.cos(mpmath.mpf(w) * tau)) / (mpmath.mpf(w) ** 2 * tau))
+                 for w in omega]
+    want = model1._x_prefactor(params, p - params.p_bar) * np.array(fejer)
     got = reflected_density_x(p, params, D=0.0, tau=tau)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 

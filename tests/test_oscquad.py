@@ -32,7 +32,6 @@ def _counting(envelope):
 def test_phase_cap_panel_resolves_cos_times_polynomial(degree):
     # one 24-node panel spanning the full 10 pi phase cap: the cosine error the
     # run-time estimate leaves out stays at roundoff for degree <= 10 envelopes
-    mpmath.mp.dps = 30
     rng = np.random.default_rng(degree)
     for _ in range(5):
         coef = rng.standard_normal(degree + 1)
@@ -44,9 +43,10 @@ def test_phase_cap_panel_resolves_cos_times_polynomial(degree):
         assert [c.size for c in calls] == [24]  # one panel, never split
         s, w = oscquad.panel_nodes(0.0, upper, 1)
         roundoff = float(np.sum(w * np.abs(poly(s, None) * np.cos(omega * s))))
-        exact = mpmath.quad(lambda t: mpmath.polyval(list(coef[::-1]), t / upper)
-                            * mpmath.cos(omega * t), mpmath.linspace(0, upper, 11))
-        assert abs(got - float(exact)) <= 1e-14 * roundoff
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(lambda t: mpmath.polyval(list(coef[::-1]), t / upper)
+                                      * mpmath.cos(omega * t), mpmath.linspace(0, upper, 11)))
+        assert abs(got - exact) <= 1e-14 * roundoff
 
 
 def test_estimate_reads_the_top_two_legendre_coefficients():
@@ -270,27 +270,32 @@ def _first_pass(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(points=_first_pass(), complex_env=st.booleans(), decay=st.floats(0.0, 5.0),
-       wave=st.floats(-50.0, 50.0))
-def test_first_pass_phase_table_matches_direct_cosines(points, complex_env, decay, wave):
+       wave=st.floats(-50.0, 50.0), halvings=st.integers(0, 3), stride=st.integers(1, 3))
+def test_phase_table_matches_direct_cosines(points, complex_env, decay, wave, halvings,
+                                            stride):
     # the per-point table e^(-i omega h x_j) times e^(-i omega mid) per panel against
     # cos(omega s) and sin(omega s) at every node: both round the phase argument, so
-    # they may differ by 2 eps |omega s| per node on top of 1e-15 of sum w |f|
+    # they may differ by 2 eps |omega s| per node on top of 1e-15 of sum w |f|.  As
+    # in a refinement round, panels are bisected `halvings` times and only every
+    # stride-th is kept, so a point may have no panel at all
     omega, upper, n = points
+    n = n * 2**halvings
     point = np.repeat(np.arange(omega.size), n)
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
-    mid = 0.5 * (upper[point] * k / n[point] + upper[point] * (k + 1) / n[point])
+    mid = (0.5 * (upper[point] * k / n[point] + upper[point] * (k + 1) / n[point]))[::stride]
+    point = point[::stride]
     h = 0.5 * upper / n
     s = mid[:, None] + h[point, None] * _GL_NODES
     t = s / upper[point, None]
     f = (np.exp((-decay + 1j * wave) * t) if complex_env
          else np.exp(-decay * t) * (1.0 + 0.5 * np.sin(wave * t)))
-    got = np.bincount(point, oscquad._first_pass_sums(f, omega, h, mid, point))
+    got = np.bincount(point, oscquad._panel_sums(f, omega, h, mid, point), omega.size)
     phase = omega[point, None] * s
     direct = f.real * np.cos(phase) + f.imag * np.sin(phase)
-    want = np.bincount(point, h[point] * (direct @ _GL_WEIGHTS))
+    want = np.bincount(point, h[point] * (direct @ _GL_WEIGHTS), omega.size)
     wf = h[point, None] * _GL_WEIGHTS * np.abs(f)
     bound = np.bincount(point, np.sum(wf * (1e-15 + 2.0 * np.finfo(float).eps * np.abs(phase)),
-                                      axis=1))
+                                      axis=1), omega.size)
     assert np.all(np.abs(got - want) <= bound)
 
 
