@@ -1,9 +1,10 @@
 """Command-line entry point: batch runs, parameter sweeps, figure suite.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (quadrature,
-non-finite density, leakage, premature measurement, moment-closure breakdown),
-4 regime warning escalated by --strict.  Every run writes its resolved config
-and a version stamp beside its outputs; reruns of one config are byte-identical.
+non-finite density, leakage, premature measurement, moment-closure breakdown, a
+QSD noise factor whose norm is subnormal or non-finite), 4 regime warning
+escalated by --strict.  Every run writes its resolved config and a version
+stamp beside its outputs; reruns of one config are byte-identical.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block steps 64e6 // n_steps seeds as one
@@ -130,7 +131,9 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     start = -(6.0 * params.sigma + barrier_extent + 1.0)
     travel = (abs(start) + 3.0 * params.sigma) * params.m / params.p_bar
     t_final = cfg.t_final if cfg.t_final is not None else travel
-    half = abs(start) + 6.0 * params.sigma + params.p_bar * t_final / params.m
+    # 6 widths of the packet, at least its free spread hbar t / (2 m sigma) by t_final
+    spread = params.hbar * t_final / (2.0 * params.m * params.sigma)
+    half = abs(start) + 6.0 * max(params.sigma, spread) + params.p_bar * t_final / params.m
     # resolve the packet and the barrier without over-refining small domains
     dx_target = min(params.sigma / 10.0, spec.a / 3.0 if spec.a > 0 else params.sigma)
     try:  # float ** and math.ceil raise on overflow where * and + give inf
@@ -379,23 +382,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One option table for every command: each command reads the same flags."""
     parser = _Parser(
         prog="qreflect",
         description="1D scattering laboratory: reflection under environmental decoherence",
     )
     parser.add_argument("--version", action="version", version=f"qreflect {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value configuration file")
-        for key in _FLAG_KEYS:
-            flags = [f"--{key}"]
-            if "_" in key:
-                flags.append(f"--{key.replace('_', '-')}")
-            p.add_argument(*flags, dest=f"set_{key}", metavar="VALUE")
-        for alias, target in _ALIASES.items():
-            p.add_argument(f"--{alias}", dest=f"set_{target}", metavar="VALUE")
-        p.add_argument("--conditional", dest="set_P", metavar="P")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat key=value configuration file")
+    for key in _FLAG_KEYS:
+        flags = [f"--{key}"]
+        if "_" in key:
+            flags.append(f"--{key.replace('_', '-')}")
+        parser.add_argument(*flags, dest=f"set_{key}", metavar="VALUE")
+    for alias, target in _ALIASES.items():
+        parser.add_argument(f"--{alias}", dest=f"set_{target}", metavar="VALUE")
+    parser.add_argument("--conditional", dest="set_P", metavar="P")
     return parser
 
 
@@ -446,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         if warnings and cfg.strict:
             raise RegimeEscalation("; ".join(warnings))
     except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError,
-            ClosureError) as exc:
+            ClosureError, FloatingPointError) as exc:
         if isinstance(exc, ClosureError):  # a hint on stdout; stderr keeps one line
             print(f"hint: explicit moment steps need --dt below {exc.dt_max:.3g} here")
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -268,14 +268,12 @@ def _traced_envelope(tau: float, beta, gamma, kappa):
     def envelope(s, i):
         s2 = s * s
         rest = tau - s
-        y = neg_kappa[i]  # y = -x
-        y *= s2
+        y = neg_kappa[i] * s2  # y = -x; neg_kappa[i] holds one value per panel
         y *= rest
         np.minimum(y, -1e-300, out=y)
         h = np.expm1(y)
         h /= y
-        e = neg_beta[i]
-        e *= s
+        e = neg_beta[i] * s
         e += neg_gamma[i]
         e *= s2
         rest *= h

@@ -26,12 +26,20 @@ The error estimate uses the panel's own nodes and costs no extra envelope
 evaluation: the last two Legendre coefficients c22, c23 of the 24-node
 envelope interpolant measure how far the envelope is from being resolved.  A
 panel with |c22| + |c23| above 1e-13 of its point's envelope peak max |env| is
-bisected and both halves are evaluated again; a panel that still fails after
-12 rounds raises QuadratureError, as does a call that would evaluate more than
-400,000 panels in all (first pass and refinement), which bounds its run time,
-or more than 2^15 for one point's first pass or in one refinement round, which
-bounds its memory.  The only truncation left is the explicit envelope tail
-cutoff of decay_cutoff.
+bisected and both halves are evaluated again.
+
+One call runs one loop of rounds over all of its points.  Round r holds every
+panel still unresolved, in point order, and is evaluated in consecutive slices
+of at most 2^14 nodes.  Each slice builds phase tables for its own points only
+and hands back per-panel values: sums, error estimates and, in the first pass,
+each point's peak.  The envelope sees one slice at a time, as nodes of shape
+(panels, 24) and one point index per panel, so the slices bound a call's
+memory.  A panel
+that still fails after 12 rounds raises QuadratureError, as does a call that
+would evaluate more than 400,000 panels in all (first pass and refinement),
+which bounds its run time, or a point whose first pass needs more than 2^15
+panels.  The only truncation left is the explicit envelope tail cutoff of
+decay_cutoff.
 """
 
 from __future__ import annotations
@@ -55,13 +63,12 @@ _ENVELOPE_CAP = 0.125
 # |c22| + |c23| allowed per panel, relative to the point's envelope peak
 _TOLERANCE = 1e-13
 _MAX_ROUNDS = 12
-# points are integrated in groups of about this many first-pass nodes
+# each envelope call evaluates at most this many nodes (or one panel)
 _CHUNK_NODES = 2**14
 # panels one call may evaluate, over its first pass and every refinement round
 _MAX_PANELS = 400_000
-# panels one point's first pass or one refinement round may hold: this bounds
-# memory, and the figures stay below 1,000
-_MAX_ROUND_PANELS = 2**15
+# first-pass panels one point may hold; the figures stay below 1,000
+_MAX_POINT_PANELS = 2**15
 
 # envelope values below exp(-_TAIL_LOG) of the peak are dropped
 _TAIL_LOG = 41.0
@@ -83,8 +90,9 @@ def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarr
 
 def _panel_counts(omega: np.ndarray, upper: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """First-pass panels per point, as floats: width min(10 pi/|omega|, 0.125 scale,
-    upper); none where upper <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    upper); none where upper <= 0.  A subnormal omega or scale overflows to inf, which
+    the minimum or the caller's panel limits handle."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = np.minimum(np.minimum(_PHASE_CAP / np.abs(omega), _ENVELOPE_CAP * scale), upper)
         return np.where(upper > 0.0, np.ceil(upper / h), 0.0)
 
@@ -93,15 +101,18 @@ def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.
                                 omega, upper, scale) -> np.ndarray:
     """Integrate envelope(s, i) * cos(omega[i] s) over [0, upper[i]] for every i.
 
-    ``envelope(s, i)`` receives flat node values s and, for each node, the
-    index i of its point, and returns the envelope values (complex values f
+    ``envelope(s, i)`` receives the nodes s of a run of panels, shape
+    (panels, 24), and i, shape (panels, 1), the index of each panel's point,
+    and returns values that broadcast to (panels, 24) (complex values f
     integrate Re[f e^(-i omega s)]).  ``scale[i]`` is the s-scale on which
     point i's envelope varies (decay scale or domain length); it sizes the
     first pass, and the run-time estimate of the module docstring refines every
-    panel it does not resolve.  Every panel, first-pass or refined, takes its
-    phase from two trig calls per panel and a per-point table, not from one
-    cosine per node.  A point with upper <= 0 integrates to 0; a non-finite
-    upper raises QuadratureError.
+    panel it does not resolve.  One loop of rounds serves all points: each
+    round holds every unresolved panel in point order and is evaluated in
+    slices of at most _CHUNK_NODES nodes, which bound the call's memory.  Every
+    panel takes its phase from two trig calls per panel and a per-point table,
+    not from one cosine per node.  A point with upper <= 0 integrates to 0; a
+    non-finite upper raises QuadratureError.
     """
     omega, upper, scale = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, float) for v in (omega, upper, scale))))
@@ -109,54 +120,45 @@ def integrate_oscillatory_batch(envelope: Callable[[np.ndarray, np.ndarray], np.
         raise QuadratureError("upper limit must be finite (apply a tail cutoff first)")
     n = _panel_counts(omega, upper, scale)
     # checked in floats, since a count can overflow an int
-    if not (np.sum(n) <= _MAX_PANELS and np.all(n <= _MAX_ROUND_PANELS)):
+    if not (np.sum(n) <= _MAX_PANELS and np.all(n <= _MAX_POINT_PANELS)):
         raise QuadratureError(
             f"oscillatory integral needs {np.max(n):.6g} panels for one point and "
-            f"{np.sum(n):.6g} in all (at most {_MAX_ROUND_PANELS} and {_MAX_PANELS}); "
+            f"{np.sum(n):.6g} in all (at most {_MAX_POINT_PANELS} and {_MAX_PANELS}); "
             "omega and the envelope scale are too disparate"
         )
     n = n.astype(np.int64)
-    spare = _MAX_PANELS - int(np.sum(n))
     out = np.zeros(upper.shape)
     live = np.flatnonzero(n)
-    first_node = (np.cumsum(n[live]) - n[live]) * _GL_ORDER
-    cuts = np.flatnonzero(np.diff(first_node // _CHUNK_NODES)) + 1
-    for idx in filter(len, np.split(live, cuts)):  # no call when no point is live
-        out[idx], spare = _integrate_points(envelope, idx, omega[idx], upper[idx], n[idx],
-                                            spare)
+    if live.size:
+        out[live] = _integrate_points(envelope, live, omega[live], upper[live], n[live])
     return out
 
 
-def _integrate_points(envelope, idx, omega, upper, n, spare: int):
-    """Integrals of the points idx (each with n >= 1 first-pass panels), and what
-    is left of spare, the panels the call may still evaluate."""
+def _integrate_points(envelope, idx, omega, upper, n):
+    """Integrals of the points idx, each with n >= 1 first-pass panels."""
     point = np.repeat(np.arange(idx.size), n)
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     a = upper[point] * k / n[point]
     b = upper[point] * (k + 1) / n[point]
     h = 0.5 * upper / n  # all of a point's panels in one round share one half-width
+    spare = _MAX_PANELS - point.size
     total = np.zeros(idx.size)
     peak = None
     for _ in range(_MAX_ROUNDS + 1):
         mid = 0.5 * (a + b)
-        s = mid[:, None] + h[point, None] * _GL_NODES
-        with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
-            f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
-        if not np.all(np.isfinite(f)):
-            raise QuadratureError("oscillatory integral: the envelope is not finite")
-        if peak is None:  # first pass: each point's panels are contiguous
-            peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
-        value = _panel_sums(f, omega, h, mid, point)
-        bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
+        value, tail, first_peak = _evaluate_round(envelope, idx, omega, h, mid, point,
+                                                  peak is None)
+        if peak is None:
+            peak = first_peak
+        bad = tail > _TOLERANCE * peak[point]
         total += np.bincount(point, weights=np.where(bad, 0.0, value), minlength=idx.size)
         if not bad.any():
-            return total, spare
-        split = 2 * int(np.count_nonzero(bad))
-        spare -= split
-        if spare < 0 or split > _MAX_ROUND_PANELS:
+            return total
+        spare -= 2 * int(np.count_nonzero(bad))
+        if spare < 0:
             raise QuadratureError(
                 f"oscillatory integral: refinement needs more than {_MAX_PANELS} panels "
-                f"in all or {_MAX_ROUND_PANELS} in one round, near s = {a[bad][0]:.6g}")
+                f"in all, near s = {a[bad][0]:.6g}")
         lo, mid, hi, point = a[bad], mid[bad], b[bad], np.repeat(point[bad], 2)
         a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
         h = 0.5 * h
@@ -164,6 +166,33 @@ def _integrate_points(envelope, idx, omega, upper, n, spare: int):
         f"oscillatory integral: {point.size // 2} panel(s) still unresolved after "
         f"{_MAX_ROUNDS} bisections, near s = {a[0]:.6g}"
     )
+
+
+def _evaluate_round(envelope, idx, omega, h, mid, point, first: bool):
+    """One round's panels (midpoints mid, points point in nondecreasing order),
+    evaluated in slices of at most _CHUNK_NODES nodes: each panel's sum and
+    |c22| + |c23|, and in the first pass, where every point holds panels, each
+    point's envelope peak (else None)."""
+    value, tail = np.empty(mid.size), np.empty(mid.size)
+    peak = np.zeros(idx.size) if first else None
+    step = max(1, _CHUNK_NODES // _GL_ORDER)
+    for start in range(0, mid.size, step):
+        part = slice(start, start + step)
+        pt = point[part]
+        lo, hi = pt[0], pt[-1] + 1  # a slice's points are contiguous: tables for them only
+        s = mid[part, None] + h[pt, None] * _GL_NODES
+        with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
+            f = np.broadcast_to(envelope(s, idx[pt, None]), s.shape)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureError("oscillatory integral: the envelope is not finite")
+        value[part] = _panel_sums(f, omega[lo:hi], h[lo:hi], mid[part], pt - lo)
+        t = np.abs(f @ _TAIL_COEFFS)
+        tail[part] = t[:, 0] + t[:, 1]
+        if first:
+            runs = np.flatnonzero(np.diff(pt, prepend=-1)) * _GL_ORDER
+            np.maximum(peak[lo:hi], np.maximum.reduceat(np.abs(f).ravel(), runs),
+                       out=peak[lo:hi])
+    return value, tail, peak
 
 
 def _panel_sums(f, omega, h, mid, point):
@@ -194,7 +223,8 @@ def integrate_oscillatory(envelope: Callable[[np.ndarray], np.ndarray], omega: f
     One point of integrate_oscillatory_batch: the first pass caps panels at
     10 pi of phase and 0.125 * scale, and the run-time error estimate splits
     every panel whose envelope it does not resolve (see the module
-    docstring).  Raises QuadratureError above 32,768 first-pass panels.
+    docstring).  Raises QuadratureError above 32,768 first-pass panels.  The
+    envelope receives nodes of shape (panels, 24).
     """
     return float(integrate_oscillatory_batch(lambda s, i: envelope(s), omega, upper, scale)[0])
 

@@ -1,5 +1,6 @@
 """Flat config parsing, flag overrides, CLI outputs and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qreflect import cli, qsd, run_moment_trajectory, run_wavefunction_trajectory
+from qreflect import (__version__, cli, qsd, run_moment_trajectory,
+                      run_wavefunction_trajectory)
 from qreflect.cli import build_config, main
-from qreflect.config import ConfigError, RunConfig, parse_config, serialize_config
+from qreflect.config import (_ALIASES, COMMANDS, ConfigError, RunConfig, parse_config,
+                             serialize_config)
 from qreflect.grids import SplitStepper
 
 
@@ -38,20 +41,24 @@ def test_flag_overrides_config_file(tmp_path):
     assert cfg.coupling == "p"
 
 
+# every key away from its default
+_CHANGED = dict(
+    command="model2", m=2.0, hbar=0.5, p_bar=3.0, sigma=100.0, x_bar=7.5, D=0.25,
+    D_p=1e-3, M=10.0, P_bar=-0.5, Sigma=2.0, steady_target=True,
+    potential_kind="smeared_window", V0=0.02, a=0.3, window_L=4.0, n_points=2048,
+    dt=0.01, t_final=12.0, tau=3.0, tau_inf=True, ell=0.7, threshold=0.05,
+    D_sweep=(0.01, 1.0), Dp_sweep=(0.1, 0.2), a_list=(0.1, 0.4), P=0.3, coupling="p",
+    level="moments", n_traj=8, seed=99, outdir="elsewhere", threads=2, strict=True,
+    figure=4)
+
+
 def test_roundtrip_serialize_parse():
     cfg = RunConfig(command="model2", M=10.0, sigma=100.0, D_sweep=(0.01, 1.0),
                     steady_target=True, tau_inf=True, seed=99)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     # every key away from its default: each is read back with its annotated type
-    changed = dict(
-        command="model2", m=2.0, hbar=0.5, p_bar=3.0, sigma=100.0, x_bar=7.5, D=0.25,
-        D_p=1e-3, M=10.0, P_bar=-0.5, Sigma=2.0, steady_target=True,
-        potential_kind="smeared_window", V0=0.02, a=0.3, window_L=4.0, n_points=2048,
-        dt=0.01, t_final=12.0, tau=3.0, tau_inf=True, ell=0.7, threshold=0.05,
-        D_sweep=(0.01, 1.0), Dp_sweep=(0.1, 0.2), a_list=(0.1, 0.4), P=0.3, coupling="p",
-        level="moments", n_traj=8, seed=99, outdir="elsewhere", threads=2, strict=True,
-        figure=4)
+    changed = _CHANGED
     assert sorted(changed) == sorted(f.name for f in fields(RunConfig))
     assert all(value != getattr(RunConfig(), key) for key, value in changed.items())
     again = parse_config(serialize_config(RunConfig(**changed)))
@@ -326,6 +333,84 @@ def test_negative_number_parses_after_a_space(value):
     assert cfg == build_config(head + [f"--P={value}"]) and cfg.P == float(value)
 
 
+def _subparser_oracle() -> argparse.ArgumentParser:
+    # the previous builder: one subparser per command, each with the whole option table
+    parser = cli._Parser(prog="qreflect")
+    parser.add_argument("--version", action="version", version=f"qreflect {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="flat key=value configuration file")
+        for key in cli._FLAG_KEYS:
+            flags = [f"--{key}"]
+            if "_" in key:
+                flags.append(f"--{key.replace('_', '-')}")
+            p.add_argument(*flags, dest=f"set_{key}", metavar="VALUE")
+        for alias, target in _ALIASES.items():
+            p.add_argument(f"--{alias}", dest=f"set_{target}", metavar="VALUE")
+        p.add_argument("--conditional", dest="set_P", metavar="P")
+    return parser
+
+
+def _flag_argvs(conf):
+    # every flag in its underscore spelling, every dashed spelling, every alias and
+    # --conditional, a config file under a flag, and a negative number after a space
+    values = {key: ",".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+              for key, v in _CHANGED.items()}
+    values["P"] = "-1e3"
+    underscore = [arg for key in cli._FLAG_KEYS for arg in (f"--{key}", values[key])]
+    dashed = [arg for key in cli._FLAG_KEYS if "_" in key
+              for arg in (f"--{key.replace('_', '-')}", values[key])]
+    aliases = [arg for alias, key in _ALIASES.items() for arg in (f"--{alias}", values[key])]
+    return [underscore, dashed, aliases + ["--conditional", "0.5"],
+            ["--config", str(conf), "--D", "3"], []]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_option_table_parses_as_the_subparsers_did(tmp_path, monkeypatch, command):
+    conf = tmp_path / "run.conf"
+    conf.write_text("Dp=0.5\ncoupling=p\nD=2\n")
+    for argv in _flag_argvs(conf):
+        got = build_config([command, *argv])
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", _subparser_oracle)
+            want = build_config([command, *argv])
+        assert got == want and got.command == command
+    for bad in ([], ["bogus"], [command, "--no_such_flag", "1"], [command, "extra"]):
+        with pytest.raises(ConfigError):
+            build_config(bad)
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+        build_config(["--version"])
+    assert out.getvalue() == f"qreflect {__version__}\n"
+
+
+def test_every_command_runs_with_its_defaults(tmp_path, capsys):
+    # qsd needs a coupling strength, model2 a target mass and figures a figure number
+    needs_input = {"qsd": "qsd needs D > 0", "model2": "model2 requires the target mass M",
+                   "figures": "figures requires --figure N"}
+    for command in COMMANDS:
+        rc = main([command, "--outdir", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        if command in needs_input:
+            assert rc == 2 and err.startswith(f"config error: {needs_input[command]}")
+            assert len(err.strip().splitlines()) == 1
+        else:
+            assert rc == 0 and err == "", (command, err)
+
+
+def test_qsd_noise_factor_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def underflow(*args, **kwargs):
+        raise FloatingPointError("norm^2 1e-320 after the noise factor for seed 1234 at step 7")
+
+    monkeypatch.setattr(cli, "run_wavefunction_ensemble", underflow)
+    rc = main(["qsd", "--D", "1", "--n_traj", "1", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "numerical failure: norm^2 1e-320 after the noise factor for seed 1234 " \
+                  "at step 7\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("which", [0, 6])
 def test_run_figures_rejects_an_unknown_figure(tmp_path, which):
     with pytest.raises(ConfigError, match="N in 1..5"):
@@ -400,9 +485,13 @@ def _python(*args):
 
 
 def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
-    # a step barrier leaks past the edge absorbers: exit 3 with one line
-    run = _python("-m", "qreflect.cli", "unitary", "--potential", "step", "--V0", "0.3",
-                  "--outdir", str(tmp_path))
+    # the CLI sizes its grid to hold the packet's travel and spread, so no flag makes
+    # it leak; on half of that domain the packet reaches the edge absorbers: exit 3
+    # with one line
+    run = _python("-c", "import sys; from qreflect import cli; grid = cli.SpatialGrid; "
+                        "cli.SpatialGrid = lambda lo, hi, n: grid(lo / 2, hi / 2, n); "
+                        "sys.exit(cli.main(sys.argv[1:]))",
+                  "unitary", "--potential", "step", "--V0", "0.3", "--outdir", str(tmp_path))
     assert run.returncode == 3
     assert run.stderr.startswith("numerical failure: edge absorbers removed")
     assert len(run.stderr.strip().splitlines()) == 1 and "Traceback" not in run.stderr

@@ -425,8 +425,8 @@ def test_traced_envelope_matches_its_two_branch_form(tau, beta, gamma, inner, x)
     kappa[-2:] = 1.0
     beta, gamma = np.full(s.size, beta / tau**3), np.full(s.size, gamma / tau**2)
     i = np.arange(s.size)
-    with np.errstate(all="ignore"):
-        got = model2._traced_envelope(tau, beta, gamma, kappa)(s, i) / tau
+    with np.errstate(all="ignore"):  # one panel of one node per point: s and i are (nodes, 1)
+        got = model2._traced_envelope(tau, beta, gamma, kappa)(s[:, None], i[:, None])[:, 0] / tau
         want = _traced_envelope_oracle(s, tau, beta, gamma, kappa)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want + np.finfo(float).tiny)

@@ -1,5 +1,5 @@
 """The batched oscillatory quadrature: phase cap, run-time refinement, failure,
-chunking, edge cases, and the kernels' use of one batch call per sweep value."""
+node slices, edge cases, and the kernels' use of one batch call per sweep value."""
 
 import math
 
@@ -12,9 +12,9 @@ from scipy.integrate import quad
 
 from qreflect import model1, model2, oscquad
 from qreflect.cli import main
-from qreflect.oscquad import (_GL_NODES, _GL_ORDER, _GL_WEIGHTS, _MAX_ROUND_PANELS,
-                              _MAX_ROUNDS, _TAIL_COEFFS, _TOLERANCE, QuadratureError,
-                              decay_cutoff, integrate_oscillatory, integrate_oscillatory_batch)
+from qreflect.oscquad import (_GL_NODES, _GL_ORDER, _GL_WEIGHTS, _MAX_ROUNDS, _TAIL_COEFFS,
+                              _TOLERANCE, QuadratureError, decay_cutoff, integrate_oscillatory,
+                              integrate_oscillatory_batch)
 
 
 def _counting(envelope):
@@ -86,6 +86,7 @@ def test_jump_discontinuity_exhausts_the_bisection_rounds():
 
 
 def test_chunk_size_changes_no_result(monkeypatch):
+    # slices of one panel, of 7 panels and of the default size give the same bits
     rng = np.random.default_rng(5)
     n = 300
     omega = rng.uniform(-40.0, 40.0, n)
@@ -95,11 +96,28 @@ def test_chunk_size_changes_no_result(monkeypatch):
     upper = decay_cutoff((beta, 3))
     env = lambda s, i: amplitude[i] * np.exp(-beta[i] * s**3) * (
         1.0 + np.exp(-((s - 1.0) / width[i]) ** 2))
-    roundoff = integrate_oscillatory_batch(env, 0.0, upper, upper)  # sum w |f|, env >= 0
     default = integrate_oscillatory_batch(env, omega, upper, upper)
-    monkeypatch.setattr(oscquad, "_CHUNK_NODES", 24)
-    one_panel_chunks = integrate_oscillatory_batch(env, omega, upper, upper)
-    assert np.all(np.abs(one_panel_chunks - default) <= 1e-15 * roundoff)
+    for chunk in (24, 24 * 7, oscquad._CHUNK_NODES):
+        monkeypatch.setattr(oscquad, "_CHUNK_NODES", chunk)
+        counted, calls = _counting(env)
+        assert np.array_equal(integrate_oscillatory_batch(counted, omega, upper, upper), default)
+        assert max(c.size for c in calls) <= chunk
+
+
+def test_no_envelope_call_exceeds_one_slice():
+    # 17,000 one-panel points whose cosine envelope needs one bisection: the
+    # refinement round holds 34,000 panels, more than one point's first pass may
+    # (2^15), and is still evaluated in slices of at most _CHUNK_NODES nodes
+    n = 17_000
+    k = np.linspace(12.0, 16.0, n)
+    env, calls = _counting(lambda s, i: np.cos(k[i] * s))
+    got = integrate_oscillatory_batch(env, np.zeros(n), 1.0, math.inf)
+    rounds = [24 * n, 2 * 24 * n]
+    assert sum(c.size for c in calls) == sum(rounds)  # a first pass and one refinement round
+    assert rounds[1] > 24 * oscquad._MAX_POINT_PANELS
+    assert max(c.size for c in calls) <= oscquad._CHUNK_NODES
+    assert all(c.shape[1:] == (_GL_ORDER,) for c in calls)
+    np.testing.assert_allclose(got, np.sin(k) / k, rtol=0.0, atol=1e-15)
 
 
 def test_empty_and_non_finite_limits():
@@ -221,9 +239,9 @@ def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
     assert stray == []
 
 
-def _integrate_points_oracle(envelope, idx, omega, upper, n, spare: int):
+def _integrate_points_oracle(envelope, idx, omega, upper, n):
     # direct form: one cosine (and for a complex envelope one sine) per node in
-    # every round, the first pass included
+    # every round, the first pass included, and each round in one envelope call
     point = np.repeat(np.arange(idx.size), n)
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     a = upper[point] * k / n[point]
@@ -234,7 +252,7 @@ def _integrate_points_oracle(envelope, idx, omega, upper, n, spare: int):
         half = 0.5 * (b - a)
         s = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES
         with np.errstate(all="ignore"):
-            f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
+            f = np.broadcast_to(envelope(s, idx[point, None]), s.shape)
         if not np.all(np.isfinite(f)):
             raise QuadratureError("oscillatory integral: the envelope is not finite")
         if peak is None:
@@ -246,15 +264,93 @@ def _integrate_points_oracle(envelope, idx, omega, upper, n, spare: int):
         total += np.bincount(point, weights=np.where(bad, 0.0, half * (f @ _GL_WEIGHTS)),
                              minlength=idx.size)
         if not bad.any():
-            return total, spare
-        split = 2 * int(np.count_nonzero(bad))
-        spare -= split
-        if spare < 0 or split > _MAX_ROUND_PANELS:
-            raise QuadratureError("refinement budget exceeded")
+            return total
         lo, hi, point = a[bad], b[bad], np.repeat(point[bad], 2)
         mid = 0.5 * (lo + hi)
         a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
     raise QuadratureError("unresolved")
+
+
+def _chunked_batch_oracle(envelope, omega, upper, scale):
+    # the previous driver: points integrated in groups of about 2^14 first-pass
+    # nodes, each group refined on its own, with one envelope call per group and
+    # round on flat nodes and one point index per node
+    omega, upper, scale = (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, float) for v in (omega, upper, scale))))
+    n = oscquad._panel_counts(omega, upper, scale).astype(np.int64)
+    out = np.zeros(upper.shape)
+    live = np.flatnonzero(n)
+    first_node = (np.cumsum(n[live]) - n[live]) * _GL_ORDER
+    cuts = np.flatnonzero(np.diff(first_node // 2**14)) + 1
+    for idx in filter(len, np.split(live, cuts)):
+        out[idx] = _chunk_oracle(envelope, idx, omega[idx], upper[idx], n[idx])
+    return out
+
+
+def _chunk_oracle(envelope, idx, omega, upper, n):
+    point = np.repeat(np.arange(idx.size), n)
+    k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
+    a = upper[point] * k / n[point]
+    b = upper[point] * (k + 1) / n[point]
+    h = 0.5 * upper / n
+    total = np.zeros(idx.size)
+    peak = None
+    for _ in range(_MAX_ROUNDS + 1):
+        mid = 0.5 * (a + b)
+        s = mid[:, None] + h[point, None] * _GL_NODES
+        f = envelope(s.ravel(), np.repeat(idx[point], _GL_ORDER)).reshape(s.shape)
+        if peak is None:
+            peak = np.maximum.reduceat(np.max(np.abs(f), axis=1), np.cumsum(n) - n)
+        value = oscquad._panel_sums(f, omega, h, mid, point)
+        bad = np.sum(np.abs(f @ _TAIL_COEFFS), axis=1) > _TOLERANCE * peak[point]
+        total += np.bincount(point, weights=np.where(bad, 0.0, value), minlength=idx.size)
+        if not bad.any():
+            return total
+        lo, mid, hi, point = a[bad], mid[bad], b[bad], np.repeat(point[bad], 2)
+        a, b = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        h = 0.5 * h
+    raise QuadratureError("unresolved")
+
+
+@st.composite
+def _bumpy_batch(draw):
+    # 1-40 points, each a decaying envelope with a bump narrow enough that some
+    # panels are bisected; complex envelopes add a drawn carrier of their own
+    size = draw(st.integers(1, 40))
+    floats = lambda lo, hi: np.array([draw(st.floats(lo, hi)) for _ in range(size)])
+    omega = floats(-30.0, 30.0)
+    upper = 10.0 ** floats(-1.0, 1.5)
+    scale = upper * 10.0 ** floats(-1.0, 0.0)
+    decay, centre = 1.0 / scale, upper * floats(0.0, 1.0)
+    width, height = upper * 10.0 ** floats(-3.5, -0.5), floats(0.0, 2.0)
+    carrier = floats(-20.0, 20.0) if draw(st.booleans()) else None
+
+    def envelope(s, i):
+        f = np.exp(-decay[i] * s) * (1.0 + height[i] * np.exp(-((s - centre[i]) / width[i]) ** 2))
+        return f if carrier is None else f * np.exp(1j * carrier[i] * s)
+
+    return envelope, omega, upper, scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_bumpy_batch(), chunk=st.sampled_from([24, 24 * 7, 24 * 50, 2**14]))
+def test_slices_match_the_chunked_loop(batch, chunk):
+    # the one refinement loop over node slices evaluates the same panels and sums
+    # them in the same order as the loop over point groups it replaced: same bits.
+    # A bump too narrow for 12 bisections fails on both sides
+    envelope, omega, upper, scale = batch
+    try:
+        want = _chunked_batch_oracle(envelope, omega, upper, scale)
+    except QuadratureError:
+        want = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oscquad, "_CHUNK_NODES", chunk)
+        if want is None:
+            with pytest.raises(QuadratureError, match="unresolved after 12 bisections"):
+                integrate_oscillatory_batch(envelope, omega, upper, scale)
+        else:
+            assert np.array_equal(integrate_oscillatory_batch(envelope, omega, upper, scale),
+                                  want)
 
 
 @st.composite
@@ -270,26 +366,32 @@ def _first_pass(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(points=_first_pass(), complex_env=st.booleans(), decay=st.floats(0.0, 5.0),
-       wave=st.floats(-50.0, 50.0), halvings=st.integers(0, 3), stride=st.integers(1, 3))
+       wave=st.floats(-50.0, 50.0), halvings=st.integers(0, 3), stride=st.integers(1, 3),
+       start=st.floats(0.0, 1.0), length=st.integers(1, 200))
 def test_phase_table_matches_direct_cosines(points, complex_env, decay, wave, halvings,
-                                            stride):
+                                            stride, start, length):
     # the per-point table e^(-i omega h x_j) times e^(-i omega mid) per panel against
     # cos(omega s) and sin(omega s) at every node: both round the phase argument, so
     # they may differ by 2 eps |omega s| per node on top of 1e-15 of sum w |f|.  As
     # in a refinement round, panels are bisected `halvings` times and only every
-    # stride-th is kept, so a point may have no panel at all
+    # stride-th is kept, so a point may have no panel at all; as in one node slice,
+    # only a run of `length` panels is summed, with tables for its own points
     omega, upper, n = points
     n = n * 2**halvings
     point = np.repeat(np.arange(omega.size), n)
     k = np.arange(point.size) - np.repeat(np.cumsum(n) - n, n)
     mid = (0.5 * (upper[point] * k / n[point] + upper[point] * (k + 1) / n[point]))[::stride]
-    point = point[::stride]
+    first = int(start * (mid.size - 1))
+    part = slice(first, first + length)
+    point, mid = point[::stride][part], mid[part]
     h = 0.5 * upper / n
     s = mid[:, None] + h[point, None] * _GL_NODES
     t = s / upper[point, None]
     f = (np.exp((-decay + 1j * wave) * t) if complex_env
          else np.exp(-decay * t) * (1.0 + 0.5 * np.sin(wave * t)))
-    got = np.bincount(point, oscquad._panel_sums(f, omega, h, mid, point), omega.size)
+    lo, hi = point[0], point[-1] + 1
+    sums = oscquad._panel_sums(f, omega[lo:hi], h[lo:hi], mid, point - lo)
+    got = np.bincount(point, sums, omega.size)
     phase = omega[point, None] * s
     direct = f.real * np.cos(phase) + f.imag * np.sin(phase)
     want = np.bincount(point, h[point] * (direct @ _GL_WEIGHTS), omega.size)
