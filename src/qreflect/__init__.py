@@ -9,14 +9,11 @@ trajectories whose ensemble mean reproduces the open-system density operator.
 
 __version__ = "0.1.0"
 
-from .grids import (GridTooNarrowError, PhaseSpaceField, SpatialGrid, WaveFunction,
-                    gaussian_packet, gaussian_state_from_moments, position_moments,
-                    qsd_steady_packet, to_momentum, to_position, wigner_transform)
+from .grids import (GridTooNarrowError, SpatialGrid, WaveFunction, gaussian_packet,
+                    gaussian_state_from_moments, position_moments, to_momentum)
 from .model1 import (EnvironmentSpec, ReflectedSpectrum, born_delta_coefficient,
-                     broadening_factor_integral, propagator_momentum,
-                     propagator_position, reflected_density_p, reflected_density_x,
-                     reflected_spectrum, sweep_total_p, total_reflected,
-                     narrow_sideband_ratio)
+                     reflected_density_p, reflected_density_x, reflected_spectrum,
+                     sweep_total_p, total_reflected, narrow_sideband_ratio)
 from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
                      Model2Config, clamp_density,
                      conditional_reflected_env,
@@ -27,17 +24,16 @@ from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
 from .oscquad import QuadratureError, integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_position
-from .qsd import (ClosureError, EnsembleDensity, FluctuationReport, NoiseStream,
-                  TrajectoryMoments, ensemble_density, fluctuation_report, moment_step,
-                  quantum_current, run_ensemble, run_moment_ensemble, run_moment_trajectory,
-                  run_wavefunction_ensemble, run_wavefunction_trajectory, steady_moments,
-                  step_trajectory, wavefunction_moments)
-from .timescales import (RegimeVerdict, TimescaleReport, check_regime,
-                         compute_timescales, model2_kinematics,
-                         wigner_spreading_check, wigner_spreading_ratio)
+from .qsd import (ClosureError, FluctuationReport, NoiseStream, TrajectoryMoments,
+                  fluctuation_report, moment_step, run_ensemble, run_moment_ensemble,
+                  run_moment_trajectory, run_wavefunction_ensemble,
+                  run_wavefunction_trajectory, steady_moments, step_trajectory,
+                  wavefunction_moments)
+from .timescales import (RegimeVerdict, TimescaleReport, check_regime, compute_timescales,
+                         wigner_spreading_ratio)
 from .unitary import (BornResult, BoundaryLeakageError, CFLViolationError,
                       PrematureMeasurementError, PrematureStartError,
-                      ProbabilityLedger, SnapshotSeries, born_reflection,
-                      mean_energy, propagate, reflection_probability)
+                      ProbabilityLedger, SnapshotSeries, born_reflection, propagate,
+                      reflection_probability)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

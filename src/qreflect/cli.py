@@ -191,8 +191,11 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
         density_of = lambda p, s: reflected_density_p(p, params, s)
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
-    # checked before any CSV is written; model1 densities are not clamped
+    # densities and a sweep's totals are checked before any file is written; model1
+    # densities are not clamped
     densities = [finite_density(density_of(p_grid, s)) for s in sweep]
+    totals = ([total_reflected(params, env_of(s), tau=tau) for s in sweep]
+              if len(sweep) > 1 else [])
     _write_csv((outdir / f"density_{cfg.coupling}_{strength:g}.csv", ["p", "density"],
                 np.column_stack((p_grid, dens))) for strength, dens in zip(sweep, densities))
     plot_series = [(f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}", p_grid.tolist(),
@@ -200,8 +203,7 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     (outdir / "density.svg").write_text(line_plot(
         plot_series, f"reflected momentum density ({cfg.coupling}-coupling)",
         "p", "density"))
-    if len(sweep) > 1:
-        totals = [total_reflected(params, env_of(s), tau=tau) for s in sweep]
+    if totals:
         _write_csv([(outdir / f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
                      ["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))])
         (outdir / "total.svg").write_text(line_plot(

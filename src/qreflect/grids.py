@@ -1,6 +1,6 @@
-"""Uniform grids, wave functions, Fourier transforms and the Wigner map.
+"""Uniform grids, wave functions, the Fourier transform and the split-step core.
 
-The position <-> momentum transform pair is unitary under the symmetric
+The position -> momentum transform is unitary under the symmetric
 (2 pi hbar)^(-1/2) convention, discretized so that Parseval holds exactly:
 sum |psi(x)|^2 dx == sum |psi(p)|^2 dp to machine precision.
 """
@@ -8,7 +8,7 @@ sum |psi(x)|^2 dx == sum |psi(p)|^2 dp to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -79,16 +79,13 @@ def reflection_p_grid(params: PhysicalParams, n_points: int,
 class WaveFunction:
     """Complex amplitude on a uniform grid, position or momentum representation.
 
-    In momentum representation the grid axis is the ascending momentum axis and
-    ``conjugate_grid`` remembers the originating position grid so the transform
-    pair round-trips exactly.
+    In momentum representation the grid axis is the ascending momentum axis.
     """
 
     grid: SpatialGrid
     values: np.ndarray
     representation: str = "position"
     hbar: float = 1.0
-    conjugate_grid: SpatialGrid | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.representation not in ("position", "momentum"):
@@ -117,8 +114,7 @@ class WaveFunction:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return WaveFunction(self.grid, self.values / n, self.representation,
-                            self.hbar, self.conjugate_grid)
+        return WaveFunction(self.grid, self.values / n, self.representation, self.hbar)
 
     def mean_x(self) -> float:
         return self.moments()[0]
@@ -173,19 +169,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
         * np.fft.fftshift(np.fft.fft(psi.values))
     dp = 2.0 * math.pi * hbar / (n * dx)
     p_grid = SpatialGrid(p[0], p[0] + n * dp, n)
-    return WaveFunction(p_grid, tilde, "momentum", hbar, conjugate_grid=g)
-
-
-def to_position(psi: WaveFunction) -> WaveFunction:
-    """Inverse of to_momentum; requires the remembered position grid."""
-    if psi.representation != "momentum":
-        raise ValueError("to_position expects a momentum-representation state")
-    if psi.conjugate_grid is None:
-        raise ValueError("momentum state does not carry its originating position grid")
-    g, hbar = psi.conjugate_grid, psi.hbar
-    tilde = np.fft.ifftshift(psi.values) * np.exp(1j * (hbar * g.wavenumbers) * g.x_min / hbar)
-    vals = np.fft.ifft(tilde) * math.sqrt(2.0 * math.pi * hbar) / g.dx
-    return WaveFunction(g, vals, "position", hbar)
+    return WaveFunction(p_grid, tilde, "momentum", hbar)
 
 
 # -- split-step propagation ---------------------------------------------------
@@ -254,23 +238,6 @@ def gaussian_packet(
     return WaveFunction(grid, psi, "position", hbar).normalized()
 
 
-def qsd_steady_packet(
-    params: PhysicalParams,
-    grid: SpatialGrid,
-    center_x: float = 0.0,
-    center_p: float = 0.0,
-) -> WaveFunction:
-    """Localized steady packet of position-coupled state diffusion.
-
-    The complex width (1 - i)/(4 sigma_q^2) fixes Var(x) = sigma_q^2,
-    Var(p) = hbar^2 / 2 sigma_q^2 and Cov(x,p) = hbar/2.
-    """
-    if params.D <= 0:
-        raise ValueError("steady packet undefined for D = 0")
-    return gaussian_state_from_moments(grid, center_x, center_p, params.sigma_q**2,
-                                       0.5 * params.hbar, params.hbar)
-
-
 def gaussian_state_from_moments(
     grid: SpatialGrid,
     mean_x: float,
@@ -289,57 +256,3 @@ def gaussian_state_from_moments(
     x = grid.x
     psi = np.exp(-alpha * (x - mean_x) ** 2 + 1j * mean_p * x / hbar)
     return WaveFunction(grid, psi, "position", hbar).normalized()
-
-
-# -- Wigner transform ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseSpaceField:
-    """Real field W(p, x) on the outer product of a p-axis and an x-axis."""
-
-    x: np.ndarray
-    p: np.ndarray
-    values: np.ndarray  # shape (len(p), len(x))
-
-    def integrate(self) -> float:
-        dx = self.x[1] - self.x[0]
-        dp = self.p[1] - self.p[0]
-        return float(np.sum(self.values) * dx * dp)
-
-    def marginal_x(self) -> np.ndarray:
-        dp = self.p[1] - self.p[0]
-        return np.sum(self.values, axis=0) * dp
-
-    def marginal_p(self) -> np.ndarray:
-        dx = self.x[1] - self.x[0]
-        return np.sum(self.values, axis=1) * dx
-
-
-def wigner_transform(psi: WaveFunction) -> PhaseSpaceField:
-    """Wigner function W(p,x) = (1/pi hbar) int dy psi*(x+y) psi(x-y) e^{2ipy/hbar}.
-
-    The correlation integral runs on the native grid; the conjugate momentum
-    axis has spacing pi hbar / (N dx), half that of the plain FFT axis.
-    """
-    if psi.representation != "position":
-        raise ValueError("wigner_transform expects the position representation")
-    g = psi.grid
-    if g.n_points > 2048:
-        raise ValueError("wigner_transform builds an n^2 correlation matrix; "
-                         "use n_points <= 2048")
-    n, dx, hbar = g.n_points, g.dx, psi.hbar
-    vals = psi.values
-    # correlation matrix C[j, i] = psi*(x_i + y_j) psi(x_i - y_j), zero off grid
-    idx = np.arange(n)
-    shifts = np.arange(-n // 2, n // 2)
-    ip = idx[None, :] + shifts[:, None]
-    im = idx[None, :] - shifts[:, None]
-    valid = (ip >= 0) & (ip < n) & (im >= 0) & (im < n)
-    corr = np.zeros((n, n), dtype=complex)
-    corr[valid] = np.conj(vals[ip[valid]]) * vals[im[valid]]
-    # FFT over the y index: e^{2 i p y / hbar} with y_j = shifts * dx
-    p_axis = 0.5 * g.momentum_axis(hbar)
-    phase = np.exp(2j * np.outer(p_axis, shifts * dx) / hbar)
-    w = np.real(phase @ corr) * dx / (math.pi * hbar)
-    return PhaseSpaceField(x=g.x.copy(), p=p_axis, values=w)

@@ -63,57 +63,6 @@ class ReflectedSpectrum:
     environment: EnvironmentSpec
 
 
-# -- free density-matrix propagators -----------------------------------------
-
-
-def propagator_position(x, y, t, xp, yp, tp, params: PhysicalParams, D: float) -> complex:
-    """Position-space density-matrix propagator J(x,y,t | x',y',t') for V = 0.
-
-    Free two-sided Schrodinger kernel times the position-coupling decoherence
-    factor exp(-D dt [(x-y)^2 + (x-y)(x'-y') + (x'-y')^2] / 3 hbar^2).
-    """
-    if not t > tp:
-        raise ValueError("propagator requires t > t'")
-    m, hbar = params.m, params.hbar
-    dt = t - tp
-    pref = m / (2.0 * math.pi * hbar * dt)
-    phase = np.exp(1j * m * ((x - xp) ** 2 - (y - yp) ** 2) / (2.0 * hbar * dt))
-    u, v = x - y, xp - yp
-    decay = np.exp(-D * dt * (u * u + u * v + v * v) / (3.0 * hbar**2))
-    return pref * phase * decay
-
-
-def propagator_momentum(p, q, t, pp, qp, tp, params: PhysicalParams,
-                        env: EnvironmentSpec) -> complex:
-    """Smooth factor of the momentum-space density-matrix propagator (V = 0).
-
-    Position coupling: the caller must enforce the total-momentum-difference
-    constraint delta(p - q - p' + q'); the returned factor is the Gaussian
-    (4 pi D dt)^(-1/2) exp(-(p-p')^2/4D dt) in the sideband, the free phase and
-    the cubic off-diagonal decay.  Momentum coupling: the constraint is
-    delta(p-p') delta(q-q') and the factor is the phase times the linear-in-dt
-    off-diagonal decay.
-    """
-    if not t > tp:
-        raise ValueError("propagator requires t > t'")
-    m, hbar = params.m, params.hbar
-    dt = t - tp
-    if env.kind == "momentum_coupling":
-        Dp = env.strength
-        return np.exp(
-            -1j * dt * (p**2 - q**2) / (2.0 * m * hbar) - Dp * dt * (p - q) ** 2
-        )
-    if env.kind != "position_coupling":
-        raise ValueError("propagator_momentum needs a position or momentum coupling")
-    D = env.strength
-    if D <= 0:
-        raise ValueError("position-coupling propagator requires D > 0")
-    gauss = np.exp(-((p - pp) ** 2) / (4.0 * D * dt)) / math.sqrt(4.0 * math.pi * D * dt)
-    phase = np.exp(-1j * dt * (p**2 - q**2 + pp**2 - qp**2) / (4.0 * m * hbar))
-    decay = np.exp(-D * dt**3 * (p - q) ** 2 / (12.0 * m**2 * hbar**2))
-    return gauss * phase * decay
-
-
 # -- reflected densities ------------------------------------------------------
 
 
@@ -213,22 +162,6 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     return float(dens) if np.ndim(p) == 0 else dens
 
 
-def broadening_factor_integral(params: PhysicalParams, D_p: float,
-                               p_lo: float, p_hi: float) -> float:
-    """Exact integral of the momentum-coupling broadening factor over [p_lo, p_hi].
-
-    Antiderivative (1/pi) arctan((p(1+c^2) + p_bar(1-c^2)) / (2 c p_bar)); the
-    full-line integral is exactly 1 for every D_p.
-    """
-    pb = params.p_bar
-    c = 2.0 * params.m * params.hbar * D_p
-
-    def F(p):
-        return math.atan((p * (1 + c**2) + pb * (1 - c**2)) / (2.0 * c * pb)) / math.pi
-
-    return F(p_hi) - F(p_lo)
-
-
 def reflected_spectrum(
     params: PhysicalParams,
     env: EnvironmentSpec,
@@ -258,8 +191,9 @@ def reflected_spectrum(
     peak = float(np.max(np.abs(dens)))
     if peak > 0 and abs(dens[0]) > _EDGE_FRACTION * peak:
         raise QuadratureError(
-            f"density at the lower grid edge exceeds {_EDGE_FRACTION:g} of the peak; "
-            "widen p_range"
+            f"density at the lower grid edge p = {float(p_grid[0]):.6g} is "
+            f"{abs(dens[0]) / peak:.3g} of the peak (> {_EDGE_FRACTION:g}), so the total "
+            "is truncated; reflected_spectrum's p_grid argument takes a grid reaching lower p"
         )
     total = float(np.trapezoid(dens, p_grid))
     return ReflectedSpectrum(p=np.asarray(p_grid, float), density=dens, total=total,

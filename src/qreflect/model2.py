@@ -71,26 +71,12 @@ class EnergyConstraint:
     m: float
     M: float
 
-    def residual(self, P: float) -> float:
-        pb, m, M = self.p_bar, self.m, self.M
-        return (pb**2 - self.p**2) / (2.0 * m) + (
-            (P + self.p - pb) ** 2 - P**2
-        ) / (2.0 * M)
-
-    @property
-    def dE_dP(self) -> float:
-        return (self.p - self.p_bar) / self.M
-
     @property
     def root(self) -> float:
         """The P value satisfying E(p, P) = 0."""
         pb, m, M = self.p_bar, self.m, self.M
         delta = self.p - pb
         return 0.5 * (M * (pb + self.p) / m - delta)
-
-    @property
-    def jacobian(self) -> float:
-        return self.M / abs(self.p - self.p_bar)
 
 
 @dataclass(frozen=True)

@@ -140,13 +140,6 @@ class PhysicalParams:
         """Interaction time tau = 2 m x_bar / p_bar implied by the standoff."""
         return 2.0 * self.m * abs(self.x_bar) / self.p_bar
 
-    def broad_packet_ratio(self) -> float:
-        """(hbar/sigma) / p_bar; << 1 for a momentum-resolved incoming packet."""
-        return (self.hbar / self.sigma) / self.p_bar
-
-    def is_broad_packet(self, threshold: float = 0.1) -> bool:
-        return self.broad_packet_ratio() < threshold
-
 
 def steady_target_width(M: float, D: float, hbar: float = 1.0) -> float:
     """Spatial width of a target equilibrated by position-coupled diffusion,

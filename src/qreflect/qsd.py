@@ -78,9 +78,6 @@ class TrajectoryMoments:
         if not (self.var_x > 0 and self.var_p > 0):
             raise ValueError("variances must stay positive (closure inconsistency)")
 
-    def uncertainty_product(self) -> float:
-        return self.var_x * self.var_p - self.cov_xp**2
-
 
 _record = attrgetter("time", "mean_x", "mean_p", "var_x", "var_p", "cov_xp")  # one record row
 
@@ -267,97 +264,6 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
         return t + dt, mx + d_mx, mp + d_mp, vx1, vp1, c + d_c
 
     return step
-
-
-# -- observables ----------------------------------------------------------------
-
-
-def quantum_current(psi: WaveFunction, x: float | None = None, m: float = 1.0,
-                    method: str = "centered"):
-    """Probability current J(x) = (hbar/m) Im(psi* dpsi/dx).
-
-    method "centered" uses the second-order centered difference on the grid;
-    "spectral" differentiates exactly in Fourier space.  With x given, returns
-    the current at the nearest grid point; otherwise the whole profile.
-    """
-    if psi.representation != "position":
-        raise ValueError("quantum_current expects the position representation")
-    grid = psi.grid
-    vals = psi.values
-    if method == "spectral":
-        dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(vals))
-    elif method == "centered":
-        dpsi = np.empty_like(vals)
-        dpsi[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * grid.dx)
-        dpsi[0] = (vals[1] - vals[0]) / grid.dx
-        dpsi[-1] = (vals[-1] - vals[-2]) / grid.dx
-    else:
-        raise ValueError("method must be 'centered' or 'spectral'")
-    current = psi.hbar / m * np.imag(np.conj(vals) * dpsi)
-    if x is None:
-        return current
-    idx = int(np.argmin(np.abs(grid.x - x)))
-    return float(current[idx])
-
-
-@dataclass(frozen=True)
-class EnsembleDensity:
-    """Mean outer product rho(x, y) over normalized trajectories."""
-
-    grid: SpatialGrid
-    rho: np.ndarray
-    n_trajectories: int
-    hbar: float = 1.0
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)) * self.grid.dx)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.rho) ** 2) * self.grid.dx**2)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.rho - np.conj(self.rho.T))))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.rho) * self.grid.dx
-
-    def momentum_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p axis, momentum-representation density matrix)."""
-        g, hbar = self.grid, self.hbar
-        p = g.momentum_axis(hbar)
-        U = g.dx / math.sqrt(2.0 * math.pi * hbar) * np.exp(-1j * np.outer(p, g.x) / hbar)
-        return p, U @ self.rho @ np.conj(U.T)
-
-    def momentum_moments(self) -> tuple[float, float]:
-        """(mean p, total Var(p)) of the whole ensemble."""
-        p, rho_p = self.momentum_matrix()
-        dp = p[1] - p[0]
-        w = np.real(np.diag(rho_p)) * dp
-        w = w / np.sum(w)
-        mean = float(np.sum(p * w))
-        return mean, float(np.sum((p - mean) ** 2 * w))
-
-    def offdiagonal_fraction(self, width: float) -> float:
-        """|rho| mass at |x - y| > width relative to the whole |rho| mass."""
-        x = self.grid.x
-        sep = np.abs(x[:, None] - x[None, :])
-        mag = np.abs(self.rho)
-        return float(np.sum(mag[sep > width]) / np.sum(mag))
-
-
-def ensemble_density(trajectories: list[WaveFunction]) -> EnsembleDensity:
-    """Arithmetic mean of |psi><psi| over same-grid normalized trajectories."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    grid = trajectories[0].grid
-    hbar = trajectories[0].hbar
-    acc = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    for psi in trajectories:
-        if psi.grid != grid:
-            raise ValueError("all trajectories must share one grid")
-        acc += np.outer(psi.values, np.conj(psi.values))
-    return EnsembleDensity(grid=grid, rho=acc / len(trajectories),
-                           n_trajectories=len(trajectories), hbar=hbar)
 
 
 # -- drivers --------------------------------------------------------------------

@@ -208,28 +208,8 @@ def check_regime(
     )
 
 
-def model2_kinematics(params: PhysicalParams, P_in: float, p_in: float) -> tuple[float, float]:
-    """Elastic two-body outgoing momenta (P_out, p_out) for target mass M.
-
-    Total momentum and kinetic energy are conserved exactly.
-    """
-    m = params.m
-    M = params.M
-    if M is None:
-        raise ValueError("model2 kinematics need the target mass M")
-    s = M + m
-    P_out = ((M - m) * P_in + 2.0 * M * p_in) / s
-    p_out = (2.0 * m * P_in - (M - m) * p_in) / s
-    return P_out, p_out
-
-
 def wigner_spreading_ratio(params: PhysicalParams, t: float) -> float:
     """Classicality ratio p_bar^2 sigma_t^2 / hbar^2 with sigma_t^2 = D t^3 / m^2."""
     if params.D <= 0:
         raise ValueError("spreading ratio undefined for D = 0")
     return params.p_bar**2 * params.D * t**3 / (params.m**2 * params.hbar**2)
-
-
-def wigner_spreading_check(params: PhysicalParams, t: float, threshold: float = 10.0) -> bool:
-    """True when diffusive spreading has made phase-space structure classical."""
-    return wigner_spreading_ratio(params, t) > threshold

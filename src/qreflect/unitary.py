@@ -168,17 +168,6 @@ def propagate(
                           params=params, spec=spec)
 
 
-def mean_energy(psi: WaveFunction, spec: PotentialSpec, params: PhysicalParams) -> float:
-    """<H> = kinetic (spectral) + potential (real part) expectation."""
-    grid = psi.grid
-    tilde = np.fft.fft(psi.values)
-    kin = float(np.sum((params.hbar * grid.wavenumbers) ** 2 / (2.0 * params.m)
-                       * np.abs(tilde) ** 2)) * (grid.dx / grid.n_points)
-    v = np.real(potential_position(spec, grid.x, params.hbar))
-    pot = float(np.sum(v * psi.density()) * grid.dx)
-    return kin + pot
-
-
 def reflection_probability(
     series: SnapshotSeries,
     force: bool = False,

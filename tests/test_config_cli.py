@@ -574,6 +574,17 @@ def test_model1_overflow_prints_no_numpy_warning(tmp_path):
         "numerical failure: density has non-finite entries")
 
 
+def test_model1_truncated_spectrum_names_only_what_exists(tmp_path, capsys):
+    # the total at D = 1e3 is cut off at the grid's lower edge; no flag widens that grid
+    assert main(["model1", "--coupling", "x", "--D_sweep", "1e-9,1e3",
+                 "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("warning: narrow-sideband validity ratio")
+    assert err[1].startswith("numerical failure: density at the lower grid edge p = -8 is ")
+    assert "p_grid argument" in err[1] and "p_range" not in err[1]
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
+
+
 # zero, tiny, huge and negative values: a mantissa times a power of ten
 _any_scale = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
                        st.floats(-10.0, 10.0), st.integers(-330, 300))
@@ -649,6 +660,33 @@ def test_model2_inputs_end_in_a_documented_exit_code(steady, D, Sigma, M, sigma,
         rc = main(args + ["--outdir", outdir])
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+def _log_uniform(lo: float, hi: float):
+    """10^e for e uniform on [lo, hi]."""
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling=st.sampled_from(["x", "p"]), strength=_log_uniform(-9.0, 3.0),
+       sweep=st.none() | st.lists(_log_uniform(-9.0, 3.0), min_size=1, max_size=2),
+       sigma=st.none() | _log_uniform(-6.0, 6.0), tau=st.none() | _log_uniform(-6.0, 6.0))
+def test_model1_inputs_end_in_a_documented_exit_code(coupling, strength, sweep, sigma, tau):
+    x = coupling == "x"
+    args = ["model1", "--coupling", coupling, f"--{'D' if x else 'D_p'}={strength!r}"]
+    if sweep is not None:
+        args.append(f"--{'D_sweep' if x else 'Dp_sweep'}={','.join(map(repr, sweep))}")
+    for flag, value in (("sigma", sigma), ("tau", tau)):
+        if value is not None:
+            args.append(f"--{flag}={value!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3, 4)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
+    assert len(lines) <= 1
 
 
 _TIMESCALE_FLAGS = ("D", "D_p", "sigma", "ell", "M", "Sigma", "m", "hbar", "p_bar")

@@ -1,4 +1,4 @@
-"""Wave-function construction, transforms and the Wigner map."""
+"""Wave-function construction and the Fourier transform."""
 
 import math
 from pathlib import Path
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import qreflect
-from qreflect import (GridTooNarrowError, PhysicalParams, SpatialGrid, WaveFunction,
-                      born_reflection, gaussian_packet, qsd_steady_packet, to_momentum,
-                      to_position, wigner_transform)
+from qreflect import (GridTooNarrowError, PhysicalParams, SpatialGrid, born_reflection,
+                      gaussian_packet, gaussian_state_from_moments, to_momentum)
 from qreflect.grids import reflection_p_grid
 
 
@@ -42,7 +41,7 @@ def test_broad_packet_momentum_width():
     _, mp, _, vp, _ = psi.moments()
     assert mp == pytest.approx(1.0, rel=1e-8)
     assert math.sqrt(vp) == pytest.approx(0.005, rel=1e-6)
-    assert params.is_broad_packet()
+    assert (params.hbar / params.sigma) / params.p_bar < 0.1  # momentum-resolved packet
 
 
 def test_offset_packet_center_by_grid_quadrature():
@@ -65,7 +64,8 @@ def test_steady_packet_widths():
     params = PhysicalParams(D=1.0 / 8.0)
     assert params.sigma_q**2 == pytest.approx(1.0, rel=1e-14)
     grid = SpatialGrid(-30, 30, 1024)
-    psi = qsd_steady_packet(params, grid, 0.0, 0.0)
+    psi = gaussian_state_from_moments(grid, 0.0, 0.0, params.sigma_q**2, 0.5 * params.hbar,
+                                      params.hbar)
     _, _, vx, vp, cxp = psi.moments()
     assert vx == pytest.approx(1.0, abs=1e-6)
     assert vp == pytest.approx(0.5, abs=1e-6)
@@ -78,7 +78,8 @@ def test_steady_packet_widths():
 def test_steady_packet_grid_moments_match_analytic():
     params = PhysicalParams(D=0.7, m=1.3, hbar=0.9)
     grid = SpatialGrid(-20, 20, 1024)
-    psi = qsd_steady_packet(params, grid, center_x=1.5, center_p=-0.4)
+    psi = gaussian_state_from_moments(grid, 1.5, -0.4, params.sigma_q**2, 0.5 * params.hbar,
+                                      params.hbar)
     mx, mp, vx, vp, cxp = psi.moments()
     sq2 = params.sigma_q**2
     assert mx == pytest.approx(1.5, abs=1e-6)
@@ -93,8 +94,9 @@ def test_transform_roundtrip_and_parseval():
     grid = SpatialGrid(-24, 24, 512)
     psi = gaussian_packet(params, grid, center=2.0)
     tilde = to_momentum(psi)
-    back = to_position(tilde)
-    assert np.max(np.abs(back.values - psi.values)) < 1e-12
+    # inverse of the symmetric transform, hbar = 1: undo the x_min phase and the shift
+    back = np.fft.ifft(np.fft.ifftshift(tilde.values) * np.exp(1j * grid.wavenumbers * grid.x_min))
+    assert np.max(np.abs(back * math.sqrt(2.0 * math.pi) / grid.dx - psi.values)) < 1e-12
     assert abs(tilde.norm_squared() - psi.norm_squared()) < 1e-12
 
 
@@ -111,48 +113,7 @@ def test_representation_mismatch_errors():
     grid = SpatialGrid(-16, 16, 256)
     psi = gaussian_packet(params, grid, center=0.0)
     with pytest.raises(ValueError):
-        to_position(psi)
-    with pytest.raises(ValueError):
         to_momentum(to_momentum(psi))
-
-
-def test_wigner_gaussian_nonnegative_and_normalized():
-    params = PhysicalParams(sigma=1.0, x_bar=0.0)
-    grid = SpatialGrid(-16, 16, 256)
-    W = wigner_transform(gaussian_packet(params, grid))
-    assert W.values.min() > -1e-12
-    assert W.integrate() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_wigner_superposition_interference_band():
-    # +p and -p packets: oscillatory structure around p = 0 goes negative
-    params = PhysicalParams(sigma=1.0)
-    grid = SpatialGrid(-16, 16, 256)
-    plus = gaussian_packet(params, grid, center=-4.0, mean_p=1.0)
-    minus = gaussian_packet(params, grid, center=4.0, mean_p=-1.0)
-    both = WaveFunction(grid, plus.values + minus.values, "position", 1.0).normalized()
-    W = wigner_transform(both)
-    band = np.abs(W.p) < 0.25
-    assert W.values[band, :].min() < -0.05
-    assert W.values.min() < -0.05
-
-
-def test_wigner_marginals_random_state():
-    rng = np.random.default_rng(5)
-    grid = SpatialGrid(-12, 12, 256)
-    # smooth random state: random Gaussian bumps with random phases
-    x = grid.x
-    vals = np.zeros_like(x, dtype=complex)
-    for _ in range(5):
-        c, w, k = rng.uniform(-4, 4), rng.uniform(0.8, 2.0), rng.uniform(-1.5, 1.5)
-        vals += rng.normal() * np.exp(-((x - c) ** 2) / (2 * w**2) + 1j * k * x)
-    psi = WaveFunction(grid, vals, "position", 1.0).normalized()
-    W = wigner_transform(psi)
-    assert np.max(np.abs(W.marginal_x() - psi.density())) < 1e-6
-    # momentum marginal against the direct transform sampled on the Wigner p axis
-    U = grid.dx / math.sqrt(2 * math.pi) * np.exp(-1j * np.outer(W.p, x))
-    direct = np.abs(U @ psi.values) ** 2
-    assert np.max(np.abs(W.marginal_p() - direct)) < 1e-6
 
 
 def test_momentum_axis_is_shifted_wavenumber_axis():

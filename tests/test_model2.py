@@ -13,7 +13,7 @@ from scipy.integrate import dblquad
 from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
                       conditional_reflected_env, conditional_reflected_noenv,
                       joint_reflected_noenv, marginal_reflected_noenv,
-                      model2_kinematics, potential_momentum, reflected_density_env,
+                      potential_momentum, reflected_density_env,
                       steady_target_width, target_momentum_density,
                       timescale_cutoffs_model2, total_reflected_model2)
 from qreflect import model2
@@ -23,6 +23,16 @@ from qreflect.model2 import clamp_density, exp_quadratic_integral
 from qreflect.oscquad import decay_cutoff, panel_nodes
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
+
+
+def _model2_kinematics_oracle(params, P_in, p_in):
+    """Elastic two-body outgoing momenta (P_out, p_out) for target mass M: total
+    momentum and kinetic energy are conserved exactly."""
+    m, M = params.m, params.M
+    s = M + m
+    P_out = ((M - m) * P_in + 2.0 * M * p_in) / s
+    p_out = (2.0 * m * P_in - (M - m) * p_in) / s
+    return P_out, p_out
 
 
 def make_cfg(M=10.0, Sigma=1.0, sigma=1.0, tau=None, steady=False, D=0.0, a=0.1, V0=0.01):
@@ -43,11 +53,43 @@ def test_constraint_root_matches_kinematics():
     cfg = make_cfg(M=10.0)
     params = cfg.params
     for P_in in (-0.7, 0.0, 1.3):
-        P_out, p_out = model2_kinematics(params, P_in, 1.0)
+        P_out, p_out = _model2_kinematics_oracle(params, P_in, 1.0)
         con = joint_reflected_noenv(cfg, p_out, P_out).constraint
-        assert abs(con.residual(P_out)) < 1e-12
+        # E(p, P) at the outgoing momenta, and dE/dP = (p - p_bar) / M
+        residual = ((con.p_bar**2 - con.p**2) / (2.0 * con.m)
+                    + ((P_out + con.p - con.p_bar) ** 2 - P_out**2) / (2.0 * con.M))
+        assert abs(residual) < 1e-12
         assert con.root == pytest.approx(P_out, abs=1e-10)
-        assert con.dE_dP == pytest.approx((p_out - 1.0) / 10.0, rel=1e-12)
+        assert (con.p - con.p_bar) / con.M == pytest.approx((p_out - 1.0) / 10.0, rel=1e-12)
+
+
+def test_kinematics_equal_mass_exchange():
+    params = PhysicalParams(m=1.0, M=1.0 + 1e-12)
+    P_out, p_out = _model2_kinematics_oracle(params, 0.3, 1.4)
+    assert P_out == pytest.approx(1.4, rel=1e-9)
+    assert p_out == pytest.approx(0.3, rel=1e-9)
+
+
+def test_kinematics_heavy_wall_limit():
+    params = PhysicalParams(m=1.0, M=1e6)
+    P_out, p_out = _model2_kinematics_oracle(params, 0.0, 1.0)
+    assert p_out == pytest.approx(-1.0, abs=1e-5)
+
+
+def test_kinematics_conservation_and_first_order_form():
+    params = PhysicalParams(m=1.0, M=10.0)
+    P_in, p_in = 0.0, 1.0
+    P_out, p_out = _model2_kinematics_oracle(params, P_in, p_in)
+    assert p_out == pytest.approx(-9.0 / 11.0, rel=1e-14)
+    assert P_out == pytest.approx(20.0 / 11.0, rel=1e-14)
+    # exact conservation
+    assert P_out + p_out == pytest.approx(P_in + p_in, rel=1e-12)
+    e_in = p_in**2 / 2 + P_in**2 / 20
+    e_out = p_out**2 / 2 + P_out**2 / 20
+    assert e_out == pytest.approx(e_in, rel=1e-12)
+    # first-order-in-m/M form p ~ -p_bar + 2 (m/M) P_in holds up to O(m/M)
+    first_order = -p_in + 2 * (1.0 / 10.0) * P_in
+    assert abs(p_out - first_order) <= 2.2 * (1.0 / 10.0) * (abs(p_in) + abs(P_in))
 
 
 def test_light_particle_marginal_peak_width():
@@ -377,7 +419,7 @@ def test_marginal_equals_joint_at_constraint_root():
     for p, value in zip(p_grid, marginal):
         con = joint_reflected_noenv(cfg, float(p), 0.0).constraint
         at_root = joint_reflected_noenv(cfg, float(p), con.root).coefficient
-        assert value == pytest.approx(at_root * con.jacobian, rel=1e-6)
+        assert value == pytest.approx(at_root * con.M / abs(con.p - con.p_bar), rel=1e-6)
 
 
 def test_density_clamp_behavior():
