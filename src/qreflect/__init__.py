@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 
 from .grids import (GridTooNarrowError, SpatialGrid, WaveFunction, gaussian_packet,
                     gaussian_state_from_moments, position_moments, to_momentum)
-from .model1 import (EnvironmentSpec, ReflectedSpectrum, born_delta_coefficient,
-                     reflected_density_p, reflected_density_x, reflected_spectrum,
-                     sweep_total_p, total_reflected, narrow_sideband_ratio)
-from .model2 import (ConstrainedDensity, CutoffReport, EnergyConstraint,
-                     Model2Config, clamp_density,
+from .model1 import (EnvironmentSpec, born_delta_coefficient, reflected_density_p,
+                     reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
+from .model2 import (ConstrainedDensity, CutoffReport, Model2Config, clamp_density,
                      conditional_reflected_env,
                      conditional_reflected_noenv,
                      joint_reflected_noenv, marginal_reflected_noenv,

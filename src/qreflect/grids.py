@@ -66,13 +66,10 @@ class SpatialGrid:
         return 2.0 * math.pi * m * self.dx**2 / hbar
 
 
-def reflection_p_grid(params: PhysicalParams, n_points: int,
-                      p_min: float | None = None) -> np.ndarray:
-    """Reflection-side grid on [p_min, 0), p_min = -8 p_bar by default; p = 0
-    is left out because the reflected densities carry a 1/p^2 prefactor."""
-    if p_min is None:
-        p_min = -8.0 * params.p_bar
-    return np.linspace(p_min, 0.0, n_points, endpoint=False)
+def reflection_p_grid(params: PhysicalParams, n_points: int) -> np.ndarray:
+    """Reflection-side grid on [-8 p_bar, 0); p = 0 is left out because the
+    reflected densities carry a 1/p^2 prefactor."""
+    return np.linspace(-8.0 * params.p_bar, 0.0, n_points, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,6 @@ class WaveFunction:
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
         return WaveFunction(self.grid, self.values / n, self.representation, self.hbar)
-
-    def mean_x(self) -> float:
-        return self.moments()[0]
 
     def moments(self) -> tuple[float, float, float, float, float]:
         """(mean_x, mean_p, var_x, var_p, cov_xp): position_moments of this state."""

@@ -28,13 +28,14 @@ _EDGE_FRACTION = 0.02  # largest lower-edge density, relative to the peak, of a 
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Lindblad coupling choice: position (strength D), momentum (D_p), or none."""
+    """Lindblad coupling choice: position (strength D) or momentum (D_p); no
+    coupling is position(0.0)."""
 
-    kind: str  # "position_coupling" | "momentum_coupling" | "none"
+    kind: str  # "position_coupling" | "momentum_coupling"
     strength: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("position_coupling", "momentum_coupling", "none"):
+        if self.kind not in ("position_coupling", "momentum_coupling"):
             raise ValueError(f"unknown environment kind {self.kind!r}")
         if self.strength < 0:
             raise ValueError("coupling strength must be nonnegative")
@@ -46,21 +47,6 @@ class EnvironmentSpec:
     @classmethod
     def momentum(cls, D_p: float) -> "EnvironmentSpec":
         return cls("momentum_coupling", D_p)
-
-    @classmethod
-    def none(cls) -> "EnvironmentSpec":
-        return cls("none", 0.0)
-
-
-@dataclass(frozen=True)
-class ReflectedSpectrum:
-    """Reflected momentum density sampled on a grid, with its quadrature total."""
-
-    p: np.ndarray
-    density: np.ndarray
-    total: float
-    tau: float
-    environment: EnvironmentSpec
 
 
 # -- reflected densities ------------------------------------------------------
@@ -162,13 +148,13 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     return float(dens) if np.ndim(p) == 0 else dens
 
 
-def reflected_spectrum(
+def total_reflected(
     params: PhysicalParams,
     env: EnvironmentSpec,
     tau: float | None = None,
     p_grid: np.ndarray | None = None,
-) -> ReflectedSpectrum:
-    """Sample the chosen kernel on a momentum grid and integrate it.
+) -> float:
+    """Total reflected probability: quadrature of the kernel density over p < 0.
 
     Raises QuadratureError when the density at the lower grid edge exceeds
     _EDGE_FRACTION of the peak, since the total would then be visibly
@@ -184,42 +170,22 @@ def reflected_spectrum(
         tau = params.tau_default
     if env.kind == "position_coupling":
         dens = reflected_density_x(p_grid, params, env.strength, tau)
-    elif env.kind == "momentum_coupling":
-        dens = reflected_density_p(p_grid, params, env.strength)
     else:
-        raise ValueError("reflected_spectrum needs an environment coupling")
+        dens = reflected_density_p(p_grid, params, env.strength)
     peak = float(np.max(np.abs(dens)))
     if peak > 0 and abs(dens[0]) > _EDGE_FRACTION * peak:
         raise QuadratureError(
             f"density at the lower grid edge p = {float(p_grid[0]):.6g} is "
             f"{abs(dens[0]) / peak:.3g} of the peak (> {_EDGE_FRACTION:g}), so the total "
-            "is truncated; reflected_spectrum's p_grid argument takes a grid reaching lower p"
+            "is truncated; total_reflected's p_grid argument takes a grid reaching lower p"
         )
-    total = float(np.trapezoid(dens, p_grid))
-    return ReflectedSpectrum(p=np.asarray(p_grid, float), density=dens, total=total,
-                             tau=tau, environment=env)
+    return float(np.trapezoid(dens, p_grid))
 
 
-def total_reflected(
-    params: PhysicalParams,
-    env: EnvironmentSpec,
-    tau: float | None = None,
-    p_grid: np.ndarray | None = None,
-) -> float:
-    """Total reflected probability: quadrature of the kernel density over p < 0."""
-    return reflected_spectrum(params, env, tau, p_grid).total
-
-
-def sweep_total_p(
-    params: PhysicalParams,
-    D_p_values,
-    p_grid: np.ndarray | None = None,
-) -> np.ndarray:
+def sweep_total_p(params: PhysicalParams, D_p_values) -> np.ndarray:
     """Total reflected probability versus D_p for momentum coupling."""
-    return np.array([
-        total_reflected(params, EnvironmentSpec.momentum(D_p), p_grid=p_grid)
-        for D_p in D_p_values
-    ])
+    return np.array([total_reflected(params, EnvironmentSpec.momentum(D_p))
+                     for D_p in D_p_values])
 
 
 def narrow_sideband_ratio(params: PhysicalParams, D: float | None = None) -> float:

@@ -3,9 +3,10 @@
 Second-order perturbation theory in the contact barrier V(x - X) with the
 incoming light particle in the plane-wave limit and the target in a Gaussian
 state.  The environment, when present, couples only to the target position.
-Energy-conservation delta functions are kept symbolic (descriptor objects) and
-every target-momentum integral is done analytically through the constraint
-root and its Jacobian, never by numerical smearing.
+The joint and conditional densities return the smooth coefficient of their
+energy-conservation delta(E) (ConstrainedDensity).  The marginal integrates
+the delta over the target momentum analytically, at its root and with the
+Jacobian M/|p - p_bar|, never by numerical smearing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
 _FLOOR_FRACTION = 1e-6  # deepest negative lobe, relative to the peak, that clamp_density zeroes
+_SUPPRESSED_BELOW = 0.1  # cutoff margin min(T_z, T_d_p, T_1) / t_E that counts as suppressed
 
 
 @dataclass(frozen=True)
@@ -57,34 +59,12 @@ class Model2Config:
 
 
 @dataclass(frozen=True)
-class EnergyConstraint:
-    """Symbolic delta(E) carried alongside a smooth coefficient.
-
-    E(p, P) is the kinetic-energy mismatch when the light particle ends at p
-    and the target at P (total momentum fixes the incoming target momentum to
-    P + p - p_bar).  dE/dP = (p - p_bar)/M is P-independent, so integrals over
-    P collapse onto the root with Jacobian M/|p - p_bar|.
-    """
-
-    p: float
-    p_bar: float
-    m: float
-    M: float
-
-    @property
-    def root(self) -> float:
-        """The P value satisfying E(p, P) = 0."""
-        pb, m, M = self.p_bar, self.m, self.M
-        delta = self.p - pb
-        return 0.5 * (M * (pb + self.p) / m - delta)
-
-
-@dataclass(frozen=True)
 class ConstrainedDensity:
-    """Smooth coefficient multiplying the symbolic delta(E)."""
+    """Smooth coefficient multiplying delta(E), where E(p, P) is the kinetic-energy
+    mismatch when the light particle ends at p and the target at P (total
+    momentum fixes the incoming target momentum to P + p - p_bar)."""
 
     coefficient: float
-    constraint: EnergyConstraint
 
 
 def _v_squared(params: PhysicalParams, delta):
@@ -111,7 +91,7 @@ def joint_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedD
         * _v_squared(cfg.params, delta)
         * math.exp(-(Sg**2) * (delta + P - Pb) ** 2 / hbar**2)
     )
-    return ConstrainedDensity(coef, EnergyConstraint(p=p, p_bar=pb, m=m, M=M))
+    return ConstrainedDensity(coef)
 
 
 def target_momentum_density(cfg: Model2Config, P: float) -> float:
@@ -122,7 +102,7 @@ def target_momentum_density(cfg: Model2Config, P: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
-def marginal_reflected_noenv(cfg: Model2Config, p, simplified: bool = False):
+def marginal_reflected_noenv(cfg: Model2Config, p):
     """Reflected density of the light particle with the target traced out.
 
     The delta(E) is absorbed analytically (Jacobian M/|p - p_bar|), giving
@@ -130,10 +110,8 @@ def marginal_reflected_noenv(cfg: Model2Config, p, simplified: bool = False):
         (2 sqrt(pi) Sigma m M / hbar^2 p_bar |p - p_bar|) V^2(p - p_bar)
             * exp(-Sigma^2 M^2 F(p)^2 / hbar^2 (p - p_bar)^2)
 
-    with F the energy mismatch at the incoming target momentum P_bar.  With
-    simplified=True, uses the light-particle limit m << M at P_bar = 0, where
-    the exponent becomes Sigma^2 M^2 (p + p_bar)^2 / 4 hbar^2 m^2.  Elementwise
-    over an array p; a float p returns a float.
+    with F the energy mismatch at the incoming target momentum P_bar.
+    Elementwise over an array p; a float p returns a float.
     """
     m, M, hbar, pb, Pb, Sg = _target(cfg)
     p_arr = np.asarray(p, float)
@@ -144,11 +122,8 @@ def marginal_reflected_noenv(cfg: Model2Config, p, simplified: bool = False):
         2.0 * math.sqrt(math.pi) * Sg * m * M / (hbar**2 * pb * np.abs(delta))
         * _v_squared(cfg.params, delta)
     )
-    if simplified:
-        dens = pref * np.exp(-(Sg**2) * M**2 * (p_arr + pb) ** 2 / (4.0 * hbar**2 * m**2))
-    else:
-        F = (pb**2 - p_arr**2) / (2.0 * m) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M)
-        dens = pref * np.exp(-(Sg**2) * M**2 * F**2 / (hbar**2 * delta**2))
+    F = (pb**2 - p_arr**2) / (2.0 * m) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M)
+    dens = pref * np.exp(-(Sg**2) * M**2 * F**2 / (hbar**2 * delta**2))
     return float(dens) if np.ndim(p) == 0 else dens
 
 
@@ -168,7 +143,7 @@ def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> Constr
         * _v_squared(cfg.params, delta)
         * math.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / hbar**2)
     )
-    return ConstrainedDensity(coef, EnergyConstraint(p=p, p_bar=pb, m=m, M=M))
+    return ConstrainedDensity(coef)
 
 
 # -- with environment -----------------------------------------------------------
@@ -181,12 +156,7 @@ def _recoil_omega(cfg: Model2Config, p):
     return (pb**2 - p**2) / (2.0 * m * hbar) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M * hbar)
 
 
-def reflected_density_env(
-    cfg: Model2Config,
-    p,
-    D: float | None = None,
-    tau: float | None = None,
-):
+def reflected_density_env(cfg: Model2Config, p, D: float | None = None):
     """Traced-out reflected density with the target coupled to its environment.
 
     Single oscillatory s-integral (the first-interaction time is integrated in
@@ -200,17 +170,16 @@ def reflected_density_env(
     p may be an array: every point is integrated in one batched quadrature
     and an array is returned; a float p returns a float.
 
-    tau = inf is the joint D -> 0, tau -> inf limit and returns the
+    cfg.tau = inf is the joint D -> 0, tau -> inf limit and returns the
     environment-free marginal (for fixed D > 0 the density scales as 1/tau and
     vanishes pointwise as tau grows).
     """
-    dens, = _env_densities(cfg, p, D, tau, (cfg.params.potential,))
+    dens, = _env_densities(cfg, p, D, (cfg.params.potential,))
     return float(dens[0]) if np.ndim(p) == 0 else dens
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
-def _env_densities(cfg: Model2Config, p, D: float | None, tau: float | None,
-                   barriers) -> list[np.ndarray]:
+def _env_densities(cfg: Model2Config, p, D: float | None, barriers) -> list[np.ndarray]:
     """reflected_density_env over an array of p, once for each barrier.
 
     The s-integral reads the target, D and tau but never the barrier, which
@@ -220,8 +189,7 @@ def _env_densities(cfg: Model2Config, p, D: float | None, tau: float | None,
     m, M, hbar, pb, _, Sg = _target(cfg)
     if D is None:
         D = params.D
-    if tau is None:
-        tau = cfg.tau
+    tau = cfg.tau
     p_arr = np.atleast_1d(np.asarray(p, float))
     each = [params.replace(potential=spec) for spec in barriers]
     if math.isinf(tau):
@@ -309,7 +277,7 @@ def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
 def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = None,
-                              tau: float | None = None, reduced: bool = False):
+                              reduced: bool = False):
     """Reflected density at p conditioned on target momentum P, with environment.
 
     The second-order expression plus its complex conjugate is a double
@@ -332,8 +300,7 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     m, M, hbar, pb, Pb, Sg = _target(cfg)
     if D is None:
         D = params.D
-    if tau is None:
-        tau = cfg.tau
+    tau = cfg.tau
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("the conditional kernel needs a finite positive tau")
     p_arr = np.atleast_1d(np.asarray(p, float))
@@ -343,7 +310,7 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     suppression = np.exp(-(Sg**2) * (delta * (delta + 2.0 * dP)) / G)  # inf at an improbable P
     finite_density(suppression)  # the density would not be finite: fail before integrating
     if reduced:
-        dens = suppression * reflected_density_env(cfg, p_arr, D=D, tau=tau)
+        dens = suppression * reflected_density_env(cfg, p_arr, D=D)
         return float(dens[0]) if np.ndim(p) == 0 else dens
 
     omega = _recoil_omega(cfg, p_arr)
@@ -401,13 +368,7 @@ def clamp_density(density: np.ndarray) -> np.ndarray:
     return np.where(density < 0.0, 0.0, density)
 
 
-def total_reflected_model2(
-    cfg: Model2Config,
-    D_values,
-    p_grid: np.ndarray | None = None,
-    tau: float | None = None,
-    barriers=None,
-) -> np.ndarray:
+def total_reflected_model2(cfg: Model2Config, D_values, barriers=None) -> np.ndarray:
     """Total reflected probability versus diffusion constant (quadrature over p < 0).
 
     When the configuration pins the target to its steady width, Sigma tracks
@@ -415,13 +376,12 @@ def total_reflected_model2(
     (len(barriers), len(D_values)) array from one s-integral per D value;
     otherwise the totals for the configured barrier.
     """
-    if p_grid is None:
-        p_grid = reflection_p_grid(cfg.params, 1024)
+    p_grid = reflection_p_grid(cfg.params, 1024)
     specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
     totals = np.empty((len(specs), len(D_values)))
     for j, D in enumerate(D_values):
         c = cfg.with_D(D) if cfg.steady_target else cfg
-        for i, dens in enumerate(_env_densities(c, p_grid, D, tau, specs)):
+        for i, dens in enumerate(_env_densities(c, p_grid, D, specs)):
             totals[i, j] = np.trapezoid(clamp_density(dens), p_grid)
     return totals[0] if barriers is None else totals
 
@@ -439,8 +399,7 @@ class CutoffReport:
     suppressed: bool
 
 
-def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None,
-                             threshold: float = 0.1) -> CutoffReport:
+def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None) -> CutoffReport:
     """Smallest of the target Zeno, momentum-decoherence and accumulated-
     fluctuation timescales, compared against the scattering time t_E.
 
@@ -464,4 +423,4 @@ def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None,
     dominant = min(named, key=named.get)
     margin = named[dominant] / t_E
     return CutoffReport(T_z=T_z, T_d_p=T_d_p, T_1=T_1, dominant=dominant,
-                        t_E=t_E, margin=margin, suppressed=margin < threshold)
+                        t_E=t_E, margin=margin, suppressed=margin < _SUPPRESSED_BELOW)

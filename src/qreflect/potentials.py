@@ -31,7 +31,12 @@ def potential_position(spec: PotentialSpec, x, hbar: float = 1.0):
         out = 0.5 * spec.V0 * (erf((spec.L - x) / z) + erf((spec.L + x) / z))
         return out.astype(complex)
     if spec.kind == "gaussian":
-        out = spec.V0 / (spec.a * _SQRT2PI) * np.exp(-(x**2) / (2.0 * spec.a**2))
+        peak = spec.V0 / (spec.a * _SQRT2PI)
+        if peak == math.inf:
+            raise ValueError(f"gaussian barrier peak V0 / (a sqrt(2 pi)) overflows, got "
+                             f"V0 = {spec.V0!r}, a = {spec.a!r}")
+        with np.errstate(over="ignore"):  # x^2 / 2a^2 = inf at a subnormal a^2: exp gives 0
+            out = peak * np.exp(-(x**2) / (2.0 * spec.a**2))
         return out.astype(complex)
     theta = np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5))
     if spec.kind == "step":

@@ -44,9 +44,9 @@ class NoiseStream:
     one-at-a-time draws agree bit for bit however they are batched.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.counter = int(counter)
+        self.counter = 0
 
     def increments(self, start: int, n: int, dt: float) -> np.ndarray:
         """Increments start, ..., start + n - 1 as one array."""
@@ -82,11 +82,11 @@ class TrajectoryMoments:
 _record = attrgetter("time", "mean_x", "mean_p", "var_x", "var_p", "cov_xp")  # one record row
 
 
-def steady_moments(params: PhysicalParams, mean_x: float = 0.0, mean_p: float = 0.0,
-                   time: float = 0.0) -> TrajectoryMoments:
-    """Moments of the localized steady packet for position coupling."""
+def steady_moments(params: PhysicalParams) -> TrajectoryMoments:
+    """Moments of the localized steady packet for position coupling, at rest at
+    the origin at t = 0."""
     sq2 = params.sigma_q**2
-    return TrajectoryMoments(time=time, mean_x=mean_x, mean_p=mean_p,
+    return TrajectoryMoments(time=0.0, mean_x=0.0, mean_p=0.0,
                              var_x=sq2, var_p=params.hbar**2 / (2.0 * sq2),
                              cov_xp=params.hbar / 2.0)
 
@@ -176,8 +176,8 @@ def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, spec: PotentialSpec
     return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
 
-def wavefunction_moments(psi: WaveFunction, time: float = 0.0) -> TrajectoryMoments:
-    return TrajectoryMoments(time, *psi.moments())
+def wavefunction_moments(psi: WaveFunction) -> TrajectoryMoments:
+    return TrajectoryMoments(0.0, *psi.moments())
 
 
 # -- moment-level integration --------------------------------------------------
@@ -208,30 +208,21 @@ def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx, mp, vx, c):
 
 
 def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
-                spec: PotentialSpec | None, dt: float, noise,
-                closure: str = "gaussian") -> TrajectoryMoments:
-    """Euler-Maruyama step of the closed moment system, one shared dB.
-
-    closure = "gaussian": all five moments evolve; third central moments
-    vanish, so only the two mean equations carry noise.  closure =
-    "steady_state": second moments are pinned to the localized steady packet
-    (position coupling) or frozen at their current values (momentum coupling),
-    and only the means evolve.
-    """
-    step = _moment_map(params, env, spec, dt, closure)
+                spec: PotentialSpec | None, dt: float, noise) -> TrajectoryMoments:
+    """Euler-Maruyama step of the closed moment system, one shared dB.  Third
+    central moments vanish, so only the two mean equations carry noise."""
+    step = _moment_map(params, env, spec, dt)
     return TrajectoryMoments(*step(*_record(mom), _resolve_dB(noise, dt)))
 
 
 def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
-                dt: float, closure: str):
+                dt: float):
     """Checked moment_step: step(t, <x>, <p>, Vx, Vp, Cov, dB) -> the six at t + dt, on
     floats or (rows,) arrays.  Squares are products, as numpy squares arrays: float ** 2
     goes through libm pow, which can round otherwise, and a row must equal a float run."""
-    if closure not in ("gaussian", "steady_state"):
-        raise ValueError("closure must be 'gaussian' or 'steady_state'")
     _check_dt(params, env, dt, None)
     m, hbar, D = params.m, params.hbar, env.strength
-    in_x = env.kind != "momentum_coupling"  # position; no coupling has D = 0
+    in_x = env.kind != "momentum_coupling"
     root = math.sqrt(8.0 * D) / hbar if in_x else math.sqrt(8.0 * D)
 
     def step(t, mx, mp, vx, vp, c, dB):
@@ -239,21 +230,17 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
         if in_x:
             d_mx = mp / m * dt + root * vx * dB
             d_mp = -V0 * psi0_sq * dt + root * c * dB
-            if closure == "gaussian":
-                d_vx = (2.0 * c / m - 8.0 * D * (vx * vx) / hbar**2) * dt
-                d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                        + 2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
-                d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
-            else:
-                d_vx = d_vp = d_c = 0.0
+            d_vx = (2.0 * c / m - 8.0 * D * (vx * vx) / hbar**2) * dt
+            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
+                    + 2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
+            d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
         else:
             d_mx = mp / m * dt + root * c * dB
             d_mp = -V0 * psi0_sq * dt + root * vp * dB
             # three-moment system: the spatial profile (var_x, cov) is frozen for
             # the barrier-term closure
             d_vx = d_c = 0.0
-            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                    - 8.0 * D * (vp * vp)) * dt if closure == "gaussian" else 0.0
+            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq - 8.0 * D * (vp * vp)) * dt
         vx1, vp1 = vx + d_vx, vp + d_vp
         ok = (vx1 > 0) & (vp1 > 0)  # a bool on floats, a (rows,) array on a block
         if ok is not True and not np.all(ok):
@@ -376,8 +363,7 @@ def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
 
 def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
                         spec: PotentialSpec | None, params: PhysicalParams, dt: float,
-                        n_steps: int, seeds, record_every: int = 1,
-                        closure: str = "gaussian") -> np.ndarray:
+                        n_steps: int, seeds, record_every: int = 1) -> np.ndarray:
     """Records of one moment trajectory per seed, all starting from mom0.  A block of
     seeds steps together, each moment a (rows,) array, through the moment map that
     steps a one-seed block on Python floats.  A block takes 64e6 // n_steps seeds, so
@@ -389,7 +375,7 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
     the failing seed and its step: the first failing row at the earliest failing step
     of an array block, the first seed to fail of the seeds stepped on floats."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
-    step_map = _moment_map(params, env, spec, dt, closure)
+    step_map = _moment_map(params, env, spec, dt)
     start = _record(mom0)
     for first, size in _moment_blocks(len(seeds), n_steps):
         block = seeds[first:first + size]
@@ -415,11 +401,11 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
 
 def run_moment_trajectory(mom0: TrajectoryMoments, env: EnvironmentSpec,
                           spec: PotentialSpec | None, params: PhysicalParams, dt: float,
-                          n_steps: int, seed: int, record_every: int = 1,
-                          closure: str = "gaussian") -> list[TrajectoryMoments]:
+                          n_steps: int, seed: int, record_every: int = 1
+                          ) -> list[TrajectoryMoments]:
     """Integrate one trajectory: run_moment_ensemble for the one seed."""
     return _series(run_moment_ensemble(mom0, env, spec, params, dt, n_steps, [seed],
-                                       record_every, closure)[0])
+                                       record_every)[0])
 
 
 def run_ensemble(task, seeds) -> list:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .params import PhysicalParams
 
+_RANGE_ERROR = "a timescale or its identities leave the normal float range"
+
 
 @dataclass(frozen=True)
 class TimescaleReport:
@@ -105,8 +107,8 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
                 raise ValueError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
         report = TimescaleReport(ell=ell, **values)
         _verify_internal_identities(report, params)
-    except (ArithmeticError, AssertionError):  # a 0 divisor, ** overflow, or subnormal product
-        raise ValueError("a timescale or its identities leave the normal float range") from None
+    except ArithmeticError:  # a 0 divisor, ** overflow, or subnormal product
+        raise ValueError(_RANGE_ERROR) from None
     return report
 
 
@@ -122,21 +124,23 @@ def _verify_internal_identities(r: TimescaleReport, params: PhysicalParams, tol:
     def close(a, b):
         return abs(a - b) <= tol * max(abs(a), abs(b))
 
+    pairs = []
     if r.sigma_p is not None:
         fluct = r.sigma_p / pb
-        assert close(r.t_E / r.t_z_qsd, 2.0 * math.sqrt(2.0) * fluct)
-        assert close(r.t_z_qsd / r.t_loc, 0.5 * fluct)
-        assert close(r.t_z_qsd / r.t_d_p, fluct ** (1.0 / 3.0) / 2 ** (5.0 / 6.0))
-        assert close(r.t_d_p / r.t_loc, fluct ** (2.0 / 3.0) / 2 ** (1.0 / 6.0))
-        # classicality ratio equals unity at t = t_d_p by construction
-        assert close(wigner_spreading_ratio(params, r.t_d_p), 1.0)
+        pairs += [(r.t_E / r.t_z_qsd, 2.0 * math.sqrt(2.0) * fluct),
+                  (r.t_z_qsd / r.t_loc, 0.5 * fluct),
+                  (r.t_z_qsd / r.t_d_p, fluct ** (1.0 / 3.0) / 2 ** (5.0 / 6.0)),
+                  (r.t_d_p / r.t_loc, fluct ** (2.0 / 3.0) / 2 ** (1.0 / 6.0)),
+                  # classicality ratio equals unity at t = t_d_p by construction
+                  (wigner_spreading_ratio(params, r.t_d_p), 1.0)]
     if r.T_1 is not None:
-        assert close(r.T_1, r.T_d_p**1.5 / math.sqrt(r.t_z))
-        assert close(r.T_d_p,
-                     (params.M / params.m) ** (1 / 3) * r.T_loc ** (2 / 3) * r.t_E ** (1 / 3) / 2 ** (1 / 3))
-        # velocity form of the T_1 condition
-        assert close(r.T_1 / r.t_E,
-                     0.5 * (pb / params.m) / (math.sqrt(params.D * r.t_z) / params.M))
+        pairs += [(r.T_1, r.T_d_p**1.5 / math.sqrt(r.t_z)),
+                  (r.T_d_p, (params.M / params.m) ** (1 / 3) * r.T_loc ** (2 / 3)
+                   * r.t_E ** (1 / 3) / 2 ** (1 / 3)),
+                  # velocity form of the T_1 condition
+                  (r.T_1 / r.t_E, 0.5 * (pb / params.m) / (math.sqrt(params.D * r.t_z) / params.M))]
+    if not all(close(a, b) for a, b in pairs):  # raised, not asserted: python -O keeps it
+        raise ValueError(_RANGE_ERROR)
 
 
 @dataclass(frozen=True)

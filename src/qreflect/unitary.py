@@ -201,23 +201,16 @@ class BornResult:
     total: float
 
 
-def born_reflection(
-    params: PhysicalParams,
-    spec: PotentialSpec | None = None,
-    n_points: int = 2048,
-    p_min: float | None = None,
-) -> BornResult:
+def born_reflection(params: PhysicalParams) -> BornResult:
     """First Born reflected density on the p < 0 half-grid.
 
     density(p) = (2 pi m^2 / hbar p^2) V(2p)^2 |psi_in(-p)|^2 with V the
     momentum-space barrier and psi_in the incoming Gaussian packet; p = 0 is
     excluded (endpoint-open grid) since the prefactor is singular there.
     """
-    if spec is None:
-        spec = params.potential
     m, hbar, pb, sigma = params.m, params.hbar, params.p_bar, params.sigma
-    p = reflection_p_grid(params, n_points, p_min)
-    v = potential_momentum(spec, 2.0 * p, hbar)
+    p = reflection_p_grid(params, 2048)
+    v = potential_momentum(params.potential, 2.0 * p, hbar)
     incoming = math.sqrt(2.0 * sigma**2 / (math.pi * hbar**2)) * np.exp(
         -2.0 * sigma**2 * (-p - pb) ** 2 / hbar**2
     )

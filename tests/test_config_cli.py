@@ -512,6 +512,16 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert run.returncode == 0 and run.stdout.strip() == "False"
 
 
+def test_timescale_identity_checks_survive_python_dash_o(tmp_path):
+    # the identities fail here; python -O strips assert statements, so the check raises
+    run = _python("-O", "-m", "qreflect", "timescales", "--D=5.8e-225", "--hbar=5e-97",
+                  "--outdir", str(tmp_path))
+    assert run.returncode == 2
+    assert run.stderr == ("config error: a timescale or its identities leave the normal "
+                          "float range\n")
+    assert not (tmp_path / "timescales.csv").exists()
+
+
 def test_qsd_p_coupling_grid_holds_the_ensemble_spread(tmp_path, monkeypatch):
     # seed 8 of this run put 1.7e-6 of its probability in the outer 1/16 of a
     # grid sized 8 sigma + 4 |x_bar|; the grid now spans 8 sd of the spread
@@ -687,6 +697,30 @@ def test_model1_inputs_end_in_a_documented_exit_code(coupling, strength, sweep, 
     assert rc in (0, 2, 3, 4)
     lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
     assert len(lines) <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_points=st.sampled_from([256, 512]), sigma=st.none() | _log_uniform(-12.0, 12.0),
+       t_final=st.none() | _log_uniform(-12.0, 12.0),
+       potential=st.sampled_from(["gaussian", "smeared_window", "step", "complex_step"]),
+       V0=st.none() | _any_scale, a=st.none() | _any_scale)
+# the gaussian peak V0 / (a sqrt(2 pi)) overflowed to inf, and the run wrote nan
+# densities with exit 0; x^2 / 2a^2 overflowed at a subnormal a^2 with a numpy warning
+@example(n_points=256, sigma=None, t_final=None, potential="gaussian", V0=1e300, a=1e-10)
+@example(n_points=512, sigma=None, t_final=1.0, potential="gaussian", V0=None, a=4e-161)
+def test_unitary_inputs_end_in_a_documented_exit_code(n_points, sigma, t_final, potential,
+                                                      V0, a):
+    args = ["unitary", f"--n_points={n_points}", f"--potential={potential}"]
+    for flag, value in (("sigma", sigma), ("t_final", t_final), ("V0", V0), ("a", a)):
+        if value is not None:
+            args.append(f"--{flag}={value!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 _TIMESCALE_FLAGS = ("D", "D_p", "sigma", "ell", "M", "Sigma", "m", "hbar", "p_bar")

@@ -48,7 +48,7 @@ def test_offset_packet_center_by_grid_quadrature():
     params = PhysicalParams(sigma=2.0)
     grid = SpatialGrid(-40, 20, 1024)
     psi = gaussian_packet(params, grid, center=-10.0)
-    assert psi.mean_x() == pytest.approx(-10.0, abs=1e-6)
+    assert psi.moments()[0] == pytest.approx(-10.0, abs=1e-6)
 
 
 def test_gaussian_packet_errors():
@@ -139,4 +139,4 @@ def test_reflection_p_grid_is_open_at_zero():
     params = PhysicalParams(p_bar=1.5)
     p = reflection_p_grid(params, 64)
     assert np.array_equal(p, np.linspace(-12.0, 0.0, 64, endpoint=False))
-    assert np.array_equal(born_reflection(params, n_points=64).p, p)
+    assert np.array_equal(born_reflection(params).p, reflection_p_grid(params, 2048))

@@ -7,9 +7,8 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from qreflect import (EnvironmentSpec, PhysicalParams, PotentialSpec,
-                      born_delta_coefficient, reflected_density_p, reflected_density_x,
-                      reflected_spectrum, sweep_total_p, total_reflected,
-                      narrow_sideband_ratio)
+                      QuadratureError, born_delta_coefficient, reflected_density_p,
+                      reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
 
@@ -178,13 +177,10 @@ def test_densities_scale_as_v0_squared():
 
 def test_spectrum_metadata_and_edge_guard():
     params = make_params()
-    spec = reflected_spectrum(params, EnvironmentSpec.momentum(0.5))
-    assert spec.total > 0
-    assert spec.environment.kind == "momentum_coupling"
-    from qreflect import QuadratureError
-    with pytest.raises(QuadratureError):
-        reflected_spectrum(params, EnvironmentSpec.momentum(0.5),
-                           p_grid=np.linspace(-1.5, 0.0, 256, endpoint=False))
+    assert total_reflected(params, EnvironmentSpec.momentum(0.5)) > 0
+    with pytest.raises(QuadratureError, match="total_reflected's p_grid"):
+        total_reflected(params, EnvironmentSpec.momentum(0.5),
+                        p_grid=np.linspace(-1.5, 0.0, 256, endpoint=False))
 
 
 def test_triple_oracle_agreement_away_from_incoming_momentum():

@@ -54,13 +54,14 @@ def test_constraint_root_matches_kinematics():
     params = cfg.params
     for P_in in (-0.7, 0.0, 1.3):
         P_out, p_out = _model2_kinematics_oracle(params, P_in, 1.0)
-        con = joint_reflected_noenv(cfg, p_out, P_out).constraint
-        # E(p, P) at the outgoing momenta, and dE/dP = (p - p_bar) / M
-        residual = ((con.p_bar**2 - con.p**2) / (2.0 * con.m)
-                    + ((P_out + con.p - con.p_bar) ** 2 - P_out**2) / (2.0 * con.M))
+        pb, m, M = params.p_bar, params.m, params.M
+        # E(p, P) at the outgoing momenta, its root in P, and dE/dP = (p - p_bar) / M
+        residual = ((pb**2 - p_out**2) / (2.0 * m)
+                    + ((P_out + p_out - pb) ** 2 - P_out**2) / (2.0 * M))
         assert abs(residual) < 1e-12
-        assert con.root == pytest.approx(P_out, abs=1e-10)
-        assert (con.p - con.p_bar) / con.M == pytest.approx((p_out - 1.0) / 10.0, rel=1e-12)
+        root = 0.5 * (M * (pb + p_out) / m - (p_out - pb))
+        assert root == pytest.approx(P_out, abs=1e-10)
+        assert (p_out - pb) / M == pytest.approx((p_out - 1.0) / 10.0, rel=1e-12)
 
 
 def test_kinematics_equal_mass_exchange():
@@ -108,9 +109,12 @@ def test_marginal_exact_vs_light_particle_form():
     # peak, so it matches the exact marginal when the peak width hbar m /
     # (Sigma M) dominates that shift, i.e. in the broad-target-momentum regime
     cfg = make_cfg(M=1000.0, Sigma=0.005)
+    m, M, hbar, pb, Sg = 1.0, 1000.0, 1.0, 1.0, 0.005
     for p in (-0.9, -1.0, -1.1):
         exact = marginal_reflected_noenv(cfg, p)
-        simple = marginal_reflected_noenv(cfg, p, simplified=True)
+        v2 = float(potential_momentum(GAUSS, p - pb, hbar)) ** 2
+        simple = (2.0 * math.sqrt(math.pi) * Sg * m * M / (hbar**2 * pb * abs(p - pb)) * v2
+                  * math.exp(-(Sg**2) * M**2 * (p + pb) ** 2 / (4.0 * hbar**2 * m**2)))
         assert simple == pytest.approx(exact, rel=5e-3)
 
 
@@ -182,7 +186,8 @@ def test_env_kernel_recovers_unitary_marginal():
         noenv = marginal_reflected_noenv(cfg, p)
         assert env == pytest.approx(noenv, rel=5e-3)
     # tau = inf is the joint limit and equals the closed marginal exactly
-    assert reflected_density_env(cfg, -0.9, D=0.0, tau=math.inf) == pytest.approx(
+    assert reflected_density_env(make_cfg(M=10.0, Sigma=1.0, tau=math.inf), -0.9,
+                                 D=0.0) == pytest.approx(
         marginal_reflected_noenv(cfg, -0.9), rel=1e-14)
 
 
@@ -416,10 +421,11 @@ def test_marginal_equals_joint_at_constraint_root():
     p_grid = np.linspace(-2.0, -0.2, 41)
     marginal = marginal_reflected_noenv(cfg, p_grid)
     assert np.all(marginal >= 0.0)
+    pb, m, M = cfg.params.p_bar, cfg.params.m, cfg.params.M
     for p, value in zip(p_grid, marginal):
-        con = joint_reflected_noenv(cfg, float(p), 0.0).constraint
-        at_root = joint_reflected_noenv(cfg, float(p), con.root).coefficient
-        assert value == pytest.approx(at_root * con.M / abs(con.p - con.p_bar), rel=1e-6)
+        root = 0.5 * (M * (pb + p) / m - (p - pb))
+        at_root = joint_reflected_noenv(cfg, float(p), root).coefficient
+        assert value == pytest.approx(at_root * M / abs(p - pb), rel=1e-6)
 
 
 def test_density_clamp_behavior():
@@ -482,7 +488,8 @@ def test_traced_density_rejects_a_non_finite_envelope_and_a_zero_tau():
     with pytest.raises(QuadratureError, match="not finite"):
         reflected_density_env(cfg, np.array([-1.0, 1.0]), D=math.inf)
     with pytest.raises(ValueError, match="tau must be positive"):
-        reflected_density_env(cfg, -1.0, D=1.0, tau=0.0)
+        reflected_density_env(make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0,
+                                       tau=0.0), -1.0, D=1.0)
 
 
 def test_env_density_nonnegative_over_sweep():

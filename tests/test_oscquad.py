@@ -193,7 +193,8 @@ def test_kernel_array_paths_equal_their_scalar_views(kernel):
         "x_born": lambda q: model1.reflected_density_x(q, params, 0.0, math.inf),
         "p": lambda q: model1.reflected_density_p(q, params, 0.5),
         "env": lambda q: model2.reflected_density_env(cfg, q, D=1.0),
-        "env_tau_inf": lambda q: model2.reflected_density_env(cfg, q, D=1.0, tau=math.inf),
+        "env_tau_inf": lambda q: model2.reflected_density_env(
+            Model2Config(cfg.params, tau=math.inf), q, D=1.0),
         "conditional": lambda q: model2.conditional_reflected_env(fig4, q, 0.3, D=1.0),
         "conditional_reduced": lambda q: model2.conditional_reflected_env(
             fig4, q, 0.3, D=1.0, reduced=True),

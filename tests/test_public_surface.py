@@ -1,11 +1,22 @@
-"""Every public function of qreflect has a caller outside the unit tests.
+"""Every public function, method and option of qreflect has a run-path user.
 
-A public module-level function, or a public method of a public class, in
-``src/qreflect`` must be named somewhere on a run path: in a ``src`` module
-other than ``__init__.py`` (its own module counts), in the acceptance
-criteria, or in ``perfbench/``, where string constants count too because the
-tracer binds names such as ``"qsd.NoiseStream.increment_at"``.  Code that only
-unit tests call is surface no command, criterion or benchmark needs.
+A run path is a ``src/qreflect`` module other than ``__init__.py``, the
+acceptance criteria, or ``perfbench/``.  Code or an option that only unit
+tests reach is surface no command, criterion or benchmark needs.
+
+Names: a public module-level function, or a public method of a public class,
+must be used on a run path.  A function counts when its name is read or
+imported.  A method counts only when it is called as ``.name(...)`` or read
+as ``Class.name``, and a property on any attribute access, so a local
+variable or another class's field of the same name does not hide a dead
+method.  In ``perfbench/`` a string constant counts as a dotted token such
+as ``"qsd.NoiseStream.increment_at"``, the form in which the tracer binds
+names.
+
+Options: every defaulted parameter of a public function or method (a class's
+``__init__`` is called through the class name) must be passed, by keyword or
+by position, at some run-path call site.  Forwarding the caller's own
+parameter of the same name does not count as setting it.
 """
 
 import ast
@@ -14,49 +25,198 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PACKAGE = _ROOT / "src" / "qreflect"
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_PROPERTIES = {"property", "cached_property"}
+
+# defaulted parameters that no run path sets, each kept for a stated reason
+_KEPT_OPTIONS = {
+    # the absorber-free periodic grid is the tests' reference for unitarity and
+    # time reversal, and the tests force an edge loss and an overlapping start
+    "unitary.propagate(absorber=)": "absorber-free reference grid for unitarity tests",
+    "unitary.propagate(edge_tolerance=)": "tests force an edge loss",
+    "unitary.propagate(check_start=)": "tests start a packet on the barrier",
+    "grids.gaussian_state_from_moments(hbar=)": "a physical constant: fixing it is wrong at hbar != 1",
+    "model1.total_reflected(p_grid=)": "the remedy that the edge-truncation error names",
+}
 
 
-def _public_definitions(tree: ast.Module) -> dict[str, str]:
-    """{qualified name: name} of the public functions and public classes' methods."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    found = {}
-    for node in tree.body:
-        if isinstance(node, functions):
-            found[node.name] = node.name
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            found.update((f"{node.name}.{item.name}", item.name)
-                         for item in node.body if isinstance(item, functions))
-    return {qual: name for qual, name in found.items() if not name.startswith("_")}
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
 
 
-def _references(tree: ast.AST, strings: bool = False) -> set[str]:
-    names = set()
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: _parse(path) for path in sorted(_PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _run_path_trees() -> tuple[list[ast.Module], list[ast.Module]]:
+    """(code trees of src and the acceptance criteria, perfbench trees)."""
+    code = [*_package_trees().values(), _parse(_ROOT / "tests" / "test_acceptance.py")]
+    return code, [_parse(path) for path in sorted((_ROOT / "perfbench").glob("*.py"))]
+
+
+def _public_classes(tree: ast.Module):
+    return (node for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"))
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in _PROPERTIES
+               for d in fn.decorator_list)
+
+
+# -- names ------------------------------------------------------------------------
+
+
+def _used_names(tree: ast.AST) -> tuple[set[str], set[str], set[str]]:
+    """(names read or imported, names called as .name(...), attributes read)."""
+    names, called, attrs = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return names
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return names, called, attrs
+
+
+def _dotted_tokens(tree: ast.AST) -> set[str]:
+    """Every "a.b" pair of adjacent parts of a dotted token in a string constant."""
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for token in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", node.value):
+                parts = token.split(".")
+                pairs.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]))
+    return pairs
 
 
 def unreferenced_public_names() -> list[str]:
-    """Sorted ``module.name`` of every public function or method with no caller."""
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    used = set()
-    for tree in trees.values():
-        used |= _references(tree)
-    used |= _references(ast.parse((_ROOT / "tests" / "test_acceptance.py").read_text()))
-    for path in sorted((_ROOT / "perfbench").glob("*.py")):
-        used |= _references(ast.parse(path.read_text(), str(path)), strings=True)
-    return sorted(f"{module}.{qual}" for module, tree in trees.items()
-                  for qual, name in _public_definitions(tree).items() if name not in used)
+    """Sorted ``module.name`` of every public function or method with no run-path use."""
+    code, bench = _run_path_trees()
+    names, called, attrs, tokens = set(), set(), set(), set()
+    for tree in code + bench:
+        n, c, a = _used_names(tree)
+        names, called, attrs = names | n, called | c, attrs | a
+    for tree in bench:
+        tokens |= _dotted_tokens(tree)
+    dead = []
+    for module, tree in _package_trees().items():
+        for node in tree.body:
+            if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+                if node.name not in names and node.name not in attrs \
+                        and f"{module}.{node.name}" not in tokens:
+                    dead.append(f"{module}.{node.name}")
+        for cls in _public_classes(tree):
+            for fn in cls.body:
+                if not isinstance(fn, _FUNCTIONS) or fn.name.startswith("_"):
+                    continue
+                qual = f"{cls.name}.{fn.name}"
+                used = fn.name in (attrs if _is_property(fn) else called)
+                if not (used or qual in names or qual in tokens):
+                    dead.append(f"{module}.{qual}")
+    return sorted(dead)
 
 
 def test_every_public_function_has_a_run_path_caller():
     dead = unreferenced_public_names()
     assert not dead, f"{len(dead)} public names only unit tests reach: {', '.join(dead)}"
+
+
+# -- options ----------------------------------------------------------------------
+
+
+def _defaulted(fn: ast.FunctionDef, skip_first: bool) -> dict[str, int | None]:
+    """{name: position or None (keyword-only)} of fn's parameters with defaults."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][int(skip_first):]
+    found = {name: i for i, name in enumerate(positional)
+             if i >= len(positional) - len(fn.args.defaults)}
+    found.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                 if d is not None)
+    return found
+
+
+def _options() -> dict[str, tuple[str, dict[str, int | None]]]:
+    """{"module.qualname": (callee name, defaulted parameters)} of the public surface."""
+    found = {}
+    for module, tree in _package_trees().items():
+        for node in tree.body:
+            if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+                found[f"{module}.{node.name}"] = (node.name, _defaulted(node, False))
+        for cls in _public_classes(tree):
+            for fn in cls.body:
+                if not isinstance(fn, _FUNCTIONS) or _is_property(fn):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    found[f"{module}.{cls.name}"] = (cls.name, _defaulted(fn, True))
+                elif not fn.name.startswith("_"):
+                    found[f"{module}.{cls.name}.{fn.name}"] = (fn.name, _defaulted(fn, not static))
+    return found
+
+
+def _call_sites(tree: ast.AST):
+    """(callee name, call, parameter names of the calling function) of every call."""
+    def visit(node, own):
+        if isinstance(node, _FUNCTIONS):  # a lambda is an adapter: it sets what it passes
+            a = node.args
+            own = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name:
+                yield name, node, own
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, own)
+    yield from visit(tree, set())
+
+
+def _set_by(call: ast.Call, own: set[str], params: dict[str, int | None]) -> set[str]:
+    """The parameters a call passes, less those that forward the caller's own."""
+    def forwarded(name, value):
+        return isinstance(value, ast.Name) and value.id == name and name in own
+
+    if any(k.arg is None for k in call.keywords):  # **kwargs may pass any of them
+        return set(params)
+    out = {k.arg for k in call.keywords if k.arg in params and not forwarded(k.arg, k.value)}
+    for name, position in params.items():
+        if position is None:
+            continue
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):  # *args may reach this position
+                out.add(name)
+                break
+            if i == position:
+                if not forwarded(name, arg):
+                    out.add(name)
+                break
+    return out
+
+
+def unset_options() -> list[str]:
+    """Sorted ``module.qualname(param=)`` of every defaulted parameter no run path sets."""
+    options = _options()
+    by_callee = {}
+    for qual, (callee, params) in options.items():
+        by_callee.setdefault(callee, []).append(qual)
+    code, bench = _run_path_trees()
+    passed = {qual: set() for qual in options}
+    for tree in code + bench:
+        for callee, call, own in _call_sites(tree):
+            for qual in by_callee.get(callee, ()):
+                passed[qual] |= _set_by(call, own, options[qual][1])
+    return sorted(f"{qual}({name}=)" for qual, (_, params) in options.items()
+                  for name in params if name not in passed[qual])
+
+
+def test_every_option_is_set_on_a_run_path():
+    unset = unset_options()
+    dead = [name for name in unset if name not in _KEPT_OPTIONS]
+    assert not dead, f"{len(dead)} options only unit tests set: {', '.join(dead)}"
+    stale = sorted(set(_KEPT_OPTIONS) - set(unset))
+    assert not stale, f"allow-listed options a run path now sets or that are gone: {stale}"

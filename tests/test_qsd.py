@@ -3,7 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ def test_bulk_increments_match_any_batching(seed, start, n, split, dt):
     k = min(split, n)
     two = np.concatenate([ns.increments(start, k, dt), ns.increments(start + k, n - k, dt)])
     assert np.array_equal(two, bulk)
-    stream = NoiseStream(seed, counter=start)
+    stream = NoiseStream(seed)
+    stream.counter = start
     assert [stream.next_increment(dt) for _ in range(n)] == bulk.tolist()
 
 
@@ -74,7 +75,7 @@ def test_zero_coupling_step_is_unitary_free_step():
     psi = psi0
     ns = NoiseStream(7)
     for _ in range(100):
-        psi = step_trajectory(psi, EnvironmentSpec.none(), None, params, 0.002, ns)
+        psi = step_trajectory(psi, EnvironmentSpec.position(0.0), None, params, 0.002, ns)
     k = 2 * math.pi * np.fft.fftfreq(512, grid.dx)
     ref = np.fft.ifft(np.exp(-1j * k**2 / 2 * 0.2) * np.fft.fft(psi0.values))
     assert np.max(np.abs(psi.values - ref)) < 1e-8
@@ -105,7 +106,7 @@ def test_steady_packet_is_stationary():
     ns = NoiseStream(11)
     for _ in range(500):
         psi = step_trajectory(psi, env, None, params, 0.002, ns)
-    m = wavefunction_moments(psi, 1.0)
+    m = wavefunction_moments(psi)
     assert m.var_x == pytest.approx(sq2, rel=1e-4)
     assert m.cov_xp == pytest.approx(0.5, abs=1e-4)
     assert m.var_p == pytest.approx(1.0 / (2 * sq2), rel=1e-4)
@@ -125,7 +126,7 @@ def test_localization_from_broad_start():
         psi = step_trajectory(psi, env, None, params, 0.005, ns)
         if crossing is None and wavefunction_moments(psi).var_x < 2 * sq2:
             crossing = (k + 1) * 0.005
-    m = wavefunction_moments(psi, 5.0)
+    m = wavefunction_moments(psi)
     assert m.var_x == pytest.approx(sq2, rel=0.03)
     assert m.cov_xp == pytest.approx(0.5, rel=0.03)
     # the 2 sigma_q^2 crossing happens earlier than t_loc itself: the variance
@@ -164,7 +165,7 @@ def test_moment_step_barrier_kick_identity():
     # (hbar V0 / sigma_q^2) <x> |psi(0)|^2
     params = PhysicalParams(D=1.0)
     spec = PotentialSpec.step(0.02)
-    mom = steady_moments(params, mean_x=0.6, mean_p=1.0)
+    mom = replace(steady_moments(params), mean_x=0.6, mean_p=1.0)
     sq2 = params.sigma_q**2
     psi0_sq = math.exp(-0.6**2 / (2 * sq2)) / math.sqrt(2 * math.pi * sq2)
     expected_drift = 0.02 / sq2 * 0.6 * psi0_sq  # hbar = 1
@@ -286,7 +287,7 @@ def test_closure_breakdown_carries_the_euler_bound(coupling, start, dt, bound):
 
 def test_zero_coupling_constant_fluctuation():
     params = PhysicalParams()
-    env = EnvironmentSpec.none()
+    env = EnvironmentSpec.position(0.0)
     mom0 = TrajectoryMoments(0.0, 0.0, 1.0, 1.0, 0.25, 0.0)
     series = [run_moment_trajectory(mom0, env, None, params, 0.002, 500, seed)
               for seed in range(64)]
@@ -346,7 +347,7 @@ def test_momentum_coupling_wavefunction_localizes_in_p():
     vp0 = wavefunction_moments(psi).var_p
     for _ in range(400):
         psi = step_trajectory(psi, env, None, params, 0.002, ns)
-    m = wavefunction_moments(psi, 0.8)
+    m = wavefunction_moments(psi)
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-12)
     # continuum law: dVar(p) = -8 D_p Var(p)^2 dt
     expected = 1.0 / (1.0 / vp0 + 8.0 * 1.0 * 0.8)
@@ -445,10 +446,10 @@ def test_ensemble_rows_equal_stepwise_reference(coupling):
     runs, finals = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, seeds)
     for seed, series, final in zip(seeds, runs, finals):
         psi = psi0.normalized()
-        ref = [wavefunction_moments(psi, 0.0)]
+        ref = [wavefunction_moments(psi)]
         for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
             psi = step_trajectory(psi, env, spec, params, dt, dB)
-            ref.append(wavefunction_moments(psi, k * dt))
+            ref.append(replace(wavefunction_moments(psi), time=k * dt))
         assert np.array_equal(_bits(series), _bits(ref))
         assert np.array_equal(final.values, psi.values)
 
@@ -472,21 +473,20 @@ def test_ensemble_argument_and_state_errors():
 def _moment_start(coupling):
     params, env = _coupled(coupling)
     if coupling == "x":
-        return params, env, steady_moments(params, mean_x=-1.0, mean_p=1.0)
+        return params, env, replace(steady_moments(params), mean_x=-1.0, mean_p=1.0)
     return params, env, TrajectoryMoments(0.0, -1.0, 1.0, 1.0, 0.25, 0.0)
 
 
-@pytest.mark.parametrize("closure", ["gaussian", "steady_state"])
 @pytest.mark.parametrize("coupling", ["x", "p"])
-def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, closure):
+def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling):
     # 70 seeds: a 64-row block stepped as (rows,) arrays, then 6 seeds stepped on floats
     monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", 64 * 300)
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
-    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7, closure)
+    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
     assert records.shape == (70, 1 + math.ceil(300 / 7), 6)
     for seed, rows in zip(seeds, records):
-        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7, closure)
+        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
         assert np.array_equal(_bits(rows), _bits(alone))
 
 
@@ -570,7 +570,7 @@ def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
     params = PhysicalParams(sigma=0.5)
     grid = SpatialGrid(-8, 8, 128)
     psi0 = gaussian_packet(params, grid, center=0.0, mean_p=4.0)
-    env = EnvironmentSpec.none()
+    env = EnvironmentSpec.position(0.0)
     run_wavefunction_trajectory(psi0, env, None, params, 0.002, 250, 5, record_every=50)
     with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 0\.\d+$"):
         run_wavefunction_trajectory(psi0, env, None, params, 0.002, 1000, 5,

@@ -182,7 +182,7 @@ def test_born_zero_barrier_and_tail_suppression():
     # incoming distribution, the density at |p| a / hbar = 5 sits a factor
     # exp(-4 a^2 (p^2 - p1^2)) below |p| a / hbar = 1
     params = PhysicalParams(sigma=0.5, potential=PotentialSpec.gaussian(0.01, 1.0))
-    res = born_reflection(params, p_min=-8.0)
+    res = born_reflection(params)  # on [-8 p_bar, 0), p_bar = 1
     incoming = lambda p: math.exp(-2 * 0.25 * (-p - 1.0) ** 2)
 
     def barrier_factor(p_target):
