@@ -9,8 +9,10 @@ trajectories whose ensemble mean reproduces the open-system density operator.
 
 __version__ = "0.1.0"
 
-from .grids import (GridTooNarrowError, SpatialGrid, WaveFunction, gaussian_packet,
-                    gaussian_state_from_moments, position_moments, to_momentum)
+from .errors import (ClosureError, ConfigError, GridTooNarrowError, NumericalError,
+                     QreflectError, QuadratureError, RegimeEscalation)
+from .grids import (SpatialGrid, WaveFunction, gaussian_packet, gaussian_state_from_moments,
+                    position_moments, to_momentum)
 from .model1 import (EnvironmentSpec, born_delta_coefficient, reflected_density_p,
                      reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
 from .model2 import (ConstrainedDensity, CutoffReport, Model2Config, clamp_density,
@@ -19,19 +21,17 @@ from .model2 import (ConstrainedDensity, CutoffReport, Model2Config, clamp_densi
                      joint_reflected_noenv, marginal_reflected_noenv,
                      reflected_density_env, target_momentum_density,
                      timescale_cutoffs_model2, total_reflected_model2)
-from .oscquad import QuadratureError, integrate_oscillatory, integrate_oscillatory_batch
+from .oscquad import integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_position
-from .qsd import (ClosureError, FluctuationReport, NoiseStream, TrajectoryMoments,
+from .qsd import (FluctuationReport, NoiseStream, TrajectoryMoments,
                   fluctuation_report, moment_step, run_ensemble, run_moment_ensemble,
                   run_moment_trajectory, run_wavefunction_ensemble,
                   run_wavefunction_trajectory, steady_moments, step_trajectory,
                   wavefunction_moments)
 from .timescales import (RegimeVerdict, TimescaleReport, check_regime, compute_timescales,
                          wigner_spreading_ratio)
-from .unitary import (BornResult, BoundaryLeakageError, CFLViolationError,
-                      PrematureMeasurementError, PrematureStartError,
-                      ProbabilityLedger, SnapshotSeries, born_reflection, propagate,
-                      reflection_probability)
+from .unitary import (BornResult, ProbabilityLedger, SnapshotSeries, born_reflection,
+                      propagate, reflection_probability)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

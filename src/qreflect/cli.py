@@ -1,10 +1,10 @@
 """Command-line entry point: batch runs, parameter sweeps, figure suite.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (quadrature,
-non-finite density, leakage, premature measurement, moment-closure breakdown, a
-QSD noise factor whose norm is subnormal or non-finite), 4 regime warning
-escalated by --strict.  Every run writes its resolved config and a version
-stamp beside its outputs; reruns of one config are byte-identical.
+Exit codes: 0 success, otherwise the exit_code of the qreflect.errors class that
+was raised: 2 ConfigError, 3 NumericalError, 4 RegimeEscalation (a regime warning
+escalated by --strict).  main catches QreflectError alone, so any other exception
+is a library bug and ends in a traceback.  Every run writes its resolved config
+and a version stamp beside its outputs; reruns of one config are byte-identical.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block steps 64e6 // n_steps seeds as one
@@ -28,31 +28,26 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (_ALIASES, COMMANDS, ConfigError, RunConfig, parse_config,
-                     serialize_config)
+from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_config
+from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
 from .grids import SpatialGrid, gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
                      reflected_density_x, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      finite_density, reflected_density_env, timescale_cutoffs_model2,
                      total_reflected_model2)
-from .oscquad import QuadratureError
-from .qsd import (MIN_SEEDS, ClosureError, TrajectoryMoments, fluctuation_report,
-                  run_moment_ensemble, run_wavefunction_ensemble, steady_moments)
+from .potentials import potential_position
+from .qsd import (MIN_SEEDS, TrajectoryMoments, fluctuation_report, run_moment_ensemble,
+                  run_wavefunction_ensemble, steady_moments)
 from .svgplot import line_plot
 from .timescales import FORMULAS, check_regime, compute_timescales
-from .unitary import (BoundaryLeakageError, PrematureMeasurementError, propagate,
-                      reflection_probability)
+from .unitary import propagate, reflection_probability
 
 
 # a QSD block holds (steps, rows) increments; a wavefunction block has 64 rows and a
 # moment block 64e6 // steps, so either holds at most 512 MB at the cap
 _MAX_STEPS = 10**6
 _CSV_BLOCK_ROWS = 1024  # rows formatted per write; only unitary's density CSVs are longer
-
-
-class RegimeEscalation(RuntimeError):
-    """A regime warning escalated to an error by --strict."""
 
 
 def _write_csv(tables) -> None:
@@ -83,9 +78,12 @@ def _write_csv(tables) -> None:
 
 
 def _emit_config(cfg: RunConfig, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     text = serialize_config(cfg) + f"# qreflect {__version__}\n"
-    (outdir / "resolved_config.txt").write_text(text, encoding="utf-8")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "resolved_config.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outdir {str(outdir)!r}: {exc.strerror or exc}") from None
 
 
 def _warn(messages: list[str], text: str) -> None:
@@ -129,6 +127,9 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     spec = cfg.potential()
     barrier_extent = 6.0 * spec.a + spec.L
     start = -(6.0 * params.sigma + barrier_extent + 1.0)
+    if abs(start) + 6.0 * params.sigma - abs(start) < 5.0 * params.sigma:  # packet on the edge
+        raise ConfigError(f"--sigma {params.sigma:.3g} rounds away next to the packet's start "
+                          f"distance 6 sigma + 6 a + L + 1 = {abs(start):.3g} (--a, --L)")
     travel = (abs(start) + 3.0 * params.sigma) * params.m / params.p_bar
     t_final = cfg.t_final if cfg.t_final is not None else travel
     # 6 widths of the packet, at least its free spread hbar t / (2 m sigma) by t_final
@@ -139,8 +140,11 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     try:  # float ** and math.ceil raise on overflow where * and + give inf
         n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
         grid = SpatialGrid(-half, half, min(cfg.n_points, max(n, 256)))
+        # resolve the kinetic phase, the barrier's potential phase and the CFL time
+        v_max = float(np.max(np.abs(potential_position(spec, grid.x, params.hbar))))
         dt = cfg.dt if cfg.dt is not None else 0.09 * min(
-            params.hbar / params.energy, grid.cfl_time(params.m, params.hbar))
+            params.hbar / params.energy, params.hbar / v_max if v_max > 0.0 else math.inf,
+            grid.cfl_time(params.m, params.hbar))
     except OverflowError:
         raise ConfigError(f"the grid for t_final = {t_final:.3g} overflows") from None
     n_steps = _n_steps(t_final, dt)
@@ -277,8 +281,6 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
 
 
 def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
-    if cfg.M is None:
-        raise ConfigError("model2 requires the target mass M")
     params = cfg.physical_params()
     sweep = cfg.D_sweep or (cfg.D,)
     if cfg.steady_target and params.D == 0.0:
@@ -449,18 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         warnings = _RUNNERS[cfg.command](cfg, outdir)
         if warnings and cfg.strict:
             raise RegimeEscalation("; ".join(warnings))
-    except (QuadratureError, BoundaryLeakageError, PrematureMeasurementError,
-            ClosureError, FloatingPointError) as exc:
+    except QreflectError as exc:
         if isinstance(exc, ClosureError):  # a hint on stdout; stderr keeps one line
             print(f"hint: explicit moment steps need --dt below {exc.dt_max:.3g} here")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except RegimeEscalation as exc:
-        print(f"regime warning escalated (--strict): {exc}", file=sys.stderr)
-        return 4
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

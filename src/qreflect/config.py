@@ -10,11 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .errors import ConfigError
 from .params import PhysicalParams, PotentialSpec
-
-
-class ConfigError(ValueError):
-    """Malformed configuration text, unknown key, or bad value (exit code 2)."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -131,14 +128,11 @@ class RunConfig:
         raise ConfigError(f"unknown potential kind {kind!r}")
 
     def physical_params(self) -> PhysicalParams:
-        try:
-            return PhysicalParams(
-                m=self.m, hbar=self.hbar, p_bar=self.p_bar, sigma=self.sigma,
-                x_bar=self.x_bar, D=self.D, D_p=self.D_p, M=self.M,
-                P_bar=self.P_bar, Sigma=self.Sigma, potential=self.potential(),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return PhysicalParams(
+            m=self.m, hbar=self.hbar, p_bar=self.p_bar, sigma=self.sigma,
+            x_bar=self.x_bar, D=self.D, D_p=self.D_p, M=self.M,
+            P_bar=self.P_bar, Sigma=self.Sigma, potential=self.potential(),
+        )
 
     def resolved_tau(self) -> float:
         if self.tau_inf:
@@ -190,10 +184,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, val)
     cfg = base if base is not None else RunConfig()
-    try:
-        return cfg.replace(**values)
-    except TypeError as exc:  # pragma: no cover
-        raise ConfigError(str(exc)) from exc
+    return cfg.replace(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -13,11 +13,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import ConfigError, GridTooNarrowError
 from .params import PhysicalParams
-
-
-class GridTooNarrowError(ValueError):
-    """Raised when a constructed state does not fit on the supplied grid."""
 
 
 @dataclass(frozen=True)
@@ -30,10 +27,10 @@ class SpatialGrid:
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ConfigError("x_max must exceed x_min")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("n_points must be a power of two >= 2")
+            raise ConfigError("n_points must be a power of two >= 2")
 
     @property
     def dx(self) -> float:
@@ -86,10 +83,10 @@ class WaveFunction:
 
     def __post_init__(self):
         if self.representation not in ("position", "momentum"):
-            raise ValueError("representation must be 'position' or 'momentum'")
+            raise ConfigError("representation must be 'position' or 'momentum'")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.grid.n_points,):
-            raise ValueError("values must match the grid size")
+            raise ConfigError("values must match the grid size")
         object.__setattr__(self, "values", v)
 
     # -- norms and moments ----------------------------------------------------
@@ -110,13 +107,13 @@ class WaveFunction:
     def normalized(self) -> "WaveFunction":
         n = self.norm()
         if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
+            raise ConfigError("cannot normalize the zero state")
         return WaveFunction(self.grid, self.values / n, self.representation, self.hbar)
 
     def moments(self) -> tuple[float, float, float, float, float]:
         """(mean_x, mean_p, var_x, var_p, cov_xp): position_moments of this state."""
         if self.representation != "position":
-            raise ValueError("moments() expects the position representation")
+            raise ConfigError("moments() expects the position representation")
         return tuple(position_moments(self.values, self.grid, self.hbar).tolist())
 
 
@@ -155,7 +152,7 @@ def position_moments(values: np.ndarray, grid: SpatialGrid, hbar: float = 1.0) -
 def to_momentum(psi: WaveFunction) -> WaveFunction:
     """Unitary transform to the momentum representation (ascending p axis)."""
     if psi.representation != "position":
-        raise ValueError("to_momentum expects a position-representation state")
+        raise ConfigError("to_momentum expects a position-representation state")
     g = psi.grid
     n, dx, hbar = g.n_points, g.dx, psi.hbar
     p = g.momentum_axis(hbar)
@@ -211,8 +208,6 @@ def gaussian_packet(
     outside the grid or the mean momentum is not resolved by the grid.
     """
     sigma, hbar = params.sigma, params.hbar
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     c = params.x_bar if center is None else center
     pb = params.p_bar if mean_p is None else mean_p
     left = (c - grid.x_min) / (math.sqrt(2.0) * sigma)
@@ -245,7 +240,7 @@ def gaussian_state_from_moments(
     Var(p) follows from purity: Var(p) = (hbar^2/4 + Cov^2) / Var(x).
     """
     if not var_x > 0:
-        raise ValueError("var_x must be positive")
+        raise ConfigError("var_x must be positive")
     alpha = 1.0 / (4.0 * var_x) - 1j * cov_xp / (2.0 * hbar * var_x)
     x = grid.x
     psi = np.exp(-alpha * (x - mean_x) ** 2 + 1j * mean_p * x / hbar)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, QuadratureError
 from .grids import reflection_p_grid
-from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch
+from .oscquad import decay_cutoff, integrate_oscillatory_batch
 from .params import PhysicalParams
 from .potentials import potential_momentum
 
@@ -36,9 +37,9 @@ class EnvironmentSpec:
 
     def __post_init__(self):
         if self.kind not in ("position_coupling", "momentum_coupling"):
-            raise ValueError(f"unknown environment kind {self.kind!r}")
+            raise ConfigError(f"unknown environment kind {self.kind!r}")
         if self.strength < 0:
-            raise ValueError("coupling strength must be nonnegative")
+            raise ConfigError("coupling strength must be nonnegative")
 
     @classmethod
     def position(cls, D: float) -> "EnvironmentSpec":
@@ -136,12 +137,12 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     if D_p is None:
         D_p = params.D_p
     if D_p <= 0:
-        raise ValueError("momentum-coupling density requires D_p > 0")
+        raise ConfigError("momentum-coupling density requires D_p > 0")
     c = 2.0 * m * hbar * D_p
     p_arr = np.asarray(p, float)
     # c**2 below raises OverflowError on its own, and numpy warns where c**2 (p - p_bar)^2 does
     if not c * c * float(np.max((p_arr - pb) ** 2, initial=0.0)) < math.inf:
-        raise ValueError(f"(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got D_p = {D_p!r}")
+        raise ConfigError(f"(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got D_p = {D_p!r}")
     v2 = potential_momentum(params.potential, p_arr - pb, hbar) ** 2
     bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + c**2 * (p_arr - pb) ** 2)
     dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError, QuadratureError
 from .grids import reflection_p_grid
-from .oscquad import QuadratureError, decay_cutoff, integrate_oscillatory_batch, panel_nodes
+from .oscquad import decay_cutoff, integrate_oscillatory_batch, panel_nodes
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
@@ -41,15 +42,15 @@ class Model2Config:
     def __post_init__(self):
         p = self.params
         if p.M is None:
-            raise ValueError("two-particle runs need the target mass M")
+            raise ConfigError("model2 requires the target mass M")
         if self.steady_target:
             if p.D <= 0:
-                raise ValueError("steady_target requires D > 0")
+                raise ConfigError("steady_target requires D > 0")
             object.__setattr__(
                 self, "params", p.replace(Sigma=steady_target_width(p.M, p.D, p.hbar))
             )
         elif p.Sigma is None:
-            raise ValueError("set Sigma explicitly or use steady_target")
+            raise ConfigError("set Sigma explicitly or use steady_target")
         if self.tau is None:
             object.__setattr__(self, "tau", self.params.tau_default)
 
@@ -116,7 +117,7 @@ def marginal_reflected_noenv(cfg: Model2Config, p):
     m, M, hbar, pb, Pb, Sg = _target(cfg)
     p_arr = np.asarray(p, float)
     if np.any(p_arr == pb):
-        raise ValueError("marginal density is singular exactly at p = p_bar")
+        raise ConfigError("marginal density is singular exactly at p = p_bar")
     delta = p_arr - pb
     pref = (
         2.0 * math.sqrt(math.pi) * Sg * m * M / (hbar**2 * pb * np.abs(delta))
@@ -195,9 +196,9 @@ def _env_densities(cfg: Model2Config, p, D: float | None, barriers) -> list[np.n
     if math.isinf(tau):
         return [marginal_reflected_noenv(replace(cfg, params=q), p_arr) for q in each]
     if D < 0:
-        raise ValueError("D must be nonnegative")
+        raise ConfigError("D must be nonnegative")
     if tau <= 0:  # the prefactor below divides by tau
-        raise ValueError("tau must be positive")
+        raise ConfigError("tau must be positive")
     delta = p_arr - pb
     omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
@@ -302,7 +303,7 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
         D = params.D
     tau = cfg.tau
     if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("the conditional kernel needs a finite positive tau")
+        raise ConfigError("the conditional kernel needs a finite positive tau")
     p_arr = np.atleast_1d(np.asarray(p, float))
     delta = p_arr - pb
     dP = P - Pb
@@ -411,7 +412,7 @@ def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None) -> Cutof
     if D is None:
         D = params.D
     if D <= 0:
-        raise ValueError("cutoff report requires D > 0")
+        raise ConfigError("cutoff report requires D > 0")
     if cfg.steady_target:
         Sg = steady_target_width(M, D, hbar)
     t_E = hbar / params.energy

@@ -49,6 +49,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import QuadratureError
+
 _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 # panel values f -> (c22, c23), the top Legendre coefficients of their
@@ -72,10 +74,6 @@ _MAX_POINT_PANELS = 2**15
 
 # envelope values below exp(-_TAIL_LOG) of the peak are dropped
 _TAIL_LOG = 41.0
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an oscillatory integral cannot be resolved as requested."""
 
 
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:

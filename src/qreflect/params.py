@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .errors import ConfigError
+
 _POTENTIAL_KINDS = ("smeared_window", "gaussian", "step", "complex_step")
 
 
@@ -34,15 +36,15 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise ConfigError(f"unknown potential kind {self.kind!r}")
         if self.V0 < 0:
-            raise ValueError("V0 must be >= 0 (complex_step applies -i V0 theta(x))")
+            raise ConfigError("V0 must be >= 0 (complex_step applies -i V0 theta(x))")
         if self.kind in ("smeared_window", "gaussian") and not (
                 self.a > 0 and 0.0 < self.a * self.a < math.inf):
-            raise ValueError(f"{self.kind} potential requires a > 0 with a^2 finite and "
-                             f"nonzero, got a = {self.a!r}")
+            raise ConfigError(f"{self.kind} potential requires a > 0 with a^2 finite and "
+                              f"nonzero, got a = {self.a!r}")
         if self.kind == "smeared_window" and not self.L > 0:
-            raise ValueError("smeared_window potential requires L > 0")
+            raise ConfigError("smeared_window potential requires L > 0")
 
     @classmethod
     def gaussian(cls, V0: float, a: float) -> "PotentialSpec":
@@ -93,21 +95,21 @@ class PhysicalParams:
 
     def __post_init__(self):
         if not (self.m > 0 and self.hbar > 0 and self.sigma > 0):
-            raise ValueError("m, hbar and sigma must be positive")
+            raise ConfigError("m, hbar and sigma must be positive")
         if not self.p_bar > 0:
-            raise ValueError("p_bar must be positive (incoming packet moves right)")
+            raise ConfigError("p_bar must be positive (incoming packet moves right)")
         if self.D < 0 or self.D_p < 0:
-            raise ValueError("diffusion constants must be nonnegative")
+            raise ConfigError("diffusion constants must be nonnegative")
         if self.M is not None and not self.M > self.m:
-            raise ValueError("target mass M must exceed the light mass m")
+            raise ConfigError("target mass M must exceed the light mass m")
         if self.Sigma is not None and not self.Sigma > 0:
-            raise ValueError("target width Sigma must be positive")
+            raise ConfigError("target width Sigma must be positive")
         for name in ("m", "hbar", "p_bar", "sigma", "M", "Sigma"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value * value < math.inf:
-                raise ValueError(f"{name}^2 must be finite and nonzero, got {name} = {value!r}")
+                raise ConfigError(f"{name}^2 must be finite and nonzero, got {name} = {value!r}")
         if not 0.0 < self.energy < math.inf:
-            raise ValueError(f"E = p_bar^2 / 2m must be finite and nonzero, got {self.energy!r}")
+            raise ConfigError(f"E = p_bar^2 / 2m must be finite and nonzero, got {self.energy!r}")
         if self.x_bar is None:
             object.__setattr__(self, "x_bar", _default_launch_distance(self.sigma))
 
@@ -125,14 +127,14 @@ class PhysicalParams:
     def sigma_q(self) -> float:
         """Width of the localized steady packet, sigma_q^2 = sqrt(hbar^3/8mD)."""
         if self.D <= 0:
-            raise ValueError("sigma_q undefined for D = 0")
+            raise ConfigError("sigma_q undefined for D = 0")
         return (self.hbar**3 / (8.0 * self.m * self.D)) ** 0.25
 
     @property
     def sigma_p(self) -> float:
         """Steady-packet momentum width, sigma_p^2 = sqrt(2 m hbar D)."""
         if self.D <= 0:
-            raise ValueError("sigma_p undefined for D = 0")
+            raise ConfigError("sigma_p undefined for D = 0")
         return (2.0 * self.m * self.hbar * self.D) ** 0.25
 
     @property
@@ -145,5 +147,5 @@ def steady_target_width(M: float, D: float, hbar: float = 1.0) -> float:
     """Spatial width of a target equilibrated by position-coupled diffusion,
     Sigma = (hbar^3 / 8 M D)^(1/4)."""
     if D <= 0:
-        raise ValueError("steady target width undefined for D = 0")
+        raise ConfigError("steady target width undefined for D = 0")
     return (hbar**3 / (8.0 * M * D)) ** 0.25

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .params import PotentialSpec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -33,8 +34,8 @@ def potential_position(spec: PotentialSpec, x, hbar: float = 1.0):
     if spec.kind == "gaussian":
         peak = spec.V0 / (spec.a * _SQRT2PI)
         if peak == math.inf:
-            raise ValueError(f"gaussian barrier peak V0 / (a sqrt(2 pi)) overflows, got "
-                             f"V0 = {spec.V0!r}, a = {spec.a!r}")
+            raise ConfigError(f"gaussian barrier peak V0 / (a sqrt(2 pi)) overflows, got "
+                              f"V0 = {spec.V0!r}, a = {spec.a!r}")
         with np.errstate(over="ignore"):  # x^2 / 2a^2 = inf at a subnormal a^2: exp gives 0
             out = peak * np.exp(-(x**2) / (2.0 * spec.a**2))
         return out.astype(complex)
@@ -48,7 +49,7 @@ def potential_position(spec: PotentialSpec, x, hbar: float = 1.0):
 def potential_momentum(spec: PotentialSpec, p, hbar: float = 1.0):
     """Closed-form momentum transform V(p) for barriers that have one.
 
-    Raises ValueError for step/complex_step, whose transforms are not
+    Raises ConfigError for step/complex_step, whose transforms are not
     square-integrable.  This is the one barrier check of the perturbative
     kernels, which all take V(p) from here.
     """
@@ -60,7 +61,7 @@ def potential_momentum(spec: PotentialSpec, p, hbar: float = 1.0):
     if spec.kind == "smeared_window":
         gauss = np.exp(-(spec.a**2) * p**2 / (2.0 * hbar**2))
         return spec.V0 * gauss * _window_transform(p, spec.L, hbar)
-    raise ValueError(
+    raise ConfigError(
         f"the perturbative kernels need a gaussian or smeared_window barrier, not "
         f"{spec.kind!r}: its momentum transform is not square-integrable"
     )

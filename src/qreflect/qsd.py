@@ -26,8 +26,8 @@ from operator import attrgetter, length_hint
 
 import numpy as np
 
-from .grids import (GridTooNarrowError, SpatialGrid, SplitStepper, WaveFunction, abs_squared,
-                    position_moments)
+from .errors import ClosureError, ConfigError, GridTooNarrowError, NumericalError
+from .grids import SpatialGrid, SplitStepper, WaveFunction, abs_squared, position_moments
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
@@ -76,7 +76,7 @@ class TrajectoryMoments:
 
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
-            raise ValueError("variances must stay positive (closure inconsistency)")
+            raise ConfigError("variances must stay positive (closure inconsistency)")
 
 
 _record = attrgetter("time", "mean_x", "mean_p", "var_x", "var_p", "cov_xp")  # one record row
@@ -91,12 +91,6 @@ def steady_moments(params: PhysicalParams) -> TrajectoryMoments:
                              cov_xp=params.hbar / 2.0)
 
 
-def _resolve_dB(noise, dt: float) -> float:
-    if isinstance(noise, NoiseStream):
-        return noise.next_increment(dt)
-    return float(noise)
-
-
 def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
               grid: SpatialGrid | None) -> None:
     limits = [params.hbar / params.energy]
@@ -108,7 +102,7 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
         limits.append(grid.cfl_time(params.m, params.hbar))
     dt_max = 0.05 * min(limits)
     if dt > dt_max:
-        raise ValueError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
+        raise ConfigError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
 
 
 def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: PotentialSpec | None,
@@ -119,7 +113,7 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
     for momentum coupling, otherwise a = x, c = D/hbar^2 (zero when uncoupled)
     in position space.  Rows of (rows, N) amplitudes are trajectories; draw()
     then gives (rows, 1).  A row whose norm^2 sum(|psi|^2 f^2) dx is zero,
-    subnormal or non-finite raises FloatingPointError with .row set."""
+    subnormal or non-finite raises NumericalError with .row set."""
     _check_dt(params, env, dt, grid)
     hbar, dx = params.hbar, grid.dx
     in_p = env.kind == "momentum_coupling" and env.strength > 0
@@ -146,10 +140,8 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
         ok = (norm2 >= _TINY) & (norm2 <= _HUGE)  # False on 0, subnormals, inf and nan
         if not ok.all():
             row = int(np.argmin(ok))  # first failing row of a batch
-            exc = FloatingPointError(f"norm^2 {float(norm2.flat[row]):.3g} after the noise "
-                                     "factor is zero, subnormal or non-finite")
-            exc.row = row
-            raise exc
+            raise NumericalError(f"norm^2 {float(norm2.flat[row]):.3g} after the noise factor "
+                                 "is zero, subnormal or non-finite", row)
         f /= np.sqrt(norm2)
         amps *= f
 
@@ -165,14 +157,10 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
 
 
 def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, spec: PotentialSpec | None,
-                    params: PhysicalParams, dt: float, noise) -> WaveFunction:
-    """One stochastic step of the normalized nonlinear diffusion equation.
-
-    ``noise`` is either a NoiseStream (consumes one increment) or an explicit
-    Brownian increment dB.  The returned state has norm exactly 1.
-    """
-    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt,
-                                  lambda: _resolve_dB(noise, dt))
+                    params: PhysicalParams, dt: float, dB: float) -> WaveFunction:
+    """One stochastic step of the normalized nonlinear diffusion equation under the
+    Brownian increment dB.  The returned state has norm exactly 1."""
+    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, lambda: float(dB))
     return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
 
@@ -183,24 +171,13 @@ def wavefunction_moments(psi: WaveFunction) -> TrajectoryMoments:
 # -- moment-level integration --------------------------------------------------
 
 
-class ClosureError(ValueError):
-    """An explicit moment step drove a variance to zero or below.  dt_max is the
-    explicit Euler bound of the variance damping at the failing state: hbar^2 /
-    (8 D Var x) for position coupling, 1/(8 D_p Var p) for momentum coupling.
-    row is the first failing row of a block (0 on floats)."""
-
-    def __init__(self, message: str, dt_max: float = math.inf, row: int = 0):
-        super().__init__(message)
-        self.dt_max, self.row = dt_max, row
-
-
 def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx, mp, vx, c):
     """(|psi(0)|^2, J(0), V0) for a step barrier at the origin under the Gaussian
     closure, on floats or (rows,) arrays; zero barrier when spec is None or V0 = 0."""
     if spec is None or spec.V0 == 0.0:
         return 0.0, 0.0, 0.0
     if spec.kind != "step":
-        raise ValueError("the moment system is closed for the step barrier only")
+        raise ConfigError("the moment system is closed for the step barrier only")
     exp, sqrt = (np.exp, np.sqrt) if isinstance(vx, np.ndarray) else (math.exp, math.sqrt)
     psi0_sq = exp(-(mx * mx) / (2.0 * vx)) / sqrt(2.0 * math.pi * vx)
     current = psi0_sq * (mp - c * mx / vx) / m
@@ -208,11 +185,11 @@ def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx, mp, vx, c):
 
 
 def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
-                spec: PotentialSpec | None, dt: float, noise) -> TrajectoryMoments:
-    """Euler-Maruyama step of the closed moment system, one shared dB.  Third
-    central moments vanish, so only the two mean equations carry noise."""
+                spec: PotentialSpec | None, dt: float, dB: float) -> TrajectoryMoments:
+    """Euler-Maruyama step of the closed moment system under the Brownian increment
+    dB.  Third central moments vanish, so only the two mean equations carry noise."""
     step = _moment_map(params, env, spec, dt)
-    return TrajectoryMoments(*step(*_record(mom), _resolve_dB(noise, dt)))
+    return TrajectoryMoments(*step(*_record(mom), float(dB)))
 
 
 def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
@@ -287,9 +264,9 @@ def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]
     """(seeds as a list, their unfilled record array), after checking the arguments."""
     seeds = list(seeds)
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+        raise ConfigError("record_every must be >= 1")
     return seeds, np.empty((len(seeds), 1 + -(-n_steps // record_every), 6))
 
 
@@ -316,7 +293,7 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
     C-ordered row, not through BLAS: each row equals its seed's run alone, bit for
     bit, and within 2.2e-13 of a column's peak of the direct complex-factor form.
     Raises GridTooNarrowError when a record holds more than 1e-5 of a row's
-    probability in the outer 1/16 of the grid on either side, and FloatingPointError
+    probability in the outer 1/16 of the grid on either side, and NumericalError
     naming the seed and step when a row's norm^2 is zero, subnormal or non-finite."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()
@@ -334,10 +311,10 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
                 chunk = min(record_every, n_steps - step)
                 try:
                     vals = stepper.advance(vals, chunk)
-                except FloatingPointError as exc:
+                except NumericalError as exc:
                     # each step draws its increments first, so the draws taken count the step
-                    raise FloatingPointError(f"{exc} for seed {block[exc.row]} at step "
-                                             f"{n_steps - length_hint(dBs)}") from exc
+                    raise NumericalError(f"{exc} for seed {block[exc.row]} at step "
+                                         f"{n_steps - length_hint(dBs)}") from exc
                 step += chunk
             rho = abs_squared(vals)
             mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
@@ -443,10 +420,10 @@ def fluctuation_report(records, fit_window: tuple[float, float]) -> FluctuationR
     """
     n = len(records)
     if n < MIN_SEEDS:
-        raise ValueError(f"need at least {MIN_SEEDS} seeds, got {n}")
+        raise ConfigError(f"need at least {MIN_SEEDS} seeds, got {n}")
     if not isinstance(records, np.ndarray):
         if len({len(s) for s in records}) != 1:
-            raise ValueError("all seed series must share the sampling times")
+            raise ConfigError("all seed series must share the sampling times")
         records = np.array([[_record(m) for m in s] for s in records])
     times = records[0, :, 0]
     stoch = np.var(records[:, :, 2], axis=0, ddof=1)
@@ -455,7 +432,7 @@ def fluctuation_report(records, fit_window: tuple[float, float]) -> FluctuationR
     lo, hi = fit_window
     sel = (times >= lo) & (times <= hi)
     if np.sum(sel) < 2:
-        raise ValueError(f"fit window [{lo:g}, {hi:g}] holds fewer than two record times")
+        raise ConfigError(f"fit window [{lo:g}, {hi:g}] holds fewer than two record times")
     rate = float(np.polyfit(times[sel], total[sel], 1)[0])
     return FluctuationReport(times=times, stochastic_var_p=stoch,
                              mean_quantum_var_p=quantum, total=total,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ConfigError
+
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN = 60.0
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -43,7 +45,7 @@ def line_plot(
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
-        raise ValueError("nothing to plot")
+        raise ConfigError("nothing to plot")
     fx = (lambda v: math.log10(v)) if logx else (lambda v: v)
     x_lo, x_hi = min(map(fx, xs_all)), max(map(fx, xs_all))
     y_lo, y_hi = min(ys_all), max(ys_all)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .params import PhysicalParams
 
 _RANGE_ERROR = "a timescale or its identities leave the normal float range"
@@ -72,14 +73,14 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
     """Evaluate every defined timescale for the given parameters.
 
     ell is the decoherence length scale entering t_d; it defaults to the
-    incoming packet width sigma.  A timescale out of float range is a ValueError.
+    incoming packet width sigma.  A timescale out of float range is a ConfigError.
     """
     m, hbar, pb, sg = params.m, params.hbar, params.p_bar, params.sigma
     D, Dp, M, Sg = params.D, params.D_p, params.M, params.Sigma
     if ell is None:
         ell = sg
     if not ell > 0:
-        raise ValueError("ell must be positive")
+        raise ConfigError("ell must be positive")
     try:
         values = {"t_E": hbar / params.energy, "t_z": m * sg / pb}
         if D > 0:
@@ -104,11 +105,11 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
                 values["T_f"] = values["Sigma_p"]**2 / D
         for name, value in values.items():
             if not 0.0 < value < math.inf:  # also nan
-                raise ValueError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
+                raise ConfigError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
         report = TimescaleReport(ell=ell, **values)
         _verify_internal_identities(report, params)
     except ArithmeticError:  # a 0 divisor, ** overflow, or subnormal product
-        raise ValueError(_RANGE_ERROR) from None
+        raise ConfigError(_RANGE_ERROR) from None
     return report
 
 
@@ -140,7 +141,7 @@ def _verify_internal_identities(r: TimescaleReport, params: PhysicalParams, tol:
                   # velocity form of the T_1 condition
                   (r.T_1 / r.t_E, 0.5 * (pb / params.m) / (math.sqrt(params.D * r.t_z) / params.M))]
     if not all(close(a, b) for a, b in pairs):  # raised, not asserted: python -O keeps it
-        raise ValueError(_RANGE_ERROR)
+        raise ConfigError(_RANGE_ERROR)
 
 
 @dataclass(frozen=True)
@@ -215,5 +216,5 @@ def check_regime(
 def wigner_spreading_ratio(params: PhysicalParams, t: float) -> float:
     """Classicality ratio p_bar^2 sigma_t^2 / hbar^2 with sigma_t^2 = D t^3 / m^2."""
     if params.D <= 0:
-        raise ValueError("spreading ratio undefined for D = 0")
+        raise ConfigError("spreading ratio undefined for D = 0")
     return params.p_bar**2 * params.D * t**3 / (params.m**2 * params.hbar**2)

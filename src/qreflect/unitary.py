@@ -15,28 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, NumericalError
 from .grids import SpatialGrid, SplitStepper, WaveFunction, reflection_p_grid, to_momentum
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum, potential_position
 
 _ABSORBER_WIDTH = 0.05  # fraction of the grid each edge layer covers
 _OVERLAP_TOLERANCE = 1e-4  # position mass near the barrier that blocks a measurement
-
-
-class CFLViolationError(ValueError):
-    """Time step too large for the requested accuracy contract."""
-
-
-class BoundaryLeakageError(RuntimeError):
-    """Probability reached the absorbing edges beyond the allowed tolerance."""
-
-
-class PrematureStartError(ValueError):
-    """Initial packet overlaps the barrier region."""
-
-
-class PrematureMeasurementError(RuntimeError):
-    """Reflected and transmitted packets are not yet separated."""
 
 
 @dataclass(frozen=True)
@@ -91,17 +76,17 @@ def propagate(
     """Propagate psi0 under the barrier for n_steps of size dt.
 
     Snapshots are recorded at the requested times (rounded to the nearest
-    step) and always at t = 0 and the final time.  Raises CFLViolationError
-    when dt exceeds 0.1 * min(t_E, grid CFL time), PrematureStartError when
-    the initial packet overlaps the barrier, and BoundaryLeakageError when
-    more than edge_tolerance of probability is eaten by the edge absorbers.
+    step) and always at t = 0 and the final time.  Raises ConfigError when dt
+    exceeds 0.1 * min(t_E, grid CFL time) or the initial packet overlaps the
+    barrier, and NumericalError when more than edge_tolerance of probability is
+    eaten by the edge absorbers.
     """
     grid = psi0.grid
     hbar, m = params.hbar, params.m
     t_E = hbar / params.energy
     dt_max = 0.1 * min(t_E, grid.cfl_time(m, hbar))
     if dt > dt_max:
-        raise CFLViolationError(f"dt = {dt:.3g} exceeds 0.1*min(t_E, cfl) = {dt_max:.3g}")
+        raise ConfigError(f"dt = {dt:.3g} exceeds 0.1*min(t_E, cfl) = {dt_max:.3g}")
 
     v = potential_position(spec, grid.x, hbar)
     if check_start and spec.V0 > 0:
@@ -109,7 +94,7 @@ def propagate(
         inside = np.abs(v) > 1e-6 * vmax
         overlap = float(np.sum(psi0.density()[inside]) * grid.dx)
         if overlap > 1e-8:
-            raise PrematureStartError(
+            raise ConfigError(
                 f"initial overlap with the barrier region is {overlap:.3e} (> 1e-8)"
             )
 
@@ -160,7 +145,7 @@ def propagate(
                                        absorbed=absorbed, edge_loss=edge_loss))
 
     if absorber and edge_loss > edge_tolerance:
-        raise BoundaryLeakageError(
+        raise NumericalError(
             f"edge absorbers removed {edge_loss:.3e} of probability "
             f"(> {edge_tolerance:.1e}); enlarge the grid or shorten the run"
         )
@@ -176,9 +161,9 @@ def reflection_probability(
 
     Reflected/transmitted are the negative/nonnegative momentum masses;
     absorbed is the barrier absorption (complex barriers only; edge-layer
-    loss stays in the ledger's edge_loss).  Raises
-    PrematureMeasurementError when more than _OVERLAP_TOLERANCE of position
-    mass still sits within 4a of the barrier at x = 0.
+    loss stays in the ledger's edge_loss).  Raises NumericalError when more
+    than _OVERLAP_TOLERANCE of position mass still sits within 4a of the
+    barrier at x = 0.
     """
     psi = series.states[-1]
     ledger = series.probabilities[-1]
@@ -186,7 +171,7 @@ def reflection_probability(
     near = np.abs(psi.grid.x) < 4.0 * a
     near_mass = float(np.sum(psi.density()[near]) * psi.grid.dx)
     if near_mass > _OVERLAP_TOLERANCE and not force:
-        raise PrematureMeasurementError(
+        raise NumericalError(
             f"{near_mass:.3e} of the density is still within 4a of the boundary"
         )
     return ledger.reflected, ledger.transmitted, ledger.absorbed

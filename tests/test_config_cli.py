@@ -24,6 +24,7 @@ from qreflect import (__version__, cli, qsd, run_moment_trajectory,
 from qreflect.cli import build_config, main
 from qreflect.config import (_ALIASES, COMMANDS, ConfigError, RunConfig, parse_config,
                              serialize_config)
+from qreflect.errors import NumericalError
 from qreflect.grids import SplitStepper
 
 
@@ -305,6 +306,15 @@ def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, ar
     (["timescales", "--hbar", "1e-300", "--D", "1"], "hbar^2 must be finite and nonzero"),
     # (2 m hbar D_p)^2 is finite, but times (p - p_bar)^2 it overflows (a numpy warning)
     (["model1", "--coupling", "p", "--D_p", "5e153"], "(2 m hbar D_p)^2 overflows"),
+    # the default dt resolves a tall barrier's phase V dt / hbar, so these need more than
+    # 1e6 steps; without the hbar / max|V| term they ran with 340 and 1e301 rad a step
+    (["unitary", "--potential=step", "--V0=1e4"], "steps exceeds 1000000"),
+    (["unitary", "--potential=step", "--V0=1e6"], "steps exceeds 1000000"),
+    (["unitary", "--potential=gaussian", "--V0=1e300", "--a=1e-5"], "steps exceeds 1000000"),
+    # 6 sigma rounds away next to the start distance 6 sigma + 6 a + L + 1, which put the
+    # packet on the grid's edge
+    (["unitary", "--potential=gaussian", "--t_final=1.0", "--a=1.9e67"], "--sigma 1 rounds away"),
+    (["unitary", "--sigma=1.2e-35", "--t_final=1e-150"], "--sigma 1.2e-35 rounds away"),
 ])
 def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
     start = time.perf_counter()
@@ -314,6 +324,15 @@ def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
     err = run.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("outdir", ["file", "under_file"])
+def test_an_outdir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, outdir):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "x" if outdir == "under_file" else tmp_path / "file"
+    assert main(["timescales", "--outdir", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write outdir {str(path)!r}")
 
 
 @pytest.mark.parametrize("args", [
@@ -400,7 +419,7 @@ def test_every_command_runs_with_its_defaults(tmp_path, capsys):
 
 def test_qsd_noise_factor_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     def underflow(*args, **kwargs):
-        raise FloatingPointError("norm^2 1e-320 after the noise factor for seed 1234 at step 7")
+        raise NumericalError("norm^2 1e-320 after the noise factor for seed 1234 at step 7")
 
     monkeypatch.setattr(cli, "run_wavefunction_ensemble", underflow)
     rc = main(["qsd", "--D", "1", "--n_traj", "1", "--outdir", str(tmp_path)])
@@ -720,6 +739,31 @@ def test_unitary_inputs_end_in_a_documented_exit_code(n_points, sigma, t_final, 
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
         rc = main(args + ["--outdir", outdir])
     assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling=st.sampled_from(["x", "p"]), strength=_any_scale | _log_uniform(-6.0, 6.0),
+       sigma=st.none() | _log_uniform(-12.0, 12.0),
+       t_final=st.none() | _log_uniform(-12.0, 12.0), n_traj=st.integers(1, 2),
+       n_points=st.sampled_from([256, 512]))
+def test_qsd_wavefunction_inputs_end_in_a_documented_exit_code(coupling, strength, sigma,
+                                                               t_final, n_traj, n_points):
+    args = ["qsd", "--level=wavefunction", f"--coupling={coupling}",
+            f"--{'D' if coupling == 'x' else 'D_p'}={strength!r}", f"--n_traj={n_traj}",
+            f"--n_points={n_points}"]
+    for flag, value in (("sigma", sigma), ("t_final", t_final)):
+        if value is not None:
+            args.append(f"--{flag}={value!r}")
+    err = io.StringIO()
+    # a draw may reach 2e4 steps of at most 2 x 512 points, not the CLI's 1e6: a run
+    # that needs more exits 2 at the step cap, so the test stays within its budget
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            mock.patch.object(cli, "_MAX_STEPS", 2 * 10**4), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
 
 

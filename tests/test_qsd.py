@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect
-from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream, PhysicalParams,
-                      PotentialSpec, SpatialGrid, TrajectoryMoments, WaveFunction,
-                      fluctuation_report, gaussian_packet, gaussian_state_from_moments,
-                      moment_step, position_moments, run_ensemble, run_moment_ensemble,
-                      run_moment_trajectory, run_wavefunction_ensemble,
+from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream,
+                      NumericalError, PhysicalParams, PotentialSpec, SpatialGrid,
+                      TrajectoryMoments, WaveFunction, fluctuation_report, gaussian_packet,
+                      gaussian_state_from_moments, moment_step, position_moments, run_ensemble,
+                      run_moment_ensemble, run_moment_trajectory, run_wavefunction_ensemble,
                       run_wavefunction_trajectory, steady_moments, step_trajectory,
                       wavefunction_moments)
 from qreflect import qsd
@@ -75,7 +75,8 @@ def test_zero_coupling_step_is_unitary_free_step():
     psi = psi0
     ns = NoiseStream(7)
     for _ in range(100):
-        psi = step_trajectory(psi, EnvironmentSpec.position(0.0), None, params, 0.002, ns)
+        psi = step_trajectory(psi, EnvironmentSpec.position(0.0), None, params, 0.002,
+                              ns.next_increment(0.002))
     k = 2 * math.pi * np.fft.fftfreq(512, grid.dx)
     ref = np.fft.ifft(np.exp(-1j * k**2 / 2 * 0.2) * np.fft.fft(psi0.values))
     assert np.max(np.abs(psi.values - ref)) < 1e-8
@@ -87,10 +88,11 @@ def test_step_norm_is_exactly_one_and_nan_detection():
     psi = gaussian_state_from_moments(grid, 0.0, 0.0, params.sigma_q**2, 0.5 * params.hbar,
                                       params.hbar)
     env = EnvironmentSpec.position(1.0)
-    out = step_trajectory(psi, env, None, params, 0.002, NoiseStream(1))
+    out = step_trajectory(psi, env, None, params, 0.002,
+                          NoiseStream(1).next_increment(0.002))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-14)
     bad = WaveFunction(grid, psi.values * np.nan, "position", 1.0)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(NumericalError):
         step_trajectory(bad, env, None, params, 0.002, 0.0)
     with pytest.raises(ValueError):
         step_trajectory(psi, env, None, params, 5.0, 0.0)  # dt too large
@@ -105,7 +107,7 @@ def test_steady_packet_is_stationary():
     env = EnvironmentSpec.position(1.0)
     ns = NoiseStream(11)
     for _ in range(500):
-        psi = step_trajectory(psi, env, None, params, 0.002, ns)
+        psi = step_trajectory(psi, env, None, params, 0.002, ns.next_increment(0.002))
     m = wavefunction_moments(psi)
     assert m.var_x == pytest.approx(sq2, rel=1e-4)
     assert m.cov_xp == pytest.approx(0.5, abs=1e-4)
@@ -123,7 +125,7 @@ def test_localization_from_broad_start():
     ns = NoiseStream(3)
     crossing = None
     for k in range(1000):
-        psi = step_trajectory(psi, env, None, params, 0.005, ns)
+        psi = step_trajectory(psi, env, None, params, 0.005, ns.next_increment(0.005))
         if crossing is None and wavefunction_moments(psi).var_x < 2 * sq2:
             crossing = (k + 1) * 0.005
     m = wavefunction_moments(psi)
@@ -143,7 +145,7 @@ def test_uncertainty_product_bound():
     env = EnvironmentSpec.position(0.5)
     ns = NoiseStream(21)
     for _ in range(300):
-        psi = step_trajectory(psi, env, None, params, 0.004, ns)
+        psi = step_trajectory(psi, env, None, params, 0.004, ns.next_increment(0.004))
         m = wavefunction_moments(psi)
         assert m.var_x * m.var_p - m.cov_xp**2 >= 0.25 * (1 - 1e-6)
 
@@ -154,7 +156,7 @@ def test_moment_step_static_steady_state():
     mom = steady_moments(params)
     ns = NoiseStream(5)
     for _ in range(100):
-        mom = moment_step(mom, params, env, None, 0.002, ns)
+        mom = moment_step(mom, params, env, None, 0.002, ns.next_increment(0.002))
     assert mom.var_x == pytest.approx(params.sigma_q**2, rel=1e-9)
     assert mom.cov_xp == pytest.approx(0.5, rel=1e-9)
     assert mom.var_p == pytest.approx(1.0 / (2 * params.sigma_q**2), rel=1e-9)
@@ -346,7 +348,7 @@ def test_momentum_coupling_wavefunction_localizes_in_p():
     ns = NoiseStream(13)
     vp0 = wavefunction_moments(psi).var_p
     for _ in range(400):
-        psi = step_trajectory(psi, env, None, params, 0.002, ns)
+        psi = step_trajectory(psi, env, None, params, 0.002, ns.next_increment(0.002))
     m = wavefunction_moments(psi)
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-12)
     # continuum law: dVar(p) = -8 D_p Var(p)^2 dt
@@ -465,7 +467,7 @@ def test_ensemble_argument_and_state_errors():
     values = psi0.values.copy()
     values[5] = np.nan
     with np.errstate(invalid="ignore"), \
-            pytest.raises(FloatingPointError, match=r"seed 12 at step 1$"):
+            pytest.raises(NumericalError, match=r"seed 12 at step 1$"):
         run_wavefunction_ensemble(WaveFunction(grid, values), env, None, params, 0.002,
                                   10, [12, 13])
 
@@ -676,6 +678,6 @@ def test_noise_factor_names_the_row_whose_norm_underflows():
             stepper.x_middle(block)
             assert np.isfinite(block).all()
             continue
-        with pytest.raises(FloatingPointError, match="zero, subnormal or non-finite") as info:
+        with pytest.raises(NumericalError, match="zero, subnormal or non-finite") as info:
             stepper.x_middle(block)
         assert info.value.row == 1
