@@ -15,12 +15,12 @@ from .grids import (SpatialGrid, WaveFunction, gaussian_packet, gaussian_state_f
                     position_moments, to_momentum)
 from .model1 import (EnvironmentSpec, born_delta_coefficient, reflected_density_p,
                      reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
-from .model2 import (ConstrainedDensity, CutoffReport, Model2Config, clamp_density,
+from .model2 import (ConstrainedDensity, Model2Config, clamp_density,
                      conditional_reflected_env,
                      conditional_reflected_noenv,
                      joint_reflected_noenv, marginal_reflected_noenv,
                      reflected_density_env, target_momentum_density,
-                     timescale_cutoffs_model2, total_reflected_model2)
+                     total_reflected_model2)
 from .oscquad import integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_position
@@ -30,7 +30,7 @@ from .qsd import (FluctuationReport, NoiseStream, TrajectoryMoments,
                   run_wavefunction_trajectory, steady_moments, step_trajectory,
                   wavefunction_moments)
 from .timescales import (RegimeVerdict, TimescaleReport, check_regime, compute_timescales,
-                         wigner_spreading_ratio)
+                         scattering_time, target_cutoffs, wigner_spreading_ratio)
 from .unitary import (BornResult, ProbabilityLedger, SnapshotSeries, born_reflection,
                       propagate, reflection_probability)
 

@@ -5,6 +5,8 @@ was raised: 2 ConfigError, 3 NumericalError, 4 RegimeEscalation (a regime warnin
 escalated by --strict).  main catches QreflectError alone, so any other exception
 is a library bug and ends in a traceback.  Every run writes its resolved config
 and a version stamp beside its outputs; reruns of one config are byte-identical.
+The default dt of unitary and qsd is a fixed fraction of the dt_limit that the
+integrator checks, and model2's cutoff line reads timescales.target_cutoffs.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block steps 64e6 // n_steps seeds as one
@@ -27,20 +29,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, qsd, unitary
 from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_config
 from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
 from .grids import SpatialGrid, gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
                      reflected_density_x, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
-                     finite_density, reflected_density_env, timescale_cutoffs_model2,
-                     total_reflected_model2)
+                     finite_density, reflected_density_env, total_reflected_model2)
 from .potentials import potential_position
-from .qsd import (MIN_SEEDS, TrajectoryMoments, fluctuation_report, run_moment_ensemble,
-                  run_wavefunction_ensemble, steady_moments)
+from .qsd import (MIN_SEEDS, TrajectoryMoments, coupling_time, fluctuation_report,
+                  run_moment_ensemble, run_wavefunction_ensemble, steady_moments)
 from .svgplot import line_plot
-from .timescales import FORMULAS, check_regime, compute_timescales
+from .timescales import (FORMULAS, check_regime, compute_timescales, scattering_time,
+                         target_cutoffs)
 from .unitary import propagate, reflection_probability
 
 
@@ -140,11 +142,9 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
     try:  # float ** and math.ceil raise on overflow where * and + give inf
         n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
         grid = SpatialGrid(-half, half, min(cfg.n_points, max(n, 256)))
-        # resolve the kinetic phase, the barrier's potential phase and the CFL time
-        v_max = float(np.max(np.abs(potential_position(spec, grid.x, params.hbar))))
-        dt = cfg.dt if cfg.dt is not None else 0.09 * min(
-            params.hbar / params.energy, params.hbar / v_max if v_max > 0.0 else math.inf,
-            grid.cfl_time(params.m, params.hbar))
+        # 0.9 of the 0.1 * dt_limit that propagate allows
+        dt = cfg.dt if cfg.dt is not None else 0.09 * unitary.dt_limit(
+            params, grid, potential_position(spec, grid.x, params.hbar))
     except OverflowError:
         raise ConfigError(f"the grid for t_final = {t_final:.3g} overflows") from None
     n_steps = _n_steps(t_final, dt)
@@ -222,11 +222,9 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
            else EnvironmentSpec.momentum(cfg.D_p))
     if env.strength <= 0:
         raise ConfigError("qsd needs D > 0 (coupling=x) or D_p > 0 (coupling=p)")
-    t_loc = math.sqrt(params.m * params.hbar / cfg.D) if cfg.coupling == "x" else (
-        1.0 / (cfg.D_p * params.p_bar**2))
-    t_final = cfg.t_final if cfg.t_final is not None else 5.0 * t_loc
-    dt = cfg.dt if cfg.dt is not None else t_loc / 200.0
-
+    t_c = coupling_time(params, env)
+    t_final = cfg.t_final if cfg.t_final is not None else 5.0 * t_c
+    grid = None
     if cfg.level == "moments":
         if cfg.coupling == "x":
             mom0 = steady_moments(params)
@@ -250,14 +248,18 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
                 spread = (params.hbar * t_final / (2.0 * params.m * params.sigma)) ** 2
                 half = 8.0 * math.sqrt(params.sigma**2 + spread
                                        + 2.0 * params.hbar**2 * cfg.D_p * t_final)
-            n = min(cfg.n_points, 2 ** math.ceil(math.log2(2.0 * half / dx_target)))
+            n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
         except OverflowError:
             raise ConfigError(
                 f"the spread by t_final = {t_final:.3g} overflows the grid size") from None
+        if n > cfg.n_points:
+            raise ConfigError(f"--n_points {cfg.n_points} is below the {n} points the grid "
+                              f"needs for the spread by t_final = {t_final:.3g}")
         grid = SpatialGrid(-n * dx_target / 2.0, n * dx_target / 2.0, max(n, 256))
-        if cfg.dt is None:
-            dt = min(dt, 0.045 * grid.cfl_time(params.m, params.hbar))
         psi0 = gaussian_packet(params, grid, center=0.0, mean_p=0.0)
+    # at most 0.9 of the 0.05 * dt_limit that the integrator allows
+    dt = cfg.dt if cfg.dt is not None else min(t_c / 200.0,
+                                               0.045 * qsd.dt_limit(params, env, grid))
 
     n_steps = _n_steps(t_final, dt)
     record_every = max(1, n_steps // 200)
@@ -268,7 +270,7 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
         records, _ = run_wavefunction_ensemble(psi0, env, None, params, dt, n_steps, seeds,
                                                record_every)
     if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
-        rate = fluctuation_report(records, (t_loc, t_final)).fitted_rate
+        rate = fluctuation_report(records, (t_c, t_final)).fitted_rate
         print(f"fitted total momentum fluctuation rate: {rate:.6g}")
     # each mean runs along one contiguous row, as np.mean of a column does
     summary = np.ascontiguousarray(records.transpose(1, 2, 0)).mean(axis=-1)
@@ -283,14 +285,14 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
 def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     params = cfg.physical_params()
     sweep = cfg.D_sweep or (cfg.D,)
-    if cfg.steady_target and params.D == 0.0:
-        params = params.replace(D=sweep[0])
-    m2 = Model2Config(params, tau=cfg.resolved_tau(), steady_target=cfg.steady_target)
+    # each D of the sweep goes through with_D; the first one builds the base config
+    m2 = Model2Config(params.replace(D=sweep[0]), tau=cfg.resolved_tau(),
+                      steady_target=cfg.steady_target)
     p_grid = np.linspace(-3.0 * params.p_bar, params.p_bar, 401)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     plot_series = []
     for D in sweep:
-        c = m2.with_D(D) if cfg.steady_target else m2
+        c = m2.with_D(D)
         if cfg.P is not None:
             dens = conditional_reflected_env(c, p_grid, cfg.P, D=D)
             name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
@@ -300,10 +302,13 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
         dens = clamp_density(dens)
         _write_csv([(outdir / name, ["p", "density"], np.column_stack((p_grid, dens)))])
         plot_series.append((f"D={D:g}", p_grid.tolist(), dens.tolist()))
-        cut = timescale_cutoffs_model2(c, D=D) if D > 0 else None
-        if cut is not None and not cut.suppressed:
-            print(f"D={D:g}: dominant cutoff {cut.dominant} = {cut.margin:.3g} t_E "
-                  "(no strong suppression expected)")
+        if D > 0:  # suppression needs min(T_z, T_d_p, T_1) << t_E: under a tenth of it
+            cutoffs = target_cutoffs(c.params)
+            dominant = min(cutoffs, key=cutoffs.get)
+            margin = cutoffs[dominant] / scattering_time(c.params)
+            if not margin < 0.1:
+                print(f"D={D:g}: dominant cutoff {dominant} = {margin:.3g} t_E "
+                      "(no strong suppression expected)")
     (outdir / "density.svg").write_text(line_plot(
         plot_series, "two-particle reflected density", "p", "density"))
     if len(sweep) > 1:

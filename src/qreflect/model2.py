@@ -23,7 +23,6 @@ from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
 _FLOOR_FRACTION = 1e-6  # deepest negative lobe, relative to the peak, that clamp_density zeroes
-_SUPPRESSED_BELOW = 0.1  # cutoff margin min(T_z, T_d_p, T_1) / t_E that counts as suppressed
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     return float(dens[0]) if np.ndim(p) == 0 else dens
 
 
-# -- totals and cutoffs -----------------------------------------------------------
+# -- totals -----------------------------------------------------------------------
 
 
 def finite_density(density) -> np.ndarray:
@@ -381,47 +380,6 @@ def total_reflected_model2(cfg: Model2Config, D_values, barriers=None) -> np.nda
     specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
     totals = np.empty((len(specs), len(D_values)))
     for j, D in enumerate(D_values):
-        c = cfg.with_D(D) if cfg.steady_target else cfg
-        for i, dens in enumerate(_env_densities(c, p_grid, D, specs)):
+        for i, dens in enumerate(_env_densities(cfg.with_D(D), p_grid, D, specs)):
             totals[i, j] = np.trapezoid(clamp_density(dens), p_grid)
     return totals[0] if barriers is None else totals
-
-
-@dataclass(frozen=True)
-class CutoffReport:
-    """The three s-integral cutoff timescales of the environment kernel."""
-
-    T_z: float
-    T_d_p: float
-    T_1: float
-    dominant: str
-    t_E: float
-    margin: float
-    suppressed: bool
-
-
-def timescale_cutoffs_model2(cfg: Model2Config, D: float | None = None) -> CutoffReport:
-    """Smallest of the target Zeno, momentum-decoherence and accumulated-
-    fluctuation timescales, compared against the scattering time t_E.
-
-    T_1 = M hbar / (p_bar sqrt(D t_z)) = T_d_p^(3/2) t_z^(-1/2); reflection is
-    suppressed when min(T_z, T_d_p, T_1) << t_E.
-    """
-    params = cfg.params
-    m, M, hbar, pb, _, Sg = _target(cfg)
-    if D is None:
-        D = params.D
-    if D <= 0:
-        raise ConfigError("cutoff report requires D > 0")
-    if cfg.steady_target:
-        Sg = steady_target_width(M, D, hbar)
-    t_E = hbar / params.energy
-    t_z = m * params.sigma / pb
-    T_z = M * Sg / pb
-    T_d_p = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-    T_1 = M * hbar / (pb * math.sqrt(D) * math.sqrt(t_z))  # D * t_z may underflow
-    named = {"T_z": T_z, "T_d_p": T_d_p, "T_1": T_1}
-    dominant = min(named, key=named.get)
-    margin = named[dominant] / t_E
-    return CutoffReport(T_z=T_z, T_d_p=T_d_p, T_1=T_1, dominant=dominant,
-                        t_E=t_E, margin=margin, suppressed=margin < _SUPPRESSED_BELOW)

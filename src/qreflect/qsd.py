@@ -31,6 +31,7 @@ from .grids import SpatialGrid, SplitStepper, WaveFunction, abs_squared, positio
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_position
+from .timescales import scattering_time
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal range
 
@@ -91,16 +92,25 @@ def steady_moments(params: PhysicalParams) -> TrajectoryMoments:
                              cov_xp=params.hbar / 2.0)
 
 
+def coupling_time(params: PhysicalParams, env: EnvironmentSpec) -> float:
+    """t_loc = (m hbar / D)^(1/2), t_p = 1 / (D_p p_bar^2), or inf when uncoupled."""
+    if not env.strength > 0:
+        return math.inf
+    if env.kind == "position_coupling":
+        return math.sqrt(params.m * params.hbar / env.strength)
+    return 1.0 / (env.strength * params.p_bar**2)
+
+
+def dt_limit(params: PhysicalParams, env: EnvironmentSpec, grid: SpatialGrid | None) -> float:
+    """min(t_E, coupling_time, the CFL time of grid unless it is None); both
+    integrators allow dt up to 0.05 of it."""
+    cfl = grid.cfl_time(params.m, params.hbar) if grid is not None else math.inf
+    return min(scattering_time(params), coupling_time(params, env), cfl)
+
+
 def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
               grid: SpatialGrid | None) -> None:
-    limits = [params.hbar / params.energy]
-    if env.kind == "position_coupling" and env.strength > 0:
-        limits.append(math.sqrt(params.m * params.hbar / env.strength))
-    if env.kind == "momentum_coupling" and env.strength > 0:
-        limits.append(1.0 / (env.strength * params.p_bar**2))
-    if grid is not None:
-        limits.append(grid.cfl_time(params.m, params.hbar))
-    dt_max = 0.05 * min(limits)
+    dt_max = 0.05 * dt_limit(params, env, grid)
     if dt > dt_max:
         raise ConfigError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
 

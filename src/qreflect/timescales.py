@@ -69,6 +69,24 @@ FORMULAS = {
 }
 
 
+def scattering_time(params: PhysicalParams) -> float:
+    """t_E = hbar / E, E = p_bar^2 / 2m."""
+    return params.hbar / params.energy
+
+
+def target_cutoffs(params: PhysicalParams) -> dict[str, float]:
+    """The model-2 kernel's cutoffs that params define: T_z (needs M and Sigma), T_d_p
+    and T_1 (need M and D > 0).  T_1 takes sqrt(D) sqrt(t_z): D t_z may underflow."""
+    M, hbar, pb, D = params.M, params.hbar, params.p_bar, params.D
+    cutoffs = {}
+    if M is not None and params.Sigma is not None:
+        cutoffs["T_z"] = M * params.Sigma / pb
+    if M is not None and D > 0:
+        cutoffs["T_d_p"] = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
+        cutoffs["T_1"] = M * hbar / (pb * math.sqrt(D) * math.sqrt(params.m * params.sigma / pb))
+    return cutoffs
+
+
 def compute_timescales(params: PhysicalParams, ell: float | None = None) -> TimescaleReport:
     """Evaluate every defined timescale for the given parameters.
 
@@ -82,7 +100,7 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
     if not ell > 0:
         raise ConfigError("ell must be positive")
     try:
-        values = {"t_E": hbar / params.energy, "t_z": m * sg / pb}
+        values = {"t_E": scattering_time(params), "t_z": m * sg / pb}
         if D > 0:
             values["sigma_q"] = params.sigma_q
             values["sigma_p"] = params.sigma_p
@@ -93,13 +111,11 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
             values["t_f"] = pb**2 / D
         if Dp > 0:
             values["t_p"] = 1.0 / (Dp * pb**2)
+        values.update(target_cutoffs(params))
         if M is not None and Sg is not None:
-            values["T_z"] = M * Sg / pb
             values["Sigma_p"] = hbar / Sg
         if M is not None and D > 0:
             values["T_loc"] = math.sqrt(M * hbar / D)
-            values["T_d_p"] = (M**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-            values["T_1"] = M * hbar / (pb * math.sqrt(D * values["t_z"]))
             if Sg is not None:
                 values["T_d"] = hbar**2 / (D * Sg**2)
                 values["T_f"] = values["Sigma_p"]**2 / D

@@ -19,6 +19,7 @@ from .errors import ConfigError, NumericalError
 from .grids import SpatialGrid, SplitStepper, WaveFunction, reflection_p_grid, to_momentum
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum, potential_position
+from .timescales import scattering_time
 
 _ABSORBER_WIDTH = 0.05  # fraction of the grid each edge layer covers
 _OVERLAP_TOLERANCE = 1e-4  # position mass near the barrier that blocks a measurement
@@ -62,6 +63,14 @@ def _absorber_profile(grid: SpatialGrid, width_fraction: float, strength: float)
     return strength * np.where(depth > 0, np.sin(0.5 * math.pi * depth / w) ** 2, 0.0)
 
 
+def dt_limit(params: PhysicalParams, grid: SpatialGrid, v: np.ndarray) -> float:
+    """min(t_E, hbar / max|v|, CFL time) for the barrier v on grid: the kinetic phase,
+    potential phase and grid scale a step resolves.  propagate allows 0.1 of it."""
+    v_max = float(np.max(np.abs(v)))
+    return min(scattering_time(params), params.hbar / v_max if v_max > 0.0 else math.inf,
+               grid.cfl_time(params.m, params.hbar))
+
+
 def propagate(
     psi0: WaveFunction,
     spec: PotentialSpec,
@@ -77,18 +86,18 @@ def propagate(
 
     Snapshots are recorded at the requested times (rounded to the nearest
     step) and always at t = 0 and the final time.  Raises ConfigError when dt
-    exceeds 0.1 * min(t_E, grid CFL time) or the initial packet overlaps the
-    barrier, and NumericalError when more than edge_tolerance of probability is
-    eaten by the edge absorbers.
+    exceeds 0.1 * dt_limit or the initial packet overlaps the barrier, and
+    NumericalError when more than edge_tolerance of probability is eaten by the
+    edge absorbers.
     """
     grid = psi0.grid
     hbar, m = params.hbar, params.m
-    t_E = hbar / params.energy
-    dt_max = 0.1 * min(t_E, grid.cfl_time(m, hbar))
-    if dt > dt_max:
-        raise ConfigError(f"dt = {dt:.3g} exceeds 0.1*min(t_E, cfl) = {dt_max:.3g}")
-
     v = potential_position(spec, grid.x, hbar)
+    dt_max = 0.1 * dt_limit(params, grid, v)
+    if dt > dt_max:
+        raise ConfigError(f"dt = {dt:.3g} exceeds 0.1*min(t_E, hbar/max|V|, cfl) "
+                          f"= {dt_max:.3g}")
+
     if check_start and spec.V0 > 0:
         vmax = float(np.max(np.abs(v)))
         inside = np.abs(v) > 1e-6 * vmax

@@ -256,9 +256,10 @@ def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("args, message", [
-    # the periodic grid is too small for the center's walk: seed 24 wraps around
+    # the periodic grid the center's walk needs does not fit in --n_points; capped
+    # at 512 points, the grid was too small and seed 24 wrapped around
     (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
-      "--seed", "21", "--n_points", "512"], "seed 24 holds probability"),
+      "--seed", "21", "--n_points", "512"], "--n_points 512 is below the 1024 points"),
     # t_final < t_loc leaves no record time in the fit window of a 64-seed run
     (["qsd", "--D", "1", "--level", "moments", "--n_traj", "64", "--t_final", "0.5"],
      "fit window"),
@@ -270,6 +271,25 @@ def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and message in err
     assert not list(tmp_path.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("args, needed", [
+    (["--D", "1", "--t_final", "50", "--n_points", "256"], 32768),
+    (["--coupling", "p", "--D_p", "0.01"], 65536),
+])
+def test_qsd_grid_beyond_n_points_fails_before_any_step(tmp_path, capsys, monkeypatch, args,
+                                                        needed):
+    # the point count was capped at --n_points with dx kept, so the grid came out
+    # narrower than the spread it was sized for: these stepped to t = 17.67 and
+    # t = 157.5 before the edge check stopped them
+    calls = []
+    monkeypatch.setattr(cli, "run_wavefunction_ensemble", lambda *a, **k: calls.append(a))
+    assert main(["qsd", "--level", "wavefunction", "--n_traj", "1", *args,
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --n_points ")
+    assert f"below the {needed} points" in err[0]
+    assert calls == []
 
 
 @pytest.mark.parametrize("args", [
@@ -315,6 +335,10 @@ def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, ar
     # packet on the grid's edge
     (["unitary", "--potential=gaussian", "--t_final=1.0", "--a=1.9e67"], "--sigma 1 rounds away"),
     (["unitary", "--sigma=1.2e-35", "--t_final=1e-150"], "--sigma 1.2e-35 rounds away"),
+    # propagate checks hbar / max|V| as the default dt does: at this dt the barrier
+    # phase turned 10 rad a step, and the run gave reflected 0.7403 (0.7398 at 5e-5)
+    (["unitary", "--potential=step", "--V0=1e4", "--dt=1e-3"],
+     "exceeds 0.1*min(t_E, hbar/max|V|, cfl) = 1e-05"),
 ])
 def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
     start = time.perf_counter()
@@ -765,6 +789,54 @@ def test_qsd_wavefunction_inputs_end_in_a_documented_exit_code(coupling, strengt
         rc = main(args + ["--outdir", outdir])
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling=st.sampled_from(["x", "p"]), strength=_any_scale | _log_uniform(-6.0, 6.0),
+       sigma=st.none() | _log_uniform(-12.0, 12.0),
+       t_final=st.none() | _log_uniform(-12.0, 12.0))
+# the default dt was t_c / 200 alone, above the 0.05 t_E the integrator allows once
+# t_c > 10 t_E: both exited 2 with "dt = ... exceeds 0.05*min(timescales)"
+@example(coupling="x", strength=0.001, sigma=None, t_final=None)
+@example(coupling="p", strength=0.01, sigma=None, t_final=None)
+def test_qsd_moments_default_dt_passes_the_integrator_check(coupling, strength, sigma,
+                                                            t_final):
+    args = ["qsd", "--level=moments", f"--coupling={coupling}",
+            f"--{'D' if coupling == 'x' else 'D_p'}={strength!r}", "--n_traj=2"]
+    for flag, value in (("sigma", sigma), ("t_final", t_final)):
+        if value is not None:
+            args.append(f"--{flag}={value!r}")
+    err = io.StringIO()
+    # a run that needs more than 2e4 steps exits 2 at the lowered step cap
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            mock.patch.object(cli, "_MAX_STEPS", 2 * 10**4), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc = main(args + ["--outdir", outdir])
+    assert rc in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "exceeds 0.05*min" not in err.getvalue()  # no --dt: the default must pass
+
+
+@pytest.mark.parametrize("args", [
+    # the default dt t_loc / 200 exceeded the integrator's 0.05 t_E
+    ["qsd", "--level", "wavefunction", "--D", "0.001", "--sigma", "100", "--n_traj", "1"],
+    # t_d overflows: the cutoff line and the default dt must not validate the full
+    # timescale report
+    ["model2", "--M", "10", "--sigma", "1e154", "--Sigma", "3", "--D", "1e10"],
+    ["model2", "--M", "10", "--sigma", "1e154", "--steady-target", "true", "--D", "1e3"],
+    ["qsd", "--level", "moments", "--sigma", "1e154", "--D", "1e10", "--n_traj", "2"],
+])
+def test_default_dt_and_cutoff_line_runs_succeed(tmp_path, capsys, args):
+    assert main(args + ["--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_figure4_prints_its_cutoff_lines(tmp_path, capsys):
+    assert main(["figures", "--figure", "4", "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"D={D}: dominant cutoff T_1 = {margin} t_E (no strong suppression expected)"
+        for D, margin in (("0.01", "5"), ("0.1", "1.58"), ("1", "0.5"), ("10", "0.158"))]
 
 
 _TIMESCALE_FLAGS = ("D", "D_p", "sigma", "ell", "M", "Sigma", "m", "hbar", "p_bar")

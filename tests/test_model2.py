@@ -14,8 +14,8 @@ from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
                       conditional_reflected_env, conditional_reflected_noenv,
                       joint_reflected_noenv, marginal_reflected_noenv,
                       potential_momentum, reflected_density_env,
-                      steady_target_width, target_momentum_density,
-                      timescale_cutoffs_model2, total_reflected_model2)
+                      scattering_time, steady_target_width, target_cutoffs,
+                      target_momentum_density, total_reflected_model2)
 from qreflect import model2
 from qreflect.cli import main
 from qreflect.grids import reflection_p_grid
@@ -380,11 +380,11 @@ def test_exp_quadratic_integral_against_mpmath(U, alpha, beta_re, beta_im):
 
 def test_cutoff_report_identities_and_velocity_form():
     cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0)
-    rep = timescale_cutoffs_model2(cfg, D=1.0)
+    cut, t_E = target_cutoffs(cfg.params), scattering_time(cfg.params)
     t_z = 100.0
-    assert rep.T_1 == pytest.approx(rep.T_d_p**1.5 / math.sqrt(t_z), rel=1e-12)
+    assert cut["T_1"] == pytest.approx(cut["T_d_p"]**1.5 / math.sqrt(t_z), rel=1e-12)
     # T_1 << t_E is the velocity condition up to its exact constant 1/2
-    assert rep.T_1 / rep.t_E == pytest.approx(
+    assert cut["T_1"] / t_E == pytest.approx(
         0.5 * (1.0 / 1.0) / (math.sqrt(1.0 * t_z) / 10.0), rel=1e-12)
 
 
@@ -397,10 +397,9 @@ def test_t1_condition_weakest_over_random_steady_targets():
         sigma = rng.uniform(5.0, 500.0)  # broad packets
         params = PhysicalParams(m=m, M=M, D=D, sigma=sigma, potential=GAUSS)
         cfg = Model2Config(params, steady_target=True)
-        rep = timescale_cutoffs_model2(cfg)
-        t_E = rep.t_E
-        if rep.T_z <= 0.1 * t_E:  # Zeno condition met -> T_1 condition met
-            assert rep.T_1 <= 0.1 * t_E
+        cut, t_E = target_cutoffs(cfg.params), scattering_time(cfg.params)
+        if cut["T_z"] <= 0.1 * t_E:  # Zeno condition met -> T_1 condition met
+            assert cut["T_1"] <= 0.1 * t_E
 
 
 def test_config_validation():

@@ -1,0 +1,52 @@
+"""Each time-step rule and timescale has one home.
+
+The CLI's default dt reads the limit that its integrator checks
+(``qsd.dt_limit``, ``unitary.dt_limit``), so ``cli.py`` calls no ``cfl_time``
+and reads no ``.energy``; and only ``timescales`` assigns the model-2 cutoffs
+T_z, T_d_p and T_1, so no second copy of a formula can drift from the first.
+"""
+
+import ast
+from pathlib import Path
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qreflect"
+_CUTOFFS = {"T_z", "T_d_p", "T_1"}
+
+
+def _tree(name: str) -> ast.Module:
+    path = _PACKAGE / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def _bound_names(tree: ast.AST):
+    """Every name a tree binds: assigned names, attributes and string subscripts,
+    dict keys, keyword arguments and parameters."""
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Store):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                yield node.slice.value
+        elif isinstance(node, ast.Dict):
+            yield from (key.value for key in node.keys if isinstance(key, ast.Constant))
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            yield node.arg
+
+
+def test_cli_holds_no_dt_or_timescale_formula():
+    bad = []
+    for node in ast.walk(_tree("cli.py")):
+        if isinstance(node, ast.Attribute) and node.attr in ("cfl_time", "energy"):
+            bad.append(f"cli.py:{node.lineno} reads .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "cfl_time":
+            bad.append(f"cli.py:{node.lineno} reads cfl_time")
+    assert not bad, "\n".join(bad)
+
+
+def test_only_timescales_assigns_the_model2_cutoffs():
+    bad = [f"{path.name} binds {name}"
+           for path in sorted(_PACKAGE.glob("*.py")) if path.name != "timescales.py"
+           for name in sorted(set(_bound_names(_tree(path.name))) & _CUTOFFS)]
+    assert not bad, "\n".join(bad)

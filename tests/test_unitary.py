@@ -50,7 +50,7 @@ def test_cfl_and_premature_start_errors():
     grid = SpatialGrid(-40, 40, 1024)
     psi0 = gaussian_packet(params, grid, center=-20.0)
     spec = PotentialSpec.gaussian(0.3, 0.5)
-    with pytest.raises(ConfigError, match=r"exceeds 0\.1\*min\(t_E, cfl\)"):
+    with pytest.raises(ConfigError, match=r"exceeds 0\.1\*min\(t_E, hbar/max\|V\|, cfl\)"):
         propagate(psi0, spec, params, dt=0.5, n_steps=10)
     close = gaussian_packet(params, grid, center=-3.0)
     with pytest.raises(ConfigError, match="initial overlap with the barrier region"):
