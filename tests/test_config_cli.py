@@ -256,15 +256,20 @@ def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("args, message", [
-    # the periodic grid the center's walk needs does not fit in --n_points; capped
-    # at 512 points, the grid was too small and seed 24 wrapped around
-    (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
-      "--seed", "21", "--n_points", "512"], "--n_points 512 is below the 1024 points"),
+    # the periodic grid is too small for the packet: its half-width leaves 4 sd for
+    # the center's walk, 2 D t^3 / 3 m^2, but at D = 0.001 the center's spread is
+    # mostly the packet's free spreading before it localizes, so seed 24 wraps around
+    (["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level", "wavefunction",
+      "--n_traj", "32", "--seed", "21"], "seed 24 holds probability"),
     # t_final < t_loc leaves no record time in the fit window of a 64-seed run
     (["qsd", "--D", "1", "--level", "moments", "--n_traj", "64", "--t_final", "0.5"],
      "fit window"),
     # 5e300 steps: the increments would not fit in memory
     (["qsd", "--D", "1", "--level", "moments", "--dt", "1e-300"], "steps exceeds 1000000"),
+    # the grid the center's walk needs does not fit in --n_points; capped at 512
+    # points, the grid was too small and seed 24 wrapped around
+    (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
+      "--seed", "21", "--n_points", "512"], "--n_points 512 is below the 1024 points"),
 ])
 def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
     assert main(args + ["--outdir", str(tmp_path)]) == 2
