@@ -9,8 +9,8 @@ The default dt of unitary and qsd is a fixed fraction of the dt_limit that the
 integrator checks, and model2's cutoff line reads timescales.target_cutoffs.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
-the fit and every CSV.  A moment-level block steps 64e6 // n_steps seeds as one
-array (every seed of a default 1000-step run); a wavefunction block steps 64.
+the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
+(every seed of a default 1000-step run); a wavefunction block steps 64.
 CSV floats are Python's shortest round-trip repr.  --threads selects nothing
 and changes no output: an (8, 1024) FFT took 56-60 us with one scipy.fft
 worker and 64-86 us with two, and 8 wavefunction rows took 1.44 s as two
@@ -46,8 +46,8 @@ from .timescales import (FORMULAS, check_regime, compute_timescales, scattering_
 from .unitary import propagate, reflection_probability
 
 
-# a QSD block holds (steps, rows) increments; a wavefunction block has 64 rows and a
-# moment block 64e6 // steps, so either holds at most 512 MB at the cap
+# a wavefunction block holds 64 rows of (steps,) increments, and a moment block
+# 64e6 // (3 steps + 2) rows of increments, <x> and <p>: at most 512 MB at the cap
 _MAX_STEPS = 10**6
 _CSV_BLOCK_ROWS = 1024  # rows formatted per write; only unitary's density CSVs are longer
 
@@ -265,9 +265,9 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     record_every = max(1, n_steps // 200)
     seeds = [cfg.seed + k for k in range(cfg.n_traj)]
     if cfg.level == "moments":
-        records = run_moment_ensemble(mom0, env, None, params, dt, n_steps, seeds, record_every)
+        records = run_moment_ensemble(mom0, env, params, dt, n_steps, seeds, record_every)
     else:
-        records, _ = run_wavefunction_ensemble(psi0, env, None, params, dt, n_steps, seeds,
+        records, _ = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds,
                                                record_every)
     if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
         rate = fluctuation_report(records, (t_c, t_final)).fitted_rate
@@ -293,6 +293,7 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     plot_series = []
     for D in sweep:
         c = m2.with_D(D)
+        cutoffs = target_cutoffs(c.params)  # before the CSV: it can leave the float range
         if cfg.P is not None:
             dens = conditional_reflected_env(c, p_grid, cfg.P, D=D)
             name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
@@ -303,7 +304,6 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
         _write_csv([(outdir / name, ["p", "density"], np.column_stack((p_grid, dens)))])
         plot_series.append((f"D={D:g}", p_grid.tolist(), dens.tolist()))
         if D > 0:  # suppression needs min(T_z, T_d_p, T_1) << t_E: under a tenth of it
-            cutoffs = target_cutoffs(c.params)
             dominant = min(cutoffs, key=cutoffs.get)
             margin = cutoffs[dominant] / scattering_time(c.params)
             if not margin < 0.1:

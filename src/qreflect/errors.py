@@ -43,6 +43,6 @@ class ClosureError(NumericalError):
     explicit Euler bound of the variance damping at the failing state: hbar^2 /
     (8 D Var x) for position coupling, 1/(8 D_p Var p) for momentum coupling."""
 
-    def __init__(self, message: str, dt_max: float, row: int = 0):
-        super().__init__(message, row)
+    def __init__(self, message: str, dt_max: float):
+        super().__init__(message)
         self.dt_max = dt_max

@@ -14,8 +14,10 @@ trajectory gets the same bits in a block of rows as alone.
 
 The moment-level integrator propagates the closed moment system under a
 Gaussian closure: for pure Gaussians all third central moments vanish, which
-removes the noise from every second-moment equation, and |psi(0)|^2 and J(0)
-are evaluated from the closed-form Gaussian at the step edge.
+removes the noise from every second-moment equation.  With no potential these
+never read the means either, so they step once for every trajectory, and each
+mean is a running sum of increments linear in the noise.  Neither integrator
+takes a potential: every spec slot must be None.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .errors import ClosureError, ConfigError, GridTooNarrowError, NumericalErro
 from .grids import SpatialGrid, SplitStepper, WaveFunction, abs_squared, position_moments
 from .model1 import EnvironmentSpec
 from .params import PhysicalParams, PotentialSpec
-from .potentials import potential_position
-from .timescales import scattering_time
+from .timescales import in_float_range, scattering_time
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal range
 
@@ -92,6 +93,7 @@ def steady_moments(params: PhysicalParams) -> TrajectoryMoments:
                              cov_xp=params.hbar / 2.0)
 
 
+@in_float_range
 def coupling_time(params: PhysicalParams, env: EnvironmentSpec) -> float:
     """t_loc = (m hbar / D)^(1/2), t_p = 1 / (D_p p_bar^2), or inf when uncoupled."""
     if not env.strength > 0:
@@ -115,9 +117,14 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
         raise ConfigError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
 
 
-def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: PotentialSpec | None,
-                        params: PhysicalParams, dt: float, draw) -> SplitStepper:
-    """Stepper whose middle operator is the potential phase, then the real noise
+def _no_potential(spec: PotentialSpec | None) -> None:
+    if spec is not None:
+        raise ConfigError("the QSD integrators take no potential: spec must be None")
+
+
+def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, params: PhysicalParams,
+                        dt: float, draw) -> SplitStepper:
+    """Stepper whose middle operator is the real noise
     factor f = exp(A (k1 A + k2 dB)), k1 = -2c dt, k2 = sqrt(2c), dB = draw(),
     A = a - <a>, divided by the norm it leaves: a = p, c = D_p in momentum space
     for momentum coupling, otherwise a = x, c = D/hbar^2 (zero when uncoupled)
@@ -132,8 +139,6 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
     else:
         a, c, weight = grid.x, env.strength / hbar**2, dx
     k1, k2 = -2.0 * c * dt, math.sqrt(2.0 * c)
-    pot_phase = (np.exp(-1j * potential_position(spec, grid.x, hbar) * dt / hbar)
-                 if spec is not None else None)
 
     def noise_factor(amps):
         dB = draw()
@@ -155,14 +160,7 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, spec: Potential
         f /= np.sqrt(norm2)
         amps *= f
 
-    def x_middle(vals):
-        if pot_phase is not None:
-            vals *= pot_phase
-        if not in_p:
-            noise_factor(vals)
-
-    return SplitStepper(grid, params.m, hbar, dt,
-                        x_middle=None if in_p and spec is None else x_middle,
+    return SplitStepper(grid, params.m, hbar, dt, x_middle=None if in_p else noise_factor,
                         p_middle=noise_factor if in_p else None)
 
 
@@ -170,7 +168,8 @@ def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, spec: PotentialSpec
                     params: PhysicalParams, dt: float, dB: float) -> WaveFunction:
     """One stochastic step of the normalized nonlinear diffusion equation under the
     Brownian increment dB.  The returned state has norm exactly 1."""
-    stepper = _trajectory_stepper(psi.grid, env, spec, params, dt, lambda: float(dB))
+    _no_potential(spec)
+    stepper = _trajectory_stepper(psi.grid, env, params, dt, lambda: float(dB))
     return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
 
@@ -181,63 +180,68 @@ def wavefunction_moments(psi: WaveFunction) -> TrajectoryMoments:
 # -- moment-level integration --------------------------------------------------
 
 
-def _step_barrier_terms(spec: PotentialSpec | None, m: float, mx, mp, vx, c):
-    """(|psi(0)|^2, J(0), V0) for a step barrier at the origin under the Gaussian
-    closure, on floats or (rows,) arrays; zero barrier when spec is None or V0 = 0."""
-    if spec is None or spec.V0 == 0.0:
-        return 0.0, 0.0, 0.0
-    if spec.kind != "step":
-        raise ConfigError("the moment system is closed for the step barrier only")
-    exp, sqrt = (np.exp, np.sqrt) if isinstance(vx, np.ndarray) else (math.exp, math.sqrt)
-    psi0_sq = exp(-(mx * mx) / (2.0 * vx)) / sqrt(2.0 * math.pi * vx)
-    current = psi0_sq * (mp - c * mx / vx) / m
-    return psi0_sq, current, spec.V0
-
-
 def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
                 spec: PotentialSpec | None, dt: float, dB: float) -> TrajectoryMoments:
     """Euler-Maruyama step of the closed moment system under the Brownian increment
     dB.  Third central moments vanish, so only the two mean equations carry noise."""
-    step = _moment_map(params, env, spec, dt)
-    return TrajectoryMoments(*step(*_record(mom), float(dB)))
+    _no_potential(spec)
+    records = _moment_records(_record(mom), params, env, dt, np.array([[float(dB)]]), 1)
+    return TrajectoryMoments(*records[0, -1].tolist())
 
 
-def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpec | None,
-                dt: float):
-    """Checked moment_step: step(t, <x>, <p>, Vx, Vp, Cov, dB) -> the six at t + dt, on
-    floats or (rows,) arrays.  Squares are products, as numpy squares arrays: float ** 2
-    goes through libm pow, which can round otherwise, and a row must equal a float run."""
+def _moment_records(start: tuple, params: PhysicalParams, env: EnvironmentSpec, dt: float,
+                    dBs: np.ndarray, record_every: int) -> np.ndarray:
+    """(rows, records, 6) records, as a driver's, of the Euler-Maruyama moment system
+    from start under each row of the (rows, n_steps) increments dBs, which it
+    overwrites.  t and the second moments carry no noise and never read the means, so
+    they step once on floats; each mean is then one sequential np.add.accumulate of
+    its increments, seeded with its start, which adds in the order the Euler loop
+    does and so gives its bits.  A variance that is not positive raises ClosureError,
+    then a mean that is not finite NumericalError with .row its first failing row;
+    each message ends "at step k", the earliest failing step."""
     _check_dt(params, env, dt, None)
     m, hbar, D = params.m, params.hbar, env.strength
     in_x = env.kind != "momentum_coupling"
     root = math.sqrt(8.0 * D) / hbar if in_x else math.sqrt(8.0 * D)
-
-    def step(t, mx, mp, vx, vp, c, dB):
-        psi0_sq, J0, V0 = _step_barrier_terms(spec, m, mx, mp, vx, c)
+    rows, n_steps = dBs.shape
+    t, mx, mp, vx, vp, c = start
+    second = np.empty((n_steps + 1, 4))  # t, Var x, Var p, Cov at every step
+    second[0] = t, vx, vp, c
+    for step in range(1, n_steps + 1):
         if in_x:
-            d_mx = mp / m * dt + root * vx * dB
-            d_mp = -V0 * psi0_sq * dt + root * c * dB
             d_vx = (2.0 * c / m - 8.0 * D * (vx * vx) / hbar**2) * dt
-            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq
-                    + 2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
-            d_c = (vp / m + V0 * mx * psi0_sq - 8.0 * D * vx * c / hbar**2) * dt
+            d_vp = (2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
+            d_c = (vp / m - 8.0 * D * vx * c / hbar**2) * dt
         else:
-            d_mx = mp / m * dt + root * c * dB
-            d_mp = -V0 * psi0_sq * dt + root * vp * dB
-            # three-moment system: the spatial profile (var_x, cov) is frozen for
-            # the barrier-term closure
-            d_vx = d_c = 0.0
-            d_vp = (-2.0 * m * V0 * J0 + 2.0 * V0 * mp * psi0_sq - 8.0 * D * (vp * vp)) * dt
+            d_vx = d_c = 0.0  # three-moment system: the spatial profile is frozen
+            d_vp = (-8.0 * D * (vp * vp)) * dt
         vx1, vp1 = vx + d_vx, vp + d_vp
-        ok = (vx1 > 0) & (vp1 > 0)  # a bool on floats, a (rows,) array on a block
-        if ok is not True and not np.all(ok):
-            row = int(np.argmin(ok))
-            damping = 8.0 * D * float(np.ravel(vx / hbar**2 if in_x else vp)[row])
-            raise ClosureError("variances must stay positive (closure inconsistency)",
-                               1.0 / damping if damping > 0.0 else math.inf, row)
-        return t + dt, mx + d_mx, mp + d_mp, vx1, vp1, c + d_c
-
-    return step
+        if not (vx1 > 0 and vp1 > 0):
+            damping = 8.0 * D * (vx / hbar**2 if in_x else vp)
+            raise ClosureError(f"variances must stay positive (closure inconsistency) at "
+                               f"step {step}", 1.0 / damping if damping > 0.0 else math.inf)
+        t, vx, vp, c = second[step] = t + dt, vx1, vp1, c + d_c
+    # the dB factors of d<x> and d<p>: sqrt(8D)/hbar (Var x, Cov) or sqrt(8 D_p) (Cov, Var p)
+    gain_x, gain_p = root * second[:-1, [1, 3] if in_x else [3, 2]].T
+    x, p = means = np.empty((2, rows, n_steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as on floats
+        p[:, 0], x[:, 0] = mp, mx
+        np.multiply(dBs, gain_p, out=p[:, 1:])
+        np.add.accumulate(p, axis=1, out=p)
+        np.divide(p[:, :-1], m, out=x[:, 1:])
+        x[:, 1:] *= dt
+        x[:, 1:] += np.multiply(dBs, gain_x, out=dBs)
+        np.add.accumulate(x, axis=1, out=x)
+    finite = np.isfinite(means).all(axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite.all(axis=0)))
+        raise NumericalError(f"<x> or <p> is not finite at step {step}",
+                             int(np.argmin(finite[:, step])))
+    kept = [*range(0, n_steps, record_every), n_steps]
+    records = np.empty((rows, len(kept), 6))
+    records[:, :, [0, 3, 4, 5]] = second[kept]
+    records[:, :, 1], records[:, :, 2] = x[:, kept], p[:, kept]
+    return records
 
 
 # -- drivers --------------------------------------------------------------------
@@ -246,28 +250,13 @@ def _moment_map(params: PhysicalParams, env: EnvironmentSpec, spec: PotentialSpe
 
 
 _BLOCK_ROWS = 64  # wavefunction rows stepped together; fixed, so memory does not grow with n_traj
-_INCREMENT_BUDGET = 64 * 10**6  # float64 increments a moment block holds: 512 MB
-# fewest seeds a moment block steps as (rows,) arrays: an array step took 52-55 us for
-# 4 to 24 rows, a float step 2.0-2.7 us per seed, so they break even near 22 seeds
-# (2000 steps, 2 vCPU Xeon); fewer seeds step seed by seed on floats
-_ARRAY_MIN_ROWS = 20
+_INCREMENT_BUDGET = 64 * 10**6  # float64 values a moment block holds: 512 MB
 
 
 def _moment_block_rows(n_steps: int) -> int:
-    """Seeds a moment block steps together: as many as the increment budget holds."""
-    return max(1, _INCREMENT_BUDGET // max(1, n_steps))
-
-
-def _moment_blocks(n_seeds: int, n_steps: int):
-    """(first seed, seeds) of each moment block: blocks of _moment_block_rows seeds,
-    and one-seed blocks, stepped on floats, in place of a block under _ARRAY_MIN_ROWS."""
-    rows = _moment_block_rows(n_steps)
-    for first in range(0, n_seeds, rows):
-        size = min(rows, n_seeds - first)
-        if size < _ARRAY_MIN_ROWS:
-            yield from ((seed, 1) for seed in range(first, first + size))
-        else:
-            yield first, size
+    """Seeds a moment block takes: as many as the budget holds of their (rows, n_steps)
+    increments and (rows, n_steps + 1) <x> and <p>."""
+    return max(1, _INCREMENT_BUDGET // (3 * n_steps + 2))
 
 
 def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]:
@@ -285,15 +274,11 @@ def _series(rows: np.ndarray) -> list[TrajectoryMoments]:
 
 
 def _block_increments(block: list, n_steps: int, dt: float) -> np.ndarray:
-    """(n_steps, rows) Brownian increments: column r is seed block[r]'s stream."""
-    dBs = np.empty((n_steps, len(block)))
-    for row, seed in enumerate(block):
-        dBs[:, row] = NoiseStream(seed).increments(0, n_steps, dt)
-    return dBs
+    """(rows, n_steps) Brownian increments: row r is seed block[r]'s stream."""
+    return np.array([NoiseStream(seed).increments(0, n_steps, dt) for seed in block])
 
 
-def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
-                              spec: PotentialSpec | None, params: PhysicalParams,
+def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec, params: PhysicalParams,
                               dt: float, n_steps: int, seeds, record_every: int = 1
                               ) -> tuple[np.ndarray, list[WaveFunction]]:
     """(records, final states) of one trajectory per seed: the rows of one array,
@@ -312,8 +297,8 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec,
     for first in range(0, len(seeds), _BLOCK_ROWS):
         block = seeds[first:first + _BLOCK_ROWS]
         out = records[first:first + len(block)]
-        dBs = iter(_block_increments(block, n_steps, dt)[..., None])
-        stepper = _trajectory_stepper(grid, env, spec, params, dt, dBs.__next__)
+        dBs = iter(_block_increments(block, n_steps, dt).T[..., None])
+        stepper = _trajectory_stepper(grid, env, params, dt, dBs.__next__)
         vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one trajectory
         step = 0
         for j in range(records.shape[1]):
@@ -343,46 +328,34 @@ def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
                                 dt: float, n_steps: int, seed: int, record_every: int = 1
                                 ) -> tuple[list[TrajectoryMoments], WaveFunction]:
     """Integrate one trajectory: run_wavefunction_ensemble for the one seed."""
-    records, finals = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps,
-                                                [seed], record_every)
+    _no_potential(spec)
+    records, finals = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, [seed],
+                                                record_every)
     return _series(records[0]), finals[0]
 
 
-def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec,
-                        spec: PotentialSpec | None, params: PhysicalParams, dt: float,
-                        n_steps: int, seeds, record_every: int = 1) -> np.ndarray:
-    """Records of one moment trajectory per seed, all starting from mom0.  A block of
-    seeds steps together, each moment a (rows,) array, through the moment map that
-    steps a one-seed block on Python floats.  A block takes 64e6 // n_steps seeds, so
-    that its (n_steps, rows) increments hold at most 64e6 values: 64,000 seeds at the
-    CLI's default of 1000 steps, 64 at its cap of 10^6 steps.  A block of fewer than
-    _ARRAY_MIN_ROWS seeds steps seed by seed on floats instead.  Without a barrier
-    each row equals its seed's run alone bit for bit; in an array block a step
-    barrier's np.exp can differ from math.exp in the last bit.  A ClosureError names
-    the failing seed and its step: the first failing row at the earliest failing step
-    of an array block, the first seed to fail of the seeds stepped on floats."""
+def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec, params: PhysicalParams,
+                        dt: float, n_steps: int, seeds, record_every: int = 1) -> np.ndarray:
+    """Records of one moment trajectory per seed, all starting from mom0: the records
+    of _moment_records, one block of seeds at a time.  A block takes
+    64e6 // (3 n_steps + 2) seeds, so that its increments and means hold at most 64e6
+    values: 21,319 seeds at the CLI's default of 1000 steps, 21 at its cap of 10^6
+    steps.  Each row equals its seed's run alone bit for bit.  A ClosureError or
+    NumericalError names the failing seed and its step: a variance fails at the same
+    step for every seed, so it names the block's first; a mean names the first
+    failing seed at the earliest failing step."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
-    step_map = _moment_map(params, env, spec, dt)
-    start = _record(mom0)
-    for first, size in _moment_blocks(len(seeds), n_steps):
-        block = seeds[first:first + size]
+    start, rows = _record(mom0), _moment_block_rows(n_steps)
+    for first in range(0, len(seeds), rows):
+        block = seeds[first:first + rows]
         dBs = _block_increments(block, n_steps, dt)
-        if len(block) == 1:  # floats: a one-row array step costs about 20x more
-            state, dBs = start, dBs[:, 0].tolist()
-        else:
-            state = (start[0], *np.outer(start[1:], np.ones(len(block))))
-        series = [state]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as on floats
-            for step, dB in enumerate(dBs, 1):
-                try:
-                    state = step_map(*state, dB)
-                except ClosureError as exc:
-                    raise ClosureError(f"{exc} for seed {block[exc.row]} at step {step}",
-                                       exc.dt_max) from exc
-                if step % record_every == 0 or step == n_steps:
-                    series.append(state)
-        for k, column in enumerate(zip(*series)):  # t is a float, the rest (rows,) arrays
-            records[first:first + len(block), :, k] = np.array(column).T
+        try:
+            records[first:first + len(block)] = _moment_records(start, params, env, dt, dBs,
+                                                                record_every)
+        except NumericalError as exc:  # name the row's seed before the step
+            reason, _, step = str(exc).rpartition(" at step ")
+            exc.args = (f"{reason} for seed {block[exc.row]} at step {step}",)
+            raise
     return records
 
 
@@ -391,7 +364,8 @@ def run_moment_trajectory(mom0: TrajectoryMoments, env: EnvironmentSpec,
                           n_steps: int, seed: int, record_every: int = 1
                           ) -> list[TrajectoryMoments]:
     """Integrate one trajectory: run_moment_ensemble for the one seed."""
-    return _series(run_moment_ensemble(mom0, env, spec, params, dt, n_steps, [seed],
+    _no_potential(spec)
+    return _series(run_moment_ensemble(mom0, env, params, dt, n_steps, [seed],
                                        record_every)[0])
 
 

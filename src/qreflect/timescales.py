@@ -8,6 +8,7 @@ drops) are verified to machine precision at construction time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +70,23 @@ FORMULAS = {
 }
 
 
+def in_float_range(fn):
+    """fn, with the ArithmeticError of a 0 divisor or ** overflow as a ConfigError."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError:
+            raise ConfigError(_RANGE_ERROR) from None
+    return guarded
+
+
 def scattering_time(params: PhysicalParams) -> float:
     """t_E = hbar / E, E = p_bar^2 / 2m."""
     return params.hbar / params.energy
 
 
+@in_float_range
 def target_cutoffs(params: PhysicalParams) -> dict[str, float]:
     """The model-2 kernel's cutoffs that params define: T_z (needs M and Sigma), T_d_p
     and T_1 (need M and D > 0).  T_1 takes sqrt(D) sqrt(t_z): D t_z may underflow."""
@@ -87,6 +100,7 @@ def target_cutoffs(params: PhysicalParams) -> dict[str, float]:
     return cutoffs
 
 
+@in_float_range
 def compute_timescales(params: PhysicalParams, ell: float | None = None) -> TimescaleReport:
     """Evaluate every defined timescale for the given parameters.
 
@@ -99,33 +113,30 @@ def compute_timescales(params: PhysicalParams, ell: float | None = None) -> Time
         ell = sg
     if not ell > 0:
         raise ConfigError("ell must be positive")
-    try:
-        values = {"t_E": scattering_time(params), "t_z": m * sg / pb}
-        if D > 0:
-            values["sigma_q"] = params.sigma_q
-            values["sigma_p"] = params.sigma_p
-            values["t_d"] = hbar**2 / (D * ell**2)
-            values["t_z_qsd"] = m * values["sigma_q"] / pb
-            values["t_loc"] = math.sqrt(m * hbar / D)
-            values["t_d_p"] = (m**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
-            values["t_f"] = pb**2 / D
-        if Dp > 0:
-            values["t_p"] = 1.0 / (Dp * pb**2)
-        values.update(target_cutoffs(params))
-        if M is not None and Sg is not None:
-            values["Sigma_p"] = hbar / Sg
-        if M is not None and D > 0:
-            values["T_loc"] = math.sqrt(M * hbar / D)
-            if Sg is not None:
-                values["T_d"] = hbar**2 / (D * Sg**2)
-                values["T_f"] = values["Sigma_p"]**2 / D
-        for name, value in values.items():
-            if not 0.0 < value < math.inf:  # also nan
-                raise ConfigError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
-        report = TimescaleReport(ell=ell, **values)
-        _verify_internal_identities(report, params)
-    except ArithmeticError:  # a 0 divisor, ** overflow, or subnormal product
-        raise ConfigError(_RANGE_ERROR) from None
+    values = {"t_E": scattering_time(params), "t_z": m * sg / pb}
+    if D > 0:
+        values["sigma_q"] = params.sigma_q
+        values["sigma_p"] = params.sigma_p
+        values["t_d"] = hbar**2 / (D * ell**2)
+        values["t_z_qsd"] = m * values["sigma_q"] / pb
+        values["t_loc"] = math.sqrt(m * hbar / D)
+        values["t_d_p"] = (m**2 * hbar**2 / (D * pb**2)) ** (1.0 / 3.0)
+        values["t_f"] = pb**2 / D
+    if Dp > 0:
+        values["t_p"] = 1.0 / (Dp * pb**2)
+    values.update(target_cutoffs(params))
+    if M is not None and Sg is not None:
+        values["Sigma_p"] = hbar / Sg
+    if M is not None and D > 0:
+        values["T_loc"] = math.sqrt(M * hbar / D)
+        if Sg is not None:
+            values["T_d"] = hbar**2 / (D * Sg**2)
+            values["T_f"] = values["Sigma_p"]**2 / D
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # also nan
+            raise ConfigError(f"timescale {name} = {FORMULAS[name]} leaves the float range")
+    report = TimescaleReport(ell=ell, **values)
+    _verify_internal_identities(report, params)
     return report
 
 

@@ -196,62 +196,57 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
     assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
                  "--n_traj", "8", "--seed", "7", "--t_final", "2",
                  "--outdir", str(outdir)]) == 0
-    psi0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
+    psi0, env, params, dt, n_steps, seeds, record_every = captured[0]
     assert record_every > 1 and seeds == list(range(7, 15))
     assert shapes == [(8, psi0.grid.n_points)] * math.ceil(n_steps / record_every)
     for seed in seeds:
-        series, _ = run_wavefunction_trajectory(psi0, env, spec, params, dt, n_steps, seed,
+        series, _ = run_wavefunction_trajectory(psi0, env, None, params, dt, n_steps, seed,
                                                 record_every)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
-def _moment_step_shapes(monkeypatch) -> list:
-    """The shape of <x> at every moment-map call from here on, in call order."""
-    shapes, moment_map = [], qsd._moment_map
+def _moment_core_shapes(monkeypatch) -> list:
+    """The shape of the increments of every moment-core call from here on, in order."""
+    shapes, core = [], qsd._moment_records
 
-    def map_spy(*args):
-        step = moment_map(*args)
+    def core_spy(start, params, env, dt, dBs, record_every):
+        shapes.append(dBs.shape)
+        return core(start, params, env, dt, dBs, record_every)
 
-        def counted(t, mx, *rest):
-            shapes.append(np.shape(mx))
-            return step(t, mx, *rest)
-        return counted
-
-    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    monkeypatch.setattr(qsd, "_moment_records", core_spy)
     return shapes
 
 
 @pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
 def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coupling, flag):
-    # one step-map call per step for all 24 trajectories, not one per trajectory and
-    # step, and every CSV equals the library run of its seed alone, byte for byte
-    # (fewer than qsd._ARRAY_MIN_ROWS seeds step seed by seed on floats)
+    # one core call for all 24 trajectories, not one per trajectory, and every CSV
+    # equals the library run of its seed alone, byte for byte
     captured, ensemble = [], cli.run_moment_ensemble
 
     def ensemble_spy(*args):
         captured.append(args)
         return ensemble(*args)
 
-    shapes = _moment_step_shapes(monkeypatch)
+    shapes = _moment_core_shapes(monkeypatch)
     monkeypatch.setattr(cli, "run_moment_ensemble", ensemble_spy)
     outdir = tmp_path / "cli"
     assert main(["qsd", "--coupling", coupling, flag, "1", "--level", "moments",
                  "--n_traj", "24", "--seed", "7", "--outdir", str(outdir)]) == 0
-    mom0, env, spec, params, dt, n_steps, seeds, record_every = captured[0]
+    mom0, env, params, dt, n_steps, seeds, record_every = captured[0]
     assert seeds == list(range(7, 31)) and n_steps == 1000
-    assert shapes == [(24,)] * n_steps
+    assert shapes == [(24, n_steps)]
     for seed in seeds:
-        series = run_moment_trajectory(mom0, env, spec, params, dt, n_steps, seed,
+        series = run_moment_trajectory(mom0, env, None, params, dt, n_steps, seed,
                                        record_every)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
 def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypatch):
-    # at the default 1000 steps one block holds every seed: one step-map call per step
-    shapes = _moment_step_shapes(monkeypatch)
+    # at the default 1000 steps one block holds every seed: one core call
+    shapes = _moment_core_shapes(monkeypatch)
     assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "moments",
                  "--n_traj", "128", "--seed", "3", "--outdir", str(tmp_path)]) == 0
-    assert shapes == [(128,)] * 1000
+    assert shapes == [(128, 1000)]
     assert len(list(tmp_path.glob("trajectory_*.csv"))) == 128
 
 
@@ -344,6 +339,12 @@ def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, ar
     # phase turned 10 rad a step, and the run gave reflected 0.7403 (0.7398 at 5e-5)
     (["unitary", "--potential=step", "--V0=1e4", "--dt=1e-3"],
      "exceeds 0.1*min(t_E, hbar/max|V|, cfl) = 1e-05"),
+    # D_p p_bar^2 (qsd's coupling time) and D p_bar^2 (model2's cutoff T_d_p) underflow
+    # to 0; both divisions ended in a ZeroDivisionError traceback, model2's after its CSV
+    (["qsd", "--level", "moments", "--coupling", "p", "--D_p", "5e-324", "--p_bar", "0.5",
+      "--n_traj", "1"], "leave the normal float range"),
+    (["model2", "--M", "10", "--sigma", "100", "--Sigma", "3", "--D", "5e-324",
+      "--p_bar", "0.5"], "leave the normal float range"),
 ])
 def test_overflow_and_step_cap_are_config_errors(tmp_path, args, message):
     start = time.perf_counter()

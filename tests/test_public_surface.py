@@ -17,6 +17,12 @@ Options: every defaulted parameter of a public function or method (a class's
 ``__init__`` is called through the class name) must be passed, by keyword or
 by position, at some run-path call site.  Forwarding the caller's own
 parameter of the same name does not count as setting it.
+
+Constants: no parameter of a public function or method may take one and the
+same constant (None, True, a number or a string) at every run-path call site,
+when one site at least passes it explicitly; a slot every run fills with
+None is a branch that only unit tests reach.  A site that forwards the
+caller's own parameter leaves the value to the caller's sites.
 """
 
 import ast
@@ -131,33 +137,41 @@ def test_every_public_function_has_a_run_path_caller():
 # -- options ----------------------------------------------------------------------
 
 
-def _defaulted(fn: ast.FunctionDef, skip_first: bool) -> dict[str, int | None]:
-    """{name: position or None (keyword-only)} of fn's parameters with defaults."""
-    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][int(skip_first):]
-    found = {name: i for i, name in enumerate(positional)
-             if i >= len(positional) - len(fn.args.defaults)}
-    found.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                 if d is not None)
+def _parameters(fn: ast.FunctionDef, skip_first: bool) -> dict[str, tuple[int | None, object]]:
+    """{name: (position or None, default node or None)} of every named parameter."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[int(skip_first):]
+    defaults = [None] * (len(positional) - len(a.defaults)) + list(a.defaults)
+    found = {p.arg: (i, d) for i, (p, d) in enumerate(zip(positional, defaults))}
+    found.update((p.arg, (None, d)) for p, d in zip(a.kwonlyargs, a.kw_defaults))
     return found
 
 
-def _options() -> dict[str, tuple[str, dict[str, int | None]]]:
-    """{"module.qualname": (callee name, defaulted parameters)} of the public surface."""
+def _signatures() -> dict[str, tuple[str, dict]]:
+    """{"module.qualname": (callee name, parameters)} of the public surface."""
     found = {}
     for module, tree in _package_trees().items():
         for node in tree.body:
             if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
-                found[f"{module}.{node.name}"] = (node.name, _defaulted(node, False))
+                found[f"{module}.{node.name}"] = (node.name, _parameters(node, False))
         for cls in _public_classes(tree):
             for fn in cls.body:
                 if not isinstance(fn, _FUNCTIONS) or _is_property(fn):
                     continue
                 static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
                 if fn.name == "__init__":
-                    found[f"{module}.{cls.name}"] = (cls.name, _defaulted(fn, True))
+                    found[f"{module}.{cls.name}"] = (cls.name, _parameters(fn, True))
                 elif not fn.name.startswith("_"):
-                    found[f"{module}.{cls.name}.{fn.name}"] = (fn.name, _defaulted(fn, not static))
+                    found[f"{module}.{cls.name}.{fn.name}"] = (fn.name,
+                                                               _parameters(fn, not static))
     return found
+
+
+def _options() -> dict[str, tuple[str, dict[str, int | None]]]:
+    """{"module.qualname": (callee name, defaulted parameters)} of the public surface."""
+    return {qual: (callee, {name: position for name, (position, default) in params.items()
+                            if default is not None})
+            for qual, (callee, params) in _signatures().items()}
 
 
 def _call_sites(tree: ast.AST):
@@ -220,3 +234,84 @@ def test_every_option_is_set_on_a_run_path():
     assert not dead, f"{len(dead)} options only unit tests set: {', '.join(dead)}"
     stale = sorted(set(_KEPT_OPTIONS) - set(unset))
     assert not stale, f"allow-listed options a run path now sets or that are gone: {stale}"
+
+
+# -- constant arguments -------------------------------------------------------------
+
+# parameters that every run-path call site passes as one constant, each kept for a
+# stated reason
+_KEPT_CONSTANTS = {
+    "qsd.moment_step(spec=)": "criteria 05-07 pass None",
+    "qsd.step_trajectory(spec=)": "criteria 05-07 pass None",
+    "qsd.run_moment_trajectory(spec=)": "criteria 05-07 pass None",
+    "qsd.run_wavefunction_trajectory(spec=)": "criteria 05-07 pass None",
+    # physical inputs whose one run-path caller is a criterion or a fixed rule
+    "qsd.run_moment_trajectory(n_steps=)": "criterion 06 runs 1000 steps at both its sites",
+    "grids.gaussian_state_from_moments(mean_x=)": "criterion 07 starts off the origin",
+    "grids.gaussian_state_from_moments(mean_p=)": "criterion 07 starts off the origin",
+    "qsd.NoiseStream.next_increment(dt=)": "criterion 07 draws at its one fine dt",
+    "oscquad.panel_nodes(a=)": "model2's near branch takes the unit interval",
+    "oscquad.panel_nodes(b=)": "model2's near branch takes the unit interval",
+    "oscquad.panel_nodes(n_panels=)": "model2's near branch takes one panel",
+}
+
+
+_VARIES, _FORWARDED = object(), object()
+
+
+def _argument(call: ast.Call, own: set[str], name: str, position: int | None, default):
+    """The constant a call gives the parameter, _VARIES when it is not one constant,
+    or _FORWARDED when the call passes on the caller's own parameter of that name."""
+    def value(node):
+        if isinstance(node, ast.Name) and node.id == name and name in own:
+            return _FORWARDED
+        return node.value if isinstance(node, ast.Constant) else _VARIES
+
+    if any(k.arg is None for k in call.keywords):  # **kwargs may pass anything
+        return _VARIES
+    for k in call.keywords:
+        if k.arg == name:
+            return value(k.value)
+    if position is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):  # *args may reach this position
+                return _VARIES
+            if i == position:
+                return value(arg)
+    return default.value if isinstance(default, ast.Constant) else _VARIES
+
+
+def constant_arguments() -> list[str]:
+    """Sorted ``module.qualname(param=)`` of every parameter that each run-path call
+    site gives the same constant, one site at least passing it explicitly.  A site
+    that forwards the caller's own parameter leaves the choice to the caller's sites."""
+    signatures = _signatures()
+    by_callee = {}
+    for qual, (callee, _) in signatures.items():
+        by_callee.setdefault(callee, []).append(qual)
+    seen = {(qual, name): set() for qual, (_, params) in signatures.items() for name in params}
+    explicit = set()
+    code, bench = _run_path_trees()
+    for tree in code + bench:
+        for callee, call, own in _call_sites(tree):
+            for qual in by_callee.get(callee, ()):
+                for name, (position, default) in signatures[qual][1].items():
+                    value = _argument(call, own, name, position, default)
+                    if value is _FORWARDED:
+                        continue
+                    seen[qual, name].add(repr(value) if value is not _VARIES else value)
+                    if value is not _VARIES and (
+                            any(k.arg == name for k in call.keywords)
+                            or position is not None and position < len(call.args)):
+                        explicit.add((qual, name))
+    return sorted(f"{qual}({name}=)" for (qual, name), values in seen.items()
+                  if (qual, name) in explicit and len(values) == 1)
+
+
+def test_no_parameter_is_one_constant_on_every_run_path():
+    found = constant_arguments()
+    dead = [name for name in found if name not in _KEPT_CONSTANTS]
+    assert not dead, f"{len(dead)} parameters every run path passes as one constant: " \
+                     f"{', '.join(dead)}"
+    stale = sorted(set(_KEPT_CONSTANTS) - set(found))
+    assert not stale, f"allow-listed constant parameters that now vary or are gone: {stale}"

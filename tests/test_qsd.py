@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect
-from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream,
+from qreflect import (ClosureError, ConfigError, EnvironmentSpec, GridTooNarrowError, NoiseStream,
                       NumericalError, PhysicalParams, PotentialSpec, SpatialGrid,
                       TrajectoryMoments, WaveFunction, fluctuation_report, gaussian_packet,
                       gaussian_state_from_moments, moment_step, position_moments, run_ensemble,
@@ -162,22 +162,6 @@ def test_moment_step_static_steady_state():
     assert mom.var_p == pytest.approx(1.0 / (2 * params.sigma_q**2), rel=1e-9)
 
 
-def test_moment_step_barrier_kick_identity():
-    # for the steady packet the two barrier terms in dVar(p) combine into
-    # (hbar V0 / sigma_q^2) <x> |psi(0)|^2
-    params = PhysicalParams(D=1.0)
-    spec = PotentialSpec.step(0.02)
-    mom = replace(steady_moments(params), mean_x=0.6, mean_p=1.0)
-    sq2 = params.sigma_q**2
-    psi0_sq = math.exp(-0.6**2 / (2 * sq2)) / math.sqrt(2 * math.pi * sq2)
-    expected_drift = 0.02 / sq2 * 0.6 * psi0_sq  # hbar = 1
-    out = moment_step(mom, params, EnvironmentSpec.position(1.0), spec, 1e-4, 0.0)
-    # remove the environment piece 2D(1 - 4 c^2/hbar^2), zero at the steady c
-    got = (out.var_p - mom.var_p) / 1e-4
-    assert got == pytest.approx(expected_drift, rel=1e-9)
-    assert abs(psi0_sq * 0.6) < 1.0  # the combination stays O(1)
-
-
 def test_moment_vs_wavefunction_strong_convergence():
     # identical Brownian path at dt and dt/2: the disagreement between the
     # moment integrator and the wavefunction integrator halves with dt
@@ -246,7 +230,7 @@ def test_fluctuation_report_reads_records_and_series_alike():
     params = PhysicalParams(D=1.0)
     env = EnvironmentSpec.position(1.0)
     mom0 = steady_moments(params)
-    records = run_moment_ensemble(mom0, env, None, params, 0.005, 200, range(64), 20)
+    records = run_moment_ensemble(mom0, env, params, 0.005, 200, range(64), 20)
     series = [run_moment_trajectory(mom0, env, None, params, 0.005, 200, seed, 20)
               for seed in range(64)]
     assert np.array_equal(records[5], [astuple(m) for m in series[5]])
@@ -268,7 +252,7 @@ def test_moment_closure_breakdown_names_seed_and_step():
     with pytest.raises(ClosureError, match="closure inconsistency"):
         moment_step(mom0, params, env, None, 0.005, 0.0)
     with pytest.raises(ClosureError, match=r"for seed 41 at step 1$"):
-        run_moment_ensemble(mom0, env, None, params, 0.005, 10, [41, 42])
+        run_moment_ensemble(mom0, env, params, 0.005, 10, [41, 42])
 
 
 @pytest.mark.parametrize("coupling, start, dt, bound", [
@@ -282,7 +266,7 @@ def test_closure_breakdown_carries_the_euler_bound(coupling, start, dt, bound):
     env = (EnvironmentSpec.momentum(1.0) if coupling == "p"
            else EnvironmentSpec.position(1.0))
     with pytest.raises(ClosureError) as info:
-        run_moment_ensemble(start, env, None, params, dt, 10, [5])
+        run_moment_ensemble(start, env, params, dt, 10, [5])
     assert info.value.dt_max == pytest.approx(bound, rel=1e-15)
     assert str(info.value).endswith("for seed 5 at step 1")
 
@@ -309,7 +293,7 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     dt, t_final = 0.004, 3.0
     n_steps = int(t_final / dt)
 
-    records, finals = run_wavefunction_ensemble(psi0, env, None, par_b, dt, n_steps,
+    records, finals = run_wavefunction_ensemble(psi0, env, par_b, dt, n_steps,
                                                 range(400, 464), record_every=n_steps)
     # total Var p of the mixture: mean of <p^2> over seeds minus the squared mean <p>
     mean_p, var_p = records[:, -1, 2], records[:, -1, 4]
@@ -409,9 +393,10 @@ def _coupled(coupling):
     return PhysicalParams(D_p=1.0, sigma=1.0), EnvironmentSpec.momentum(1.0)
 
 
+# a spec is refused, and its case then runs without one
 @pytest.mark.parametrize("coupling, spec, n_steps, record_every, block_rows", [
-    ("x", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # potential phase, noise in x
-    ("p", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # potential phase, noise in p
+    ("x", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # noise in x
+    ("p", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # noise in p
     ("p", None, 90, 10, 64),                              # noise in p, no x_middle
     ("x", None, 95, 7, 64),                               # record_every does not divide n_steps
     ("x", None, 30, 4, 3),                                # more seeds than one block holds
@@ -427,11 +412,14 @@ def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_ste
     params, env = _coupled(coupling)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     seeds = list(range(30, 38))
-    runs, finals = run_wavefunction_ensemble(psi0, env, spec, params, 0.002, n_steps, seeds,
+    if spec is not None:
+        with pytest.raises(ConfigError, match="spec must be None"):
+            run_wavefunction_trajectory(psi0, env, spec, params, 0.002, n_steps, 30)
+    runs, finals = run_wavefunction_ensemble(psi0, env, params, 0.002, n_steps, seeds,
                                              record_every)
     assert len(runs) == len(seeds)
     for seed, series, final in zip(seeds, runs, finals):
-        alone, final_alone = run_wavefunction_trajectory(psi0, env, spec, params, 0.002,
+        alone, final_alone = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
                                                          n_steps, seed, record_every)
         assert len(series) == 1 + math.ceil(n_steps / record_every)
         assert np.array_equal(_bits(series), _bits(alone))
@@ -442,15 +430,14 @@ def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_ste
 def test_ensemble_rows_equal_stepwise_reference(coupling):
     # unfused reference: one step_trajectory per increment of the seed's stream
     params, env = _coupled(coupling)
-    spec = PotentialSpec.gaussian(0.5, 0.5)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     n_steps, dt, seeds = 40, 0.002, [3, 8]
-    runs, finals = run_wavefunction_ensemble(psi0, env, spec, params, dt, n_steps, seeds)
+    runs, finals = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds)
     for seed, series, final in zip(seeds, runs, finals):
         psi = psi0.normalized()
         ref = [wavefunction_moments(psi)]
         for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
-            psi = step_trajectory(psi, env, spec, params, dt, dB)
+            psi = step_trajectory(psi, env, None, params, dt, dB)
             ref.append(replace(wavefunction_moments(psi), time=k * dt))
         assert np.array_equal(_bits(series), _bits(ref))
         assert np.array_equal(final.values, psi.values)
@@ -461,14 +448,14 @@ def test_ensemble_argument_and_state_errors():
     grid = SpatialGrid(-16, 16, 256)
     psi0 = gaussian_packet(params, grid, center=0.0)
     with pytest.raises(ValueError, match="at least one seed"):
-        run_wavefunction_ensemble(psi0, env, None, params, 0.002, 10, [])
+        run_wavefunction_ensemble(psi0, env, params, 0.002, 10, [])
     with pytest.raises(ValueError, match="record_every"):
-        run_wavefunction_ensemble(psi0, env, None, params, 0.002, 10, [1], record_every=0)
+        run_wavefunction_ensemble(psi0, env, params, 0.002, 10, [1], record_every=0)
     values = psi0.values.copy()
     values[5] = np.nan
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalError, match=r"seed 12 at step 1$"):
-        run_wavefunction_ensemble(WaveFunction(grid, values), env, None, params, 0.002,
+        run_wavefunction_ensemble(WaveFunction(grid, values), env, params, 0.002,
                                   10, [12, 13])
 
 
@@ -481,11 +468,11 @@ def _moment_start(coupling):
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
 def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling):
-    # 70 seeds: a 64-row block stepped as (rows,) arrays, then 6 seeds stepped on floats
-    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", 64 * 300)
+    # 70 seeds: a 64-row block, then a 6-row one
+    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", 64 * (3 * 300 + 2))
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
-    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
+    records = run_moment_ensemble(mom0, env, params, 0.005, 300, seeds, 7)
     assert records.shape == (70, 1 + math.ceil(300 / 7), 6)
     for seed, rows in zip(seeds, records):
         alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
@@ -499,61 +486,104 @@ def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling):
                                                 (19, [19, 19, 19, 13])])
 def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch, coupling,
                                                                     block_rows, blocks):
-    # the budget fixes the block sizes, and a block under qsd._ARRAY_MIN_ROWS (20)
-    # steps seed by seed on floats; each row still equals its seed's run alone
-    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", block_rows * 300)
-    shapes, moment_map = [], qsd._moment_map
+    # the budget fixes the block sizes, one core call a block; each row still equals
+    # its seed's run alone
+    shapes, core = [], qsd._moment_records
 
-    def map_spy(*args):
-        step = moment_map(*args)
+    def core_spy(start, params, env, dt, dBs, record_every):
+        shapes.append(dBs.shape)
+        return core(start, params, env, dt, dBs, record_every)
 
-        def counted(t, mx, *rest):
-            shapes.append(np.shape(mx))
-            return step(t, mx, *rest)
-        return counted
-
-    monkeypatch.setattr(qsd, "_moment_map", map_spy)
+    monkeypatch.setattr(qsd, "_moment_records", core_spy)
+    monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", block_rows * (3 * 300 + 2))
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
-    records = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
-    steps = [[()] * rows if rows < qsd._ARRAY_MIN_ROWS else [(rows,)] for rows in blocks]
-    assert shapes == [shape for block in steps for shape in block for _ in range(300)]
-    monkeypatch.setattr(qsd, "_moment_map", moment_map)
+    records = run_moment_ensemble(mom0, env, params, 0.005, 300, seeds, 7)
+    assert shapes == [(rows, 300) for rows in blocks]
     for seed, rows in zip(seeds, records):
         alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
         assert np.array_equal(_bits(rows), _bits(alone))
 
 
-@pytest.mark.parametrize("n_steps, rows", [(1, 64 * 10**6), (1000, 64000), (10**6, 64)])
+@pytest.mark.parametrize("n_steps, rows", [(1, 12_800_000), (1000, 21_319), (10**6, 21)])
 def test_moment_block_increments_stay_within_the_budget(n_steps, rows):
-    # a block holds (n_steps, rows) increments: at most 64e6 values, 512 MB of float64
+    # a block holds (rows, n_steps) increments and (rows, n_steps + 1) <x> and <p>:
+    # at most 64e6 values, 512 MB of float64
     assert qsd._moment_block_rows(n_steps) == rows
-    assert rows * n_steps <= 64 * 10**6
+    assert rows * (3 * n_steps + 2) <= 64 * 10**6 < (rows + 1) * (3 * n_steps + 2)
+
+
+def _euler_oracle(start, params, env, dt, dBs, record_every):
+    """The moment system without a potential, stepped one increment at a time on
+    Python floats: the records the whole-array driver must match bit for bit."""
+    m, hbar, D = params.m, params.hbar, env.strength
+    in_x = env.kind != "momentum_coupling"
+    root = math.sqrt(8.0 * D) / hbar if in_x else math.sqrt(8.0 * D)
+    t, mx, mp, vx, vp, c = state = astuple(start)
+    records = [state]
+    for step, dB in enumerate(dBs, 1):
+        if in_x:
+            d_mx = mp / m * dt + root * vx * dB
+            d_mp = root * c * dB
+            d_vx = (2.0 * c / m - 8.0 * D * (vx * vx) / hbar**2) * dt
+            d_vp = (2.0 * D * (1.0 - 4.0 * (c * c) / hbar**2)) * dt
+            d_c = (vp / m - 8.0 * D * vx * c / hbar**2) * dt
+        else:
+            d_mx = mp / m * dt + root * c * dB
+            d_mp = root * vp * dB
+            d_vx = d_c = 0.0
+            d_vp = (-8.0 * D * (vp * vp)) * dt
+        t, mx, mp, vx, vp, c = state = (t + dt, mx + d_mx, mp + d_mp, vx + d_vx, vp + d_vp,
+                                        c + d_c)
+        if step % record_every == 0 or step == len(dBs):
+            records.append(state)
+    return records
 
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
-def test_moment_ensemble_rows_follow_single_seed_runs_past_a_step_barrier(coupling):
-    # the array path's np.exp may differ from math.exp in the last bit
-    params, env, mom0 = _moment_start(coupling)
-    spec = PotentialSpec.step(0.02)
-    seeds = range(200, 270)
-    records = run_moment_ensemble(mom0, env, spec, params, 0.005, 300, seeds, 7)
-    free = run_moment_ensemble(mom0, env, None, params, 0.005, 300, seeds, 7)
-    assert not np.array_equal(records, free)  # the barrier acts
+@pytest.mark.parametrize("n_seeds", [1, 7, 70])
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_moment_records_equal_the_float_euler_loop(coupling, n_seeds, record_every):
+    # m and hbar away from 1, and a nonzero Cov under momentum coupling, so that a
+    # reordered product or sum shows in the bits
+    params = PhysicalParams(D=1.0, D_p=1.0, sigma=1.0, m=3.0, hbar=0.7)
+    if coupling == "x":
+        env, mom0 = EnvironmentSpec.position(1.0), replace(steady_moments(params), mean_x=-1.0)
+    else:
+        env, mom0 = EnvironmentSpec.momentum(1.0), TrajectoryMoments(0.0, -1.0, 1.0, 1.0, 0.3, 0.2)
+    seeds, n_steps, dt = range(400, 400 + n_seeds), 300, 0.005
+    records = run_moment_ensemble(mom0, env, params, dt, n_steps, seeds, record_every)
     for seed, rows in zip(seeds, records):
-        alone = run_moment_trajectory(mom0, env, spec, params, 0.005, 300, seed, 7)
-        np.testing.assert_allclose(rows, [astuple(m) for m in alone], rtol=1e-12, atol=0)
+        dBs = NoiseStream(seed).increments(0, n_steps, dt).tolist()
+        oracle = _euler_oracle(mom0, params, env, dt, dBs, record_every)
+        assert np.array_equal(_bits(rows), np.array(oracle).view(np.uint64))
 
 
-@pytest.mark.parametrize("coupling", ["x", "p"])
-def test_small_moment_blocks_equal_single_seed_runs_past_a_step_barrier(coupling):
-    # on floats a row takes math.exp as its run alone does: the same bits
-    params, env, mom0 = _moment_start(coupling)
-    spec, seeds = PotentialSpec.step(0.5), range(300, 306)
-    records = run_moment_ensemble(mom0, env, spec, params, 0.005, 1000, seeds, 10)
-    for seed, rows in zip(seeds, records):
-        alone = run_moment_trajectory(mom0, env, spec, params, 0.005, 1000, seed, 10)
-        assert np.array_equal(_bits(rows), _bits(alone))
+def test_a_mean_that_overflows_names_its_seed_and_step():
+    # <x> + <p>/m dt passes the float maximum within a few dozen steps; the variances
+    # stay the steady ones, so this is no closure failure
+    params = PhysicalParams(D=1.0)
+    mom0 = replace(steady_moments(params), mean_x=1.7e308, mean_p=1e308)
+    env, dt, seeds = EnvironmentSpec.position(1.0), 0.005, [3, 4]
+    oracle = _euler_oracle(mom0, params, env, dt,
+                           NoiseStream(3).increments(0, 100, dt).tolist(), 1)
+    step = next(k for k, row in enumerate(oracle) if not np.isfinite(row[1:3]).all())
+    with pytest.raises(NumericalError, match=rf"not finite for seed 3 at step {step}$") as info:
+        run_moment_ensemble(mom0, env, params, dt, 100, seeds)
+    assert not isinstance(info.value, ClosureError)
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.step(0.02), PotentialSpec.gaussian(0.5, 0.5)])
+def test_every_spec_slot_refuses_a_potential(spec):
+    params, env, mom0 = _moment_start("x")
+    psi = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=0.0)
+    calls = [lambda: moment_step(mom0, params, env, spec, 0.005, 0.0),
+             lambda: step_trajectory(psi, env, spec, params, 0.002, 0.0),
+             lambda: run_moment_trajectory(mom0, env, spec, params, 0.005, 10, 1),
+             lambda: run_wavefunction_trajectory(psi, env, spec, params, 0.002, 10, 1)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="spec must be None"):
+            call()
 
 
 def test_moment_block_breakdown_carries_the_failing_row():
@@ -561,7 +591,7 @@ def test_moment_block_breakdown_carries_the_failing_row():
     params = PhysicalParams(D_p=1.0)
     start = TrajectoryMoments(0.0, 0.0, 1.0, 1e-4, 2500.0, 0.0)
     with pytest.raises(ClosureError, match=r"for seed 5 at step 1$") as info:
-        run_moment_ensemble(start, EnvironmentSpec.momentum(1.0), None, params, 0.005, 10,
+        run_moment_ensemble(start, EnvironmentSpec.momentum(1.0), params, 0.005, 10,
                             [5, 6, 7])
     assert info.value.dt_max == pytest.approx(5e-5, rel=1e-15)
 
@@ -639,7 +669,7 @@ def test_noise_factor_matches_its_direct_form_row_by_row(packets, coupling, stre
         a, weight, values = grid.wavenumbers, grid.dx / grid.n_points, np.fft.fft(values)
 
     def factor(amps, draw):
-        stepper = qsd._trajectory_stepper(grid, env, None, params, dt, draw)
+        stepper = qsd._trajectory_stepper(grid, env, params, dt, draw)
         out = amps.copy()
         (stepper.x_middle if coupling == "x" else stepper.p_middle)(out)
         return out
@@ -671,7 +701,7 @@ def test_noise_factor_names_the_row_whose_norm_underflows():
     split = np.exp(-((x - 8) ** 2) / 0.04) + np.exp(-((x + 8) ** 2) / 0.04)
     values = np.array([np.exp(-(x**2) / 4), split], dtype=complex)
     for rows in (1, 2):
-        stepper = qsd._trajectory_stepper(grid, env, None, params, dt,
+        stepper = qsd._trajectory_stepper(grid, env, params, dt,
                                           lambda: np.zeros((rows, 1)))
         block = values[:rows].copy()
         if rows == 1:  # the packet alone passes
