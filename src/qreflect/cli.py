@@ -5,8 +5,8 @@ was raised: 2 ConfigError, 3 NumericalError, 4 RegimeEscalation (a regime warnin
 escalated by --strict).  main catches QreflectError alone, so any other exception
 is a library bug and ends in a traceback.  Every run writes its resolved config
 and a version stamp beside its outputs; reruns of one config are byte-identical.
-The default dt of unitary and qsd is a fixed fraction of the dt_limit that the
-integrator checks, and model2's cutoff line reads timescales.target_cutoffs.
+unitary and qsd step on the grid of their integrator's grid_for, at a default dt
+that is a fixed fraction of its dt_limit; model2's cutoff line reads target_cutoffs.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, qsd, unitary
 from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_config
 from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
-from .grids import SpatialGrid, gaussian_packet, to_momentum
+from .grids import gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
                      reflected_density_x, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
@@ -134,19 +134,10 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
                           f"distance 6 sigma + 6 a + L + 1 = {abs(start):.3g} (--a, --L)")
     travel = (abs(start) + 3.0 * params.sigma) * params.m / params.p_bar
     t_final = cfg.t_final if cfg.t_final is not None else travel
-    # 6 widths of the packet, at least its free spread hbar t / (2 m sigma) by t_final
-    spread = params.hbar * t_final / (2.0 * params.m * params.sigma)
-    half = abs(start) + 6.0 * max(params.sigma, spread) + params.p_bar * t_final / params.m
-    # resolve the packet and the barrier without over-refining small domains
-    dx_target = min(params.sigma / 10.0, spec.a / 3.0 if spec.a > 0 else params.sigma)
-    try:  # float ** and math.ceil raise on overflow where * and + give inf
-        n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
-        grid = SpatialGrid(-half, half, min(cfg.n_points, max(n, 256)))
-        # 0.9 of the 0.1 * dt_limit that propagate allows
-        dt = cfg.dt if cfg.dt is not None else 0.09 * unitary.dt_limit(
-            params, grid, potential_position(spec, grid.x, params.hbar))
-    except OverflowError:
-        raise ConfigError(f"the grid for t_final = {t_final:.3g} overflows") from None
+    grid = unitary.grid_for(params, spec, start, t_final, cfg.n_points)
+    # 0.9 of the 0.1 * dt_limit that propagate allows
+    dt = cfg.dt if cfg.dt is not None else 0.09 * unitary.dt_limit(
+        params, grid, potential_position(spec, grid.x, params.hbar))
     n_steps = _n_steps(t_final, dt)
     snaps = [k * t_final / 5.0 for k in range(6)]
     psi0 = gaussian_packet(params, grid, center=start)
@@ -232,30 +223,7 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
             mom0 = TrajectoryMoments(0.0, 0.0, params.p_bar, params.sigma**2,
                                      params.hbar**2 / (4.0 * params.sigma**2), 0.0)
     else:
-        # resolve the packet and, for position coupling, the localized width;
-        # keep dx fixed when rounding the point count up to a power of two
-        dx_target = params.sigma / 10.0
-        try:  # float ** and math.ceil raise on overflow where * and + give inf
-            if cfg.coupling == "x":
-                dx_target = min(dx_target, params.sigma_q / 4.0)
-                # the grid is periodic, so leave room for 4 sd of the packet center's
-                # walk, Var<x>(t) ~ 2 D t^3 / 3 m^2; a center that crosses an edge wraps
-                half = (8.0 * params.sigma
-                        + 4.0 * math.sqrt(2.0 * cfg.D * t_final**3 / 3.0) / params.m)
-            else:
-                # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
-                # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
-                spread = (params.hbar * t_final / (2.0 * params.m * params.sigma)) ** 2
-                half = 8.0 * math.sqrt(params.sigma**2 + spread
-                                       + 2.0 * params.hbar**2 * cfg.D_p * t_final)
-            n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
-        except OverflowError:
-            raise ConfigError(
-                f"the spread by t_final = {t_final:.3g} overflows the grid size") from None
-        if n > cfg.n_points:
-            raise ConfigError(f"--n_points {cfg.n_points} is below the {n} points the grid "
-                              f"needs for the spread by t_final = {t_final:.3g}")
-        grid = SpatialGrid(-n * dx_target / 2.0, n * dx_target / 2.0, max(n, 256))
+        grid = qsd.grid_for(params, env, t_final, cfg.n_points)
         psi0 = gaussian_packet(params, grid, center=0.0, mean_p=0.0)
     # at most 0.9 of the 0.05 * dt_limit that the integrator allows
     dt = cfg.dt if cfg.dt is not None else min(t_c / 200.0,

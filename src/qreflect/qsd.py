@@ -110,6 +110,35 @@ def dt_limit(params: PhysicalParams, env: EnvironmentSpec, grid: SpatialGrid | N
     return min(scattering_time(params), coupling_time(params, env), cfl)
 
 
+def grid_for(params: PhysicalParams, env: EnvironmentSpec, t_final: float,
+             n_points: int) -> SpatialGrid:
+    """The periodic grid that holds every trajectory to t_final, dx resolving the packet
+    and its localized width, in a power of two of at least 256 points.  Raises
+    ConfigError when the spread overflows or the grid needs more than n_points."""
+    m, hbar, sigma, strength = params.m, params.hbar, params.sigma, env.strength
+    try:  # float ** and math.ceil raise on overflow where * and + give inf
+        if env.kind == "position_coupling":
+            # 8 widths of the packet, which spreads freely until t_c localizes it, and
+            # 4 sd of its center's walk, Var<x>(t) ~ 2 D t^3 / 3 m^2 (it wraps at an edge)
+            dx = min(sigma / 10.0, params.sigma_q / 4.0)
+            free = (hbar * min(t_final, coupling_time(params, env)) / (2.0 * m * sigma)) ** 2
+            half = (8.0 * math.sqrt(sigma**2 + free)
+                    + 4.0 * math.sqrt(2.0 * strength * t_final**3 / 3.0) / m)
+        else:
+            # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
+            # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
+            dx, spread = sigma / 10.0, (hbar * t_final / (2.0 * m * sigma)) ** 2
+            half = 8.0 * math.sqrt(sigma**2 + spread + 2.0 * hbar**2 * strength * t_final)
+        n = 2 ** math.ceil(math.log2(2.0 * half / dx))
+    except OverflowError:
+        raise ConfigError(
+            f"the spread by t_final = {t_final:.3g} overflows the grid size") from None
+    if n > n_points:
+        raise ConfigError(f"--n_points {n_points} is below the {n} points the grid "
+                          f"needs for the spread by t_final = {t_final:.3g}")
+    return SpatialGrid(-n * dx / 2.0, n * dx / 2.0, max(n, 256))
+
+
 def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
               grid: SpatialGrid | None) -> None:
     dt_max = 0.05 * dt_limit(params, env, grid)
@@ -185,26 +214,22 @@ def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: Environment
     """Euler-Maruyama step of the closed moment system under the Brownian increment
     dB.  Third central moments vanish, so only the two mean equations carry noise."""
     _no_potential(spec)
-    records = _moment_records(_record(mom), params, env, dt, np.array([[float(dB)]]), 1)
+    records = _moment_records(mom, *_second_moments(mom, params, env, dt, 1), params.m, dt,
+                              np.array([[float(dB)]]), 1)
     return TrajectoryMoments(*records[0, -1].tolist())
 
 
-def _moment_records(start: tuple, params: PhysicalParams, env: EnvironmentSpec, dt: float,
-                    dBs: np.ndarray, record_every: int) -> np.ndarray:
-    """(rows, records, 6) records, as a driver's, of the Euler-Maruyama moment system
-    from start under each row of the (rows, n_steps) increments dBs, which it
-    overwrites.  t and the second moments carry no noise and never read the means, so
-    they step once on floats; each mean is then one sequential np.add.accumulate of
-    its increments, seeded with its start, which adds in the order the Euler loop
-    does and so gives its bits.  A variance that is not positive raises ClosureError,
-    then a mean that is not finite NumericalError with .row its first failing row;
-    each message ends "at step k", the earliest failing step."""
+def _second_moments(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
+                    dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(second, gains) of the Euler-Maruyama moment system from mom: t, Var x, Var p and
+    Cov at every step, and the (2, n_steps) dB factors of d<x> and d<p>.  They carry no
+    noise and never read the means, so they step once on floats for every seed.  A
+    variance that is not positive raises ClosureError, its message ending "at step k"."""
     _check_dt(params, env, dt, None)
     m, hbar, D = params.m, params.hbar, env.strength
     in_x = env.kind != "momentum_coupling"
     root = math.sqrt(8.0 * D) / hbar if in_x else math.sqrt(8.0 * D)
-    rows, n_steps = dBs.shape
-    t, mx, mp, vx, vp, c = start
+    t, vx, vp, c = mom.time, mom.var_x, mom.var_p, mom.cov_xp
     second = np.empty((n_steps + 1, 4))  # t, Var x, Var p, Cov at every step
     second[0] = t, vx, vp, c
     for step in range(1, n_steps + 1):
@@ -222,15 +247,24 @@ def _moment_records(start: tuple, params: PhysicalParams, env: EnvironmentSpec, 
                                f"step {step}", 1.0 / damping if damping > 0.0 else math.inf)
         t, vx, vp, c = second[step] = t + dt, vx1, vp1, c + d_c
     # the dB factors of d<x> and d<p>: sqrt(8D)/hbar (Var x, Cov) or sqrt(8 D_p) (Cov, Var p)
-    gain_x, gain_p = root * second[:-1, [1, 3] if in_x else [3, 2]].T
+    return second, root * second[:-1, [1, 3] if in_x else [3, 2]].T
+
+
+def _moment_records(mom: TrajectoryMoments, second: np.ndarray, gains: np.ndarray, m: float,
+                    dt: float, dBs: np.ndarray, record_every: int) -> np.ndarray:
+    """(rows, records, 6) records, as a driver's, from mom and its _second_moments under
+    each row of the (rows, n_steps) increments dBs, which it overwrites.  Each mean is one
+    np.add.accumulate, which adds in the Euler loop's order and so gives its bits.  A mean
+    that is not finite raises NumericalError, .row its first failing row, "at step k"."""
+    rows, n_steps = dBs.shape
     x, p = means = np.empty((2, rows, n_steps + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as on floats
-        p[:, 0], x[:, 0] = mp, mx
-        np.multiply(dBs, gain_p, out=p[:, 1:])
+        p[:, 0], x[:, 0] = mom.mean_p, mom.mean_x
+        np.multiply(dBs, gains[1], out=p[:, 1:])
         np.add.accumulate(p, axis=1, out=p)
         np.divide(p[:, :-1], m, out=x[:, 1:])
         x[:, 1:] *= dt
-        x[:, 1:] += np.multiply(dBs, gain_x, out=dBs)
+        x[:, 1:] += np.multiply(dBs, gains[0], out=dBs)
         np.add.accumulate(x, axis=1, out=x)
     finite = np.isfinite(means).all(axis=0)
     if not finite.all():
@@ -336,26 +370,26 @@ def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
 
 def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec, params: PhysicalParams,
                         dt: float, n_steps: int, seeds, record_every: int = 1) -> np.ndarray:
-    """Records of one moment trajectory per seed, all starting from mom0: the records
-    of _moment_records, one block of seeds at a time.  A block takes
+    """Records of one moment trajectory per seed, all starting from mom0: one
+    _second_moments run, then _moment_records one block of seeds at a time.  A block takes
     64e6 // (3 n_steps + 2) seeds, so that its increments and means hold at most 64e6
     values: 21,319 seeds at the CLI's default of 1000 steps, 21 at its cap of 10^6
     steps.  Each row equals its seed's run alone bit for bit.  A ClosureError or
     NumericalError names the failing seed and its step: a variance fails at the same
-    step for every seed, so it names the block's first; a mean names the first
+    step for every seed, so it names the first seed; a mean names the first
     failing seed at the earliest failing step."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
-    start, rows = _record(mom0), _moment_block_rows(n_steps)
-    for first in range(0, len(seeds), rows):
-        block = seeds[first:first + rows]
-        dBs = _block_increments(block, n_steps, dt)
-        try:
-            records[first:first + len(block)] = _moment_records(start, params, env, dt, dBs,
-                                                                record_every)
-        except NumericalError as exc:  # name the row's seed before the step
-            reason, _, step = str(exc).rpartition(" at step ")
-            exc.args = (f"{reason} for seed {block[exc.row]} at step {step}",)
-            raise
+    rows, first = _moment_block_rows(n_steps), 0
+    try:
+        second = _second_moments(mom0, params, env, dt, n_steps)
+        for first in range(0, len(seeds), rows):
+            dBs = _block_increments(seeds[first:first + rows], n_steps, dt)
+            records[first:first + len(dBs)] = _moment_records(mom0, *second, params.m, dt,
+                                                              dBs, record_every)
+    except NumericalError as exc:  # name the row's seed before the step
+        reason, _, step = str(exc).rpartition(" at step ")
+        exc.args = (f"{reason} for seed {seeds[first + exc.row]} at step {step}",)
+        raise
     return records
 
 

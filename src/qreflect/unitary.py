@@ -71,6 +71,24 @@ def dt_limit(params: PhysicalParams, grid: SpatialGrid, v: np.ndarray) -> float:
                grid.cfl_time(params.m, params.hbar))
 
 
+def grid_for(params: PhysicalParams, spec: PotentialSpec, start: float, t_final: float,
+             n_points: int) -> SpatialGrid:
+    """The grid for a packet launched at start: |start| + 6 widths, at least the free
+    spread hbar t / (2 m sigma), + the travel p_bar t / m by t_final on each side.  dx =
+    min(sigma / 10, a / 3) resolves packet and barrier in 256 or more points; n_points
+    caps the count, so dx grows.  Raises ConfigError when the grid or its dx^2 overflows."""
+    spread = params.hbar * t_final / (2.0 * params.m * params.sigma)
+    half = abs(start) + 6.0 * max(params.sigma, spread) + params.p_bar * t_final / params.m
+    dx_target = min(params.sigma / 10.0, spec.a / 3.0 if spec.a > 0 else params.sigma)
+    try:  # float ** and math.ceil raise on overflow where * and + give inf
+        n = 2 ** math.ceil(math.log2(2.0 * half / dx_target))
+        grid = SpatialGrid(-half, half, min(n_points, max(n, 256)))
+        grid.cfl_time(params.m, params.hbar)  # raises if dx^2 overflows: dt_limit reads it
+    except OverflowError:
+        raise ConfigError(f"the grid for t_final = {t_final:.3g} overflows") from None
+    return grid
+
+
 def propagate(
     psi0: WaveFunction,
     spec: PotentialSpec,

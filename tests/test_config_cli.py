@@ -25,7 +25,7 @@ from qreflect.cli import build_config, main
 from qreflect.config import (_ALIASES, COMMANDS, ConfigError, RunConfig, parse_config,
                              serialize_config)
 from qreflect.errors import NumericalError
-from qreflect.grids import SplitStepper
+from qreflect.grids import SpatialGrid, SplitStepper
 
 
 def test_defaults_are_unit_system():
@@ -209,9 +209,9 @@ def _moment_core_shapes(monkeypatch) -> list:
     """The shape of the increments of every moment-core call from here on, in order."""
     shapes, core = [], qsd._moment_records
 
-    def core_spy(start, params, env, dt, dBs, record_every):
+    def core_spy(mom, second, gains, m, dt, dBs, record_every):
         shapes.append(dBs.shape)
-        return core(start, params, env, dt, dBs, record_every)
+        return core(mom, second, gains, m, dt, dBs, record_every)
 
     monkeypatch.setattr(qsd, "_moment_records", core_spy)
     return shapes
@@ -251,9 +251,9 @@ def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("args, message", [
-    # the periodic grid is too small for the packet: its half-width leaves 4 sd for
-    # the center's walk, 2 D t^3 / 3 m^2, but at D = 0.001 the center's spread is
-    # mostly the packet's free spreading before it localizes, so seed 24 wraps around
+    # the periodic grid is too small for the packet: on the 256 points that a
+    # half-width of 8 sigma and 4 sd of the center's walk, 2 D t^3 / 3 m^2, gave, the
+    # packet's free spreading before it localizes at D = 0.001 wraps seed 24 around
     (["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level", "wavefunction",
       "--n_traj", "32", "--seed", "21"], "seed 24 holds probability"),
     # t_final < t_loc leaves no record time in the fit window of a 64-seed run
@@ -266,7 +266,9 @@ def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypa
     (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
       "--seed", "21", "--n_points", "512"], "--n_points 512 is below the 1024 points"),
 ])
-def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, args, message):
+def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, monkeypatch, args, message):
+    if message.startswith("seed 24"):  # qsd.grid_for's grid holds every seed: use the old one
+        monkeypatch.setattr(qsd, "grid_for", lambda *_: SpatialGrid(-12.8, 12.8, 256))
     assert main(args + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and message in err
@@ -537,8 +539,9 @@ def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
     # the CLI sizes its grid to hold the packet's travel and spread, so no flag makes
     # it leak; on half of that domain the packet reaches the edge absorbers: exit 3
     # with one line
-    run = _python("-c", "import sys; from qreflect import cli; grid = cli.SpatialGrid; "
-                        "cli.SpatialGrid = lambda lo, hi, n: grid(lo / 2, hi / 2, n); "
+    run = _python("-c", "import sys; from qreflect import cli, unitary; "
+                        "grid = unitary.SpatialGrid; "
+                        "unitary.SpatialGrid = lambda lo, hi, n: grid(lo / 2, hi / 2, n); "
                         "sys.exit(cli.main(sys.argv[1:]))",
                   "unitary", "--potential", "step", "--V0", "0.3", "--outdir", str(tmp_path))
     assert run.returncode == 3
@@ -547,9 +550,10 @@ def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
 
 
 def test_import_leaves_scipy_special_unloaded():
+    # no scipy module at all: importing scipy.fft alone costs about 27 MB and 0.3 s
     run = _python("-c", "import sys, qreflect, qreflect.cli; "
-                        "print('scipy.special' in sys.modules)")
-    assert run.returncode == 0 and run.stdout.strip() == "False"
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0 and run.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -795,6 +799,8 @@ def test_qsd_wavefunction_inputs_end_in_a_documented_exit_code(coupling, strengt
         rc = main(args + ["--outdir", outdir])
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+    # qsd.grid_for holds the packet's free spread and the center's walk
+    assert coupling == "p" or "in the outer 1/16 of the grid" not in err.getvalue()
 
 
 @settings(max_examples=30, deadline=None)
@@ -832,6 +838,12 @@ def test_qsd_moments_default_dt_passes_the_integrator_check(coupling, strength, 
     ["model2", "--M", "10", "--sigma", "1e154", "--Sigma", "3", "--D", "1e10"],
     ["model2", "--M", "10", "--sigma", "1e154", "--steady-target", "true", "--D", "1e3"],
     ["qsd", "--level", "moments", "--sigma", "1e154", "--D", "1e10", "--n_traj", "2"],
+    # a grid of 8 sigma plus 4 sd of the center's walk, with no room for the packet's
+    # free spread before t_loc, let seed 24 reach the outer 1/16 of the grid: exit 2
+    ["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level", "wavefunction",
+     "--n_traj", "4", "--seed", "21"],
+    ["qsd", "--coupling", "x", "--D", "0.01", "--sigma", "0.3", "--t_final", "2",
+     "--level", "wavefunction", "--n_traj", "4", "--seed", "21"],
 ])
 def test_default_dt_and_cutoff_line_runs_succeed(tmp_path, capsys, args):
     assert main(args + ["--outdir", str(tmp_path)]) == 0

@@ -1,9 +1,12 @@
-"""Each time-step rule and timescale has one home.
+"""Each time-step rule, grid rule and timescale has one home.
 
 The CLI's default dt reads the limit that its integrator checks
 (``qsd.dt_limit``, ``unitary.dt_limit``), so ``cli.py`` calls no ``cfl_time``
-and reads no ``.energy``; and only ``timescales`` assigns the model-2 cutoffs
-T_z, T_d_p and T_1, so no second copy of a formula can drift from the first.
+and reads no ``.energy``; each integrator sizes the grid it steps on
+(``qsd.grid_for``, ``unitary.grid_for``), so ``cli.py`` names no
+``SpatialGrid`` and calls no ``log2``; and only ``timescales`` assigns the
+model-2 cutoffs T_z, T_d_p and T_1, so no second copy of a formula can drift
+from the first.
 """
 
 import ast
@@ -42,6 +45,23 @@ def test_cli_holds_no_dt_or_timescale_formula():
             bad.append(f"cli.py:{node.lineno} reads .{node.attr}")
         elif isinstance(node, ast.Name) and node.id == "cfl_time":
             bad.append(f"cli.py:{node.lineno} reads cfl_time")
+    assert not bad, "\n".join(bad)
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name that a Name, Attribute or import alias node refers to."""
+    if isinstance(node, ast.alias):
+        return node.name
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_cli_builds_no_grid():
+    bad = []
+    for node in ast.walk(_tree("cli.py")):
+        if _name(node) == "SpatialGrid":
+            bad.append(f"cli.py:{node.lineno} names SpatialGrid")
+        elif isinstance(node, ast.Call) and _name(node.func) == "log2":
+            bad.append(f"cli.py:{node.lineno} calls log2")
     assert not bad, "\n".join(bad)
 
 

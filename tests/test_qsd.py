@@ -486,20 +486,26 @@ def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling):
                                                 (19, [19, 19, 19, 13])])
 def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch, coupling,
                                                                     block_rows, blocks):
-    # the budget fixes the block sizes, one core call a block; each row still equals
-    # its seed's run alone
-    shapes, core = [], qsd._moment_records
+    # the budget fixes the block sizes, one core call a block, and one second-moment
+    # recursion serves every block; each row still equals its seed's run alone
+    shapes, core, recursions, recursion = [], qsd._moment_records, [], qsd._second_moments
 
-    def core_spy(start, params, env, dt, dBs, record_every):
+    def core_spy(mom, second, gains, m, dt, dBs, record_every):
         shapes.append(dBs.shape)
-        return core(start, params, env, dt, dBs, record_every)
+        return core(mom, second, gains, m, dt, dBs, record_every)
+
+    def recursion_spy(mom, params, env, dt, n_steps):
+        recursions.append(n_steps)
+        return recursion(mom, params, env, dt, n_steps)
 
     monkeypatch.setattr(qsd, "_moment_records", core_spy)
+    monkeypatch.setattr(qsd, "_second_moments", recursion_spy)
     monkeypatch.setattr(qsd, "_INCREMENT_BUDGET", block_rows * (3 * 300 + 2))
     params, env, mom0 = _moment_start(coupling)
     seeds = range(200, 270)
     records = run_moment_ensemble(mom0, env, params, 0.005, 300, seeds, 7)
     assert shapes == [(rows, 300) for rows in blocks]
+    assert recursions == [300]
     for seed, rows in zip(seeds, records):
         alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
         assert np.array_equal(_bits(rows), _bits(alone))
