@@ -11,10 +11,14 @@ QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
 (every seed of a default 1000-step run); a wavefunction block steps 64.
-CSV floats are Python's shortest round-trip repr.  --threads selects nothing
-and changes no output: an (8, 1024) FFT took 56-60 us with one scipy.fft
-worker and 64-86 us with two, and 8 wavefunction rows took 1.44 s as two
-4-row blocks on two threads, 0.80 s as one block on one (2 vCPU Xeon).
+CSV floats are Python's shortest round-trip repr.  --threads N splits the seeds
+of a wavefunction-level qsd run into min(N, n_traj, usable CPUs) contiguous
+slices, each past the first stepped in a forked child, and changes no output:
+8 trajectories of --D 1 at --threads 2 took a median 0.50 s against 0.71 s in
+one process (14 alternating benchmark pairs, 2 vCPU Xeon).  The rest ignore
+it: a 128-seed moment ensemble takes 17-26 ms, about what a fork and a pipe
+cost; unitary and figure 1 step one wavefunction; model1, model2 and figures
+2-5 evaluate kernels by quadrature, with no seeds to split.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
         records = run_moment_ensemble(mom0, env, params, dt, n_steps, seeds, record_every)
     else:
         records, _ = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds,
-                                               record_every)
+                                               record_every, workers=cfg.threads)
     if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
         rate = fluctuation_report(records, (t_c, t_final)).fitted_rate
         print(f"fitted total momentum fluctuation rate: {rate:.6g}")

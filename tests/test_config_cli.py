@@ -186,9 +186,9 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
         shapes.append(values.shape)
         return advance(self, values, n_steps)
 
-    def ensemble_spy(*args):
-        captured.append(args)
-        return ensemble(*args)
+    def ensemble_spy(*args, **kwargs):
+        captured.append((args, kwargs))
+        return ensemble(*args, **kwargs)
 
     monkeypatch.setattr(SplitStepper, "advance", advance_spy)
     monkeypatch.setattr(cli, "run_wavefunction_ensemble", ensemble_spy)
@@ -196,7 +196,8 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
     assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
                  "--n_traj", "8", "--seed", "7", "--t_final", "2",
                  "--outdir", str(outdir)]) == 0
-    psi0, env, params, dt, n_steps, seeds, record_every = captured[0]
+    (psi0, env, params, dt, n_steps, seeds, record_every), kwargs = captured[0]
+    assert kwargs == {"workers": 1}  # the default --threads 1 forks nothing
     assert record_every > 1 and seeds == list(range(7, 15))
     assert shapes == [(8, psi0.grid.n_points)] * math.ceil(n_steps / record_every)
     for seed in seeds:
@@ -273,6 +274,111 @@ def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and message in err
     assert not list(tmp_path.glob("trajectory_*.csv"))
+
+
+def _fork_spy(monkeypatch) -> list:
+    """The pid of every child forked from here on, as the parent sees it."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Report n CPUs to the worker count, so that a split forks on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus", [None, 64])
+def test_threads_forks_one_child_per_slice_past_the_first(tmp_path, monkeypatch, cpus):
+    # --threads 1000000 must not start a million processes: min(threads, seeds, CPUs)
+    # slices, the first stepped by the calling process
+    if cpus is not None:
+        _cpus(monkeypatch, cpus)
+    pids = _fork_spy(monkeypatch)
+    assert main(["qsd", "--level", "wavefunction", "--D", "1", "--n_traj", "3",
+                 "--t_final", "0.5", "--threads", "1000000", "--outdir", str(tmp_path)]) == 0
+    assert len(pids) == min(3, len(os.sched_getaffinity(0))) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("args", [
+    ["qsd", "--level", "moments", "--D", "1"],
+    ["model1"],
+    ["figures", "--figure", "1"],
+])
+def test_other_commands_fork_nothing(tmp_path, monkeypatch, args):
+    _cpus(monkeypatch, 8)
+    pids = _fork_spy(monkeypatch)
+    assert main(args + ["--threads", "2", "--outdir", str(tmp_path)]) == 0
+    assert pids == []
+
+
+@pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
+def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, monkeypatch,
+                                                            coupling, flag):
+    # 5 seeds split 3 + 2, 2 + 2 + 1 and, with more workers than seeds, 1 each
+    _cpus(monkeypatch, 8)
+    pids = _fork_spy(monkeypatch)
+    base = ["qsd", "--coupling", coupling, flag, "1", "--level", "wavefunction",
+            "--n_traj", "5", "--seed", "11", "--t_final", "0.5"]
+    runs = []
+    for threads in ("1", "2", "3", "8"):
+        outdir = tmp_path / threads
+        assert main(base + ["--threads", threads, "--outdir", str(outdir)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())
+                 if p.name != "resolved_config.txt"}  # records the --threads value
+        runs.append((capsys.readouterr(), files))
+    assert len(pids) == 0 + 1 + 2 + 4
+    assert len(runs[0][1]) == 6 and all(run == runs[0] for run in runs)
+
+
+def _nan_increment(monkeypatch, seed: int, index: int) -> None:
+    """Seed's increment index becomes nan, so its noise factor fails at step index + 1."""
+    increments = qsd._block_increments
+
+    def patched(block, n_steps, dt):
+        dBs = increments(block, n_steps, dt)
+        dBs[[r for r, s in enumerate(block) if s == seed], index] = np.nan
+        return dBs
+
+    monkeypatch.setattr(qsd, "_block_increments", patched)
+
+
+@pytest.mark.parametrize("case", ["edge", "noise"])
+def test_forked_failure_reports_as_one_process(tmp_path, capsys, monkeypatch, case):
+    # a slice that fails makes the ensemble rerun in one process: the same exit code
+    # and stderr line as --threads 1, no trajectory CSV and no child left behind
+    _cpus(monkeypatch, 2)
+    if case == "edge":  # seed 24 wraps around the grid in the first slice
+        monkeypatch.setattr(qsd, "grid_for", lambda *_: SpatialGrid(-12.8, 12.8, 256))
+        args = ["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level",
+                "wavefunction", "--n_traj", "32", "--seed", "21"]
+        code, message = 2, "seed 24 holds probability"
+    else:  # seed 23's noise factor fails in the second slice
+        _nan_increment(monkeypatch, 23, 6)
+        args = ["qsd", "--D", "1", "--t_final", "0.5", "--level", "wavefunction",
+                "--n_traj", "4", "--seed", "21"]
+        code, message = 3, "non-finite for seed 23 at step 7"
+    pids = _fork_spy(monkeypatch)
+    runs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / threads
+        runs.append((main(args + ["--threads", threads, "--outdir", str(outdir)]),
+                     capsys.readouterr()))
+        assert not list(outdir.glob("trajectory_*.csv"))
+    assert len(pids) == 1 and runs[0] == runs[1]
+    rc, (_, err) = runs[0]
+    assert rc == code and len(err.strip().splitlines()) == 1 and message in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("args, needed", [
@@ -553,6 +659,14 @@ def test_import_leaves_scipy_special_unloaded():
     # no scipy module at all: importing scipy.fft alone costs about 27 MB and 0.3 s
     run = _python("-c", "import sys, qreflect, qreflect.cli; "
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0 and run.stdout.strip() == "[]"
+
+
+def test_import_leaves_process_pools_unloaded():
+    # wavefunction slices fork with os alone: importing multiprocessing costs about 14 ms
+    run = _python("-c", "import sys, qreflect, qreflect.cli; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     assert run.returncode == 0 and run.stdout.strip() == "[]"
 
 

@@ -1,6 +1,7 @@
 """State-diffusion trajectories: stepping, moments, ensembles."""
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -442,6 +443,41 @@ def test_ensemble_rows_equal_stepwise_reference(coupling):
         assert np.array_equal(_bits(series), _bits(ref))
         assert np.array_equal(final.values, psi.values)
 
+
+
+@pytest.mark.parametrize("coupling", ["x", "p"])
+def test_forked_slices_return_the_one_process_records_and_states(monkeypatch, coupling):
+    # 7 seeds in slices of 2, 2 and 3 rows, the last stepped as blocks of 2 and 1;
+    # 4 CPUs reported, so the split forks on any machine
+    monkeypatch.setattr(qsd.os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(qsd, "_BLOCK_ROWS", 2)
+    params, env = _coupled(coupling)
+    psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
+    one, one_finals = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4)
+    split, finals = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4,
+                                              workers=3)
+    assert np.array_equal(_bits(split), _bits(one))
+    assert np.array_equal(np.array([f.values for f in finals]).view(np.uint64),
+                          np.array([f.values for f in one_finals]).view(np.uint64))
+
+
+def test_interrupted_split_reaps_every_child(monkeypatch):
+    # an interrupt in the calling process's slice propagates once each child is reaped
+    monkeypatch.setattr(qsd.os, "sched_getaffinity", lambda pid: set(range(4)))
+    parent, increments = os.getpid(), qsd._block_increments
+
+    def interrupted(block, n_steps, dt):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return increments(block, n_steps, dt)
+
+    monkeypatch.setattr(qsd, "_block_increments", interrupted)
+    params, env = _coupled("x")
+    psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
+    with pytest.raises(KeyboardInterrupt):
+        run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(4), 4, workers=4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 def test_ensemble_argument_and_state_errors():
     params, env = _coupled("x")
