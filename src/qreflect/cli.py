@@ -11,14 +11,11 @@ QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
 (every seed of a default 1000-step run); a wavefunction block steps 64.
-CSV floats are Python's shortest round-trip repr.  --threads N splits the seeds
-of a wavefunction-level qsd run into min(N, n_traj, usable CPUs) contiguous
-slices, each past the first stepped in a forked child, and changes no output:
-8 trajectories of --D 1 at --threads 2 took a median 0.50 s against 0.71 s in
-one process (14 alternating benchmark pairs, 2 vCPU Xeon).  The rest ignore
-it: a 128-seed moment ensemble takes 17-26 ms, about what a fork and a pipe
-cost; unitary and figure 1 step one wavefunction; model1, model2 and figures
-2-5 evaluate kernels by quadrature, with no seeds to split.
+CSV floats are Python's shortest round-trip repr.  --threads N runs three stages
+in min(N, rows, usable CPUs) forked slices (slices.split) and changes no output:
+a wavefunction-level qsd ensemble's seeds, the files qsd writes, and a model1
+sweep's points, figure 2's included.  unitary, figure 1, model2 and figures 3-5
+run in one process.  BENCH_25.json and BENCH_26.json hold the timings.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, qsd, unitary
+from . import __version__, qsd, slices, unitary
 from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_config
 from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
 from .grids import gaussian_packet, to_momentum
@@ -64,7 +61,8 @@ def _write_csv(tables) -> None:
     the strings of two blocks at most.  A column of a block whose bytes match a
     column of the block before reuses its strings (bytes, not values: 0.0 ==
     -0.0 and nan != nan): a QSD ensemble's deterministic columns recur in every
-    trajectory file.  Rows holding strings go through csv.writer.
+    trajectory file.  The memo is per call, so a split of tables over calls writes
+    the same bytes.  Rows holding strings go through csv.writer.
     """
     memo: dict[bytes, list[str]] = {}
     for path, header, rows in tables:
@@ -95,6 +93,13 @@ def _emit_config(cfg: RunConfig, outdir: Path) -> None:
 def _warn(messages: list[str], text: str) -> None:
     messages.append(text)
     print(f"warning: {text}", file=sys.stderr)
+
+
+def _check_log_axis(sweep, flag: str) -> None:
+    """A sweep's totals plot has a log x axis: refuse a value it cannot place."""
+    if len(sweep) > 1 and min(sweep) <= 0:
+        raise ConfigError(f"{flag} takes positive values, not {min(sweep):g}: total.svg "
+                          "plots the sweep on a log axis")
 
 
 def _n_steps(t_final: float, dt: float) -> int:
@@ -176,25 +181,29 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     warnings: list[str] = []
     tau = cfg.resolved_tau()
     if cfg.coupling == "x":
-        sweep = cfg.D_sweep or (cfg.D,)
-        ratio = max(narrow_sideband_ratio(params, D) for D in sweep)
-        if ratio > 0.01:
-            _warn(warnings,
-                  f"narrow-sideband validity ratio D t_z / p_bar^2 = {ratio:.3g} "
-                  "is not << 1; kernel outside its regime")
-        env_of = EnvironmentSpec.position
+        sweep, flag, env_of = cfg.D_sweep or (cfg.D,), "--D_sweep", EnvironmentSpec.position
         density_of = lambda p, s: reflected_density_x(p, params, s, tau)
     else:
-        sweep = cfg.Dp_sweep or (cfg.D_p,)
-        env_of = EnvironmentSpec.momentum
+        sweep, flag, env_of = cfg.Dp_sweep or (cfg.D_p,), "--Dp_sweep", EnvironmentSpec.momentum
         density_of = lambda p, s: reflected_density_p(p, params, s)
+    envs = [env_of(s) for s in sweep]  # a negative strength fails before any output
+    _check_log_axis(sweep, flag)
+    ratio = max(narrow_sideband_ratio(params, D) for D in sweep) if cfg.coupling == "x" else 0
+    if ratio > 0.01:
+        _warn(warnings, f"narrow-sideband validity ratio D t_z / p_bar^2 = {ratio:.3g} "
+                        "is not << 1; kernel outside its regime")
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     # densities and a sweep's totals are checked before any file is written; model1
-    # densities are not clamped
-    densities = [finite_density(density_of(p_grid, s)) for s in sweep]
-    totals = ([total_reflected(params, env_of(s), tau=tau) for s in sweep]
-              if len(sweep) > 1 else [])
+    # densities are not clamped.  Each sweep point is a row, so the points split.
+    densities, totals = np.empty((len(sweep), len(p_grid))), np.empty(len(sweep))
+
+    def run(lo: int, hi: int) -> None:
+        densities[lo:hi] = [finite_density(density_of(p_grid, s)) for s in sweep[lo:hi]]
+        if len(sweep) > 1:
+            totals[lo:hi] = [total_reflected(params, env, tau=tau) for env in envs[lo:hi]]
+
+    slices.split(run, len(sweep), cfg.threads, (densities, totals))
     _write_csv((outdir / f"density_{cfg.coupling}_{strength:g}.csv", ["p", "density"],
                 np.column_stack((p_grid, dens))) for strength, dens in zip(sweep, densities))
     plot_series = [(f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}", p_grid.tolist(),
@@ -202,11 +211,11 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     (outdir / "density.svg").write_text(line_plot(
         plot_series, f"reflected momentum density ({cfg.coupling}-coupling)",
         "p", "density"))
-    if totals:
+    if len(sweep) > 1:
         _write_csv([(outdir / f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
                      ["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))])
         (outdir / "total.svg").write_text(line_plot(
-            [("total", list(sweep), totals)], "total reflected probability",
+            [("total", list(sweep), totals.tolist())], "total reflected probability",
             "coupling strength", "probability", logx=True))
     return warnings
 
@@ -239,8 +248,8 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     if cfg.level == "moments":
         records = run_moment_ensemble(mom0, env, params, dt, n_steps, seeds, record_every)
     else:
-        records, _ = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds,
-                                               record_every, workers=cfg.threads)
+        records = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds,
+                                            record_every, workers=cfg.threads)
     if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
         rate = fluctuation_report(records, (t_c, t_final)).fitted_rate
         print(f"fitted total momentum fluctuation rate: {rate:.6g}")
@@ -248,9 +257,10 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     summary = np.ascontiguousarray(records.transpose(1, 2, 0)).mean(axis=-1)
     summary[:, 0] = records[0, :, 0]
     header = ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"]
-    _write_csv([*((outdir / f"trajectory_{seed}.csv", header, rows)
-                  for seed, rows in zip(seeds, records)),
-                (outdir / "ensemble_summary.csv", header, summary)])
+    tables = [*((outdir / f"trajectory_{seed}.csv", header, rows)
+                for seed, rows in zip(seeds, records)),
+              (outdir / "ensemble_summary.csv", header, summary)]
+    slices.split(lambda lo, hi: _write_csv(tables[lo:hi]), len(tables), cfg.threads)
     return []
 
 
@@ -262,10 +272,11 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
                       steady_target=cfg.steady_target)
     p_grid = np.linspace(-3.0 * params.p_bar, params.p_bar, 401)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
+    configs = [m2.with_D(D) for D in sweep]  # each entry's config and cutoffs are built
+    cutoff_sets = [target_cutoffs(c.params) for c in configs]  # before any write: both can fail
+    _check_log_axis(sweep, "--D_sweep")
     plot_series = []
-    for D in sweep:
-        c = m2.with_D(D)
-        cutoffs = target_cutoffs(c.params)  # before the CSV: it can leave the float range
+    for D, c, cutoffs in zip(sweep, configs, cutoff_sets):
         if cfg.P is not None:
             dens = conditional_reflected_env(c, p_grid, cfg.P, D=D)
             name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
@@ -316,10 +327,10 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
     if which == 3:
         a_values = base.a_list or (0.1, 0.2, 0.4)
         dps = tuple(float(v) for v in np.logspace(-2, 2, 17))
+        every = [base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
+                 for a in a_values]  # every width's params before the first write
         series = []
-        for a in a_values:
-            sub = base.replace(command="model1", coupling="p", a=a, V0=0.01)
-            params = sub.physical_params()
+        for a, params in zip(a_values, every):
             totals = [total_reflected(params, EnvironmentSpec.momentum(dp)) for dp in dps]
             _write_csv([(outdir / f"total_vs_Dp_a{a:g}.csv", ["D_p", "total_reflected"],
                          np.column_stack((dps, totals)))])

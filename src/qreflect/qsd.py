@@ -23,13 +23,12 @@ takes a potential: every spec slot must be None.
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from operator import attrgetter, length_hint
 
 import numpy as np
 
+from . import slices
 from .errors import ClosureError, ConfigError, GridTooNarrowError, NumericalError
 from .grids import SpatialGrid, SplitStepper, WaveFunction, abs_squared, position_moments
 from .model1 import EnvironmentSpec
@@ -314,119 +313,73 @@ def _block_increments(block: list, n_steps: int, dt: float) -> np.ndarray:
     return np.array([NoiseStream(seed).increments(0, n_steps, dt) for seed in block])
 
 
-def _forked(run, bounds: list, arrays) -> bool:
-    """Call run(lo, hi) on the seeds between each pair of consecutive bounds: the first
-    slice here, each other one in a child forked before it, which sends its rows of each
-    C-ordered array back through a pipe.  True when every slice succeeded.  A child ends
-    in os._exit on every path, so it never unwinds into the caller, and a warning in it
-    fails its slice.  Every child is reaped on every path, killed first once a slice
-    has failed."""
-    import signal
-
-    children, ok = [], False  # (pid, read end of its pipe)
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fd, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    warnings.simplefilter("error")  # fails the slice; the rerun prints it
-                    run(lo, hi)
-                    with open(w, "wb") as fh:
-                        for a in arrays:
-                            fh.write(a[lo:hi])
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, fd))
-        run(*bounds[:2])
-        for (_, fd), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
-            with open(fd, "rb", closefd=False) as fh:  # a failed child sends less
-                if not all(fh.readinto(a[lo:hi]) == a[lo:hi].nbytes for a in arrays):
-                    break
-        else:
-            ok = True  # no child is left writing to a pipe
-    except Exception:  # the caller reruns in one process, which raises the error itself
-        ok = False
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if not ok:
-                os.kill(pid, signal.SIGKILL)
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
+def _step_block(psi: WaveFunction, env: EnvironmentSpec, params: PhysicalParams, dt: float,
+                n_steps: int, record_every: int, block: list, out: np.ndarray) -> np.ndarray:
+    """Step block's seeds from psi as one array, recording into out; returns the final rows."""
+    grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
+    dBs = iter(_block_increments(block, n_steps, dt).T[..., None])
+    stepper = _trajectory_stepper(grid, env, params, dt, dBs.__next__)
+    vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one row
+    step = 0
+    for j in range(out.shape[1]):
+        if j:
+            chunk = min(record_every, n_steps - step)
+            try:
+                vals = stepper.advance(vals, chunk)
+            except NumericalError as exc:
+                # each step draws its increments first, so the draws taken count it
+                raise NumericalError(f"{exc} for seed {block[exc.row]} at step "
+                                     f"{n_steps - length_hint(dBs)}") from exc
+            step += chunk
+        rho = abs_squared(vals)
+        mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
+        if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
+            row = int(np.argmax(mass))
+            raise GridTooNarrowError(f"seed {block[row]} holds probability "
+                                     f"{mass[row]:.3g} in the outer 1/16 of the grid "
+                                     f"at t = {step * dt:.6g}")
+        out[:, j, 0] = step * dt
+        out[:, j, 1:] = position_moments(vals, grid, hbar)
+    return vals
 
 
 def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec, params: PhysicalParams,
                               dt: float, n_steps: int, seeds, record_every: int = 1,
-                              workers: int = 1) -> tuple[np.ndarray, list[WaveFunction]]:
-    """(records, final states) of one trajectory per seed: the rows of one array,
-    stepped in blocks of 64 with the steps between records fused and the moments
-    of a block taken in one call per record.  The noise factor is real and applied
-    once per step, with the norm from sum |psi|^2 f^2, and every sum runs along a
-    C-ordered row, not through BLAS: each row equals its seed's run alone, bit for
-    bit, and within 2.2e-13 of a column's peak of the direct complex-factor form.
-    The seeds split into min(workers, seeds, CPUs this process may run on)
-    contiguous slices, each but the first stepped in a forked child; the rows are
-    the same bits however they split.  When any slice fails, the ensemble reruns
-    in this process, so the error is the one-process one.
+                              workers: int = 1) -> np.ndarray:
+    """Records of one trajectory per seed: the rows of one array, stepped in blocks
+    of 64 with the steps between records fused and the moments of a block taken in
+    one call per record.  The noise factor is real and applied once per step, with
+    the norm from sum |psi|^2 f^2, and every sum runs along a C-ordered row, not
+    through BLAS: each row equals its seed's run alone, bit for bit, and within
+    2.2e-13 of a column's peak of the direct complex-factor form, however
+    slices.split splits the seeds over workers.
     Raises GridTooNarrowError when a record holds more than 1e-5 of a row's
     probability in the outer 1/16 of the grid on either side, and NumericalError
     naming the seed and step when a row's norm^2 is zero, subnormal or non-finite."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()
-    grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
-    amps = np.empty((len(seeds), grid.n_points), psi.values.dtype)
 
-    def run(lo: int, hi: int) -> None:  # fills rows lo:hi of records and amps
+    def run(lo: int, hi: int) -> None:  # fills rows lo:hi of records
         for first in range(lo, hi, _BLOCK_ROWS):
-            block = seeds[first:min(first + _BLOCK_ROWS, hi)]
-            out = records[first:first + len(block)]
-            dBs = iter(_block_increments(block, n_steps, dt).T[..., None])
-            stepper = _trajectory_stepper(grid, env, params, dt, dBs.__next__)
-            vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one row
-            step = 0
-            for j in range(records.shape[1]):
-                if j:
-                    chunk = min(record_every, n_steps - step)
-                    try:
-                        vals = stepper.advance(vals, chunk)
-                    except NumericalError as exc:
-                        # each step draws its increments first, so the draws taken count it
-                        raise NumericalError(f"{exc} for seed {block[exc.row]} at step "
-                                             f"{n_steps - length_hint(dBs)}") from exc
-                    step += chunk
-                rho = abs_squared(vals)
-                mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) \
-                    / rho.sum(-1)
-                if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
-                    row = int(np.argmax(mass))
-                    raise GridTooNarrowError(f"seed {block[row]} holds probability "
-                                             f"{mass[row]:.3g} in the outer 1/16 of the grid "
-                                             f"at t = {step * dt:.6g}")
-                out[:, j, 0] = step * dt
-                out[:, j, 1:] = position_moments(vals, grid, hbar)
-            amps[first:first + len(block)] = vals
+            last = min(first + _BLOCK_ROWS, hi)
+            _step_block(psi, env, params, dt, n_steps, record_every, seeds[first:last],
+                        records[first:last])
 
-    n = min(workers, len(seeds))
-    if n > 1:  # os.sched_getaffinity and os.fork are POSIX-only: one slice needs neither
-        n = min(n, len(os.sched_getaffinity(0)))
-    if n < 2 or not _forked(run, [len(seeds) * k // n for k in range(n + 1)], (records, amps)):
-        run(0, len(seeds))
-    return records, [WaveFunction(grid, row, hbar=hbar) for row in amps]
+    slices.split(run, len(seeds), workers, (records,))
+    return records
 
 
 def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
                                 spec: PotentialSpec | None, params: PhysicalParams,
                                 dt: float, n_steps: int, seed: int, record_every: int = 1
                                 ) -> tuple[list[TrajectoryMoments], WaveFunction]:
-    """Integrate one trajectory: run_wavefunction_ensemble for the one seed."""
+    """Integrate one trajectory: run_wavefunction_ensemble's block for the one seed,
+    with its final state."""
     _no_potential(spec)
-    records, finals = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, [seed],
-                                                record_every)
-    return _series(records[0]), finals[0]
+    seeds, records = _ensemble([seed], n_steps, record_every)
+    psi = psi0.normalized()
+    final = _step_block(psi, env, params, dt, n_steps, record_every, seeds, records)
+    return _series(records[0]), WaveFunction(psi.grid, final[0], hbar=params.hbar)
 
 
 def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec, params: PhysicalParams,

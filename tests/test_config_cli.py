@@ -295,23 +295,46 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _poison_empty(monkeypatch) -> None:
+    """np.empty fills a float array with nan, so that a row no slice filled cannot
+    pass for the bytes that a freed array of the same size left behind."""
+    empty = np.empty
+
+    def poisoned(shape, dtype=float, order="C", **kwargs):
+        a = empty(shape, dtype, order, **kwargs)
+        if a.dtype.kind in "fc":
+            a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
+def _outputs(outdir) -> dict:
+    """Every file of a run but resolved_config.txt, which records the --threads value."""
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())
+            if p.name != "resolved_config.txt"}
+
+
 @pytest.mark.parametrize("cpus", [None, 64])
 def test_threads_forks_one_child_per_slice_past_the_first(tmp_path, monkeypatch, cpus):
-    # --threads 1000000 must not start a million processes: min(threads, seeds, CPUs)
-    # slices, the first stepped by the calling process
+    # --threads 1000000 must not start a million processes: min(threads, rows, CPUs)
+    # slices, the first run by the calling process; the 3 seeds step in slices, then
+    # their 3 trajectory files and the summary are written in slices
     if cpus is not None:
         _cpus(monkeypatch, cpus)
     pids = _fork_spy(monkeypatch)
     assert main(["qsd", "--level", "wavefunction", "--D", "1", "--n_traj", "3",
                  "--t_final", "0.5", "--threads", "1000000", "--outdir", str(tmp_path)]) == 0
-    assert len(pids) == min(3, len(os.sched_getaffinity(0))) - 1
+    cpus = len(os.sched_getaffinity(0))
+    assert len(pids) == (min(3, cpus) - 1) + (min(4, cpus) - 1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("args", [
-    ["qsd", "--level", "moments", "--D", "1"],
-    ["model1"],
+    # model2 writes between its sweep points, so its sweep runs in one process
+    ["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D_sweep", "0.1,1"],
+    ["model1"],  # one D: one row
     ["figures", "--figure", "1"],
 ])
 def test_other_commands_fork_nothing(tmp_path, monkeypatch, args):
@@ -324,8 +347,10 @@ def test_other_commands_fork_nothing(tmp_path, monkeypatch, args):
 @pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
 def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, monkeypatch,
                                                             coupling, flag):
-    # 5 seeds split 3 + 2, 2 + 2 + 1 and, with more workers than seeds, 1 each
+    # 5 seeds split 3 + 2, 2 + 2 + 1 and, with more workers than seeds, 1 each; their
+    # 6 files split 3 + 3, 2 + 2 + 2 and 1 each
     _cpus(monkeypatch, 8)
+    _poison_empty(monkeypatch)
     pids = _fork_spy(monkeypatch)
     base = ["qsd", "--coupling", coupling, flag, "1", "--level", "wavefunction",
             "--n_traj", "5", "--seed", "11", "--t_final", "0.5"]
@@ -333,11 +358,98 @@ def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, m
     for threads in ("1", "2", "3", "8"):
         outdir = tmp_path / threads
         assert main(base + ["--threads", threads, "--outdir", str(outdir)]) == 0
-        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())
-                 if p.name != "resolved_config.txt"}  # records the --threads value
-        runs.append((capsys.readouterr(), files))
-    assert len(pids) == 0 + 1 + 2 + 4
+        runs.append((capsys.readouterr(), _outputs(outdir)))
+    assert len(pids) == 0 + (1 + 1) + (2 + 2) + (4 + 5)
     assert len(runs[0][1]) == 6 and all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("args, forks", [
+    # 65 files split 33 + 32, 22 + 22 + 21 and 8 + ... + 9
+    (["qsd", "--level", "moments", "--coupling", "x", "--D", "1", "--n_traj", "64"], 7),
+    (["qsd", "--level", "moments", "--coupling", "p", "--D_p", "1", "--n_traj", "64"], 7),
+    # 3 sweep points split 1 + 2 and 1 each
+    (["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1", "--sigma", "10"], 2),
+    (["figures", "--figure", "2"], 4),  # a model1 sweep of 5 D_p values
+])
+def test_moment_and_model1_outputs_identical_across_thread_counts(tmp_path, capsys,
+                                                                  monkeypatch, args, forks):
+    _cpus(monkeypatch, 8)
+    _poison_empty(monkeypatch)
+    pids = _fork_spy(monkeypatch)
+    runs = []
+    for threads in ("1", "2", "3", "8"):
+        outdir = tmp_path / threads
+        assert main(args + ["--threads", threads, "--outdir", str(outdir)]) == 0
+        runs.append((capsys.readouterr(), _outputs(outdir)))
+    assert len(pids) == 0 + 1 + 2 + forks
+    assert runs[0][1] and all(run == runs[0] for run in runs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_writer_slice_reruns_in_one_process(tmp_path, capsys, monkeypatch):
+    # a writer child that fails leaves the files to a rerun in the calling process
+    _cpus(monkeypatch, 8)
+    args = ["qsd", "--level", "moments", "--D", "1", "--n_traj", "64", "--seed", "5"]
+    assert main(args + ["--outdir", str(tmp_path / "1")]) == 0
+    one = capsys.readouterr()
+    parent = os.getpid()
+
+    def child_fails(*args, **kwargs):
+        if os.getpid() != parent:
+            raise OSError("no space left in a child")
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", child_fails, raising=False)
+    pids = _fork_spy(monkeypatch)
+    assert main(args + ["--threads", "3", "--outdir", str(tmp_path / "3")]) == 0
+    assert len(pids) == 2 and capsys.readouterr() == one
+    assert _outputs(tmp_path / "3") == _outputs(tmp_path / "1")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_writer_prints_the_fitted_rate_once(tmp_path, monkeypatch):
+    # stdout on a pipe is block-buffered, and a forked writer inherits the unflushed
+    # fitted-rate line: a child that flushed it on exit would print it twice
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    run = _python("-c", "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                        "from qreflect import cli; sys.exit(cli.main(sys.argv[1:]))",
+                  "qsd", "--level", "moments", "--D", "1", "--n_traj", "64", "--threads",
+                  "2", "--outdir", str(tmp_path))
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.count("fitted total momentum fluctuation rate: ") == 1
+    assert len(list(tmp_path.glob("trajectory_*.csv"))) == 64
+
+
+@pytest.mark.parametrize("args, message", [
+    (["model1", "--coupling", "x", "--D_sweep", "0,1"], "--D_sweep takes positive values, not 0"),
+    (["model1", "--coupling", "p", "--Dp_sweep", "1,0"], "--Dp_sweep takes positive values, not 0"),
+    (["model2", "--M", "10", "--sigma", "100", "--Sigma", "3", "--D_sweep", "0,1"],
+     "--D_sweep takes positive values, not 0"),
+])
+def test_a_sweep_point_off_the_log_axis_fails_before_any_output(tmp_path, capsys, args,
+                                                                message):
+    # total.svg plots a sweep on a log x axis: a 0 ended in a ValueError traceback
+    # (exit 1) from log10(0), after every CSV was written
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}: total.svg plots the sweep on a " \
+                                "log axis\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D_sweep", "1,-1"],
+     "diffusion constants must be nonnegative"),
+    (["figures", "--figure", "3", "--a_list", "0.1,0"], "requires a > 0"),
+])
+def test_a_bad_later_sweep_entry_fails_before_any_output(tmp_path, capsys, args, message):
+    # each wrote the first entry's CSV (and model2 its cutoff line) before failing
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1 and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
 
 def _nan_increment(monkeypatch, seed: int, index: int) -> None:
@@ -355,7 +467,8 @@ def _nan_increment(monkeypatch, seed: int, index: int) -> None:
 @pytest.mark.parametrize("case", ["edge", "noise"])
 def test_forked_failure_reports_as_one_process(tmp_path, capsys, monkeypatch, case):
     # a slice that fails makes the ensemble rerun in one process: the same exit code
-    # and stderr line as --threads 1, no trajectory CSV and no child left behind
+    # and stderr line as --threads 1, no trajectory CSV and no child left behind.  The
+    # one child is the ensemble's: the run fails before its files are written in slices
     _cpus(monkeypatch, 2)
     if case == "edge":  # seed 24 wraps around the grid in the first slice
         monkeypatch.setattr(qsd, "grid_for", lambda *_: SpatialGrid(-12.8, 12.8, 256))
@@ -663,7 +776,7 @@ def test_import_leaves_scipy_special_unloaded():
 
 
 def test_import_leaves_process_pools_unloaded():
-    # wavefunction slices fork with os alone: importing multiprocessing costs about 14 ms
+    # slices fork with os alone: importing multiprocessing costs about 14 ms
     run = _python("-c", "import sys, qreflect, qreflect.cli; "
                         "print(sorted(m for m in sys.modules "
                         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")

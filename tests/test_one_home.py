@@ -6,7 +6,8 @@ and reads no ``.energy``; each integrator sizes the grid it steps on
 (``qsd.grid_for``, ``unitary.grid_for``), so ``cli.py`` names no
 ``SpatialGrid`` and calls no ``log2``; and only ``timescales`` assigns the
 model-2 cutoffs T_z, T_d_p and T_1, so no second copy of a formula can drift
-from the first.
+from the first.  Only ``slices`` forks, so the worker-count rule and the reaping
+of children have one home.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qreflect"
 _CUTOFFS = {"T_z", "T_d_p", "T_1"}
+_PROCESS_CALLS = {"fork", "pipe", "_exit", "sched_getaffinity"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -70,3 +72,14 @@ def test_only_timescales_assigns_the_model2_cutoffs():
            for path in sorted(_PACKAGE.glob("*.py")) if path.name != "timescales.py"
            for name in sorted(set(_bound_names(_tree(path.name))) & _CUTOFFS)]
     assert not bad, "\n".join(bad)
+
+
+def test_only_slices_forks():
+    bad = [f"{path.name}:{node.lineno} names {_name(node)}"
+           for path in sorted(_PACKAGE.glob("*.py")) if path.name != "slices.py"
+           for node in ast.walk(_tree(path.name))
+           if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+           and _name(node) in _PROCESS_CALLS]
+    assert not bad, "\n".join(bad)
+    names = {_name(node) for node in ast.walk(_tree("slices.py"))}
+    assert _PROCESS_CALLS <= names  # the guard watches the names the helper uses

@@ -294,8 +294,8 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     dt, t_final = 0.004, 3.0
     n_steps = int(t_final / dt)
 
-    records, finals = run_wavefunction_ensemble(psi0, env, par_b, dt, n_steps,
-                                                range(400, 464), record_every=n_steps)
+    records = run_wavefunction_ensemble(psi0, env, par_b, dt, n_steps, range(400, 464),
+                                        record_every=n_steps)
     # total Var p of the mixture: mean of <p^2> over seeds minus the squared mean <p>
     mean_p, var_p = records[:, -1, 2], records[:, -1, 4]
     var_tot = np.mean(var_p + mean_p**2) - np.mean(mean_p) ** 2
@@ -304,8 +304,9 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     assert abs(var_tot - expect) < max(0.10 * expect, three_sigma)
     # late-time mixture rho = sum |psi><psi| / n is near-diagonal: little |rho| mass
     # beyond 4 sigma_q
-    amps = np.array([psi.values for psi in finals])
-    rho = np.abs(amps.T @ amps.conj()) / len(finals)
+    amps = np.array([run_wavefunction_trajectory(psi0, env, None, par_b, dt, n_steps, seed,
+                                                 n_steps)[1].values for seed in range(400, 464)])
+    rho = np.abs(amps.T @ amps.conj()) / len(amps)
     far = np.abs(grid.x[:, None] - grid.x[None, :]) > 4 * sq
     assert rho[far].sum() / rho.sum() < 0.10
 
@@ -416,15 +417,13 @@ def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_ste
     if spec is not None:
         with pytest.raises(ConfigError, match="spec must be None"):
             run_wavefunction_trajectory(psi0, env, spec, params, 0.002, n_steps, 30)
-    runs, finals = run_wavefunction_ensemble(psi0, env, params, 0.002, n_steps, seeds,
-                                             record_every)
+    runs = run_wavefunction_ensemble(psi0, env, params, 0.002, n_steps, seeds, record_every)
     assert len(runs) == len(seeds)
-    for seed, series, final in zip(seeds, runs, finals):
-        alone, final_alone = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
-                                                         n_steps, seed, record_every)
+    for seed, series in zip(seeds, runs):
+        alone, _ = run_wavefunction_trajectory(psi0, env, None, params, 0.002, n_steps, seed,
+                                               record_every)
         assert len(series) == 1 + math.ceil(n_steps / record_every)
         assert np.array_equal(_bits(series), _bits(alone))
-        assert np.array_equal(final.values.view(np.uint64), final_alone.values.view(np.uint64))
 
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
@@ -433,37 +432,39 @@ def test_ensemble_rows_equal_stepwise_reference(coupling):
     params, env = _coupled(coupling)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     n_steps, dt, seeds = 40, 0.002, [3, 8]
-    runs, finals = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds)
-    for seed, series, final in zip(seeds, runs, finals):
+    runs = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds)
+    for seed, series in zip(seeds, runs):
+        _, final = run_wavefunction_trajectory(psi0, env, None, params, dt, n_steps, seed)
         psi = psi0.normalized()
         ref = [wavefunction_moments(psi)]
         for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
             psi = step_trajectory(psi, env, None, params, dt, dB)
             ref.append(replace(wavefunction_moments(psi), time=k * dt))
         assert np.array_equal(_bits(series), _bits(ref))
-        assert np.array_equal(final.values, psi.values)
+        assert np.array_equal(final.values.view(np.uint64), psi.values.view(np.uint64))
 
 
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
 def test_forked_slices_return_the_one_process_records_and_states(monkeypatch, coupling):
     # 7 seeds in slices of 2, 2 and 3 rows, the last stepped as blocks of 2 and 1;
-    # 4 CPUs reported, so the split forks on any machine
-    monkeypatch.setattr(qsd.os, "sched_getaffinity", lambda pid: set(range(4)))
+    # 4 CPUs reported, so the split forks on any machine.  The ensemble keeps no final
+    # state: each seed's records, up to the final state's, equal its one-seed run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.setattr(qsd, "_BLOCK_ROWS", 2)
     params, env = _coupled(coupling)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
-    one, one_finals = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4)
-    split, finals = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4,
-                                              workers=3)
+    one = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4)
+    split = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4, workers=3)
     assert np.array_equal(_bits(split), _bits(one))
-    assert np.array_equal(np.array([f.values for f in finals]).view(np.uint64),
-                          np.array([f.values for f in one_finals]).view(np.uint64))
+    for seed, series in enumerate(split):
+        alone, _ = run_wavefunction_trajectory(psi0, env, None, params, 0.002, 30, seed, 4)
+        assert np.array_equal(_bits(series), _bits(alone))
 
 
 def test_interrupted_split_reaps_every_child(monkeypatch):
     # an interrupt in the calling process's slice propagates once each child is reaped
-    monkeypatch.setattr(qsd.os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     parent, increments = os.getpid(), qsd._block_increments
 
     def interrupted(block, n_steps, dt):
