@@ -275,15 +275,17 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     configs = [m2.with_D(D) for D in sweep]  # each entry's config and cutoffs are built
     cutoff_sets = [target_cutoffs(c.params) for c in configs]  # before any write: both can fail
     _check_log_axis(sweep, "--D_sweep")
+    # every density and total before the first print or write: each can fail numerically
+    if cfg.P is None:
+        raw = [reflected_density_env(c, p_grid, D=D) for D, c in zip(sweep, configs)]
+    else:
+        raw = [conditional_reflected_env(c, p_grid, cfg.P, D=D) for D, c in zip(sweep, configs)]
+    densities = [clamp_density(d) for d in raw]
+    totals = total_reflected_model2(m2, sweep) if len(sweep) > 1 else None
     plot_series = []
-    for D, c, cutoffs in zip(sweep, configs, cutoff_sets):
-        if cfg.P is not None:
-            dens = conditional_reflected_env(c, p_grid, cfg.P, D=D)
-            name = f"conditional_density_D{D:g}_P{cfg.P:g}.csv"
-        else:
-            dens = reflected_density_env(c, p_grid, D=D)
-            name = f"density_D{D:g}.csv"
-        dens = clamp_density(dens)
+    for D, c, cutoffs, dens in zip(sweep, configs, cutoff_sets, densities):
+        name = (f"density_D{D:g}.csv" if cfg.P is None
+                else f"conditional_density_D{D:g}_P{cfg.P:g}.csv")
         _write_csv([(outdir / name, ["p", "density"], np.column_stack((p_grid, dens)))])
         plot_series.append((f"D={D:g}", p_grid.tolist(), dens.tolist()))
         if D > 0:  # suppression needs min(T_z, T_d_p, T_1) << t_E: under a tenth of it
@@ -294,8 +296,7 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
                       "(no strong suppression expected)")
     (outdir / "density.svg").write_text(line_plot(
         plot_series, "two-particle reflected density", "p", "density"))
-    if len(sweep) > 1:
-        totals = total_reflected_model2(m2, sweep)
+    if totals is not None:
         _write_csv([(outdir / "total_vs_D.csv", ["D", "total_reflected"],
                      np.column_stack((sweep, totals)))])
         (outdir / "total.svg").write_text(line_plot(

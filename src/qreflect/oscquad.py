@@ -30,11 +30,13 @@ bisected and both halves are evaluated again.
 
 One call runs one loop of rounds over all of its points.  Round r holds every
 panel still unresolved, in point order, and is evaluated in consecutive slices
-of at most 2^14 nodes.  Each slice builds phase tables for its own points only
+of at most 2^13 nodes.  Each slice builds phase tables for its own points only
 and hands back per-panel values: sums, error estimates and, in the first pass,
 each point's peak.  The envelope sees one slice at a time, as nodes of shape
 (panels, 24) and one point index per panel, so the slices bound a call's
-memory.  A panel
+memory.  At 2^13 nodes a slice's largest arrays, complex (341, 24) envelopes
+and phase tables, stay under 128 KiB, glibc's default mmap threshold, so they
+reuse freed heap memory instead of faulting in fresh pages.  A panel
 that still fails after 12 rounds raises QuadratureError, as does a call that
 would evaluate more than 400,000 panels in all (first pass and refinement),
 which bounds its run time, or a point whose first pass needs more than 2^15
@@ -54,9 +56,10 @@ from .errors import QuadratureError
 _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 # panel values f -> (c22, c23), the top Legendre coefficients of their
-# interpolant: c_k = (2k + 1)/2 sum_j w_j P_k(x_j) f_j, exact at this order
-_TAIL_COEFFS = (np.array([22.5, 23.5]) * _GL_WEIGHTS[:, None]
-                * np.polynomial.legendre.legvander(_GL_NODES, _GL_ORDER - 1)[:, -2:])
+# interpolant: c_k = (2k + 1)/2 sum_j w_j P_k(x_j) f_j, exact at this order; one
+# row per k, for an einsum whose sums do not depend on how many panels it holds
+_TAIL_COEFFS = (np.array([[22.5], [23.5]]) * _GL_WEIGHTS
+                * np.polynomial.legendre.legvander(_GL_NODES, _GL_ORDER - 1)[:, -2:].T)
 
 # largest phase omega * h across one first-pass panel
 _PHASE_CAP = 10.0 * math.pi
@@ -66,7 +69,7 @@ _ENVELOPE_CAP = 0.125
 _TOLERANCE = 1e-13
 _MAX_ROUNDS = 12
 # each envelope call evaluates at most this many nodes (or one panel)
-_CHUNK_NODES = 2**14
+_CHUNK_NODES = 2**13
 # panels one call may evaluate, over its first pass and every refinement round
 _MAX_PANELS = 400_000
 # first-pass panels one point may hold; the figures stay below 1,000
@@ -178,16 +181,19 @@ def _evaluate_round(envelope, idx, omega, h, mid, point, first: bool):
         part = slice(start, start + step)
         pt = point[part]
         lo, hi = pt[0], pt[-1] + 1  # a slice's points are contiguous: tables for them only
-        s = mid[part, None] + h[pt, None] * _GL_NODES
+        s = h[pt, None] * _GL_NODES
+        s += mid[part, None]
         with np.errstate(all="ignore"):  # an overflowing envelope is rejected below
-            f = np.broadcast_to(envelope(s, idx[pt, None]), s.shape)
-        if not np.all(np.isfinite(f)):
+            f = envelope(s, idx[pt, None])
+        if np.shape(f) != s.shape:
+            f = np.broadcast_to(f, s.shape)
+        if not np.isfinite(f).all():
             raise QuadratureError("oscillatory integral: the envelope is not finite")
         value[part] = _panel_sums(f, omega[lo:hi], h[lo:hi], mid[part], pt - lo)
-        t = np.abs(f @ _TAIL_COEFFS)
+        t = np.abs(np.einsum("pj,kj->pk", f, _TAIL_COEFFS))
         tail[part] = t[:, 0] + t[:, 1]
         if first:
-            runs = np.flatnonzero(np.diff(pt, prepend=-1)) * _GL_ORDER
+            runs = np.searchsorted(pt, np.arange(lo, hi)) * _GL_ORDER
             np.maximum(peak[lo:hi], np.maximum.reduceat(np.abs(f).ravel(), runs),
                        out=peak[lo:hi])
     return value, tail, peak
@@ -204,13 +210,14 @@ def _panel_sums(f, omega, h, mid, point):
     wx = (omega * h)[:, None] * _GL_NODES[:_GL_ORDER // 2]
     wh = h[:, None] * _GL_WEIGHTS[:_GL_ORDER // 2]
     c, sn = wh * np.cos(wx), wh * np.sin(wx)
-    cos_t = np.concatenate([c, c[:, ::-1]], axis=1)
-    sin_t = np.concatenate([sn, -sn[:, ::-1]], axis=1)
+    # per point, the rows Re T and -Im T of its table
+    table = np.concatenate([c, c[:, ::-1], sn, -sn[:, ::-1]], axis=1).reshape(-1, 2, _GL_ORDER)
     phase = omega[point] * mid
     cm, sm = np.cos(phase), np.sin(phase)
     if np.iscomplexobj(f):  # Re[(sum_j f_j T_j) e^(-i omega mid)]
-        return (np.einsum("pj,pj->p", f, (cos_t - 1j * sin_t)[point]) * (cm - 1j * sm)).real
-    dots = np.einsum("pj,pkj->pk", f, np.stack([cos_t, sin_t], axis=1)[point])
+        t = (table[:, 0] - 1j * table[:, 1])[point]
+        return (np.einsum("pj,pj->p", f, t) * (cm - 1j * sm)).real
+    dots = np.einsum("pj,pkj->pk", f, table[point])
     return cm * dots[:, 0] - sm * dots[:, 1]
 
 

@@ -452,6 +452,18 @@ def test_a_bad_later_sweep_entry_fails_before_any_output(tmp_path, capsys, args,
     assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
 
+def test_a_later_sweep_point_that_fails_numerically_fails_before_any_output(tmp_path, capsys):
+    # D = 1e300 leaves the s-integral unresolved: D = 1's CSV and cutoff line were
+    # written before it failed
+    args = ["model2", "--M", "10", "--sigma", "100", "--steady-target", "true",
+            "--D_sweep", "1,1e300", "--outdir", str(tmp_path)]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("numerical failure: oscillatory integral")
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
+
+
 def _nan_increment(monkeypatch, seed: int, index: int) -> None:
     """Seed's increment index becomes nan, so its noise factor fails at step index + 1."""
     increments = qsd._block_increments
@@ -768,11 +780,22 @@ def test_unitary_boundary_leakage_is_a_numerical_failure(tmp_path):
     assert len(run.stderr.strip().splitlines()) == 1 and "Traceback" not in run.stderr
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # no scipy module at all: importing scipy.fft alone costs about 27 MB and 0.3 s
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # no scipy module at all: importing scipy.special alone costs about 22 MB and 0.2 s.
+    # The conditional kernel (the Faddeeva function) and the smeared window (erf)
+    # run without it too
     run = _python("-c", "import sys, qreflect, qreflect.cli; "
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run.returncode == 0 and run.stdout.strip() == "[]"
+    run = _python("-c", "import sys; from qreflect.cli import main; out = sys.argv[1]; "
+                        "assert main(['model2', '--M', '10', '--sigma', '100', '--D', '1', "
+                        "'--steady-target', 'true', '--P', '0', '--outdir', out]) == 0; "
+                        "assert main(['unitary', '--potential', 'smeared_window', "
+                        "'--n_points', '512', '--t_final', '5', '--outdir', out]) == 0; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                  str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_import_leaves_process_pools_unloaded():

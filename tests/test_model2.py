@@ -378,6 +378,19 @@ def test_exp_quadratic_integral_against_mpmath(U, alpha, beta_re, beta_im):
     assert abs(got - ref) <= 1e-13 * scale
 
 
+def test_faddeeva_against_mpmath():
+    # Weideman's expansion against 40-digit w(z) = e^(-z^2) erfc(-iz) on a fixed grid
+    # of the closed upper half plane, its only domain: z = 0, the real axis, and
+    # |Re z| up to 1e6 with Im z up to 1e3
+    re = [0.0, 1e-8, 0.5, 1.0, 3.0, 5.5, 10.0, 30.0, 100.0, 1e3, 1e4, 1e6]
+    im = [0.0, 1e-10, 0.1, 1.0, 5.0, 30.0, 100.0, 1e3]
+    z = np.array([complex(sign * x, y) for x in re for sign in (1, -1) for y in im])
+    with mpmath.workdps(40):
+        want = np.array([complex(mpmath.exp(-v**2) * mpmath.erfc(-1j * v))
+                         for v in map(mpmath.mpc, z)])
+    assert np.max(np.abs(model2._faddeeva(z) - want) / np.abs(want)) <= 2e-15
+
+
 def test_cutoff_report_identities_and_velocity_form():
     cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=1.0)
     cut, t_E = target_cutoffs(cfg.params), scattering_time(cfg.params)

@@ -7,7 +7,8 @@ and reads no ``.energy``; each integrator sizes the grid it steps on
 ``SpatialGrid`` and calls no ``log2``; and only ``timescales`` assigns the
 model-2 cutoffs T_z, T_d_p and T_1, so no second copy of a formula can drift
 from the first.  Only ``slices`` forks, so the worker-count rule and the reaping
-of children have one home.
+of children have one home.  numpy is the one runtime dependency: no module
+imports scipy, which is for tests only.
 """
 
 import ast
@@ -83,3 +84,14 @@ def test_only_slices_forks():
     assert not bad, "\n".join(bad)
     names = {_name(node) for node in ast.walk(_tree("slices.py"))}
     assert _PROCESS_CALLS <= names  # the guard watches the names the helper uses
+
+
+def test_no_module_imports_scipy():
+    bad = [f"{path.name}:{node.lineno} imports {name}"
+           for path in sorted(_PACKAGE.glob("*.py"))
+           for node in ast.walk(_tree(path.name))
+           if isinstance(node, (ast.Import, ast.ImportFrom))
+           for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""])
+           if name.split(".")[0] == "scipy"]
+    assert not bad, "\n".join(bad)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from qreflect import PotentialSpec, potential_momentum, potential_position
 
@@ -36,6 +37,14 @@ def test_smeared_window_matches_numeric_convolution():
         kernel = lambda y: math.exp(-((x - y) ** 2) / (2 * 0.3**2)) / math.sqrt(2 * math.pi * 0.3**2)
         ref, _ = quad(kernel, -2.0, 2.0, epsabs=1e-14)
         assert abs(potential_position(spec, x) - 0.7 * ref) < 1e-10
+
+
+def test_smeared_window_matches_scipy_erf():
+    spec = PotentialSpec.smeared_window(V0=0.7, a=0.3, L=2.0)
+    x = np.linspace(-6.0, 6.0, 1201)
+    z = math.sqrt(2.0) * 0.3
+    want = 0.35 * (erf((2.0 - x) / z) + erf((2.0 + x) / z))
+    assert np.max(np.abs(potential_position(spec, x) - want)) <= 4 * np.finfo(float).eps * 0.7
 
 
 def test_gaussian_position_normalization_from_transform():
