@@ -4,7 +4,10 @@ Exit codes: 0 success, otherwise the exit_code of the qreflect.errors class that
 was raised: 2 ConfigError, 3 NumericalError, 4 RegimeEscalation (a regime warning
 escalated by --strict).  main catches QreflectError alone, so any other exception
 is a library bug and ends in a traceback.  Every run writes its resolved config
-and a version stamp beside its outputs; reruns of one config are byte-identical.
+and a version stamp first; reruns of one config are byte-identical.  Each runner
+returns (files, stdout lines, regime warnings) and writes nothing; main writes the
+files through _write and then prints the lines, so a run that fails or that
+--strict escalates leaves resolved_config.txt alone.
 unitary and qsd step on the grid of their integrator's grid_for, at a default dt
 that is a fixed fraction of its dt_limit; model2's cutoff line reads target_cutoffs.
 QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
@@ -13,9 +16,9 @@ the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
 (every seed of a default 1000-step run); a wavefunction block steps 64.
 CSV floats are Python's shortest round-trip repr.  --threads N runs three stages
 in min(N, rows, usable CPUs) forked slices (slices.split) and changes no output:
-a wavefunction-level qsd ensemble's seeds, the files qsd writes, and a model1
-sweep's points, figure 2's included.  unitary, figure 1, model2 and figures 3-5
-run in one process.  BENCH_25.json and BENCH_26.json hold the timings.
+a wavefunction-level qsd ensemble's seeds, a model1 sweep's points (figure 2's
+included) and every command's files.  BENCH_25.json and BENCH_26.json hold the
+timings.
 """
 
 from __future__ import annotations
@@ -53,41 +56,55 @@ _MAX_STEPS = 10**6
 _CSV_BLOCK_ROWS = 1024  # rows formatted per write; only unitary's density CSVs are longer
 
 
-def _write_csv(tables) -> None:
-    """Write each (path, header, rows) of tables as one CSV file.
-
-    A 2-D float array is written a column at a time in Python's shortest
-    round-trip repr, one write per block of _CSV_BLOCK_ROWS rows, so memory holds
-    the strings of two blocks at most.  A column of a block whose bytes match a
-    column of the block before reuses its strings (bytes, not values: 0.0 ==
-    -0.0 and nan != nan): a QSD ensemble's deterministic columns recur in every
-    trajectory file.  The memo is per call, so a split of tables over calls writes
-    the same bytes.  Rows holding strings go through csv.writer.
-    """
-    memo: dict[bytes, list[str]] = {}
-    for path, header, rows in tables:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if not isinstance(rows, np.ndarray):
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)  # csv.writer formats a float as repr does
-                continue
-            fh.write(",".join(header) + "\n")
-            for first in range(0, len(rows), _CSV_BLOCK_ROWS):
-                block = rows[first:first + _CSV_BLOCK_ROWS]
-                keys = [col.tobytes() for col in block.T]
-                memo = {key: memo.get(key) or list(map(repr, col.tolist()))
-                        for key, col in zip(keys, block.T)}
-                fh.write("\n".join(map(",".join, zip(*(memo[key] for key in keys)))) + "\n")
-
-
-def _emit_config(cfg: RunConfig, outdir: Path) -> None:
-    text = serialize_config(cfg) + f"# qreflect {__version__}\n"
+def _write(outdir: Path, files, threads: int = 1, lines=()) -> None:
+    """Write each (name, body) of files into outdir, then print lines: the one
+    function that opens an output file.  A body is text or a CSV's (header, rows).
+    A float array is written a column at a time in Python's shortest round-trip
+    repr, one write per block of _CSV_BLOCK_ROWS rows, so memory holds the strings
+    of two blocks at most; a column whose bytes match one of the block before
+    reuses its strings (bytes, not values: 0.0 == -0.0 and nan != nan), as a QSD
+    ensemble's deterministic columns recur in every file.  The memo is per slice,
+    so the files split over --threads slices with the same bytes.  A name given
+    twice fails before any write."""
+    names = [name for name, _ in files]
+    if len(set(names)) < len(names):
+        name = next(name for k, name in enumerate(names) if name in names[:k])
+        raise ConfigError(f"two outputs are named {name!r}: sweep values that print alike "
+                          "under %g share a file")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "resolved_config.txt").write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write outdir {str(outdir)!r}: {exc.strerror or exc}") from None
+
+    def write(lo: int, hi: int) -> None:
+        memo: dict[bytes, list[str]] = {}
+        try:
+            for name, body in files[lo:hi]:
+                with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
+                    if isinstance(body, str):
+                        fh.write(body)
+                        continue
+                    header, rows = body
+                    if not isinstance(rows, np.ndarray):
+                        writer = csv.writer(fh, lineterminator="\n")
+                        writer.writerow(header)
+                        writer.writerows(rows)  # csv.writer formats a float as repr does
+                        continue
+                    fh.write(",".join(header) + "\n")
+                    for first in range(0, len(rows), _CSV_BLOCK_ROWS):
+                        block = rows[first:first + _CSV_BLOCK_ROWS]
+                        keys = [col.tobytes() for col in block.T]
+                        memo = {key: memo.get(key) or list(map(repr, col.tolist()))
+                                for key, col in zip(keys, block.T)}
+                        fh.write("\n".join(map(",".join, zip(*(memo[key] for key in keys))))
+                                 + "\n")
+        except OSError as exc:  # a child's failure reruns here and raises this line
+            raise ConfigError(f"cannot write {str(outdir / name)!r}: "
+                              f"{exc.strerror or exc}") from None
+
+    slices.split(write, len(files), threads)
+    for line in lines:
+        print(line)
 
 
 def _warn(messages: list[str], text: str) -> None:
@@ -111,29 +128,27 @@ def _n_steps(t_final: float, dt: float) -> int:
 # -- subcommand implementations -------------------------------------------------
 
 
-def _run_timescales(cfg: RunConfig, outdir: Path) -> list[str]:
+def _run_timescales(cfg: RunConfig):
     params = cfg.physical_params()
     report = compute_timescales(params, ell=cfg.ell)
     verdict = check_regime(report, params, threshold=cfg.threshold)
     values = report.defined()
     width = max(len(k) for k in values)
-    print(f"{'name'.ljust(width)}  value")
-    for name, value in values.items():
-        print(f"{name.ljust(width)}  {value:.9g}")
-    print("\nregime verdicts (threshold %g):" % cfg.threshold)
+    lines = [f"{'name'.ljust(width)}  value"]
+    lines += [f"{name.ljust(width)}  {value:.9g}" for name, value in values.items()]
+    lines.append("\nregime verdicts (threshold %g):" % cfg.threshold)
     for f in fields(verdict):
         v = getattr(verdict, f.name)
         if isinstance(v, bool):  # the verdicts, not margins or threshold
-            print(f"  {f.name}: {v}")
+            lines.append(f"  {f.name}: {v}")
     inputs = f"m={params.m} hbar={params.hbar} p_bar={params.p_bar} sigma={params.sigma} " \
              f"D={params.D} D_p={params.D_p} M={params.M} Sigma={params.Sigma} ell={report.ell}"
     rows = [(name, value, FORMULAS[name], inputs) for name, value in values.items()]
-    _write_csv([(outdir / "timescales.csv", ["name", "value", "defining_formula", "inputs"],
-                 rows)])
-    return []
+    return [("timescales.csv", (["name", "value", "defining_formula", "inputs"], rows))], \
+        lines, []
 
 
-def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
+def _run_unitary(cfg: RunConfig):
     params = cfg.physical_params()
     spec = cfg.potential()
     barrier_extent = 6.0 * spec.a + spec.L
@@ -162,21 +177,20 @@ def _run_unitary(cfg: RunConfig, outdir: Path) -> list[str]:
         mom_rows.append(np.column_stack(np.broadcast_arrays(t, tilde.grid.x[::4], w[::4])))
         keep = np.abs(tilde.grid.x) < 3.0 * params.p_bar
         mom_series.append((f"t={t:g}", tilde.grid.x[keep].tolist(), w[keep].tolist()))
-    (outdir / "position_density.svg").write_text(line_plot(
-        pos_series, "position probability density", "x", "|psi|^2"), encoding="utf-8")
-    (outdir / "momentum_density.svg").write_text(line_plot(
-        mom_series, "momentum probability density", "p", "|psi~|^2"), encoding="utf-8")
     ledger = np.column_stack((series.times, [astuple(pl) for pl in series.probabilities]))
-    _write_csv([(outdir / "position_density.csv", ["t", "x", "density"], np.vstack(pos_rows)),
-                (outdir / "momentum_density.csv", ["t", "p", "density"], np.vstack(mom_rows)),
-                (outdir / "probabilities.csv",
-                 ["t", "norm", "reflected", "transmitted", "absorbed", "edge_loss"], ledger)])
     refl, trans, absd = reflection_probability(series, force=True)
-    print(f"final reflected={refl:.6g} transmitted={trans:.6g} absorbed={absd:.6g}")
-    return []
+    files = [("position_density.svg", line_plot(
+                 pos_series, "position probability density", "x", "|psi|^2")),
+             ("momentum_density.svg", line_plot(
+                 mom_series, "momentum probability density", "p", "|psi~|^2")),
+             ("position_density.csv", (["t", "x", "density"], np.vstack(pos_rows))),
+             ("momentum_density.csv", (["t", "p", "density"], np.vstack(mom_rows))),
+             ("probabilities.csv",
+              (["t", "norm", "reflected", "transmitted", "absorbed", "edge_loss"], ledger))]
+    return files, [f"final reflected={refl:.6g} transmitted={trans:.6g} absorbed={absd:.6g}"], []
 
 
-def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
+def _run_model1(cfg: RunConfig):
     params = cfg.physical_params()
     warnings: list[str] = []
     tau = cfg.resolved_tau()
@@ -186,7 +200,7 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
     else:
         sweep, flag, env_of = cfg.Dp_sweep or (cfg.D_p,), "--Dp_sweep", EnvironmentSpec.momentum
         density_of = lambda p, s: reflected_density_p(p, params, s)
-    envs = [env_of(s) for s in sweep]  # a negative strength fails before any output
+    envs = [env_of(s) for s in sweep]  # a negative strength fails as such, not on the log axis
     _check_log_axis(sweep, flag)
     ratio = max(narrow_sideband_ratio(params, D) for D in sweep) if cfg.coupling == "x" else 0
     if ratio > 0.01:
@@ -194,8 +208,7 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
                         "is not << 1; kernel outside its regime")
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
-    # densities and a sweep's totals are checked before any file is written; model1
-    # densities are not clamped.  Each sweep point is a row, so the points split.
+    # model1 densities are not clamped.  Each sweep point is a row, so the points split.
     densities, totals = np.empty((len(sweep), len(p_grid))), np.empty(len(sweep))
 
     def run(lo: int, hi: int) -> None:
@@ -204,23 +217,23 @@ def _run_model1(cfg: RunConfig, outdir: Path) -> list[str]:
             totals[lo:hi] = [total_reflected(params, env, tau=tau) for env in envs[lo:hi]]
 
     slices.split(run, len(sweep), cfg.threads, (densities, totals))
-    _write_csv((outdir / f"density_{cfg.coupling}_{strength:g}.csv", ["p", "density"],
-                np.column_stack((p_grid, dens))) for strength, dens in zip(sweep, densities))
+    files = [(f"density_{cfg.coupling}_{strength:g}.csv",
+              (["p", "density"], np.column_stack((p_grid, dens))))
+             for strength, dens in zip(sweep, densities)]
     plot_series = [(f"{'D' if cfg.coupling == 'x' else 'D_p'}={strength:g}", p_grid.tolist(),
                     dens.tolist()) for strength, dens in zip(sweep, densities)]
-    (outdir / "density.svg").write_text(line_plot(
-        plot_series, f"reflected momentum density ({cfg.coupling}-coupling)",
-        "p", "density"))
+    files.append(("density.svg", line_plot(
+        plot_series, f"reflected momentum density ({cfg.coupling}-coupling)", "p", "density")))
     if len(sweep) > 1:
-        _write_csv([(outdir / f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
-                     ["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))])
-        (outdir / "total.svg").write_text(line_plot(
-            [("total", list(sweep), totals.tolist())], "total reflected probability",
-            "coupling strength", "probability", logx=True))
-    return warnings
+        files += [(f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
+                   (["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))),
+                  ("total.svg", line_plot(
+                      [("total", list(sweep), totals.tolist())], "total reflected probability",
+                      "coupling strength", "probability", logx=True))]
+    return files, [], warnings
 
 
-def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
+def _run_qsd(cfg: RunConfig):
     params = cfg.physical_params()
     env = (EnvironmentSpec.position(cfg.D) if cfg.coupling == "x"
            else EnvironmentSpec.momentum(cfg.D_p))
@@ -250,21 +263,20 @@ def _run_qsd(cfg: RunConfig, outdir: Path) -> list[str]:
     else:
         records = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds,
                                             record_every, workers=cfg.threads)
-    if cfg.n_traj >= MIN_SEEDS:  # fitted first, so a short fit window writes no CSV
+    lines = []
+    if cfg.n_traj >= MIN_SEEDS:
         rate = fluctuation_report(records, (t_c, t_final)).fitted_rate
-        print(f"fitted total momentum fluctuation rate: {rate:.6g}")
+        lines.append(f"fitted total momentum fluctuation rate: {rate:.6g}")
     # each mean runs along one contiguous row, as np.mean of a column does
     summary = np.ascontiguousarray(records.transpose(1, 2, 0)).mean(axis=-1)
     summary[:, 0] = records[0, :, 0]
     header = ["t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp"]
-    tables = [*((outdir / f"trajectory_{seed}.csv", header, rows)
-                for seed, rows in zip(seeds, records)),
-              (outdir / "ensemble_summary.csv", header, summary)]
-    slices.split(lambda lo, hi: _write_csv(tables[lo:hi]), len(tables), cfg.threads)
-    return []
+    files = [*((f"trajectory_{seed}.csv", (header, rows)) for seed, rows in zip(seeds, records)),
+             ("ensemble_summary.csv", (header, summary))]
+    return files, lines, []
 
 
-def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
+def _run_model2(cfg: RunConfig):
     params = cfg.physical_params()
     sweep = cfg.D_sweep or (cfg.D,)
     # each D of the sweep goes through with_D; the first one builds the base config
@@ -273,40 +285,37 @@ def _run_model2(cfg: RunConfig, outdir: Path) -> list[str]:
     p_grid = np.linspace(-3.0 * params.p_bar, params.p_bar, 401)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     configs = [m2.with_D(D) for D in sweep]  # each entry's config and cutoffs are built
-    cutoff_sets = [target_cutoffs(c.params) for c in configs]  # before any write: both can fail
+    cutoff_sets = [target_cutoffs(c.params) for c in configs]  # first: both can fail
     _check_log_axis(sweep, "--D_sweep")
-    # every density and total before the first print or write: each can fail numerically
-    if cfg.P is None:
-        raw = [reflected_density_env(c, p_grid, D=D) for D, c in zip(sweep, configs)]
-    else:
-        raw = [conditional_reflected_env(c, p_grid, cfg.P, D=D) for D, c in zip(sweep, configs)]
-    densities = [clamp_density(d) for d in raw]
-    totals = total_reflected_model2(m2, sweep) if len(sweep) > 1 else None
-    plot_series = []
-    for D, c, cutoffs, dens in zip(sweep, configs, cutoff_sets, densities):
+    files, lines, plot_series = [], [], []
+    for D, c, cutoffs in zip(sweep, configs, cutoff_sets):
+        dens = clamp_density(reflected_density_env(c, p_grid, D=D) if cfg.P is None
+                             else conditional_reflected_env(c, p_grid, cfg.P, D=D))
         name = (f"density_D{D:g}.csv" if cfg.P is None
                 else f"conditional_density_D{D:g}_P{cfg.P:g}.csv")
-        _write_csv([(outdir / name, ["p", "density"], np.column_stack((p_grid, dens)))])
+        files.append((name, (["p", "density"], np.column_stack((p_grid, dens)))))
         plot_series.append((f"D={D:g}", p_grid.tolist(), dens.tolist()))
         if D > 0:  # suppression needs min(T_z, T_d_p, T_1) << t_E: under a tenth of it
             dominant = min(cutoffs, key=cutoffs.get)
             margin = cutoffs[dominant] / scattering_time(c.params)
             if not margin < 0.1:
-                print(f"D={D:g}: dominant cutoff {dominant} = {margin:.3g} t_E "
-                      "(no strong suppression expected)")
-    (outdir / "density.svg").write_text(line_plot(
-        plot_series, "two-particle reflected density", "p", "density"))
-    if totals is not None:
-        _write_csv([(outdir / "total_vs_D.csv", ["D", "total_reflected"],
-                     np.column_stack((sweep, totals)))])
-        (outdir / "total.svg").write_text(line_plot(
-            [("total", list(sweep), totals.tolist())],
-            "two-particle total reflected probability", "D", "probability", logx=True))
-    return []
+                lines.append(f"D={D:g}: dominant cutoff {dominant} = {margin:.3g} t_E "
+                             "(no strong suppression expected)")
+    files.append(("density.svg", line_plot(
+        plot_series, "two-particle reflected density", "p", "density")))
+    if len(sweep) > 1:
+        totals = total_reflected_model2(m2, sweep)
+        files += [("total_vs_D.csv", (["D", "total_reflected"], np.column_stack((sweep, totals)))),
+                  ("total.svg", line_plot(
+                      [("total", list(sweep), totals.tolist())],
+                      "two-particle total reflected probability", "D", "probability",
+                      logx=True))]
+    return files, lines, []
 
 
-def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[str]:
-    """Reproduce one of the five standard figure data sets into outdir.
+def run_figures(which: int, cfg: RunConfig | None = None):
+    """Reproduce one of the five standard figure data sets, as a runner's
+    (files, stdout lines, regime warnings).
 
     Figures 2-5 are fully pinned by their stated parameters (units
     m = p_bar = hbar = 1); figure 1 ships representative defaults, labeled as
@@ -314,52 +323,39 @@ def run_figures(which: int, outdir: Path, cfg: RunConfig | None = None) -> list[
     """
     if which not in (1, 2, 3, 4, 5):
         raise ConfigError("figures requires --figure N with N in 1..5")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     base = cfg or RunConfig()
     if which == 1:
-        sub = base.replace(command="unitary", sigma=10.0, V0=1.13, a=1.0,
-                           potential_kind="gaussian", n_points=4096)
-        return _run_unitary(sub, outdir)
+        return _run_unitary(base.replace(command="unitary", sigma=10.0, V0=1.13, a=1.0,
+                                         potential_kind="gaussian", n_points=4096))
     if which == 2:
-        sub = base.replace(command="model1", coupling="p", a=0.1, V0=0.01,
-                           Dp_sweep=(0.01, 0.1, 0.3, 1.0, 3.0))
-        return _run_model1(sub, outdir)
-    if which == 3:
-        a_values = base.a_list or (0.1, 0.2, 0.4)
-        dps = tuple(float(v) for v in np.logspace(-2, 2, 17))
-        every = [base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
-                 for a in a_values]  # every width's params before the first write
-        series = []
-        for a, params in zip(a_values, every):
-            totals = [total_reflected(params, EnvironmentSpec.momentum(dp)) for dp in dps]
-            _write_csv([(outdir / f"total_vs_Dp_a{a:g}.csv", ["D_p", "total_reflected"],
-                         np.column_stack((dps, totals)))])
-            series.append((f"a={a:g}", list(dps), totals))
-        (outdir / "figure3.svg").write_text(line_plot(
-            series, "total reflected probability vs D_p", "D_p", "probability",
-            logx=True))
-        return []
+        return _run_model1(base.replace(command="model1", coupling="p", a=0.1, V0=0.01,
+                                        Dp_sweep=(0.01, 0.1, 0.3, 1.0, 3.0)))
     if which == 4:
-        sub = base.replace(command="model2", M=10.0, sigma=100.0, a=0.1, V0=0.01,
-                           steady_target=True, D_sweep=(0.01, 0.1, 1.0, 10.0))
-        return _run_model2(sub, outdir)
-    # figure 5: one s-integral per D serves every width
+        return _run_model2(base.replace(command="model2", M=10.0, sigma=100.0, a=0.1, V0=0.01,
+                                        steady_target=True, D_sweep=(0.01, 0.1, 1.0, 10.0)))
     a_values = base.a_list or (0.1, 0.2, 0.4)
-    ds = tuple(float(v) for v in np.logspace(-2, 2, 13))
-    subs = [base.replace(command="model2", M=10.0, sigma=100.0, a=a, V0=0.01,
-                         D=ds[0], steady_target=True) for a in a_values]
-    barriers = [sub.physical_params().potential for sub in subs]
-    m2 = Model2Config(subs[0].physical_params(), tau=subs[0].resolved_tau(),
-                      steady_target=True)
-    totals = total_reflected_model2(m2, ds, barriers=barriers)
-    _write_csv((outdir / f"total_vs_D_a{a:g}.csv", ["D", "total_reflected"],
-                np.column_stack((ds, row))) for a, row in zip(a_values, totals))
-    series = [(f"a={a:g}", list(ds), row.tolist()) for a, row in zip(a_values, totals)]
-    (outdir / "figure5.svg").write_text(line_plot(
-        series, "two-particle total reflected probability vs D", "D",
-        "probability", logx=True))
-    return []
+    if which == 3:
+        key, title = "D_p", "total reflected probability vs D_p"
+        xs = tuple(np.logspace(-2, 2, 17).tolist())
+        totals = []
+        for a in a_values:
+            params = base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
+            totals.append([total_reflected(params, EnvironmentSpec.momentum(dp)) for dp in xs])
+    else:  # figure 5: one s-integral per D serves every width
+        key, title = "D", "two-particle total reflected probability vs D"
+        xs = tuple(np.logspace(-2, 2, 13).tolist())
+        subs = [base.replace(command="model2", M=10.0, sigma=100.0, a=a, V0=0.01,
+                             D=xs[0], steady_target=True) for a in a_values]
+        barriers = [sub.physical_params().potential for sub in subs]
+        m2 = Model2Config(subs[0].physical_params(), tau=subs[0].resolved_tau(),
+                          steady_target=True)
+        totals = total_reflected_model2(m2, xs, barriers=barriers)
+    files = [(f"total_vs_{key.replace('_', '')}_a{a:g}.csv",
+              ([key, "total_reflected"], np.column_stack((xs, row))))
+             for a, row in zip(a_values, totals)]
+    series = [(f"a={a:g}", list(xs), list(row)) for a, row in zip(a_values, totals)]
+    files.append((f"figure{which}.svg", line_plot(series, title, key, "probability", logx=True)))
+    return files, [], []
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -427,7 +423,7 @@ _RUNNERS = {
     "model1": _run_model1,
     "qsd": _run_qsd,
     "model2": _run_model2,
-    "figures": lambda cfg, outdir: run_figures(cfg.figure, outdir, cfg),
+    "figures": lambda cfg: run_figures(cfg.figure, cfg),
 }
 
 
@@ -436,10 +432,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(argv)
         outdir = Path(cfg.outdir)
-        _emit_config(cfg, outdir)
-        warnings = _RUNNERS[cfg.command](cfg, outdir)
+        config = serialize_config(cfg) + f"# qreflect {__version__}\n"
+        _write(outdir, [("resolved_config.txt", config)])
+        files, lines, warnings = _RUNNERS[cfg.command](cfg)
         if warnings and cfg.strict:
             raise RegimeEscalation("; ".join(warnings))
+        _write(outdir, files, cfg.threads, lines)
     except QreflectError as exc:
         if isinstance(exc, ClosureError):  # a hint on stdout; stderr keeps one line
             print(f"hint: explicit moment steps need --dt below {exc.dt_max:.3g} here")

@@ -97,6 +97,7 @@ def test_exit_codes(tmp_path):
     rc = main(["model1", "--coupling", "x", "--D", "1", "--sigma", "10",
                "--outdir", str(tmp_path / "d"), "--strict", "true"])
     assert rc == 4
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["resolved_config.txt"]
     rc = main(["model1", "--coupling", "x", "--D", "1", "--sigma", "10",
                "--outdir", str(tmp_path / "e")])
     assert rc == 0  # warning only without --strict
@@ -332,16 +333,24 @@ def test_threads_forks_one_child_per_slice_past_the_first(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("args", [
-    # model2 writes between its sweep points, so its sweep runs in one process
     ["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D_sweep", "0.1,1"],
     ["model1"],  # one D: one row
     ["figures", "--figure", "1"],
 ])
 def test_other_commands_fork_nothing(tmp_path, monkeypatch, args):
+    # nothing forks before the write stage: these compute in one process, and only
+    # their files split, in min(2, files, CPUs) = 2 slices
     _cpus(monkeypatch, 8)
     pids = _fork_spy(monkeypatch)
+    before, write = [], cli._write
+
+    def write_spy(outdir, files, *rest):
+        before.append(len(pids))
+        write(outdir, files, *rest)
+
+    monkeypatch.setattr(cli, "_write", write_spy)
     assert main(args + ["--threads", "2", "--outdir", str(tmp_path)]) == 0
-    assert pids == []
+    assert before == [0, 0] and len(pids) == 1
 
 
 @pytest.mark.parametrize("coupling, flag", [("x", "--D"), ("p", "--D_p")])
@@ -363,16 +372,22 @@ def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, m
     assert len(runs[0][1]) == 6 and all(run == runs[0] for run in runs)
 
 
-@pytest.mark.parametrize("args, forks", [
+@pytest.mark.parametrize("args, points", [
     # 65 files split 33 + 32, 22 + 22 + 21 and 8 + ... + 9
-    (["qsd", "--level", "moments", "--coupling", "x", "--D", "1", "--n_traj", "64"], 7),
-    (["qsd", "--level", "moments", "--coupling", "p", "--D_p", "1", "--n_traj", "64"], 7),
-    # 3 sweep points split 1 + 2 and 1 each
-    (["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1", "--sigma", "10"], 2),
-    (["figures", "--figure", "2"], 4),  # a model1 sweep of 5 D_p values
+    (["qsd", "--level", "moments", "--coupling", "x", "--D", "1", "--n_traj", "64"], 1),
+    (["qsd", "--level", "moments", "--coupling", "p", "--D_p", "1", "--n_traj", "64"], 1),
+    # 3 sweep points split 1 + 2 and 1 each, then their 6 files 3 + 3, 2 + 2 + 2, 1 each
+    (["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1", "--sigma", "10"], 3),
+    (["figures", "--figure", "2"], 5),  # a model1 sweep of 5 D_p values
+    # a model2 sweep, figures 1 and 3: one process computes, the files split
+    (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D_sweep", "0.1,1"],
+     1),
+    (["figures", "--figure", "1"], 1),
+    (["figures", "--figure", "3"], 1),
 ])
-def test_moment_and_model1_outputs_identical_across_thread_counts(tmp_path, capsys,
-                                                                  monkeypatch, args, forks):
+def test_outputs_identical_across_thread_counts(tmp_path, capsys, monkeypatch, args, points):
+    # each stage forks min(threads, rows, CPUs) - 1 children: a model1 sweep's points,
+    # then every command's files
     _cpus(monkeypatch, 8)
     _poison_empty(monkeypatch)
     pids = _fork_spy(monkeypatch)
@@ -381,8 +396,9 @@ def test_moment_and_model1_outputs_identical_across_thread_counts(tmp_path, caps
         outdir = tmp_path / threads
         assert main(args + ["--threads", threads, "--outdir", str(outdir)]) == 0
         runs.append((capsys.readouterr(), _outputs(outdir)))
-    assert len(pids) == 0 + 1 + 2 + forks
-    assert runs[0][1] and all(run == runs[0] for run in runs)
+    files = len(runs[0][1])
+    assert len(pids) == sum(min(t, rows, 8) - 1 for t in (1, 2, 3, 8) for rows in (points, files))
+    assert files > 1 and all(run == runs[0] for run in runs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -596,6 +612,45 @@ def test_an_outdir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, outdi
     assert main(["timescales", "--outdir", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: cannot write outdir {str(path)!r}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("args, name, files", [
+    (["timescales"], "timescales.csv", 1),
+    (["model1"], "density.svg", 2),
+])
+def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           args, name, files, threads):
+    # a directory in the way ended in an IsADirectoryError traceback (exit 1), after
+    # timescales had printed its table; a writer child that fails leaves the files to
+    # a rerun here, which raises the one-process line
+    _cpus(monkeypatch, 8)
+    pids = _fork_spy(monkeypatch)
+    (tmp_path / name).mkdir()
+    assert main(args + ["--threads", threads, "--outdir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: cannot write {str(tmp_path / name)!r}: " \
+                                "Is a directory\n"
+    assert len(pids) == min(int(threads), files) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("args, name", [
+    (["model1", "--coupling", "p", "--Dp_sweep", "0.1,0.1000001"], "density_p_0.1.csv"),
+    (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true",
+      "--D_sweep", "1,1.0000001"], "density_D1.csv"),
+    (["figures", "--figure", "5", "--a_list", "0.1,0.1"], "total_vs_D_a0.1.csv"),
+])
+def test_sweep_values_that_share_a_file_name_fail_before_any_output(tmp_path, capsys, args,
+                                                                    name):
+    # values alike under %g wrote one file, the last point's, while the totals and the
+    # plot listed both
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: two outputs are named {name!r}: sweep " \
+                                "values that print alike under %g share a file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
 
 @pytest.mark.parametrize("args", [
@@ -926,7 +981,8 @@ def test_qsd_moments_inputs_end_in_a_documented_exit_code(coupling, strength, si
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
 
@@ -970,7 +1026,8 @@ def test_model2_inputs_end_in_a_documented_exit_code(steady, D, Sigma, M, sigma,
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1
 
@@ -982,7 +1039,9 @@ def _log_uniform(lo: float, hi: float):
 
 @settings(max_examples=30, deadline=None)
 @given(coupling=st.sampled_from(["x", "p"]), strength=_log_uniform(-9.0, 3.0),
-       sweep=st.none() | st.lists(_log_uniform(-9.0, 3.0), min_size=1, max_size=2),
+       sweep=st.none() | st.lists(_log_uniform(-9.0, 3.0), min_size=1, max_size=2)
+       | st.tuples(_log_uniform(-9.0, 3.0), st.sampled_from([1.0, 1.0 + 1e-9]))
+       .map(lambda pair: [pair[0], pair[0] * pair[1]]),  # a repeat, or two that print alike
        sigma=st.none() | _log_uniform(-6.0, 6.0), tau=st.none() | _log_uniform(-6.0, 6.0))
 def test_model1_inputs_end_in_a_documented_exit_code(coupling, strength, sweep, sigma, tau):
     x = coupling == "x"
@@ -996,7 +1055,8 @@ def test_model1_inputs_end_in_a_documented_exit_code(coupling, strength, sweep, 
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3, 4)
     lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
     assert len(lines) <= 1
@@ -1021,7 +1081,8 @@ def test_unitary_inputs_end_in_a_documented_exit_code(n_points, sigma, t_final, 
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1
 
@@ -1046,7 +1107,8 @@ def test_qsd_wavefunction_inputs_end_in_a_documented_exit_code(coupling, strengt
             mock.patch.object(cli, "_MAX_STEPS", 2 * 10**4), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     # qsd.grid_for holds the packet's free spread and the center's walk
@@ -1074,7 +1136,8 @@ def test_qsd_moments_default_dt_passes_the_integrator_check(coupling, strength, 
             mock.patch.object(cli, "_MAX_STEPS", 2 * 10**4), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1
     assert "exceeds 0.05*min" not in err.getvalue()  # no --dt: the default must pass
@@ -1130,7 +1193,8 @@ def test_timescales_inputs_end_in_a_documented_exit_code(values):
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
-        rc = main(args + ["--outdir", outdir])
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2)
     assert len(err.getvalue().splitlines()) <= 1
 
@@ -1228,9 +1292,8 @@ def test_csv_writer_matches_the_per_cell_oracle(tmp_path_factory, shape, data, l
                ("t_E", 2.0, "hbar / E, E = p_bar^2 / 2m", label)]
     outdir = tmp_path_factory.mktemp("csv")
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):  # files of several writes
-        cli._write_csv([(outdir / f"{name}.csv", header[:t.shape[1]], t) for name, t in tables]
-                       + [(outdir / "strings.csv", ["name", "value", "formula", "inputs"],
-                           strings)])
+        cli._write(outdir, [(f"{name}.csv", (header[:t.shape[1]], t)) for name, t in tables]
+                   + [("strings.csv", (["name", "value", "formula", "inputs"], strings))])
     for name, t in tables:
         want = _oracle_csv(header[:t.shape[1]], t.tolist())
         assert (outdir / f"{name}.csv").read_bytes() == want.encode(), name

@@ -47,7 +47,7 @@ def test_cli_main_catches_the_error_tree_alone():
 
 
 def test_a_library_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, capsys):
-    def broken(cfg, outdir):
+    def broken(cfg):
         raise ValueError("a bug in the library")
 
     monkeypatch.setitem(cli._RUNNERS, "timescales", broken)

@@ -7,7 +7,8 @@ and reads no ``.energy``; each integrator sizes the grid it steps on
 ``SpatialGrid`` and calls no ``log2``; and only ``timescales`` assigns the
 model-2 cutoffs T_z, T_d_p and T_1, so no second copy of a formula can drift
 from the first.  Only ``slices`` forks, so the worker-count rule and the reaping
-of children have one home.  numpy is the one runtime dependency: no module
+of children have one home.  Only ``cli._write`` opens an output file, and no
+runner prints, so a run that fails leaves no partial output.  numpy is the one runtime dependency: no module
 imports scipy, which is for tests only.
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qreflect"
 _CUTOFFS = {"T_z", "T_d_p", "T_1"}
 _PROCESS_CALLS = {"fork", "pipe", "_exit", "sched_getaffinity"}
+_WRITE_CALLS = {"open", "write_text", "write_bytes"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -84,6 +86,25 @@ def test_only_slices_forks():
     assert not bad, "\n".join(bad)
     names = {_name(node) for node in ast.walk(_tree("slices.py"))}
     assert _PROCESS_CALLS <= names  # the guard watches the names the helper uses
+
+
+def test_only_the_writer_opens_a_file_and_no_runner_prints():
+    # slices opens the two ends of its pipes, not files; cli._warn prints to stderr at
+    # once, so a warning reads ahead of the failure it leads to
+    bad = [f"{path.name}:{node.lineno} calls {_name(node.func)}"
+           for path in sorted(_PACKAGE.glob("*.py")) if path.name != "slices.py"
+           for top in _tree(path.name).body
+           if getattr(top, "name", None) != "_write" or path.name != "cli.py"
+           for node in ast.walk(top)
+           if isinstance(node, ast.Call) and _name(node.func) in _WRITE_CALLS]
+    runners = [top for top in _tree("cli.py").body if isinstance(top, ast.FunctionDef)
+               and (top.name.startswith("_run_") or top.name == "run_figures")]
+    bad += [f"cli.py:{node.lineno} {top.name} calls print" for top in runners
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and _name(node.func) == "print"]
+    assert len(runners) == 6 and not bad, "\n".join(bad)
+    writer = next(top for top in _tree("cli.py").body if getattr(top, "name", None) == "_write")
+    assert "open" in {_name(node) for node in ast.walk(writer)}  # the guard watches its call
 
 
 def test_no_module_imports_scipy():
