@@ -25,9 +25,8 @@ from .oscquad import integrate_oscillatory, integrate_oscillatory_batch
 from .params import PhysicalParams, PotentialSpec, steady_target_width
 from .potentials import potential_momentum, potential_position
 from .qsd import (FluctuationReport, NoiseStream, TrajectoryMoments,
-                  fluctuation_report, moment_step, run_ensemble, run_moment_ensemble,
-                  run_moment_trajectory, run_wavefunction_ensemble,
-                  run_wavefunction_trajectory, steady_moments, step_trajectory,
+                  fluctuation_report, moment_step, run_moment_ensemble,
+                  run_wavefunction_ensemble, steady_moments, step_trajectory,
                   wavefunction_moments)
 from .timescales import (RegimeVerdict, TimescaleReport, check_regime, compute_timescales,
                          scattering_time, target_cutoffs, wigner_spreading_ratio)

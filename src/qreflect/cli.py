@@ -38,7 +38,7 @@ from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_confi
 from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
 from .grids import gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
-                     reflected_density_x, total_reflected)
+                     reflected_density_x, sweep_total_p, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      finite_density, reflected_density_env, total_reflected_model2)
 from .potentials import potential_position
@@ -65,8 +65,9 @@ def _write(outdir: Path, files, threads: int = 1, lines=()) -> None:
     reuses its strings (bytes, not values: 0.0 == -0.0 and nan != nan), as a QSD
     ensemble's deterministic columns recur in every file.  The memo is per slice,
     so the files split over --threads slices with the same bytes.  A name given
-    twice fails before any write."""
+    twice fails before any write, and a failed call leaves no file."""
     names = [name for name, _ in files]
+    temps = [outdir / f".{name}.part" for name in names]  # renamed once all are written
     if len(set(names)) < len(names):
         name = next(name for k, name in enumerate(names) if name in names[:k])
         raise ConfigError(f"two outputs are named {name!r}: sweep values that print alike "
@@ -79,8 +80,8 @@ def _write(outdir: Path, files, threads: int = 1, lines=()) -> None:
     def write(lo: int, hi: int) -> None:
         memo: dict[bytes, list[str]] = {}
         try:
-            for name, body in files[lo:hi]:
-                with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
+            for (name, body), temp in zip(files[lo:hi], temps[lo:hi]):
+                with open(temp, "w", newline="", encoding="utf-8") as fh:
                     if isinstance(body, str):
                         fh.write(body)
                         continue
@@ -102,7 +103,18 @@ def _write(outdir: Path, files, threads: int = 1, lines=()) -> None:
             raise ConfigError(f"cannot write {str(outdir / name)!r}: "
                               f"{exc.strerror or exc}") from None
 
-    slices.split(write, len(files), threads)
+    renamed = 0
+    try:
+        slices.split(write, len(files), threads)
+        for renamed, (name, temp) in enumerate(zip(names, temps)):
+            temp.replace(outdir / name)
+    except BaseException as exc:  # remove the files renamed so far and every temporary one
+        for path in [*(outdir / name for name in names[:renamed]), *temps[renamed:]]:
+            path.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):  # write raises its own ConfigError
+            raise
+        raise ConfigError(f"cannot write {str(outdir / names[renamed])!r}: "
+                          f"{exc.strerror or exc}") from None  # a directory in the way, say
     for line in lines:
         print(line)
 
@@ -337,10 +349,9 @@ def run_figures(which: int, cfg: RunConfig | None = None):
     if which == 3:
         key, title = "D_p", "total reflected probability vs D_p"
         xs = tuple(np.logspace(-2, 2, 17).tolist())
-        totals = []
-        for a in a_values:
-            params = base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
-            totals.append([total_reflected(params, EnvironmentSpec.momentum(dp)) for dp in xs])
+        params = [base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
+                  for a in a_values]
+        totals = [sweep_total_p(p, xs) for p in params]
     else:  # figure 5: one s-integral per D serves every width
         key, title = "D", "two-particle total reflected probability vs D"
         xs = tuple(np.logspace(-2, 2, 13).tolist())

@@ -17,14 +17,14 @@ Gaussian closure: for pure Gaussians all third central moments vanish, which
 removes the noise from every second-moment equation.  With no potential these
 never read the means either, so they step once for every trajectory, and each
 mean is a running sum of increments linear in the noise.  Neither integrator
-takes a potential: every spec slot must be None.
+takes a potential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, length_hint
+from operator import length_hint
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import slices
 from .errors import ClosureError, ConfigError, GridTooNarrowError, NumericalError
 from .grids import SpatialGrid, SplitStepper, WaveFunction, abs_squared, position_moments
 from .model1 import EnvironmentSpec
-from .params import PhysicalParams, PotentialSpec
+from .params import PhysicalParams
 from .timescales import in_float_range, scattering_time
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal range
@@ -80,9 +80,6 @@ class TrajectoryMoments:
     def __post_init__(self):
         if not (self.var_x > 0 and self.var_p > 0):
             raise ConfigError("variances must stay positive (closure inconsistency)")
-
-
-_record = attrgetter("time", "mean_x", "mean_p", "var_x", "var_p", "cov_xp")  # one record row
 
 
 def steady_moments(params: PhysicalParams) -> TrajectoryMoments:
@@ -147,11 +144,6 @@ def _check_dt(params: PhysicalParams, env: EnvironmentSpec, dt: float,
         raise ConfigError(f"dt = {dt:.3g} exceeds 0.05*min(timescales) = {dt_max:.3g}")
 
 
-def _no_potential(spec: PotentialSpec | None) -> None:
-    if spec is not None:
-        raise ConfigError("the QSD integrators take no potential: spec must be None")
-
-
 def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, params: PhysicalParams,
                         dt: float, draw) -> SplitStepper:
     """Stepper whose middle operator is the real noise
@@ -194,11 +186,10 @@ def _trajectory_stepper(grid: SpatialGrid, env: EnvironmentSpec, params: Physica
                         p_middle=noise_factor if in_p else None)
 
 
-def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, spec: PotentialSpec | None,
-                    params: PhysicalParams, dt: float, dB: float) -> WaveFunction:
+def step_trajectory(psi: WaveFunction, env: EnvironmentSpec, params: PhysicalParams,
+                    dt: float, dB: float) -> WaveFunction:
     """One stochastic step of the normalized nonlinear diffusion equation under the
     Brownian increment dB.  The returned state has norm exactly 1."""
-    _no_potential(spec)
     stepper = _trajectory_stepper(psi.grid, env, params, dt, lambda: float(dB))
     return WaveFunction(psi.grid, stepper.advance(psi.values, 1), "position", params.hbar)
 
@@ -211,10 +202,9 @@ def wavefunction_moments(psi: WaveFunction) -> TrajectoryMoments:
 
 
 def moment_step(mom: TrajectoryMoments, params: PhysicalParams, env: EnvironmentSpec,
-                spec: PotentialSpec | None, dt: float, dB: float) -> TrajectoryMoments:
+                dt: float, dB: float) -> TrajectoryMoments:
     """Euler-Maruyama step of the closed moment system under the Brownian increment
     dB.  Third central moments vanish, so only the two mean equations carry noise."""
-    _no_potential(spec)
     records = _moment_records(mom, *_second_moments(mom, params, env, dt, 1), params.m, dt,
                               np.array([[float(dB)]]), 1)
     return TrajectoryMoments(*records[0, -1].tolist())
@@ -304,10 +294,6 @@ def _ensemble(seeds, n_steps: int, record_every: int) -> tuple[list, np.ndarray]
     return seeds, np.empty((len(seeds), 1 + -(-n_steps // record_every), 6))
 
 
-def _series(rows: np.ndarray) -> list[TrajectoryMoments]:
-    return [TrajectoryMoments(*r) for r in rows.tolist()]
-
-
 def _block_increments(block: list, n_steps: int, dt: float) -> np.ndarray:
     """(rows, n_steps) Brownian increments: row r is seed block[r]'s stream."""
     return np.array([NoiseStream(seed).increments(0, n_steps, dt) for seed in block])
@@ -369,19 +355,6 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec, params: 
     return records
 
 
-def run_wavefunction_trajectory(psi0: WaveFunction, env: EnvironmentSpec,
-                                spec: PotentialSpec | None, params: PhysicalParams,
-                                dt: float, n_steps: int, seed: int, record_every: int = 1
-                                ) -> tuple[list[TrajectoryMoments], WaveFunction]:
-    """Integrate one trajectory: run_wavefunction_ensemble's block for the one seed,
-    with its final state."""
-    _no_potential(spec)
-    seeds, records = _ensemble([seed], n_steps, record_every)
-    psi = psi0.normalized()
-    final = _step_block(psi, env, params, dt, n_steps, record_every, seeds, records)
-    return _series(records[0]), WaveFunction(psi.grid, final[0], hbar=params.hbar)
-
-
 def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec, params: PhysicalParams,
                         dt: float, n_steps: int, seeds, record_every: int = 1) -> np.ndarray:
     """Records of one moment trajectory per seed, all starting from mom0: one
@@ -407,25 +380,6 @@ def run_moment_ensemble(mom0: TrajectoryMoments, env: EnvironmentSpec, params: P
     return records
 
 
-def run_moment_trajectory(mom0: TrajectoryMoments, env: EnvironmentSpec,
-                          spec: PotentialSpec | None, params: PhysicalParams, dt: float,
-                          n_steps: int, seed: int, record_every: int = 1
-                          ) -> list[TrajectoryMoments]:
-    """Integrate one trajectory: run_moment_ensemble for the one seed."""
-    _no_potential(spec)
-    return _series(run_moment_ensemble(mom0, env, params, dt, n_steps, [seed],
-                                       record_every)[0])
-
-
-def run_ensemble(task, seeds) -> list:
-    """Run task(seed) for every seed, in seed order, on the calling thread.
-
-    No driver or CLI path calls it; it stays for the acceptance tests, which
-    run one-seed trajectories through it.
-    """
-    return [task(s) for s in seeds]
-
-
 @dataclass(frozen=True)
 class FluctuationReport:
     """Decomposition of the ensemble momentum spread and its fitted growth."""
@@ -445,18 +399,14 @@ MIN_SEEDS = 64  # fewest seeds that fluctuation_report fits a growth rate to
 def fluctuation_report(records, fit_window: tuple[float, float]) -> FluctuationReport:
     """Split the ensemble momentum spread into Var_seeds(<p>) + mean Var(p).
 
-    ``records`` is a driver's (seeds, records, 6) array or one list of
-    TrajectoryMoments per seed.  The total fluctuation growth rate is fitted by
-    least squares over fit_window; for position coupling with no barrier the
-    continuum rate is exactly 2D, for momentum coupling it vanishes.
+    ``records`` is a driver's (seeds, records, 6) array.  The total fluctuation
+    growth rate is fitted by least squares over fit_window; for position
+    coupling with no barrier the continuum rate is exactly 2D, for momentum
+    coupling it vanishes.
     """
     n = len(records)
     if n < MIN_SEEDS:
         raise ConfigError(f"need at least {MIN_SEEDS} seeds, got {n}")
-    if not isinstance(records, np.ndarray):
-        if len({len(s) for s in records}) != 1:
-            raise ConfigError("all seed series must share the sampling times")
-        records = np.array([[_record(m) for m in s] for s in records])
     times = records[0, :, 0]
     stoch = np.var(records[:, :, 2], axis=0, ddof=1)
     quantum = np.mean(records[:, :, 4], axis=0)

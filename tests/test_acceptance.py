@@ -21,8 +21,8 @@ from qreflect import (EnvironmentSpec, Model2Config, PhysicalParams, PotentialSp
                       gaussian_state_from_moments, joint_reflected_noenv,
                       marginal_reflected_noenv, moment_step, propagate,
                       reflected_density_env, reflected_density_x,
-                      reflection_probability, run_ensemble, run_moment_trajectory,
-                      run_wavefunction_trajectory, step_trajectory, steady_moments,
+                      reflection_probability, run_moment_ensemble,
+                      run_wavefunction_ensemble, step_trajectory, steady_moments,
                       sweep_total_p, target_momentum_density, total_reflected_model2,
                       wavefunction_moments, wigner_spreading_ratio)
 from qreflect.cli import main as cli_main
@@ -150,14 +150,10 @@ def test_criterion_05_qsd_localization():
         env = EnvironmentSpec.position(1.0)
         n_steps = int(round(5.0 * t_loc / dt))
 
-        def task(seed):
-            series, _ = run_wavefunction_trajectory(
-                psi0, env, None, params, dt, n_steps, seed, record_every=n_steps)
-            return series[-1]
-
-        finals = run_ensemble(task, range(100, 164))
-        var_x = float(np.mean([m.var_x for m in finals]))
-        cov = float(np.mean([m.cov_xp for m in finals]))
+        records = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, range(100, 164),
+                                            record_every=n_steps)
+        var_x = float(np.mean(records[:, -1, 3]))
+        cov = float(np.mean(records[:, -1, 5]))
         assert var_x == pytest.approx(sq2, rel=0.05)
         assert cov == pytest.approx(0.5, rel=0.05)
         assert time.time() - t0 < 300.0
@@ -170,24 +166,18 @@ def test_criterion_06_fluctuation_growth_laws():
         env = EnvironmentSpec.position(1.0)
         mom0 = steady_moments(params)
 
-        def task(seed):
-            return run_moment_trajectory(mom0, env, None, params, dt=0.005,
-                                         n_steps=1000, seed=seed, record_every=20)
-
-        series = run_ensemble(task, range(500, 1524))
-        rep = fluctuation_report(series, fit_window=(1.0, 5.0))
+        records = run_moment_ensemble(mom0, env, params, dt=0.005, n_steps=1000,
+                                      seeds=range(500, 1524), record_every=20)
+        rep = fluctuation_report(records, fit_window=(1.0, 5.0))
         assert rep.fitted_rate == pytest.approx(2.0, rel=0.15)
 
         params_p = PhysicalParams(D_p=1.0, sigma=1.0)
         env_p = EnvironmentSpec.momentum(1.0)
         mom0_p = TrajectoryMoments(0.0, 0.0, 1.0, 1.0, 0.25, 0.0)
 
-        def task_p(seed):
-            return run_moment_trajectory(mom0_p, env_p, None, params_p, dt=0.002,
-                                         n_steps=1000, seed=seed, record_every=10)
-
-        series_p = run_ensemble(task_p, range(900, 1156))
-        rep_p = fluctuation_report(series_p, fit_window=(0.2, 2.0))
+        records_p = run_moment_ensemble(mom0_p, env_p, params_p, dt=0.002, n_steps=1000,
+                                        seeds=range(900, 1156), record_every=10)
+        rep_p = fluctuation_report(records_p, fit_window=(0.2, 2.0))
         t_z = 1.0
         assert abs(rep_p.fitted_rate) * t_z < 0.02
 
@@ -206,8 +196,8 @@ def test_criterion_07_moment_vs_wavefunction_convergence():
             mom = TrajectoryMoments(0.0, 0.3, 0.4, vx0, vp0, c0)
             psi = gaussian_state_from_moments(grid, 0.3, 0.4, vx0, c0)
             for dB in dBs:
-                mom = moment_step(mom, params, env, None, dt, dB)
-                psi = step_trajectory(psi, env, None, params, dt, dB)
+                mom = moment_step(mom, params, env, dt, dB)
+                psi = step_trajectory(psi, env, params, dt, dB)
             wm = wavefunction_moments(psi)
             return abs(wm.mean_x - mom.mean_x) + abs(wm.mean_p - mom.mean_p)
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -19,8 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qreflect import (__version__, cli, qsd, run_moment_trajectory,
-                      run_wavefunction_trajectory)
+from qreflect import __version__, cli, qsd, run_moment_ensemble, run_wavefunction_ensemble
 from qreflect.cli import build_config, main
 from qreflect.config import (_ALIASES, COMMANDS, ConfigError, RunConfig, parse_config,
                              serialize_config)
@@ -170,11 +170,10 @@ def test_qsd_wavefunction_grid_holds_the_center_walk(tmp_path):
     assert max(wander) > 25.6
 
 
-def _csv_text(series) -> bytes:
+def _csv_text(records) -> bytes:
     header = "t,mean_x,mean_p,var_x,var_p,cov_xp\n"
-    return (header + "".join(",".join(map(repr, (m.time, m.mean_x, m.mean_p, m.var_x,
-                                                 m.var_p, m.cov_xp))) + "\n"
-                             for m in series)).encode()
+    return (header + "".join(",".join(map(repr, row)) + "\n"
+                             for row in records.tolist())).encode()
 
 
 def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch):
@@ -202,8 +201,8 @@ def test_qsd_wavefunction_steps_the_ensemble_as_one_array(tmp_path, monkeypatch)
     assert record_every > 1 and seeds == list(range(7, 15))
     assert shapes == [(8, psi0.grid.n_points)] * math.ceil(n_steps / record_every)
     for seed in seeds:
-        series, _ = run_wavefunction_trajectory(psi0, env, None, params, dt, n_steps, seed,
-                                                record_every)
+        (series,) = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, [seed],
+                                              record_every)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
@@ -238,8 +237,7 @@ def test_qsd_moments_steps_the_ensemble_as_one_array(tmp_path, monkeypatch, coup
     assert seeds == list(range(7, 31)) and n_steps == 1000
     assert shapes == [(24, n_steps)]
     for seed in seeds:
-        series = run_moment_trajectory(mom0, env, None, params, dt, n_steps, seed,
-                                       record_every)
+        (series,) = run_moment_ensemble(mom0, env, params, dt, n_steps, [seed], record_every)
         assert (outdir / f"trajectory_{seed}.csv").read_bytes() == _csv_text(series)
 
 
@@ -622,8 +620,8 @@ def test_an_outdir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, outdi
 def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                            args, name, files, threads):
     # a directory in the way ended in an IsADirectoryError traceback (exit 1), after
-    # timescales had printed its table; a writer child that fails leaves the files to
-    # a rerun here, which raises the one-process line
+    # timescales had printed its table; the files are written under temporary names,
+    # and renaming one onto the directory raises the line
     _cpus(monkeypatch, 8)
     pids = _fork_spy(monkeypatch)
     (tmp_path / name).mkdir()
@@ -632,6 +630,38 @@ def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mo
     assert out == "" and err == f"config error: cannot write {str(tmp_path / name)!r}: " \
                                 "Is a directory\n"
     assert len(pids) == min(int(threads), files) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fault", ["directory", "disk full"])
+def test_a_failed_write_leaves_no_partial_output(tmp_path, capsys, monkeypatch, fault, threads):
+    # the sweep's two density CSVs come before density.svg, and were left behind (at
+    # --threads 2 the rerun here wrote them again); a write that fails in the calling
+    # process's slice kills the writer child, whose files go too
+    _cpus(monkeypatch, 8)
+    if fault == "directory":
+        (tmp_path / "density.svg").mkdir()
+        name, reason = "density.svg", "Is a directory"
+    else:
+        name, reason = "density_x_1.csv", os.strerror(errno.ENOSPC)
+
+        def full(path, *args, **kwargs):
+            if os.path.basename(path).startswith(f".{name}."):
+                raise OSError(errno.ENOSPC, reason)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full, raising=False)
+    assert main(["model1", "--coupling", "x", "--D_sweep", "0.1,1", "--sigma", "10",
+                 "--threads", threads, "--outdir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert out == "" and lines == [f"config error: cannot write {str(tmp_path / name)!r}: "
+                                   f"{reason}"]  # the warning: D t_z / p_bar^2 = 10 at D = 1
+    left = {"resolved_config.txt"} | ({"density.svg"} if fault == "directory" else set())
+    assert {p.name for p in tmp_path.iterdir()} == left
+    assert all(not any(p.iterdir()) for p in tmp_path.iterdir() if p.is_dir())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1060,6 +1090,50 @@ def test_model1_inputs_end_in_a_documented_exit_code(coupling, strength, sweep, 
     assert rc in (0, 2, 3, 4)
     lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
     assert len(lines) <= 1
+
+
+def _sweeps(values):
+    """Lists of one to three values, or a value and its repeat."""
+    return (st.lists(values, min_size=1, max_size=3)
+            | values.map(lambda value: [value, value]))
+
+
+# 0, negatives, every scale, and the scales the figures use
+_SWEEP_VALUES = (st.sampled_from([0.0, -0.0, -1.0, 0.1, 1.0]) | _any_scale
+                 | _log_uniform(-3.0, 1.0))
+
+
+def _documented_exit(args: list[str]) -> tuple[int, list[str]]:
+    """(exit code, stderr lines) of main(args) run into a fresh outdir, after checking
+    that a failed run leaves no file but resolved_config.txt."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning would be a stray stderr line
+        rc, left = main(args + ["--outdir", outdir]), os.listdir(outdir)
+    assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
+    assert rc in (0, 2, 3, 4)
+    return rc, err.getvalue().splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+# figures 3 and 5 read --a_list, so they are drawn more often
+@given(figure=st.sampled_from([3, 5]) | st.integers(-1, 7)
+       | st.sampled_from(["2.5", "three", "1e300", ""]),
+       a_list=st.none() | _sweeps(_SWEEP_VALUES))
+def test_figures_inputs_end_in_a_documented_exit_code(figure, a_list):
+    args = ["figures", f"--figure={figure}"]
+    if a_list is not None:
+        args.append(f"--a_list={','.join(map(repr, a_list))}")
+    assert len(_documented_exit(args)[1]) <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep=_sweeps(_SWEEP_VALUES), steady=st.booleans(), Sigma=_log_uniform(-3.0, 3.0))
+def test_model2_sweeps_end_in_a_documented_exit_code(sweep, steady, Sigma):
+    args = ["model2", "--M=10", "--sigma=100", f"--D_sweep={','.join(map(repr, sweep))}",
+            "--steady-target=true" if steady else f"--Sigma={Sigma!r}"]
+    assert len(_documented_exit(args)[1]) <= 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -241,12 +241,7 @@ def test_every_option_is_set_on_a_run_path():
 # parameters that every run-path call site passes as one constant, each kept for a
 # stated reason
 _KEPT_CONSTANTS = {
-    "qsd.moment_step(spec=)": "criteria 05-07 pass None",
-    "qsd.step_trajectory(spec=)": "criteria 05-07 pass None",
-    "qsd.run_moment_trajectory(spec=)": "criteria 05-07 pass None",
-    "qsd.run_wavefunction_trajectory(spec=)": "criteria 05-07 pass None",
     # physical inputs whose one run-path caller is a criterion or a fixed rule
-    "qsd.run_moment_trajectory(n_steps=)": "criterion 06 runs 1000 steps at both its sites",
     "grids.gaussian_state_from_moments(mean_x=)": "criterion 07 starts off the origin",
     "grids.gaussian_state_from_moments(mean_p=)": "criterion 07 starts off the origin",
     "qsd.NoiseStream.next_increment(dt=)": "criterion 07 draws at its one fine dt",

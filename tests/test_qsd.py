@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect
-from qreflect import (ClosureError, ConfigError, EnvironmentSpec, GridTooNarrowError, NoiseStream,
-                      NumericalError, PhysicalParams, PotentialSpec, SpatialGrid,
-                      TrajectoryMoments, WaveFunction, fluctuation_report, gaussian_packet,
-                      gaussian_state_from_moments, moment_step, position_moments, run_ensemble,
-                      run_moment_ensemble, run_moment_trajectory, run_wavefunction_ensemble,
-                      run_wavefunction_trajectory, steady_moments, step_trajectory,
-                      wavefunction_moments)
+from qreflect import (ClosureError, EnvironmentSpec, GridTooNarrowError, NoiseStream,
+                      NumericalError, PhysicalParams, SpatialGrid, TrajectoryMoments,
+                      WaveFunction, fluctuation_report, gaussian_packet,
+                      gaussian_state_from_moments, moment_step, position_moments,
+                      run_moment_ensemble, run_wavefunction_ensemble, steady_moments,
+                      step_trajectory, wavefunction_moments)
 from qreflect import qsd
 
 
@@ -76,7 +75,7 @@ def test_zero_coupling_step_is_unitary_free_step():
     psi = psi0
     ns = NoiseStream(7)
     for _ in range(100):
-        psi = step_trajectory(psi, EnvironmentSpec.position(0.0), None, params, 0.002,
+        psi = step_trajectory(psi, EnvironmentSpec.position(0.0), params, 0.002,
                               ns.next_increment(0.002))
     k = 2 * math.pi * np.fft.fftfreq(512, grid.dx)
     ref = np.fft.ifft(np.exp(-1j * k**2 / 2 * 0.2) * np.fft.fft(psi0.values))
@@ -89,14 +88,14 @@ def test_step_norm_is_exactly_one_and_nan_detection():
     psi = gaussian_state_from_moments(grid, 0.0, 0.0, params.sigma_q**2, 0.5 * params.hbar,
                                       params.hbar)
     env = EnvironmentSpec.position(1.0)
-    out = step_trajectory(psi, env, None, params, 0.002,
+    out = step_trajectory(psi, env, params, 0.002,
                           NoiseStream(1).next_increment(0.002))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-14)
     bad = WaveFunction(grid, psi.values * np.nan, "position", 1.0)
     with pytest.raises(NumericalError):
-        step_trajectory(bad, env, None, params, 0.002, 0.0)
+        step_trajectory(bad, env, params, 0.002, 0.0)
     with pytest.raises(ValueError):
-        step_trajectory(psi, env, None, params, 5.0, 0.0)  # dt too large
+        step_trajectory(psi, env, params, 5.0, 0.0)  # dt too large
 
 
 def test_steady_packet_is_stationary():
@@ -108,7 +107,7 @@ def test_steady_packet_is_stationary():
     env = EnvironmentSpec.position(1.0)
     ns = NoiseStream(11)
     for _ in range(500):
-        psi = step_trajectory(psi, env, None, params, 0.002, ns.next_increment(0.002))
+        psi = step_trajectory(psi, env, params, 0.002, ns.next_increment(0.002))
     m = wavefunction_moments(psi)
     assert m.var_x == pytest.approx(sq2, rel=1e-4)
     assert m.cov_xp == pytest.approx(0.5, abs=1e-4)
@@ -126,7 +125,7 @@ def test_localization_from_broad_start():
     ns = NoiseStream(3)
     crossing = None
     for k in range(1000):
-        psi = step_trajectory(psi, env, None, params, 0.005, ns.next_increment(0.005))
+        psi = step_trajectory(psi, env, params, 0.005, ns.next_increment(0.005))
         if crossing is None and wavefunction_moments(psi).var_x < 2 * sq2:
             crossing = (k + 1) * 0.005
     m = wavefunction_moments(psi)
@@ -146,7 +145,7 @@ def test_uncertainty_product_bound():
     env = EnvironmentSpec.position(0.5)
     ns = NoiseStream(21)
     for _ in range(300):
-        psi = step_trajectory(psi, env, None, params, 0.004, ns.next_increment(0.004))
+        psi = step_trajectory(psi, env, params, 0.004, ns.next_increment(0.004))
         m = wavefunction_moments(psi)
         assert m.var_x * m.var_p - m.cov_xp**2 >= 0.25 * (1 - 1e-6)
 
@@ -157,7 +156,7 @@ def test_moment_step_static_steady_state():
     mom = steady_moments(params)
     ns = NoiseStream(5)
     for _ in range(100):
-        mom = moment_step(mom, params, env, None, 0.002, ns.next_increment(0.002))
+        mom = moment_step(mom, params, env, 0.002, ns.next_increment(0.002))
     assert mom.var_x == pytest.approx(params.sigma_q**2, rel=1e-9)
     assert mom.cov_xp == pytest.approx(0.5, rel=1e-9)
     assert mom.var_p == pytest.approx(1.0 / (2 * params.sigma_q**2), rel=1e-9)
@@ -177,8 +176,8 @@ def test_moment_vs_wavefunction_strong_convergence():
         mom = TrajectoryMoments(0.0, 0.3, 0.4, vx0, vp0, c0)
         psi = gaussian_state_from_moments(grid, 0.3, 0.4, vx0, c0)
         for dB in dBs:
-            mom = moment_step(mom, params, env, None, dt, dB)
-            psi = step_trajectory(psi, env, None, params, dt, dB)
+            mom = moment_step(mom, params, env, dt, dB)
+            psi = step_trajectory(psi, env, params, dt, dB)
         wm = wavefunction_moments(psi)
         return abs(wm.mean_x - mom.mean_x) + abs(wm.mean_p - mom.mean_p)
 
@@ -197,12 +196,8 @@ def test_momentum_coupling_no_fluctuation_growth():
     env = EnvironmentSpec.momentum(1.0)
     mom0 = TrajectoryMoments(0.0, 0.0, 1.0, 1.0, 0.25, 0.0)
 
-    def task(seed):
-        return run_moment_trajectory(mom0, env, None, params, dt=0.002,
-                                     n_steps=1000, seed=seed, record_every=10)
-
-    series = run_ensemble(task, range(900, 1156))
-    rep = fluctuation_report(series, fit_window=(0.2, 2.0))
+    records = run_moment_ensemble(mom0, env, params, 0.002, 1000, range(900, 1156), 10)
+    rep = fluctuation_report(records, fit_window=(0.2, 2.0))
     assert abs(rep.fitted_rate) * 1.0 < 0.02  # |rate| * t_z < 0.02 p_bar^2
 
 
@@ -211,36 +206,31 @@ def test_position_coupling_fluctuation_growth_2D():
     env = EnvironmentSpec.position(1.0)
     mom0 = steady_moments(params)
 
-    def task(seed):
-        return run_moment_trajectory(mom0, env, None, params, dt=0.005,
-                                     n_steps=1000, seed=seed, record_every=20)
-
-    series = run_ensemble(task, range(500, 628))
-    rep = fluctuation_report(series, fit_window=(1.0, 5.0))
+    records = run_moment_ensemble(mom0, env, params, 0.005, 1000, range(500, 628), 20)
+    rep = fluctuation_report(records, fit_window=(1.0, 5.0))
     assert rep.fitted_rate == pytest.approx(2.0, rel=0.25)  # 128-seed fit
 
 
 def test_moment_trajectory_rejects_zero_record_interval():
     params = PhysicalParams(D=1.0)
     with pytest.raises(ValueError, match="record_every must be >= 1"):
-        run_moment_trajectory(steady_moments(params), EnvironmentSpec.position(1.0), None,
-                              params, 0.005, 10, seed=1, record_every=0)
+        run_moment_ensemble(steady_moments(params), EnvironmentSpec.position(1.0), params,
+                            0.005, 10, [1], record_every=0)
 
 
 def test_fluctuation_report_reads_records_and_series_alike():
     params = PhysicalParams(D=1.0)
     env = EnvironmentSpec.position(1.0)
     mom0 = steady_moments(params)
+    # the ensemble's records and each seed's own one-seed series, stacked
     records = run_moment_ensemble(mom0, env, params, 0.005, 200, range(64), 20)
-    series = [run_moment_trajectory(mom0, env, None, params, 0.005, 200, seed, 20)
-              for seed in range(64)]
-    assert np.array_equal(records[5], [astuple(m) for m in series[5]])
+    series = np.concatenate([run_moment_ensemble(mom0, env, params, 0.005, 200, [seed], 20)
+                             for seed in range(64)])
+    assert np.array_equal(_bits(records), _bits(series))
     a, b = fluctuation_report(records, (0.2, 1.0)), fluctuation_report(series, (0.2, 1.0))
     assert a.fitted_rate == b.fitted_rate and np.array_equal(a.total, b.total)
     with pytest.raises(ValueError, match="at least 64 seeds"):
         fluctuation_report(records[:63], (0.2, 1.0))
-    with pytest.raises(ValueError, match="share the sampling times"):
-        fluctuation_report(series[:-1] + [series[-1][:-1]], (0.2, 1.0))
     with pytest.raises(ValueError, match=r"fit window \[2, 3\]"):
         fluctuation_report(records, (2.0, 3.0))
 
@@ -251,7 +241,7 @@ def test_moment_closure_breakdown_names_seed_and_step():
     mom0 = TrajectoryMoments(0.0, 0.0, 1.0, 1e-4, 2500.0, 0.0)
     env = EnvironmentSpec.momentum(1.0)
     with pytest.raises(ClosureError, match="closure inconsistency"):
-        moment_step(mom0, params, env, None, 0.005, 0.0)
+        moment_step(mom0, params, env, 0.005, 0.0)
     with pytest.raises(ClosureError, match=r"for seed 41 at step 1$"):
         run_moment_ensemble(mom0, env, params, 0.005, 10, [41, 42])
 
@@ -276,9 +266,8 @@ def test_zero_coupling_constant_fluctuation():
     params = PhysicalParams()
     env = EnvironmentSpec.position(0.0)
     mom0 = TrajectoryMoments(0.0, 0.0, 1.0, 1.0, 0.25, 0.0)
-    series = [run_moment_trajectory(mom0, env, None, params, 0.002, 500, seed)
-              for seed in range(64)]
-    rep = fluctuation_report(series, fit_window=(0.0, 1.0))
+    records = run_moment_ensemble(mom0, env, params, 0.002, 500, range(64))
+    rep = fluctuation_report(records, fit_window=(0.0, 1.0))
     assert np.max(np.abs(rep.total - rep.total[0])) < 1e-8
 
 
@@ -304,8 +293,7 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
     assert abs(var_tot - expect) < max(0.10 * expect, three_sigma)
     # late-time mixture rho = sum |psi><psi| / n is near-diagonal: little |rho| mass
     # beyond 4 sigma_q
-    amps = np.array([run_wavefunction_trajectory(psi0, env, None, par_b, dt, n_steps, seed,
-                                                 n_steps)[1].values for seed in range(400, 464)])
+    _, amps = _final_states(psi0, env, par_b, dt, n_steps, range(400, 464), n_steps)
     rho = np.abs(amps.T @ amps.conj()) / len(amps)
     far = np.abs(grid.x[:, None] - grid.x[None, :]) > 4 * sq
     assert rho[far].sum() / rho.sum() < 0.10
@@ -314,14 +302,6 @@ def test_ensemble_momentum_spread_matches_lindblad_law():
 def test_moment_closure_rejects_negative_variance():
     with pytest.raises(ValueError):
         TrajectoryMoments(0.0, 0.0, 0.0, -1.0, 0.25, 0.0)
-
-
-def test_lp_moment_system_needs_step_barrier():
-    params = PhysicalParams(D_p=1.0)
-    mom = TrajectoryMoments(0.0, 0.0, 1.0, 1.0, 0.25, 0.0)
-    with pytest.raises(ValueError):
-        moment_step(mom, params, EnvironmentSpec.momentum(1.0),
-                    PotentialSpec.gaussian(0.1, 0.1), 0.001, 0.0)
 
 
 def test_momentum_coupling_wavefunction_localizes_in_p():
@@ -334,7 +314,7 @@ def test_momentum_coupling_wavefunction_localizes_in_p():
     ns = NoiseStream(13)
     vp0 = wavefunction_moments(psi).var_p
     for _ in range(400):
-        psi = step_trajectory(psi, env, None, params, 0.002, ns.next_increment(0.002))
+        psi = step_trajectory(psi, env, params, 0.002, ns.next_increment(0.002))
     m = wavefunction_moments(psi)
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-12)
     # continuum law: dVar(p) = -8 D_p Var(p)^2 dt
@@ -350,13 +330,11 @@ def test_fused_trajectory_matches_stepwise_records(env, params, width):
     grid = SpatialGrid(-width, width, 256)
     psi0 = gaussian_packet(params, grid, center=0.0)
     n_steps = 200
-    every, psi_every = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
-                                                   n_steps, seed=9, record_every=1)
-    ends, psi_ends = run_wavefunction_trajectory(psi0, env, None, params, 0.002,
-                                                 n_steps, seed=9, record_every=n_steps)
+    (every,), (psi_every,) = _final_states(psi0, env, params, 0.002, n_steps, [9], 1)
+    (ends,), (psi_ends,) = _final_states(psi0, env, params, 0.002, n_steps, [9], n_steps)
     assert len(every) == n_steps + 1 and len(ends) == 2
-    assert np.max(np.abs(psi_every.values - psi_ends.values)) < 1e-10
-    assert psi_ends.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(psi_every - psi_ends)) < 1e-10
+    assert WaveFunction(grid, psi_ends).norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_threaded_wavefunction_ensemble_is_identical():
@@ -369,8 +347,7 @@ def test_threaded_wavefunction_ensemble_is_identical():
     env = EnvironmentSpec.position(1.0)
 
     def task(seed):
-        return run_wavefunction_trajectory(psi0, env, None, params, 0.002, 60, seed,
-                                           record_every=7)[1].values
+        return _final_states(psi0, env, params, 0.002, 60, [seed], 7)[1][0]
 
     interval = sys.getswitchinterval()
     try:
@@ -379,14 +356,23 @@ def test_threaded_wavefunction_ensemble_is_identical():
             threaded = list(pool.map(task, range(8)))
     finally:
         sys.setswitchinterval(interval)
-    serial = run_ensemble(task, range(8))
+    serial = [task(seed) for seed in range(8)]
     assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
 def _bits(series):
-    # a driver's (records, 6) rows, or a list of TrajectoryMoments
+    # a driver's records, or a list of TrajectoryMoments
     rows = series if isinstance(series, np.ndarray) else [astuple(m) for m in series]
     return np.array(rows).view(np.uint64)
+
+
+def _final_states(psi0, env, params, dt, n_steps, seeds, record_every):
+    """(records, final amplitudes) of one block stepping seeds, as the driver steps
+    them; the driver itself keeps no final state."""
+    records = np.empty((len(seeds), 1 + math.ceil(n_steps / record_every), 6))
+    final = qsd._step_block(psi0.normalized(), env, params, dt, n_steps, record_every,
+                            list(seeds), records)
+    return records, final
 
 
 def _coupled(coupling):
@@ -395,33 +381,31 @@ def _coupled(coupling):
     return PhysicalParams(D_p=1.0, sigma=1.0), EnvironmentSpec.momentum(1.0)
 
 
-# a spec is refused, and its case then runs without one
+# spec: an environment of another strength than the coupling's default 1, or None
 @pytest.mark.parametrize("coupling, spec, n_steps, record_every, block_rows", [
-    ("x", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # noise in x
-    ("p", PotentialSpec.gaussian(0.5, 0.5), 90, 10, 64),  # noise in p
+    ("x", EnvironmentSpec.position(0.5), 90, 10, 64),     # noise in x
+    ("p", EnvironmentSpec.momentum(2.0), 90, 10, 64),     # noise in p
     ("p", None, 90, 10, 64),                              # noise in p, no x_middle
     ("x", None, 95, 7, 64),                               # record_every does not divide n_steps
     ("x", None, 30, 4, 3),                                # more seeds than one block holds
     # blocks of 2 and 5 rows: a BLAS product (w @ a) gives a row of such a block
     # other bits than the row alone, a row sum does not
     ("x", None, 30, 4, 2),
-    ("x", PotentialSpec.gaussian(0.5, 0.5), 30, 4, 5),
+    ("x", EnvironmentSpec.position(2.0), 30, 4, 5),
     ("p", None, 30, 4, 5),
 ])
 def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_steps,
                                               record_every, block_rows):
     monkeypatch.setattr(qsd, "_BLOCK_ROWS", block_rows)
     params, env = _coupled(coupling)
+    env = spec or env
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     seeds = list(range(30, 38))
-    if spec is not None:
-        with pytest.raises(ConfigError, match="spec must be None"):
-            run_wavefunction_trajectory(psi0, env, spec, params, 0.002, n_steps, 30)
     runs = run_wavefunction_ensemble(psi0, env, params, 0.002, n_steps, seeds, record_every)
     assert len(runs) == len(seeds)
     for seed, series in zip(seeds, runs):
-        alone, _ = run_wavefunction_trajectory(psi0, env, None, params, 0.002, n_steps, seed,
-                                               record_every)
+        (alone,) = run_wavefunction_ensemble(psi0, env, params, 0.002, n_steps, [seed],
+                                             record_every)
         assert len(series) == 1 + math.ceil(n_steps / record_every)
         assert np.array_equal(_bits(series), _bits(alone))
 
@@ -434,14 +418,14 @@ def test_ensemble_rows_equal_stepwise_reference(coupling):
     n_steps, dt, seeds = 40, 0.002, [3, 8]
     runs = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds)
     for seed, series in zip(seeds, runs):
-        _, final = run_wavefunction_trajectory(psi0, env, None, params, dt, n_steps, seed)
+        (final,) = _final_states(psi0, env, params, dt, n_steps, [seed], 1)[1]
         psi = psi0.normalized()
         ref = [wavefunction_moments(psi)]
         for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
-            psi = step_trajectory(psi, env, None, params, dt, dB)
+            psi = step_trajectory(psi, env, params, dt, dB)
             ref.append(replace(wavefunction_moments(psi), time=k * dt))
         assert np.array_equal(_bits(series), _bits(ref))
-        assert np.array_equal(final.values.view(np.uint64), psi.values.view(np.uint64))
+        assert np.array_equal(final.view(np.uint64), psi.values.view(np.uint64))
 
 
 
@@ -458,7 +442,7 @@ def test_forked_slices_return_the_one_process_records_and_states(monkeypatch, co
     split = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, range(7), 4, workers=3)
     assert np.array_equal(_bits(split), _bits(one))
     for seed, series in enumerate(split):
-        alone, _ = run_wavefunction_trajectory(psi0, env, None, params, 0.002, 30, seed, 4)
+        (alone,) = run_wavefunction_ensemble(psi0, env, params, 0.002, 30, [seed], 4)
         assert np.array_equal(_bits(series), _bits(alone))
 
 
@@ -512,7 +496,7 @@ def test_moment_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling):
     records = run_moment_ensemble(mom0, env, params, 0.005, 300, seeds, 7)
     assert records.shape == (70, 1 + math.ceil(300 / 7), 6)
     for seed, rows in zip(seeds, records):
-        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
+        (alone,) = run_moment_ensemble(mom0, env, params, 0.005, 300, [seed], 7)
         assert np.array_equal(_bits(rows), _bits(alone))
 
 
@@ -544,7 +528,7 @@ def test_moment_ensemble_splits_into_blocks_by_the_increment_budget(monkeypatch,
     assert shapes == [(rows, 300) for rows in blocks]
     assert recursions == [300]
     for seed, rows in zip(seeds, records):
-        alone = run_moment_trajectory(mom0, env, None, params, 0.005, 300, seed, 7)
+        (alone,) = run_moment_ensemble(mom0, env, params, 0.005, 300, [seed], 7)
         assert np.array_equal(_bits(rows), _bits(alone))
 
 
@@ -616,19 +600,6 @@ def test_a_mean_that_overflows_names_its_seed_and_step():
     assert not isinstance(info.value, ClosureError)
 
 
-@pytest.mark.parametrize("spec", [PotentialSpec.step(0.02), PotentialSpec.gaussian(0.5, 0.5)])
-def test_every_spec_slot_refuses_a_potential(spec):
-    params, env, mom0 = _moment_start("x")
-    psi = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=0.0)
-    calls = [lambda: moment_step(mom0, params, env, spec, 0.005, 0.0),
-             lambda: step_trajectory(psi, env, spec, params, 0.002, 0.0),
-             lambda: run_moment_trajectory(mom0, env, spec, params, 0.005, 10, 1),
-             lambda: run_wavefunction_trajectory(psi, env, spec, params, 0.002, 10, 1)]
-    for call in calls:
-        with pytest.raises(ConfigError, match="spec must be None"):
-            call()
-
-
 def test_moment_block_breakdown_carries_the_failing_row():
     # every row of the block breaks at step 1; the error names the first seed
     params = PhysicalParams(D_p=1.0)
@@ -646,10 +617,9 @@ def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
     grid = SpatialGrid(-8, 8, 128)
     psi0 = gaussian_packet(params, grid, center=0.0, mean_p=4.0)
     env = EnvironmentSpec.position(0.0)
-    run_wavefunction_trajectory(psi0, env, None, params, 0.002, 250, 5, record_every=50)
+    run_wavefunction_ensemble(psi0, env, params, 0.002, 250, [5], record_every=50)
     with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 0\.\d+$"):
-        run_wavefunction_trajectory(psi0, env, None, params, 0.002, 1000, 5,
-                                    record_every=50)
+        run_wavefunction_ensemble(psi0, env, params, 0.002, 1000, [5], record_every=50)
 
 
 # -- element-wise kernels of the wavefunction step against their direct forms ------
