@@ -63,12 +63,6 @@ class SpatialGrid:
         return 2.0 * math.pi * m * self.dx**2 / hbar
 
 
-def reflection_p_grid(params: PhysicalParams, n_points: int) -> np.ndarray:
-    """Reflection-side grid on [-8 p_bar, 0); p = 0 is left out because the
-    reflected densities carry a 1/p^2 prefactor."""
-    return np.linspace(-8.0 * params.p_bar, 0.0, n_points, endpoint=False)
-
-
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex amplitude on a uniform grid, position or momentum representation.

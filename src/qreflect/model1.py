@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .grids import reflection_p_grid
 from .oscquad import decay_cutoff, integrate_oscillatory_batch
 from .params import PhysicalParams
 from .potentials import potential_momentum
 
-_EDGE_FRACTION = 0.02  # largest lower-edge density, relative to the peak, of a sampled spectrum
+_EDGE_FRACTION = 0.02  # largest lower-edge density of a total's range, relative to the peak
 
 
 @dataclass(frozen=True)
@@ -153,34 +152,40 @@ def total_reflected(
     params: PhysicalParams,
     env: EnvironmentSpec,
     tau: float | None = None,
-    p_grid: np.ndarray | None = None,
+    p_min: float | None = None,
 ) -> float:
-    """Total reflected probability: quadrature of the kernel density over p < 0.
+    """Total reflected probability: the kernel density integrated over [p_min, 0].
 
-    Raises QuadratureError when the density at the lower grid edge exceeds
-    _EDGE_FRACTION of the peak, since the total would then be visibly
-    truncated.  (The momentum-coupling kernel has 1/p^2 tails, so on the
-    default [-8 p_bar, 0) grid the edge sits near 1e-5..1e-2 of the peak and
-    the omitted tail mass is below a few permille of the total.)  Only the
-    lower edge truncates: the upper edge p -> 0- is where the reflected range
-    itself ends, and the density may peak there (it does at a = 0.1, D_p = 1).
+    The total is defined on that range, p_min = -8 p_bar by default, as criterion
+    03's oracle is (the mass below -8 p_bar is 1.5% of the total at a = 0.1,
+    D_p = 1).  The density is finite at p = 0; integrate_oscillatory_batch at
+    omega = 0 bisects every p-panel its run-time error estimate does not resolve.
+    Raises QuadratureError when the density at p_min exceeds _EDGE_FRACTION of the
+    peak over the evaluated nodes, as the total would then be truncated; the upper
+    limit does not truncate, and the density may peak there (at a = 0.1, D_p = 1).
     """
-    if p_grid is None:
-        p_grid = reflection_p_grid(params, 2048)
-    if tau is None:
-        tau = params.tau_default
+    if p_min is None:
+        p_min = -8.0 * params.p_bar
     if env.kind == "position_coupling":
-        dens = reflected_density_x(p_grid, params, env.strength, tau)
+        density = lambda p: reflected_density_x(p, params, env.strength, tau)
     else:
-        dens = reflected_density_p(p_grid, params, env.strength)
-    peak = float(np.max(np.abs(dens)))
-    if peak > 0 and abs(dens[0]) > _EDGE_FRACTION * peak:
+        density = lambda p: reflected_density_p(p, params, env.strength)
+    peaks = []  # the largest |density| of each node slice
+
+    def envelope(s, i):
+        dens = density((s + p_min).ravel()).reshape(s.shape)
+        peaks.append(float(np.max(np.abs(dens))))
+        return dens
+
+    total = float(integrate_oscillatory_batch(envelope, 0.0, -p_min, -p_min)[0])
+    edge, peak = abs(density(p_min)), max(peaks)
+    if peak > 0 and edge > _EDGE_FRACTION * peak:
         raise QuadratureError(
-            f"density at the lower grid edge p = {float(p_grid[0]):.6g} is "
-            f"{abs(dens[0]) / peak:.3g} of the peak (> {_EDGE_FRACTION:g}), so the total "
-            "is truncated; total_reflected's p_grid argument takes a grid reaching lower p"
+            f"density at the lower limit p = {p_min:.6g} is {edge / peak:.3g} of the peak "
+            f"(> {_EDGE_FRACTION:g}), so the total is truncated; total_reflected's p_min "
+            "argument sets a lower limit"
         )
-    return float(np.trapezoid(dens, p_grid))
+    return total
 
 
 def sweep_total_p(params: PhysicalParams, D_p_values) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .grids import reflection_p_grid
 from .oscquad import decay_cutoff, integrate_oscillatory_batch, panel_nodes
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
@@ -391,17 +390,28 @@ def clamp_density(density: np.ndarray) -> np.ndarray:
 
 
 def total_reflected_model2(cfg: Model2Config, D_values, barriers=None) -> np.ndarray:
-    """Total reflected probability versus diffusion constant (quadrature over p < 0).
+    """Total reflected probability versus diffusion constant: integral over [-8 p_bar, 0].
 
     When the configuration pins the target to its steady width, Sigma tracks
     each swept D value.  Given a sequence of PotentialSpec barriers, returns a
-    (len(barriers), len(D_values)) array from one s-integral per D value;
-    otherwise the totals for the configured barrier.
+    (len(barriers), len(D_values)) array from one p-integral per D value, whose
+    node slices take one s-integral per distinct p for every barrier; otherwise
+    the totals for the configured barrier.  clamp_density's floor holds over every
+    evaluated node; shallower lobes stay, as zeroing one would put a kink in p.
     """
-    p_grid = reflection_p_grid(cfg.params, 1024)
     specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
+    span = 8.0 * cfg.params.p_bar
     totals = np.empty((len(specs), len(D_values)))
     for j, D in enumerate(D_values):
-        for i, dens in enumerate(_env_densities(cfg.with_D(D), p_grid, D, specs)):
-            totals[i, j] = np.trapezoid(clamp_density(dens), p_grid)
+        c, seen = cfg.with_D(D), []  # per node slice, each barrier's lowest and highest density
+
+        def envelope(s, i):
+            p, back = np.unique(s - span, return_inverse=True)
+            dens = finite_density(_env_densities(c, p, D, specs))
+            seen.append(np.column_stack((dens.min(axis=1), dens.max(axis=1))))
+            return dens[i, back.reshape(s.shape)]
+
+        totals[:, j] = integrate_oscillatory_batch(envelope, np.zeros(len(specs)), span, span)
+        for extremes in np.hstack(seen):  # one row per barrier
+            clamp_density(extremes)
     return totals[0] if barriers is None else totals

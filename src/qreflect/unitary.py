@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grids import SpatialGrid, SplitStepper, WaveFunction, reflection_p_grid, to_momentum
+from .grids import SpatialGrid, SplitStepper, WaveFunction, to_momentum
 from .params import PhysicalParams, PotentialSpec
 from .potentials import potential_momentum, potential_position
 from .timescales import scattering_time
@@ -217,11 +217,12 @@ def born_reflection(params: PhysicalParams) -> BornResult:
     """First Born reflected density on the p < 0 half-grid.
 
     density(p) = (2 pi m^2 / hbar p^2) V(2p)^2 |psi_in(-p)|^2 with V the
-    momentum-space barrier and psi_in the incoming Gaussian packet; p = 0 is
-    excluded (endpoint-open grid) since the prefactor is singular there.
+    momentum-space barrier and psi_in the incoming Gaussian packet, by the
+    trapezoid rule on 2,048 points of [-8 p_bar, 0): at p = 0 the 1/p^2 prefactor
+    is singular, and not integrable once the packet reaches there (sigma = 0.5).
     """
     m, hbar, pb, sigma = params.m, params.hbar, params.p_bar, params.sigma
-    p = reflection_p_grid(params, 2048)
+    p = np.linspace(-8.0 * pb, 0.0, 2048, endpoint=False)
     v = potential_momentum(params.potential, 2.0 * p, hbar)
     incoming = math.sqrt(2.0 * sigma**2 / (math.pi * hbar**2)) * np.exp(
         -2.0 * sigma**2 * (-p - pb) ** 2 / hbar**2

@@ -973,13 +973,13 @@ def test_model1_overflow_prints_no_numpy_warning(tmp_path):
 
 
 def test_model1_truncated_spectrum_names_only_what_exists(tmp_path, capsys):
-    # the total at D = 1e3 is cut off at the grid's lower edge; no flag widens that grid
+    # the total at D = 1e3 is cut off at its range's lower limit; no flag widens that range
     assert main(["model1", "--coupling", "x", "--D_sweep", "1e-9,1e3",
                  "--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("warning: narrow-sideband validity ratio")
-    assert err[1].startswith("numerical failure: density at the lower grid edge p = -8 is ")
-    assert "p_grid argument" in err[1] and "p_range" not in err[1]
+    assert err[1].startswith("numerical failure: density at the lower limit p = -8 is ")
+    assert "p_min argument" in err[1] and "p_range" not in err[1]
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
 

@@ -9,7 +9,6 @@ import pytest
 import qreflect
 from qreflect import (GridTooNarrowError, PhysicalParams, SpatialGrid, born_reflection,
                       gaussian_packet, gaussian_state_from_moments, to_momentum)
-from qreflect.grids import reflection_p_grid
 
 
 def test_grid_validation():
@@ -135,8 +134,9 @@ def test_fftfreq_only_in_grids():
     assert users == ["grids.py"]
 
 
-def test_reflection_p_grid_is_open_at_zero():
+def test_born_reflection_grid_is_open_at_zero():
+    # the Born density's 1/p^2 prefactor is singular at p = 0, so its grid stops short
     params = PhysicalParams(p_bar=1.5)
-    p = reflection_p_grid(params, 64)
-    assert np.array_equal(p, np.linspace(-12.0, 0.0, 64, endpoint=False))
-    assert np.array_equal(born_reflection(params).p, reflection_p_grid(params, 2048))
+    p = born_reflection(params).p
+    assert np.array_equal(p, np.linspace(-12.0, 0.0, 2048, endpoint=False))
+    assert p[-1] < 0.0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -175,12 +176,23 @@ def test_densities_scale_as_v0_squared():
             4.0 * reflected_density_x(p, pa, D=0.5, tau=20.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("a, D_p", [(0.1, 0.01), (0.1, 1.0), (0.4, 10.0)])
+def test_total_matches_mpmath_over_its_range(a, D_p):
+    # the total is defined as the density's integral over [-8 p_bar, 0]; mpmath's
+    # tanh-sinh rule, split at the peak p = -p_bar, integrates the same density
+    params = make_params(potential=PotentialSpec.gaussian(0.01, a))
+    want, err = mpmath.quad(lambda p: reflected_density_p(float(p), params, D_p),
+                            [-8.0, -1.0, 0.0], error=True)
+    assert err < 1e-12 * want
+    got = total_reflected(params, EnvironmentSpec.momentum(D_p))
+    assert got == pytest.approx(float(want), rel=1e-8)
+
+
 def test_spectrum_metadata_and_edge_guard():
     params = make_params()
     assert total_reflected(params, EnvironmentSpec.momentum(0.5)) > 0
-    with pytest.raises(QuadratureError, match="total_reflected's p_grid"):
-        total_reflected(params, EnvironmentSpec.momentum(0.5),
-                        p_grid=np.linspace(-1.5, 0.0, 256, endpoint=False))
+    with pytest.raises(QuadratureError, match="total_reflected's p_min"):
+        total_reflected(params, EnvironmentSpec.momentum(0.5), p_min=-1.5)
 
 
 def test_triple_oracle_agreement_away_from_incoming_momentum():

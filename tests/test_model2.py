@@ -18,7 +18,6 @@ from qreflect import (Model2Config, PhysicalParams, PotentialSpec,
                       target_momentum_density, total_reflected_model2)
 from qreflect import model2
 from qreflect.cli import main
-from qreflect.grids import reflection_p_grid
 from qreflect.model2 import clamp_density, exp_quadratic_integral
 from qreflect.oscquad import decay_cutoff, panel_nodes
 
@@ -234,20 +233,29 @@ def test_total_reflected_suppression_curve():
     assert at[0] > at[1] > at[2]
 
 
+@pytest.mark.parametrize("D", [0.01, 10.0])
+def test_total_matches_mpmath_over_its_range(D):
+    # figure 5's setting: mpmath's tanh-sinh rule over [-8 p_bar, 0], split at
+    # p = -p_bar, of the same density, one s-integral per node
+    cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=D)
+    want, err = mpmath.quad(lambda p: reflected_density_env(cfg, float(p), D=D),
+                            [-8.0, -1.0, 0.0], error=True)
+    assert err < 1e-9 * want
+    assert total_reflected_model2(cfg, [D])[0] == pytest.approx(float(want), rel=1e-8)
+
+
 def test_figure5_widths_equal_their_own_env_densities(tmp_path):
-    # the widths share each D's s-integral; each total must still be its own
-    # width's reflected_density_env total, bit for bit
+    # the widths share each D's p-integral and its s-integrals; each total must
+    # still be its own width's single-barrier total, bit for bit
     assert main(["figures", "--figure", "5", "--a_list", "0.05,0.3",
                  "--outdir", str(tmp_path)]) == 0
     for a in (0.05, 0.3):
         cfg_a = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.01, a=a)
-        p_grid = reflection_p_grid(cfg_a.params, 1024)
         rows = list(csv.reader(open(tmp_path / f"total_vs_D_a{a:g}.csv")))[1:]
         assert len(rows) == 13
         for D_text, total in rows:
             D = float(D_text)
-            dens = clamp_density(reflected_density_env(cfg_a.with_D(D), p_grid, D=D))
-            assert float(total) == float(np.trapezoid(dens, p_grid))
+            assert float(total) == float(total_reflected_model2(cfg_a, [D])[0])
 
 
 def test_conditional_env_real_and_prefactor():
@@ -447,6 +455,27 @@ def test_density_clamp_behavior():
     assert np.all(out >= 0.0) and out[2] == 0.0
     with pytest.raises(QuadratureError):
         clamp_density(np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("depth, fails", [(1e-3, True), (1.8e-6, False)])
+def test_total_floor_is_relative_to_the_peak_over_its_range(monkeypatch, depth, fails):
+    # a smooth lobe of depth times the density's peak over [-8, 0] is taken off at
+    # p = -7.5, where the density is 1.3e-6 of that peak: the total fails where the
+    # dip passes clamp_density's floor, and integrates a shallower one as it is
+    from qreflect import QuadratureError
+    cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.1)
+    peak = float(np.max(reflected_density_env(cfg, np.linspace(-8.0, 0.0, 801), D=0.1)))
+    clean = total_reflected_model2(cfg, [0.1])[0]
+    env = model2._env_densities
+    lobe = lambda p: depth * peak * np.exp(-(((p + 7.5) / 0.3) ** 2))
+    monkeypatch.setattr(model2, "_env_densities",
+                        lambda c, p, D, specs: [d - lobe(p) for d in env(c, p, D, specs)])
+    if fails:
+        with pytest.raises(QuadratureError, match="density dips to"):
+            total_reflected_model2(cfg, [0.1])
+    else:
+        shift = depth * peak * 0.3 * math.sqrt(math.pi)
+        assert total_reflected_model2(cfg, [0.1])[0] == pytest.approx(clean - shift, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

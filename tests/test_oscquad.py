@@ -153,25 +153,54 @@ def test_decay_cutoff_is_elementwise():
     assert decay_cutoff((0.0, 3)) == math.inf
 
 
+def _spy_totals(monkeypatch):
+    """Spy on every batch call and on model2's s-integrals.  Returns (sizes of the
+    calls that are not a total's p-integral, one entry per p-integral: its
+    number of points and the p nodes its s-integrals took); a p-integral is a
+    call at omega = 0."""
+    many, env = oscquad.integrate_oscillatory_batch, model2._env_densities
+    other, totals = [], []
+
+    def batch_spy(envelope, omega, upper, scale):
+        if np.all(np.asarray(omega) == 0.0):
+            totals.append((np.size(omega), []))
+        else:
+            other.append(np.size(omega))
+        return many(envelope, omega, upper, scale)
+
+    def env_spy(cfg, p, D, barriers):
+        if totals:
+            totals[-1][1].append(np.array(p, float))
+        return env(cfg, p, D, barriers)
+
+    for mod in (oscquad, model1, model2):
+        monkeypatch.setattr(mod, "integrate_oscillatory_batch", batch_spy)
+    monkeypatch.setattr(model2, "_env_densities", env_spy)
+    return other, totals
+
+
+def _each_node_once(nodes):
+    p = np.concatenate(nodes)
+    return p.size > 0 and np.unique(p).size == p.size
+
+
 def test_figure5_makes_one_batch_call_per_sweep_value(tmp_path, monkeypatch):
-    scalar, batch = [], []
-    one, many = oscquad.integrate_oscillatory, oscquad.integrate_oscillatory_batch
+    scalar = []
+    one = oscquad.integrate_oscillatory
 
     def scalar_spy(*args, **kwargs):
         scalar.append(args)
         return one(*args, **kwargs)
 
-    def batch_spy(envelope, omega, upper, scale):
-        batch.append(np.size(omega))
-        return many(envelope, omega, upper, scale)
-
     monkeypatch.setattr(oscquad, "integrate_oscillatory", scalar_spy)
-    for mod in (oscquad, model1, model2):
-        monkeypatch.setattr(mod, "integrate_oscillatory_batch", batch_spy)
+    other, totals = _spy_totals(monkeypatch)
     assert main(["figures", "--figure", "5", "--outdir", str(tmp_path)]) == 0
     assert scalar == []
-    # one call over the 1024-point p grid per D value, shared by all 3 barrier widths
-    assert batch == [1024] * 13
+    # one p-integral per D value over all 3 barrier widths, each of whose p nodes
+    # takes its s-integral once, shared by the widths
+    assert [n for n, _ in totals] == [3] * 13
+    assert all(_each_node_once(nodes) for _, nodes in totals)
+    assert len(other) == sum(len(nodes) for _, nodes in totals)
 
 
 @pytest.mark.parametrize("kernel", ["x", "x_fejer", "x_born", "p", "env", "env_tau_inf",
@@ -208,13 +237,8 @@ def test_kernel_array_paths_equal_their_scalar_views(kernel):
 def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
     # the s-integral runs through the shared batch integrator; panel_nodes is
     # left only to the nearly-linear branch of the closed-form u-integral
-    batch, stray, inside = [], [], [0]
-    many, nodes, closed = (oscquad.integrate_oscillatory_batch, oscquad.panel_nodes,
-                           model2.exp_quadratic_integral)
-
-    def batch_spy(envelope, omega, upper, scale):
-        batch.append(np.size(omega))
-        return many(envelope, omega, upper, scale)
+    stray, inside = [], [0]
+    nodes, closed = oscquad.panel_nodes, model2.exp_quadratic_integral
 
     def nodes_spy(*args):
         if not inside[0]:
@@ -228,15 +252,18 @@ def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
         finally:
             inside[0] -= 1
 
-    for mod in (oscquad, model1, model2):
-        monkeypatch.setattr(mod, "integrate_oscillatory_batch", batch_spy)
+    other, totals = _spy_totals(monkeypatch)
     monkeypatch.setattr(model2, "panel_nodes", nodes_spy)
     monkeypatch.setattr(model2, "exp_quadratic_integral", closed_spy)
     assert main(["model2", "--M", "10", "--sigma", "100", "--a", "0.1", "--V0", "0.01",
                  "--steady-target", "true", "--D_sweep", "0.01,1,10", "--P", "0",
                  "--outdir", str(tmp_path)]) == 0
-    # one conditional call per D over the 400-point grid, then the 1024-point totals
-    assert batch == [400] * 3 + [1024] * 3
+    # one conditional call per D over the 400-point grid, then one p-integral per
+    # D for the totals, each of whose p nodes takes its s-integral once
+    assert other[:3] == [400] * 3
+    assert [n for n, _ in totals] == [1] * 3
+    assert all(_each_node_once(nodes) for _, nodes in totals)
+    assert len(other) == 3 + sum(len(nodes) for _, nodes in totals)
     assert stray == []
 
 

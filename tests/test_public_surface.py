@@ -42,7 +42,7 @@ _KEPT_OPTIONS = {
     "unitary.propagate(edge_tolerance=)": "tests force an edge loss",
     "unitary.propagate(check_start=)": "tests start a packet on the barrier",
     "grids.gaussian_state_from_moments(hbar=)": "a physical constant: fixing it is wrong at hbar != 1",
-    "model1.total_reflected(p_grid=)": "the remedy that the edge-truncation error names",
+    "model1.total_reflected(p_min=)": "the remedy that the edge-truncation error names",
 }
 
 
