@@ -178,7 +178,7 @@ def total_reflected(
         return dens
 
     total = float(integrate_oscillatory_batch(envelope, 0.0, -p_min, -p_min)[0])
-    edge, peak = abs(density(p_min)), max(peaks)
+    edge, peak = abs(density(p_min)), max(peaks, default=0.0)
     if peak > 0 and edge > _EDGE_FRACTION * peak:
         raise QuadratureError(
             f"density at the lower limit p = {p_min:.6g} is {edge / peak:.3g} of the peak "
