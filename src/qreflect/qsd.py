@@ -111,17 +111,20 @@ def dt_limit(params: PhysicalParams, env: EnvironmentSpec, grid: SpatialGrid | N
 def grid_for(params: PhysicalParams, env: EnvironmentSpec, t_final: float,
              n_points: int) -> SpatialGrid:
     """The periodic grid that holds every trajectory to t_final, dx resolving the packet
-    and its localized width, in a power of two of at least 256 points.  Raises
-    ConfigError when the spread overflows or the grid needs more than n_points."""
+    and its localized width, in a power of two of at least 256 points.  The wavefunction
+    driver re-centres each row after every record, so under position coupling the grid
+    holds one packet, not its center's walk.  Raises ConfigError when the spread
+    overflows or the grid needs more than n_points."""
     m, hbar, sigma, strength = params.m, params.hbar, params.sigma, env.strength
     try:  # float ** and math.ceil raise on overflow where * and + give inf
         if env.kind == "position_coupling":
             # 8 widths of the packet, which spreads freely until t_c localizes it, and
-            # 4 sd of its center's walk, Var<x>(t) ~ 2 D t^3 / 3 m^2 (it wraps at an edge)
+            # 4 sd of its center's drift between two of the CLI's 200 records, at the
+            # sd of <p> at t_final, sqrt(2 D t_final)
             dx = min(sigma / 10.0, params.sigma_q / 4.0)
             free = (hbar * min(t_final, coupling_time(params, env)) / (2.0 * m * sigma)) ** 2
             half = (8.0 * math.sqrt(sigma**2 + free)
-                    + 4.0 * math.sqrt(2.0 * strength * t_final**3 / 3.0) / m)
+                    + 4.0 * math.sqrt(2.0 * strength * t_final) * (t_final / 200.0) / m)
         else:
             # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
             # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
@@ -299,14 +302,28 @@ def _block_increments(block: list, n_steps: int, dt: float) -> np.ndarray:
     return np.array([NoiseStream(seed).increments(0, n_steps, dt) for seed in block])
 
 
+def _recentre(vals: np.ndarray, mean_x, grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rolled, shift): each row of vals rolled by the whole number of cells, shift, that
+    brings its mean_x nearest the grid's centre cell.  On the periodic grid a roll is an
+    exact permutation.  A mean that is not finite shifts by 0, leaving its row for the
+    noise factor to report."""
+    n = grid.n_points
+    cells = (mean_x - grid.x_min) / grid.dx - n // 2
+    shift = np.rint(np.where(np.isfinite(cells), cells, 0.0)).astype(int)
+    return np.take_along_axis(vals, (np.arange(n) + shift[..., None]) % n, axis=-1), shift
+
+
 def _step_block(psi: WaveFunction, env: EnvironmentSpec, params: PhysicalParams, dt: float,
                 n_steps: int, record_every: int, block: list, out: np.ndarray) -> np.ndarray:
-    """Step block's seeds from psi as one array, recording into out; returns the final rows."""
+    """Step block's seeds from psi as one array, recording into out; returns the final rows,
+    each in its own frame: after each record _recentre rolls every row, and the records
+    add the row's offset back to <x>.  Neither the kinetic phase nor the noise factor's
+    x - <x> depends on the frame, so the frames move only roundoff."""
     grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
     dBs = iter(_block_increments(block, n_steps, dt).T[..., None])
     stepper = _trajectory_stepper(grid, env, params, dt, dBs.__next__)
     vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one row
-    step = 0
+    step, offset = 0, np.zeros(len(block), dtype=int)  # each row's frame, in cells
     for j in range(out.shape[1]):
         if j:
             chunk = min(record_every, n_steps - step)
@@ -326,6 +343,9 @@ def _step_block(psi: WaveFunction, env: EnvironmentSpec, params: PhysicalParams,
                                      f"at t = {step * dt:.6g}")
         out[:, j, 0] = step * dt
         out[:, j, 1:] = position_moments(vals, grid, hbar)
+        vals, shift = _recentre(vals, out[:, j, 1], grid)
+        out[:, j, 1] += offset * grid.dx
+        offset += shift
     return vals
 
 
@@ -338,9 +358,11 @@ def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec, params: 
     the norm from sum |psi|^2 f^2, and every sum runs along a C-ordered row, not
     through BLAS: each row equals its seed's run alone, bit for bit, and within
     2.2e-13 of a column's peak of the direct complex-factor form, however
-    slices.split splits the seeds over workers.
+    slices.split splits the seeds over workers.  After each record a row rolls by
+    whole cells, so that its <x> sits at the grid's centre cell, and its records add
+    the offset back: the grid holds one packet, not its center's walk.
     Raises GridTooNarrowError when a record holds more than 1e-5 of a row's
-    probability in the outer 1/16 of the grid on either side, and NumericalError
+    probability in the outer 1/16 of its frame on either side, and NumericalError
     naming the seed and step when a row's norm^2 is zero, subnormal or non-finite."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()

@@ -251,23 +251,24 @@ def test_qsd_moments_default_run_steps_128_seeds_as_one_array(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("args, message", [
-    # the periodic grid is too small for the packet: on the 256 points that a
-    # half-width of 8 sigma and 4 sd of the center's walk, 2 D t^3 / 3 m^2, gave, the
-    # packet's free spreading before it localizes at D = 0.001 wraps seed 24 around
+    # the periodic grid is too small for the packet: on a 256-point grid, 25.6 wide,
+    # the packet's free spreading before it localizes at D = 0.001 reaches the edge of
+    # every seed's frame at t = 4.9, and seed 38's the most
     (["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level", "wavefunction",
-      "--n_traj", "32", "--seed", "21"], "seed 24 holds probability"),
+      "--n_traj", "32", "--seed", "21"], "seed 38 holds probability"),
     # t_final < t_loc leaves no record time in the fit window of a 64-seed run
     (["qsd", "--D", "1", "--level", "moments", "--n_traj", "64", "--t_final", "0.5"],
      "fit window"),
     # 5e300 steps: the increments would not fit in memory
     (["qsd", "--D", "1", "--level", "moments", "--dt", "1e-300"], "steps exceeds 1000000"),
-    # the grid the center's walk needs does not fit in --n_points; capped at 512
-    # points, the grid was too small and seed 24 wrapped around
+    # the grid that the center's drift between two records needs by t_final = 100
+    # does not fit in --n_points
     (["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction", "--n_traj", "32",
-      "--seed", "21", "--n_points", "512"], "--n_points 512 is below the 1024 points"),
+      "--seed", "21", "--t_final", "100", "--n_points", "512"],
+     "--n_points 512 is below the 1024 points"),
 ])
 def test_qsd_fails_before_writing_trajectories(tmp_path, capsys, monkeypatch, args, message):
-    if message.startswith("seed 24"):  # qsd.grid_for's grid holds every seed: use the old one
+    if message.startswith("seed 38"):  # qsd.grid_for's grid holds every seed: narrow it
         monkeypatch.setattr(qsd, "grid_for", lambda *_: SpatialGrid(-12.8, 12.8, 256))
     assert main(args + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -496,11 +497,11 @@ def test_forked_failure_reports_as_one_process(tmp_path, capsys, monkeypatch, ca
     # and stderr line as --threads 1, no trajectory CSV and no child left behind.  The
     # one child is the ensemble's: the run fails before its files are written in slices
     _cpus(monkeypatch, 2)
-    if case == "edge":  # seed 24 wraps around the grid in the first slice
+    if case == "edge":  # every seed's spread reaches the edge of a grid too narrow for it
         monkeypatch.setattr(qsd, "grid_for", lambda *_: SpatialGrid(-12.8, 12.8, 256))
         args = ["qsd", "--coupling", "x", "--D", "0.001", "--t_final", "8", "--level",
                 "wavefunction", "--n_traj", "32", "--seed", "21"]
-        code, message = 2, "seed 24 holds probability"
+        code, message = 2, "seed 38 holds probability"
     else:  # seed 23's noise factor fails in the second slice
         _nan_increment(monkeypatch, 23, 6)
         args = ["qsd", "--D", "1", "--t_final", "0.5", "--level", "wavefunction",
@@ -521,7 +522,7 @@ def test_forked_failure_reports_as_one_process(tmp_path, capsys, monkeypatch, ca
 
 
 @pytest.mark.parametrize("args, needed", [
-    (["--D", "1", "--t_final", "50", "--n_points", "256"], 32768),
+    (["--D", "1", "--t_final", "50", "--n_points", "256"], 512),
     (["--coupling", "p", "--D_p", "0.01"], 65536),
 ])
 def test_qsd_grid_beyond_n_points_fails_before_any_step(tmp_path, capsys, monkeypatch, args,
@@ -539,12 +540,27 @@ def test_qsd_grid_beyond_n_points_fails_before_any_step(tmp_path, capsys, monkey
     assert calls == []
 
 
+def test_qsd_wavefunction_walk_longer_than_the_grid_runs(tmp_path, monkeypatch):
+    # 4 sd of each center's walk, 4 sqrt(2 D t^3 / 3), reach 1,155 by t = 50: rows that
+    # follow their packets step on 512 points, 51.2 wide, where holding the walk needed 32,768
+    grids = []
+    grid_for = qsd.grid_for
+    monkeypatch.setattr(qsd, "grid_for", lambda *a: grids.append(grid_for(*a)) or grids[-1])
+    assert main(["qsd", "--coupling", "x", "--D", "1", "--level", "wavefunction",
+                 "--n_traj", "2", "--seed", "0", "--t_final", "50",
+                 "--outdir", str(tmp_path)]) == 0
+    assert [g.n_points for g in grids] == [512]
+    records = np.loadtxt(tmp_path / "trajectory_0.csv", delimiter=",", skiprows=1)
+    # seed 0's center ends at <x> = 247, far past the grid's half-width of 25.6
+    assert records[-1, 0] >= 50.0 and records[-1, 1] > 200.0 and np.all(records[:, 3] < 1.1)
+
+
 @pytest.mark.parametrize("args", [
-    ["--D", "1", "--t_final", "1e150"],
+    ["--D", "1", "--t_final", "1e300"],
     ["--coupling", "p", "--D_p", "1", "--t_final", "1e160", "--dt", "1e155"],
 ])
 def test_qsd_wavefunction_spread_overflow_is_a_config_error(tmp_path, capsys, args):
-    # t_final^3 (x) or t_final^2 (p) overflows while sizing the grid
+    # t_final^1.5 (x) or t_final^2 (p) overflows while sizing the grid
     assert main(["qsd", "--level", "wavefunction", *args, "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: the spread by t_final")

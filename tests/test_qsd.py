@@ -412,18 +412,25 @@ def test_ensemble_rows_equal_single_seed_runs(monkeypatch, coupling, spec, n_ste
 
 @pytest.mark.parametrize("coupling", ["x", "p"])
 def test_ensemble_rows_equal_stepwise_reference(coupling):
-    # unfused reference: one step_trajectory per increment of the seed's stream
+    # unfused reference: one step_trajectory per increment of the seed's stream, each
+    # state re-centred as the driver re-centres its rows after every record
     params, env = _coupled(coupling)
     psi0 = gaussian_packet(params, SpatialGrid(-16, 16, 256), center=-3.0, mean_p=1.0)
     n_steps, dt, seeds = 40, 0.002, [3, 8]
     runs = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, seeds)
     for seed, series in zip(seeds, runs):
         (final,) = _final_states(psi0, env, params, dt, n_steps, [seed], 1)[1]
-        psi = psi0.normalized()
-        ref = [wavefunction_moments(psi)]
-        for k, dB in enumerate(NoiseStream(seed).increments(0, n_steps, dt).tolist(), 1):
-            psi = step_trajectory(psi, env, params, dt, dB)
-            ref.append(replace(wavefunction_moments(psi), time=k * dt))
+        psi, offset, ref = psi0.normalized(), 0, []
+        increments = NoiseStream(seed).increments(0, n_steps, dt).tolist()
+        for k, dB in enumerate([None, *increments]):
+            if k:
+                psi = step_trajectory(psi, env, params, dt, dB)
+            moments = wavefunction_moments(psi)
+            values, shift = qsd._recentre(psi.values, moments.mean_x, psi.grid)
+            ref.append(replace(moments, time=k * dt,
+                               mean_x=moments.mean_x + offset * psi.grid.dx))
+            psi, offset = replace(psi, values=values), offset + int(shift)
+        assert offset != 0  # the packet moved by whole cells
         assert np.array_equal(_bits(series), _bits(ref))
         assert np.array_equal(final.view(np.uint64), psi.values.view(np.uint64))
 
@@ -611,15 +618,42 @@ def test_moment_block_breakdown_carries_the_failing_row():
 
 
 def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
-    # an uncoupled packet moving right reaches the outer 1/16 of the grid
-    # (x > 7) after t = 0.5; past the edge it would wrap around silently
+    # an uncoupled packet, sd sqrt(0.25 + t^2), spreads into the outer 1/16 of its
+    # frame (|x - <x>| > 7) at t = 1.5; past the edge it would wrap around silently.
+    # Its motion does not count: the frame follows it
     params = PhysicalParams(sigma=0.5)
     grid = SpatialGrid(-8, 8, 128)
     psi0 = gaussian_packet(params, grid, center=0.0, mean_p=4.0)
     env = EnvironmentSpec.position(0.0)
-    run_wavefunction_ensemble(psi0, env, params, 0.002, 250, [5], record_every=50)
-    with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 0\.\d+$"):
+    run_wavefunction_ensemble(psi0, env, params, 0.002, 700, [5], record_every=50)
+    with pytest.raises(GridTooNarrowError, match=r"^seed 5 holds probability .* at t = 1\.5$"):
         run_wavefunction_ensemble(psi0, env, params, 0.002, 1000, [5], record_every=50)
+
+
+def test_recentre_rolls_whole_cells_and_leaves_a_nonfinite_row():
+    # dx = 0.125 and the centre cell at x = 0: <x> = 1 is 8 cells right, -0.3 is
+    # 2.4 cells left; a nan mean shifts by 0, with no warning from casting nan
+    grid = SpatialGrid(-8, 8, 128)
+    vals = np.arange(3 * 128, dtype=complex).reshape(3, 128)
+    rolled, shift = qsd._recentre(vals, np.array([1.0, -0.3, np.nan]), grid)
+    assert shift.tolist() == [8, -2, 0]
+    for row, cells, out in zip(vals, shift.tolist(), rolled):
+        assert np.array_equal(out, np.roll(row, -cells))
+
+
+def test_a_packet_that_only_moves_stays_on_its_grid():
+    # a packet of sd sqrt(1 + t^2 / 4) moving right at p = 8 reached the outer 1/16 of
+    # a fixed grid (x > 7) at t = 0.4; in a frame that follows it, it ends at <x> = 8,
+    # the grid's edge, with its moments those of the free packet
+    params = PhysicalParams(sigma=1.0)
+    grid = SpatialGrid(-8, 8, 128)
+    psi0 = gaussian_packet(params, grid, center=0.0, mean_p=8.0)
+    ((records,), (final,)) = _final_states(psi0, EnvironmentSpec.position(0.0), params,
+                                           0.002, 500, [5], 50)
+    t, mean_x, mean_p, var_x = records[:, 0], records[:, 1], records[:, 2], records[:, 3]
+    assert np.max(np.abs(mean_x - 8.0 * t)) < 1e-8 and np.max(np.abs(mean_p - 8.0)) < 1e-12
+    assert np.max(np.abs(var_x - (1.0 + t**2 / 4.0))) < 1e-8
+    assert abs(WaveFunction(grid, final).moments()[0]) <= grid.dx / 2
 
 
 # -- element-wise kernels of the wavefunction step against their direct forms ------
