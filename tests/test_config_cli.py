@@ -1201,7 +1201,7 @@ def test_qsd_wavefunction_inputs_end_in_a_documented_exit_code(coupling, strengt
     assert rc == 0 or set(left) <= {"resolved_config.txt"}  # a failed run writes no output
     assert rc in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
-    # qsd.grid_for holds the packet's free spread and the center's walk
+    # qsd.grid_for holds the packet's free spread and its center's drift between records
     assert coupling == "p" or "in the outer 1/16 of the grid" not in err.getvalue()
 
 
