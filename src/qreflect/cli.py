@@ -14,10 +14,11 @@ QSD trajectory k draws increment i from Philox block [i, 0, 0, 0] under key
 seed + k; both QSD levels return one (n_traj, records, 6) array, read once for
 the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
 (every seed of a default 1000-step run); a wavefunction block steps 64.
-CSV floats are Python's shortest round-trip repr.  --threads N runs three stages
+CSV floats are Python's shortest round-trip repr.  --threads N runs two stages
 in min(N, rows, usable CPUs) forked slices (slices.split) and changes no output:
-a wavefunction-level qsd ensemble's seeds, a model1 sweep's points (figure 2's
-included) and every command's files.  BENCH_25.json and BENCH_26.json hold the
+a wavefunction-level qsd ensemble's seeds and every command's files.  A sweep's
+totals, and a model1 sweep's densities, take one batched quadrature call each
+(oscquad.batched).  BENCH_25.json, BENCH_26.json and BENCH_33.json hold the
 timings.
 """
 
@@ -41,6 +42,7 @@ from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p
                      reflected_density_x, sweep_total_p, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      finite_density, reflected_density_env, total_reflected_model2)
+from .oscquad import batched
 from .potentials import potential_position
 from .qsd import (MIN_SEEDS, TrajectoryMoments, coupling_time, fluctuation_report,
                   run_moment_ensemble, run_wavefunction_ensemble, steady_moments)
@@ -220,15 +222,10 @@ def _run_model1(cfg: RunConfig):
                         "is not << 1; kernel outside its regime")
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
-    # model1 densities are not clamped.  Each sweep point is a row, so the points split.
-    densities, totals = np.empty((len(sweep), len(p_grid))), np.empty(len(sweep))
-
-    def run(lo: int, hi: int) -> None:
-        densities[lo:hi] = [finite_density(density_of(p_grid, s)) for s in sweep[lo:hi]]
-        if len(sweep) > 1:
-            totals[lo:hi] = [total_reflected(params, env, tau=tau) for env in envs[lo:hi]]
-
-    slices.split(run, len(sweep), cfg.threads, (densities, totals))
+    # model1 densities are not clamped; the sweep's densities take one batched call, a
+    # row per strength, and so do its totals
+    densities = batched(lambda values: finite_density(density_of(p_grid, values[:, None])),
+                        np.array(sweep, float))
     files = [(f"density_{cfg.coupling}_{strength:g}.csv",
               (["p", "density"], np.column_stack((p_grid, dens))))
              for strength, dens in zip(sweep, densities)]
@@ -237,6 +234,7 @@ def _run_model1(cfg: RunConfig):
     files.append(("density.svg", line_plot(
         plot_series, f"reflected momentum density ({cfg.coupling}-coupling)", "p", "density")))
     if len(sweep) > 1:
+        totals = batched(lambda part: total_reflected(params, part, tau=tau), envs)
         files += [(f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
                    (["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))),
                   ("total.svg", line_plot(
@@ -352,7 +350,7 @@ def run_figures(which: int, cfg: RunConfig | None = None):
         params = [base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
                   for a in a_values]
         totals = [sweep_total_p(p, xs) for p in params]
-    else:  # figure 5: one s-integral per D serves every width
+    else:  # figure 5: one p-integral over every (D, width), one s-integral per (p, D)
         key, title = "D", "two-particle total reflected probability vs D"
         xs = tuple(np.logspace(-2, 2, 13).tolist())
         subs = [base.replace(command="model2", M=10.0, sigma=100.0, a=a, V0=0.01,

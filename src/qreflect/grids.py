@@ -174,17 +174,19 @@ class SplitStepper:
         self.p_middle = p_middle
 
     def advance(self, values: np.ndarray, n_steps: int) -> np.ndarray:
-        """Position amplitudes n_steps >= 1 steps after ``values`` (not modified)."""
-        tilde = np.fft.fft(values) * self.half
+        """Position amplitudes n_steps >= 1 steps after ``values`` (not modified).
+        Every FFT after the first transforms in place, into the one array returned."""
+        tilde = np.fft.fft(values)
+        tilde *= self.half
         for step in range(n_steps):
             if self.x_middle is not None:
-                vals = np.fft.ifft(tilde)
-                self.x_middle(vals)
-                tilde = np.fft.fft(vals)
+                np.fft.ifft(tilde, out=tilde)
+                self.x_middle(tilde)
+                np.fft.fft(tilde, out=tilde)
             if self.p_middle is not None:
                 self.p_middle(tilde)
             tilde *= self.full if step < n_steps - 1 else self.half
-        return np.fft.ifft(tilde)
+        return np.fft.ifft(tilde, out=tilde)
 
 
 # -- state constructors -------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .oscquad import decay_cutoff, integrate_oscillatory_batch
+from .oscquad import batched, decay_cutoff, integrate_oscillatory_batch, squares
 from .params import PhysicalParams
 from .potentials import potential_momentum
 
@@ -63,7 +63,7 @@ def born_delta_coefficient(p, params: PhysicalParams) -> np.ndarray:
 def reflected_density_x(
     p,
     params: PhysicalParams,
-    D: float | None = None,
+    D=None,
     tau: float | None = None,
 ):
     """Diagonal reflected density at momentum p for position coupling.
@@ -72,8 +72,9 @@ def reflected_density_x(
         int_0^tau ds (1 - s/tau) cos(omega s) exp(-D s^3 (p-p_bar)^2 / 12 m^2 hbar^2)
     with omega = (p^2 - p_bar^2) / 2 m hbar.  tau defaults to the packet
     standoff time 2 m x_bar / p_bar; tau = inf drops the (1 - s/tau) factor.
-    p may be an array: every point is integrated in one batched quadrature
-    and an array is returned; a float p returns a float.
+    p and D may be arrays that broadcast together, one strength per point: every
+    point is integrated in one batched quadrature, with the arithmetic of a call
+    of its own, and an array is returned; a float p and D return a float.
 
     The D = 0, tau = inf corner is distributional -- the integral resolves to
     pi delta(omega) -- and returns the delta coefficient born_delta_coefficient(p),
@@ -84,14 +85,15 @@ def reflected_density_x(
         D = params.D
     if tau is None:
         tau = params.tau_default
-    p_arr = np.atleast_1d(np.asarray(p, float))
+    scalar = np.ndim(p) == 0 and np.ndim(D) == 0
+    p_arr, D = np.broadcast_arrays(np.atleast_1d(np.asarray(p, float)), np.asarray(D, float))
     delta = p_arr - pb
     omega = (p_arr**2 - pb**2) / (2.0 * m * hbar)
     beta = D * delta**2 / (12.0 * m**2 * hbar**2)
 
-    if D == 0.0 and math.isinf(tau):
+    if not np.any(D) and math.isinf(tau):
         dens = born_delta_coefficient(p_arr, params)
-    elif D == 0.0:
+    elif not np.any(D):
         # closed form: Fejer kernel (1 - cos(omega tau)) / (omega^2 tau), written as
         # 2 sin^2(omega tau / 2) / (omega^2 tau), which keeps its digits at small omega tau
         safe = np.where(omega == 0.0, 1.0, omega)
@@ -103,12 +105,14 @@ def reflected_density_x(
         upper = np.minimum(tau, cutoff)
         if not np.all(np.isfinite(upper)):
             raise QuadratureError("integral does not converge: D = 0 with infinite tau")
+        beta = beta.ravel()
         if math.isinf(tau):
             env = lambda s, i: np.exp(-beta[i] * (s * s * s))
         else:
             env = lambda s, i: (1.0 - s / tau) * np.exp(-beta[i] * (s * s * s))
-        dens = _x_prefactor(params, delta) * integrate_oscillatory_batch(env, omega, upper, upper)
-    return float(dens[0]) if np.ndim(p) == 0 else dens
+        integral = integrate_oscillatory_batch(env, omega, upper, upper).reshape(p_arr.shape)
+        dens = _x_prefactor(params, delta) * integral
+    return float(dens[0]) if scalar else dens
 
 
 def _x_prefactor(params: PhysicalParams, delta: np.ndarray) -> np.ndarray:
@@ -117,7 +121,7 @@ def _x_prefactor(params: PhysicalParams, delta: np.ndarray) -> np.ndarray:
         return 2.0 * params.m / (params.hbar**2 * params.p_bar) * v**2
 
 
-def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
+def reflected_density_p(p, params: PhysicalParams, D_p=None):
     """Closed-form diagonal reflected density for momentum coupling.
 
     (2 pi m^2 / hbar p_bar^2) V^2(p - p_bar) * B(p) where the broadening factor
@@ -129,69 +133,84 @@ def reflected_density_p(p, params: PhysicalParams, D_p: float | None = None):
     delta(p + p_bar) as D_p -> 0.  (The often-quoted representation with
     (p - p_bar)^2 in the numerator and (p^2 - p_bar^2)^2 in the denominator is
     the same function; the (p - p_bar)^2 factor cancels, so the point
-    p = p_bar is perfectly regular.)  Elementwise over an array p; a float p
-    returns a float.
+    p = p_bar is perfectly regular.)  Elementwise over an array p, and over an
+    array D_p that broadcasts against it with the arithmetic of one D_p at a
+    time; a float p and D_p return a float.
     """
     m, hbar, pb = params.m, params.hbar, params.p_bar
     if D_p is None:
         D_p = params.D_p
-    if D_p <= 0:
+    scalar = np.ndim(p) == 0 and np.ndim(D_p) == 0
+    D_p = np.asarray(D_p, float)
+    if np.any(D_p <= 0):
         raise ConfigError("momentum-coupling density requires D_p > 0")
     c = 2.0 * m * hbar * D_p
     p_arr = np.asarray(p, float)
-    # c**2 below raises OverflowError on its own, and numpy warns where c**2 (p - p_bar)^2 does
-    if not c * c * float(np.max((p_arr - pb) ** 2, initial=0.0)) < math.inf:
-        raise ConfigError(f"(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got D_p = {D_p!r}")
+    # c**2 below would raise OverflowError on a float; numpy warns where c^2 (p - p_bar)^2 does
+    with np.errstate(over="ignore"):
+        fits = c * c * float(np.max((p_arr - pb) ** 2, initial=0.0)) < math.inf
+    if not np.all(fits):
+        raise ConfigError("(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got "
+                          f"D_p = {float(D_p[~fits].flat[0])!r}")
     v2 = potential_momentum(params.potential, p_arr - pb, hbar) ** 2
-    bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + c**2 * (p_arr - pb) ** 2)
+    bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + squares(c) * (p_arr - pb) ** 2)
     dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
-    return float(dens) if np.ndim(p) == 0 else dens
+    return float(dens) if scalar else dens
 
 
 def total_reflected(
     params: PhysicalParams,
-    env: EnvironmentSpec,
+    env,
     tau: float | None = None,
     p_min: float | None = None,
-) -> float:
+):
     """Total reflected probability: the kernel density integrated over [p_min, 0].
 
     The total is defined on that range, p_min = -8 p_bar by default, as criterion
     03's oracle is (the mass below -8 p_bar is 1.5% of the total at a = 0.1,
     D_p = 1).  The density is finite at p = 0; integrate_oscillatory_batch at
     omega = 0 bisects every p-panel its run-time error estimate does not resolve.
-    Raises QuadratureError when the density at p_min exceeds _EDGE_FRACTION of the
-    peak over the evaluated nodes, as the total would then be truncated; the upper
-    limit does not truncate, and the density may peak there (at a = 0.1, D_p = 1).
+    env is one EnvironmentSpec, or a sequence of specs of one kind, whose totals
+    take one batched p-integral, a point per strength, and return an array.
+    Raises QuadratureError when a strength's density at p_min exceeds
+    _EDGE_FRACTION of its peak over its evaluated nodes, as its total would then be
+    truncated; the upper limit does not truncate, and the density may peak there
+    (at a = 0.1, D_p = 1).
     """
     if p_min is None:
         p_min = -8.0 * params.p_bar
-    if env.kind == "position_coupling":
-        density = lambda p: reflected_density_x(p, params, env.strength, tau)
+    specs = [env] if isinstance(env, EnvironmentSpec) else list(env)
+    kinds = {spec.kind for spec in specs}
+    if len(kinds) > 1:
+        raise ConfigError("total_reflected takes environments of one coupling kind")
+    strength = np.array([spec.strength for spec in specs])
+    if "position_coupling" in kinds:
+        density = lambda p, i: reflected_density_x(p, params, strength[i], tau)
     else:
-        density = lambda p: reflected_density_p(p, params, env.strength)
-    peaks = []  # the largest |density| of each node slice
+        density = lambda p, i: reflected_density_p(p, params, strength[i])
+    peak = np.zeros(len(specs))  # each strength's largest |density| over its nodes
 
     def envelope(s, i):
-        dens = density((s + p_min).ravel()).reshape(s.shape)
-        peaks.append(float(np.max(np.abs(dens))))
+        dens = density(s + p_min, i)
+        np.maximum.at(peak, i[:, 0], np.max(np.abs(dens), axis=1))
         return dens
 
-    total = float(integrate_oscillatory_batch(envelope, 0.0, -p_min, -p_min)[0])
-    edge, peak = abs(density(p_min)), max(peaks, default=0.0)
-    if peak > 0 and edge > _EDGE_FRACTION * peak:
-        raise QuadratureError(
-            f"density at the lower limit p = {p_min:.6g} is {edge / peak:.3g} of the peak "
-            f"(> {_EDGE_FRACTION:g}), so the total is truncated; total_reflected's p_min "
-            "argument sets a lower limit"
-        )
-    return total
+    totals = integrate_oscillatory_batch(envelope, np.zeros(len(specs)), -p_min, -p_min)
+    for edge, top in zip(np.abs(density(p_min, np.arange(len(specs)))), peak):
+        if top > 0 and edge > _EDGE_FRACTION * top:
+            raise QuadratureError(
+                f"density at the lower limit p = {p_min:.6g} is {edge / top:.3g} of the peak "
+                f"(> {_EDGE_FRACTION:g}), so the total is truncated; total_reflected's p_min "
+                "argument sets a lower limit"
+            )
+    return float(totals[0]) if isinstance(env, EnvironmentSpec) else totals
 
 
 def sweep_total_p(params: PhysicalParams, D_p_values) -> np.ndarray:
-    """Total reflected probability versus D_p for momentum coupling."""
-    return np.array([total_reflected(params, EnvironmentSpec.momentum(D_p))
-                     for D_p in D_p_values])
+    """Total reflected probability versus D_p for momentum coupling, every D_p in
+    one batched p-integral (oscquad.batched)."""
+    return batched(lambda values: total_reflected(
+        params, [EnvironmentSpec.momentum(D_p) for D_p in values]), np.asarray(D_p_values, float))
 
 
 def narrow_sideband_ratio(params: PhysicalParams, D: float | None = None) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .oscquad import decay_cutoff, integrate_oscillatory_batch, panel_nodes
+from .oscquad import (batched, decay_cutoff, integrate_oscillatory_batch, panel_nodes,
+                      squares)
 from .params import PhysicalParams, steady_target_width
 from .potentials import potential_momentum
 
@@ -109,7 +110,6 @@ def target_momentum_density(cfg: Model2Config, P: float) -> float:
     return Sg / (math.sqrt(math.pi) * hbar) * math.exp(-(Sg**2) * (P - Pb) ** 2 / hbar**2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
 def marginal_reflected_noenv(cfg: Model2Config, p):
     """Reflected density of the light particle with the target traced out.
 
@@ -121,8 +121,14 @@ def marginal_reflected_noenv(cfg: Model2Config, p):
     with F the energy mismatch at the incoming target momentum P_bar.
     Elementwise over an array p; a float p returns a float.
     """
-    m, M, hbar, pb, Pb, Sg = _target(cfg)
-    p_arr = np.asarray(p, float)
+    dens = _marginal(cfg, np.asarray(p, float), cfg.params.Sigma)
+    return float(dens) if np.ndim(p) == 0 else dens
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
+def _marginal(cfg: Model2Config, p_arr: np.ndarray, Sg) -> np.ndarray:
+    """marginal_reflected_noenv at the target width Sg, one value or one per p."""
+    m, M, hbar, pb, Pb, _ = _target(cfg)
     if np.any(p_arr == pb):
         raise ConfigError("marginal density is singular exactly at p = p_bar")
     delta = p_arr - pb
@@ -131,8 +137,7 @@ def marginal_reflected_noenv(cfg: Model2Config, p):
         * _v_squared(cfg.params, delta)
     )
     F = (pb**2 - p_arr**2) / (2.0 * m) + (Pb**2 - (Pb - delta) ** 2) / (2.0 * M)
-    dens = pref * np.exp(-(Sg**2) * M**2 * F**2 / (hbar**2 * delta**2))
-    return float(dens) if np.ndim(p) == 0 else dens
+    return pref * np.exp(-squares(Sg) * M**2 * F**2 / (hbar**2 * delta**2))
 
 
 def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedDensity:
@@ -187,29 +192,33 @@ def reflected_density_env(cfg: Model2Config, p, D: float | None = None):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
-def _env_densities(cfg: Model2Config, p, D: float | None, barriers) -> list[np.ndarray]:
+def _env_densities(cfg: Model2Config, p, D, barriers, Sigma=None) -> list[np.ndarray]:
     """reflected_density_env over an array of p, once for each barrier.
 
-    The s-integral reads the target, D and tau but never the barrier, which
-    enters only through V^2(delta), so one quadrature serves every barrier.
+    D, and Sigma in place of the target's own width, may hold one value per p (a
+    steady target's width follows each D), each with the arithmetic of a call of
+    its own.  The s-integral reads the target, D and tau but never the barrier,
+    which enters only through V^2(delta), so one quadrature serves every barrier.
     """
     params = cfg.params
     m, M, hbar, pb, _, Sg = _target(cfg)
     if D is None:
         D = params.D
+    if Sigma is not None:
+        Sg = Sigma
     tau = cfg.tau
     p_arr = np.atleast_1d(np.asarray(p, float))
     each = [params.replace(potential=spec) for spec in barriers]
     if math.isinf(tau):
-        return [marginal_reflected_noenv(replace(cfg, params=q), p_arr) for q in each]
-    if D < 0:
+        return [_marginal(replace(cfg, params=q), p_arr, Sg) for q in each]
+    if np.any(np.asarray(D) < 0):
         raise ConfigError("D must be nonnegative")
     if tau <= 0:  # the prefactor below divides by tau
         raise ConfigError("tau must be positive")
     delta = p_arr - pb
     omega = _recoil_omega(cfg, p_arr)
     beta = D * delta**2 / (3.0 * M**2 * hbar**2)
-    gamma = delta**2 / (4.0 * Sg**2 * M**2)
+    gamma = delta**2 / (4.0 * squares(Sg) * M**2)
     kappa = D * delta**2 / (M**2 * hbar**2)  # x = kappa s^2 (tau - s)
     upper = np.minimum(tau, decay_cutoff((beta, 3), (gamma, 2)))
     integral = integrate_oscillatory_batch(_traced_envelope(tau, beta, gamma, kappa),
@@ -394,24 +403,39 @@ def total_reflected_model2(cfg: Model2Config, D_values, barriers=None) -> np.nda
 
     When the configuration pins the target to its steady width, Sigma tracks
     each swept D value.  Given a sequence of PotentialSpec barriers, returns a
-    (len(barriers), len(D_values)) array from one p-integral per D value, whose
-    node slices take one s-integral per distinct p for every barrier; otherwise
-    the totals for the configured barrier.  clamp_density's floor holds over every
-    evaluated node; shallower lobes stay, as zeroing one would put a kink in p.
+    (len(barriers), len(D_values)) array, otherwise the totals for the configured
+    barrier.  The sweep takes one p-integral (oscquad.batched), a point per
+    (barrier, D); each of its node slices takes one s-integral per distinct (p, D),
+    which serves every barrier.  clamp_density's floor holds for each (D, barrier)
+    over its evaluated nodes; shallower lobes stay, as zeroing one would put a
+    kink in p.
     """
     specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
-    span = 8.0 * cfg.params.p_bar
-    totals = np.empty((len(specs), len(D_values)))
-    for j, D in enumerate(D_values):
-        c, seen = cfg.with_D(D), []  # per node slice, each barrier's lowest and highest density
-
-        def envelope(s, i):
-            p, back = np.unique(s - span, return_inverse=True)
-            dens = finite_density(_env_densities(c, p, D, specs))
-            seen.append(np.column_stack((dens.min(axis=1), dens.max(axis=1))))
-            return dens[i, back.reshape(s.shape)]
-
-        totals[:, j] = integrate_oscillatory_batch(envelope, np.zeros(len(specs)), span, span)
-        for extremes in np.hstack(seen):  # one row per barrier
-            clamp_density(extremes)
+    totals = batched(lambda values: _sweep_totals(cfg, values, specs),
+                     np.asarray(D_values, float)).T
     return totals[0] if barriers is None else totals
+
+
+def _sweep_totals(cfg: Model2Config, D_values: np.ndarray, specs) -> np.ndarray:
+    """The (len(D_values), len(specs)) totals of total_reflected_model2, from one
+    p-integral whose point b * len(D_values) + k is barrier b at D_values[k]."""
+    configs = [cfg.with_D(D) for D in D_values.tolist()]
+    n, span = len(configs), 8.0 * cfg.params.p_bar
+    D = np.array([c.params.D for c in configs])
+    Sigma = np.array([c.params.Sigma for c in configs])
+    # per D and barrier, the lowest and highest density over the evaluated nodes
+    low, high = np.full((n, len(specs)), np.inf), np.full((n, len(specs)), -np.inf)
+
+    def envelope(s, i):
+        # a complex key sorts by p, then by the index of D: one s-integral per distinct pair
+        key, back = np.unique((s - span) + 1j * (i % n), return_inverse=True)
+        k = key.imag.astype(np.intp)
+        dens = finite_density(_env_densities(cfg, key.real, D[k], specs, Sigma[k]))
+        np.minimum.at(low, k, dens.T)
+        np.maximum.at(high, k, dens.T)
+        return dens[i // n, back.reshape(s.shape)]
+
+    totals = integrate_oscillatory_batch(envelope, np.zeros(n * len(specs)), span, span)
+    for extremes in np.stack([low, high], axis=-1).reshape(-1, 2):  # D by D, as a call each
+        clamp_density(extremes)
+    return totals.reshape(len(specs), n).T

@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QreflectError, QuadratureError
 
 _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -232,6 +232,33 @@ def integrate_oscillatory(envelope: Callable[[np.ndarray], np.ndarray], omega: f
     envelope receives nodes of shape (panels, 24).
     """
     return float(integrate_oscillatory_batch(lambda s, i: envelope(s), omega, upper, scale)[0])
+
+
+def batched(run, values) -> np.ndarray:
+    """run(values): one batch for a whole sweep, whose results run along axis 0.
+
+    A batch gives each value the bits of a call of its own, so only a failure can
+    tell them apart.  When the batch raises a QreflectError, run([value]) is called
+    for each value in turn: the first value that fails raises the error of its own
+    call, and a sweep whose batch would outgrow the panel budget still runs.
+    """
+    try:
+        return run(values)
+    except QreflectError:
+        if len(values) < 2:
+            raise
+    return np.concatenate([run(values[k:k + 1]) for k in range(len(values))])
+
+
+def squares(x):
+    """x**2 elementwise, each as Python squares a float, by pow: numpy squares an
+    array as x * x, which misses pow's result by an ulp for about 1 value in 1,200.
+    A kernel that batches a per-value parameter squares it here, so that every value
+    keeps the bits of a call of its own."""
+    if np.ndim(x) == 0:
+        return float(x) ** 2
+    values, back = np.unique(x, return_inverse=True)
+    return np.array([v**2 for v in values.tolist()])[back].reshape(np.shape(x))
 
 
 def decay_cutoff(*inverse_scales):

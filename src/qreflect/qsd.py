@@ -130,13 +130,14 @@ def grid_for(params: PhysicalParams, env: EnvironmentSpec, t_final: float,
             # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
             dx, spread = sigma / 10.0, (hbar * t_final / (2.0 * m * sigma)) ** 2
             half = 8.0 * math.sqrt(sigma**2 + spread + 2.0 * hbar**2 * strength * t_final)
-        n = 2 ** math.ceil(math.log2(2.0 * half / dx))
+        k = math.ceil(math.log2(2.0 * half / dx))
     except OverflowError:
         raise ConfigError(
             f"the spread by t_final = {t_final:.3g} overflows the grid size") from None
-    if n > n_points:
-        raise ConfigError(f"--n_points {n_points} is below the {n} points the grid "
-                          f"needs for the spread by t_final = {t_final:.3g}")
+    n = 2**k
+    if n > n_points:  # a count past 2^32 prints as a power, not as up to 300 digits
+        raise ConfigError(f"--n_points {n_points} is below the {n if k <= 32 else f'2^{k}'} "
+                          f"points the grid needs for the spread by t_final = {t_final:.3g}")
     return SpatialGrid(-n * dx / 2.0, n * dx / 2.0, max(n, 256))
 
 

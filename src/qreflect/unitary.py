@@ -23,6 +23,7 @@ from .timescales import scattering_time
 
 _ABSORBER_WIDTH = 0.05  # fraction of the grid each edge layer covers
 _OVERLAP_TOLERANCE = 1e-4  # position mass near the barrier that blocks a measurement
+_BORN_EDGE_SHARE = 1e-3  # largest share of the Born total in the cell left out next to p = 0
 
 
 @dataclass(frozen=True)
@@ -206,20 +207,37 @@ def reflection_probability(
 
 @dataclass(frozen=True)
 class BornResult:
-    """First-order reflected momentum density for a normalized incoming packet."""
+    """First-order reflected momentum density for a normalized incoming packet, on
+    a grid of p < 0 that stops one cell short of p = 0."""
 
     p: np.ndarray
     density: np.ndarray
-    total: float
+
+    @property
+    def total(self) -> float:
+        """The density's trapezoid total over the grid.  Raises NumericalError when the
+        cell left out next to p = 0, the density at the last point times the spacing,
+        holds more than _BORN_EDGE_SHARE of the total: the 1/p^2 prefactor is not
+        integrable at p = 0, so once the packet reaches there the total grows with the
+        grid (that share is 0.86 at sigma = 0.5, 0.10 at 2 and 1e-5 at 3, for p_bar = 1,
+        a = 0.1)."""
+        total = float(np.trapezoid(self.density, self.p))
+        left_out = float(self.density[-1] * (self.p[-1] - self.p[-2]))
+        if left_out > _BORN_EDGE_SHARE * total:
+            raise NumericalError(
+                f"the Born density's cell next to p = 0 holds {left_out / total:.3g} of its "
+                f"total (> {_BORN_EDGE_SHARE:g}): the packet reaches p = 0, where the 1/p^2 "
+                "prefactor is not integrable, so the total depends on the grid")
+        return total
 
 
 def born_reflection(params: PhysicalParams) -> BornResult:
     """First Born reflected density on the p < 0 half-grid.
 
     density(p) = (2 pi m^2 / hbar p^2) V(2p)^2 |psi_in(-p)|^2 with V the
-    momentum-space barrier and psi_in the incoming Gaussian packet, by the
-    trapezoid rule on 2,048 points of [-8 p_bar, 0): at p = 0 the 1/p^2 prefactor
-    is singular, and not integrable once the packet reaches there (sigma = 0.5).
+    momentum-space barrier and psi_in the incoming Gaussian packet, on 2,048
+    points of [-8 p_bar, 0): at p = 0 the 1/p^2 prefactor is singular, and not
+    integrable once the packet reaches there, so BornResult.total checks that.
     """
     m, hbar, pb, sigma = params.m, params.hbar, params.p_bar, params.sigma
     p = np.linspace(-8.0 * pb, 0.0, 2048, endpoint=False)
@@ -228,5 +246,4 @@ def born_reflection(params: PhysicalParams) -> BornResult:
         -2.0 * sigma**2 * (-p - pb) ** 2 / hbar**2
     )
     density = 2.0 * math.pi * m**2 / (hbar * p**2) * v**2 * incoming
-    total = float(np.trapezoid(density, p))
-    return BornResult(p=p, density=density, total=total)
+    return BornResult(p=p, density=density)

@@ -375,9 +375,9 @@ def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, m
     # 65 files split 33 + 32, 22 + 22 + 21 and 8 + ... + 9
     (["qsd", "--level", "moments", "--coupling", "x", "--D", "1", "--n_traj", "64"], 1),
     (["qsd", "--level", "moments", "--coupling", "p", "--D_p", "1", "--n_traj", "64"], 1),
-    # 3 sweep points split 1 + 2 and 1 each, then their 6 files 3 + 3, 2 + 2 + 2, 1 each
-    (["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1", "--sigma", "10"], 3),
-    (["figures", "--figure", "2"], 5),  # a model1 sweep of 5 D_p values
+    # a model1 sweep takes one batched call: its 6 files split 3 + 3, 2 + 2 + 2, 1 each
+    (["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1", "--sigma", "10"], 1),
+    (["figures", "--figure", "2"], 1),  # a model1 sweep of 5 D_p values
     # a model2 sweep, figures 1 and 3: one process computes, the files split
     (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true", "--D_sweep", "0.1,1"],
      1),
@@ -385,8 +385,8 @@ def test_wavefunction_outputs_identical_across_thread_counts(tmp_path, capsys, m
     (["figures", "--figure", "3"], 1),
 ])
 def test_outputs_identical_across_thread_counts(tmp_path, capsys, monkeypatch, args, points):
-    # each stage forks min(threads, rows, CPUs) - 1 children: a model1 sweep's points,
-    # then every command's files
+    # each stage forks min(threads, rows, CPUs) - 1 children: only the files split here,
+    # as every command computes in one process (points = 1)
     _cpus(monkeypatch, 8)
     _poison_empty(monkeypatch)
     pids = _fork_spy(monkeypatch)
@@ -479,6 +479,33 @@ def test_a_later_sweep_point_that_fails_numerically_fails_before_any_output(tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
 
+_EDGE = ("numerical failure: density at the lower limit p = -8 is 0.0628 of the peak (> 0.02), "
+         "so the total is truncated; total_reflected's p_min argument sets a lower limit")
+_OVERFLOW = "config error: (2 m hbar D_p)^2 overflows against (p - p_bar)^2, got D_p = "
+
+
+@pytest.mark.parametrize("args, code, last", [
+    # D = 1e3's total is truncated at p = -8, between two values that pass
+    (["model1", "--coupling", "x", "--D_sweep", "0.01,1e3,0.1"], 3, _EDGE),
+    # 1e153's density passes on [-3, 3] and its total overflows on [-8, 0]; 1e300's
+    # density overflows, but the densities come first
+    (["model1", "--coupling", "p", "--Dp_sweep", "1,1e153,10"], 2, _OVERFLOW + "1e+153"),
+    (["model1", "--coupling", "p", "--Dp_sweep", "1,1e153,1e300"], 2, _OVERFLOW + "1e+300"),
+    (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true",
+      "--D_sweep", "1,1e300,10"], 3,
+     "numerical failure: oscillatory integral: 880 panel(s) still unresolved after 12 "
+     "bisections, near s = 0"),
+])
+def test_a_batched_sweep_fails_as_a_call_per_value_does(tmp_path, capsys, args, code, last):
+    # a sweep's densities and totals take one batched call each; when it fails, the
+    # values rerun one at a time, so the exit code and stderr line are those of a
+    # call per value: the first failing value's own
+    assert main(args + ["--outdir", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == last
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
+
+
 def _nan_increment(monkeypatch, seed: int, index: int) -> None:
     """Seed's increment index becomes nan, so its noise factor fails at step index + 1."""
     increments = qsd._block_increments
@@ -538,6 +565,18 @@ def test_qsd_grid_beyond_n_points_fails_before_any_step(tmp_path, capsys, monkey
     assert len(err) == 1 and err[0].startswith("config error: --n_points ")
     assert f"below the {needed} points" in err[0]
     assert calls == []
+
+
+@pytest.mark.parametrize("args, needed", [
+    (["--D", "1", "--t_final", "1e150"], "2^747"),
+    (["--coupling", "p", "--D_p", "1", "--t_final", "1e100"], "2^339"),
+])
+def test_qsd_grid_count_past_2_to_the_32_prints_as_a_power(tmp_path, capsys, args, needed):
+    # the count was printed in full: 225 digits and a 326-byte line at t_final = 1e150
+    assert main(["qsd", "--level", "wavefunction", *args, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 140
+    assert f"is below the {needed} points the grid needs" in err
 
 
 def test_qsd_wavefunction_walk_longer_than_the_grid_runs(tmp_path, monkeypatch):

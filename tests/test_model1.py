@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from qreflect import (EnvironmentSpec, PhysicalParams, PotentialSpec,
+from qreflect import (ConfigError, EnvironmentSpec, PhysicalParams, PotentialSpec,
                       QuadratureError, born_delta_coefficient, reflected_density_p,
                       reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
+from qreflect import model1
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
 
@@ -208,3 +209,68 @@ def test_triple_oracle_agreement_away_from_incoming_momentum():
     val, _ = quad(lambda p: reflected_density_p(p, params, 1e-5), lo, hi,
                   points=[-1.0], limit=200)
     assert val == pytest.approx(born_delta_coefficient(-1.0, params), rel=1e-3)
+
+
+# -- sweeps -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("coupling, strengths", [("x", [0.001, 0.01, 0.1]),
+                                                 ("p", [0.01, 0.3, 1.0, 10.0])])
+def test_sweep_equals_its_one_value_calls_bit_for_bit(coupling, strengths):
+    # a sweep's densities take one batched call, a row per strength, and its totals
+    # one p-integral, a point per strength: each keeps the bits of a call of its own
+    params = make_params(sigma=10.0)
+    p = np.linspace(-3.0, 3.0, 601)
+    p = p[np.abs(p - 1.0) > 1e-9]
+    if coupling == "x":
+        density, env_of = (lambda q, s: reflected_density_x(q, params, s)), EnvironmentSpec.position
+    else:
+        density, env_of = (lambda q, s: reflected_density_p(q, params, s)), EnvironmentSpec.momentum
+    grid = density(p, np.array(strengths)[:, None])
+    assert grid.shape == (len(strengths), p.size)
+    for row, s in zip(grid, strengths):
+        assert np.array_equal(row, density(p, s))
+        assert density(-1.0, np.array([s, s]))[1] == density(-1.0, s)
+    totals = total_reflected(params, [env_of(s) for s in strengths])
+    assert totals.tolist() == [total_reflected(params, env_of(s)) for s in strengths]
+
+
+def test_figure3_totals_equal_their_one_value_calls(tmp_path):
+    # each width's 17 D_p values share one p-integral; each total must still be its
+    # own D_p's total, bit for bit
+    from qreflect.cli import main
+
+    assert main(["figures", "--figure", "3", "--a_list", "0.05,0.3",
+                 "--outdir", str(tmp_path)]) == 0
+    for a in (0.05, 0.3):
+        params = make_params(potential=PotentialSpec.gaussian(0.01, a))
+        rows = np.loadtxt(tmp_path / f"total_vs_Dp_a{a:g}.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (17, 2)
+        assert rows[:, 1].tolist() == [total_reflected(params, EnvironmentSpec.momentum(D_p))
+                                       for D_p in rows[:, 0]]
+
+
+def test_total_takes_one_coupling_kind():
+    with pytest.raises(ConfigError, match="one coupling kind"):
+        total_reflected(make_params(), [EnvironmentSpec.momentum(1.0),
+                                        EnvironmentSpec.position(1.0)])
+
+
+def test_sweep_past_the_panel_budget_runs_value_by_value(monkeypatch):
+    # 17 values need 136 first-pass panels, past a budget of 100 that each value's
+    # p-integral fits: the batch fails, and the sweep reruns one value at a time
+    from qreflect import oscquad
+
+    params = make_params()
+    sweep = np.logspace(-2, 2, 17)
+    want = sweep_total_p(params, sweep)
+    calls, batch = [], model1.integrate_oscillatory_batch
+
+    def spy(envelope, omega, upper, scale):
+        calls.append(np.size(omega))
+        return batch(envelope, omega, upper, scale)
+
+    monkeypatch.setattr(oscquad, "_MAX_PANELS", 100)
+    monkeypatch.setattr(model1, "integrate_oscillatory_batch", spy)
+    assert sweep_total_p(params, sweep).tolist() == want.tolist()
+    assert calls == [17] + [1] * 17

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -245,8 +246,8 @@ def test_total_matches_mpmath_over_its_range(D):
 
 
 def test_figure5_widths_equal_their_own_env_densities(tmp_path):
-    # the widths share each D's p-integral and its s-integrals; each total must
-    # still be its own width's single-barrier total, bit for bit
+    # the widths and the D values share one p-integral and its s-integrals; each
+    # total must still be its own width's single-barrier, single-D total, bit for bit
     assert main(["figures", "--figure", "5", "--a_list", "0.05,0.3",
                  "--outdir", str(tmp_path)]) == 0
     for a in (0.05, 0.3):
@@ -469,7 +470,7 @@ def test_total_floor_is_relative_to_the_peak_over_its_range(monkeypatch, depth, 
     env = model2._env_densities
     lobe = lambda p: depth * peak * np.exp(-(((p + 7.5) / 0.3) ** 2))
     monkeypatch.setattr(model2, "_env_densities",
-                        lambda c, p, D, specs: [d - lobe(p) for d in env(c, p, D, specs)])
+                        lambda c, p, *rest: [d - lobe(p) for d in env(c, p, *rest)])
     if fails:
         with pytest.raises(QuadratureError, match="density dips to"):
             total_reflected_model2(cfg, [0.1])
@@ -540,3 +541,54 @@ def test_env_density_nonnegative_over_sweep():
         c = cfg.with_D(D)
         dens = np.array([reflected_density_env(c, p, D=D) for p in pg])
         assert dens.min() >= -1e-6 * dens.max()
+
+
+@pytest.mark.parametrize("steady, tau", [(True, None), (False, None), (True, math.inf)])
+def test_sweep_totals_equal_their_one_value_calls(steady, tau):
+    # one p-integral holds every (barrier, D) point; each total keeps the bits of its
+    # own single-D, single-barrier call, a steady target's width following each D
+    cfg = make_cfg(M=10.0, Sigma=30.0, sigma=100.0, steady=steady, D=0.5, tau=tau)
+    sweep = [0.01, 0.3, 1.0, 10.0]
+    barriers = [PotentialSpec.gaussian(0.01, a) for a in (0.1, 0.3)]
+    totals = total_reflected_model2(cfg, sweep, barriers=barriers)
+    assert totals.shape == (2, 4)
+    for row, spec in zip(totals, barriers):
+        one = replace(cfg, params=cfg.params.replace(potential=spec))
+        assert row.tolist() == [total_reflected_model2(one, [D])[0] for D in sweep]
+    assert total_reflected_model2(cfg, sweep).tolist() == totals[0].tolist()
+
+
+def test_fifty_value_sweep_takes_one_p_integral_within_the_panel_budget(monkeypatch):
+    # 50 D values at figure 5's parameters: the batch's largest s-integral call
+    # evaluates about 97,000 panels, inside the 400,000 budget, so the sweep never
+    # falls back to one p-integral per D
+    calls, batch = [], model2.integrate_oscillatory_batch
+
+    def spy(envelope, omega, upper, scale):
+        if np.all(np.asarray(omega) == 0.0):
+            calls.append(np.size(omega))
+        return batch(envelope, omega, upper, scale)
+
+    monkeypatch.setattr(model2, "integrate_oscillatory_batch", spy)
+    cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.01)
+    totals = total_reflected_model2(cfg, np.logspace(-2, 2, 50))
+    assert calls == [50] and np.all(np.diff(totals) < 0)
+
+
+def test_a_sweep_reports_the_floor_failure_of_its_own_D(monkeypatch):
+    # a lobe below the floor at D = 0.1 alone: the sweep fails with that D's own error
+    from qreflect import QuadratureError
+    cfg = make_cfg(M=10.0, Sigma=None, sigma=100.0, steady=True, D=0.1)
+    env = model2._env_densities
+
+    def dipped(c, p, D, specs, Sigma=None):
+        dens = env(c, p, D, specs, Sigma)
+        lobe = np.where(np.asarray(D) == 0.1, 1e-3 * np.exp(-(((p + 7.5) / 0.3) ** 2)), 0.0)
+        return [d - lobe * np.max(d) for d in dens]
+
+    monkeypatch.setattr(model2, "_env_densities", dipped)
+    with pytest.raises(QuadratureError) as one:
+        total_reflected_model2(cfg, [0.1])
+    with pytest.raises(QuadratureError) as sweep:
+        total_reflected_model2(cfg, [1.0, 0.1, 10.0])
+    assert str(sweep.value) == str(one.value) and str(one.value).startswith("density dips to")

@@ -156,7 +156,7 @@ def test_decay_cutoff_is_elementwise():
 def _spy_totals(monkeypatch):
     """Spy on every batch call and on model2's s-integrals.  Returns (sizes of the
     calls that are not a total's p-integral, one entry per p-integral: its
-    number of points and the p nodes its s-integrals took); a p-integral is a
+    number of points and the (p, D) pairs its s-integrals took); a p-integral is a
     call at omega = 0."""
     many, env = oscquad.integrate_oscillatory_batch, model2._env_densities
     other, totals = [], []
@@ -168,10 +168,10 @@ def _spy_totals(monkeypatch):
             other.append(np.size(omega))
         return many(envelope, omega, upper, scale)
 
-    def env_spy(cfg, p, D, barriers):
+    def env_spy(cfg, p, D, barriers, Sigma=None):
         if totals:
-            totals[-1][1].append(np.array(p, float))
-        return env(cfg, p, D, barriers)
+            totals[-1][1].append(np.column_stack(np.broadcast_arrays(p, D)))
+        return env(cfg, p, D, barriers, Sigma)
 
     for mod in (oscquad, model1, model2):
         monkeypatch.setattr(mod, "integrate_oscillatory_batch", batch_spy)
@@ -180,8 +180,8 @@ def _spy_totals(monkeypatch):
 
 
 def _each_node_once(nodes):
-    p = np.concatenate(nodes)
-    return p.size > 0 and np.unique(p).size == p.size
+    pairs = np.concatenate(nodes)
+    return pairs.size > 0 and np.unique(pairs, axis=0).shape == pairs.shape
 
 
 def test_figure5_makes_one_batch_call_per_sweep_value(tmp_path, monkeypatch):
@@ -196,9 +196,9 @@ def test_figure5_makes_one_batch_call_per_sweep_value(tmp_path, monkeypatch):
     other, totals = _spy_totals(monkeypatch)
     assert main(["figures", "--figure", "5", "--outdir", str(tmp_path)]) == 0
     assert scalar == []
-    # one p-integral per D value over all 3 barrier widths, each of whose p nodes
-    # takes its s-integral once, shared by the widths
-    assert [n for n, _ in totals] == [3] * 13
+    # one p-integral over all 13 D values times 3 barrier widths, each of whose
+    # (p, D) nodes takes its s-integral once, shared by the widths
+    assert [n for n, _ in totals] == [39]
     assert all(_each_node_once(nodes) for _, nodes in totals)
     assert len(other) == sum(len(nodes) for _, nodes in totals)
 
@@ -258,10 +258,10 @@ def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
     assert main(["model2", "--M", "10", "--sigma", "100", "--a", "0.1", "--V0", "0.01",
                  "--steady-target", "true", "--D_sweep", "0.01,1,10", "--P", "0",
                  "--outdir", str(tmp_path)]) == 0
-    # one conditional call per D over the 400-point grid, then one p-integral per
-    # D for the totals, each of whose p nodes takes its s-integral once
+    # one conditional call per D over the 400-point grid, then one p-integral over
+    # the 3 D values for the totals, each of whose (p, D) nodes takes its s-integral once
     assert other[:3] == [400] * 3
-    assert [n for n, _ in totals] == [1] * 3
+    assert [n for n, _ in totals] == [3]
     assert all(_each_node_once(nodes) for _, nodes in totals)
     assert len(other) == 3 + sum(len(nodes) for _, nodes in totals)
     assert stray == []

@@ -217,3 +217,18 @@ def test_grid_reflection_scales_quadratically():
                            n_steps=int(75 / 0.0042))
         reflected[V0], _, _ = reflection_probability(series)
     assert 4.0 * reflected[0.005] / reflected[0.01] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("sigma, raises", [(0.5, True), (1.0, True), (2.0, True),
+                                           (3.0, False), (5.0, False)])
+def test_born_total_refuses_a_packet_that_reaches_p_zero(sigma, raises):
+    # the grid leaves out the cell next to p = 0, where the 1/p^2 prefactor is not
+    # integrable; that cell would hold 0.86, 0.81, 0.10, 1e-5 and 3e-19 of the total
+    result = born_reflection(PhysicalParams(sigma=sigma,
+                                            potential=PotentialSpec.gaussian(0.01, 0.1)))
+    assert np.all(np.isfinite(result.density))
+    if raises:
+        with pytest.raises(NumericalError, match="cell next to p = 0 holds"):
+            result.total
+    else:
+        assert result.total == float(np.trapezoid(result.density, result.p)) > 0.0
