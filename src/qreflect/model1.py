@@ -73,8 +73,9 @@ def reflected_density_x(
     with omega = (p^2 - p_bar^2) / 2 m hbar.  tau defaults to the packet
     standoff time 2 m x_bar / p_bar; tau = inf drops the (1 - s/tau) factor.
     p and D may be arrays that broadcast together, one strength per point: every
-    point is integrated in one batched quadrature, with the arithmetic of a call
-    of its own, and an array is returned; a float p and D return a float.
+    point with D > 0 is integrated in one batched quadrature, and every point keeps
+    the arithmetic of a call of its own; an array is returned, and a float p and D
+    return a float.
 
     The D = 0, tau = inf corner is distributional -- the integral resolves to
     pi delta(omega) -- and returns the delta coefficient born_delta_coefficient(p),
@@ -91,27 +92,28 @@ def reflected_density_x(
     omega = (p_arr**2 - pb**2) / (2.0 * m * hbar)
     beta = D * delta**2 / (12.0 * m**2 * hbar**2)
 
-    if not np.any(D) and math.isinf(tau):
-        dens = born_delta_coefficient(p_arr, params)
-    elif not np.any(D):
+    dens, zero = np.empty(p_arr.shape), D == 0.0
+    if np.any(zero) and math.isinf(tau):
+        dens[zero] = born_delta_coefficient(p_arr[zero], params)
+    elif np.any(zero):
         # closed form: Fejer kernel (1 - cos(omega tau)) / (omega^2 tau), written as
         # 2 sin^2(omega tau / 2) / (omega^2 tau), which keeps its digits at small omega tau
-        safe = np.where(omega == 0.0, 1.0, omega)
-        fejer = np.where(omega == 0.0, tau / 2.0,
-                         2.0 * np.sin(0.5 * safe * tau) ** 2 / (safe**2 * tau))
-        dens = _x_prefactor(params, delta) * fejer
-    else:
-        cutoff = decay_cutoff((beta, 3))
-        upper = np.minimum(tau, cutoff)
+        w = omega[zero]
+        safe = np.where(w == 0.0, 1.0, w)
+        fejer = np.where(w == 0.0, tau / 2.0, 2.0 * np.sin(0.5 * safe * tau) ** 2 / (safe**2 * tau))
+        dens[zero] = _x_prefactor(params, delta[zero]) * fejer
+    if not np.all(zero):
+        live = ~zero
+        beta = beta[live]
+        upper = np.minimum(tau, decay_cutoff((beta, 3)))
         if not np.all(np.isfinite(upper)):
             raise QuadratureError("integral does not converge: D = 0 with infinite tau")
-        beta = beta.ravel()
         if math.isinf(tau):
             env = lambda s, i: np.exp(-beta[i] * (s * s * s))
         else:
             env = lambda s, i: (1.0 - s / tau) * np.exp(-beta[i] * (s * s * s))
-        integral = integrate_oscillatory_batch(env, omega, upper, upper).reshape(p_arr.shape)
-        dens = _x_prefactor(params, delta) * integral
+        integral = integrate_oscillatory_batch(env, omega[live], upper, upper)
+        dens[live] = _x_prefactor(params, delta[live]) * integral
     return float(dens[0]) if scalar else dens
 
 

@@ -250,6 +250,18 @@ def test_figure3_totals_equal_their_one_value_calls(tmp_path):
                                        for D_p in rows[:, 0]]
 
 
+@pytest.mark.parametrize("tau", [None, math.inf])
+def test_x_density_mixes_zero_and_positive_strengths(tau):
+    # a D = 0 point keeps its closed form (Fejer, or the delta coefficient at tau = inf)
+    # beside D > 0 points that take the quadrature
+    params = make_params(sigma=10.0)
+    p = np.linspace(-2.0, -0.5, 7)
+    strengths = [0.0, 0.01, 0.0, 0.1]
+    grid = reflected_density_x(p, params, np.array(strengths)[:, None], tau)
+    for row, D in zip(grid, strengths):
+        assert np.array_equal(row, reflected_density_x(p, params, D, tau))
+
+
 def test_total_takes_one_coupling_kind():
     with pytest.raises(ConfigError, match="one coupling kind"):
         total_reflected(make_params(), [EnvironmentSpec.momentum(1.0),
