@@ -14,8 +14,8 @@ from .errors import (ClosureError, ConfigError, GridTooNarrowError, NumericalErr
 from .grids import (SpatialGrid, WaveFunction, gaussian_packet, gaussian_state_from_moments,
                     position_moments, to_momentum)
 from .model1 import (EnvironmentSpec, born_delta_coefficient, reflected_density_p,
-                     reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
-from .model2 import (ConstrainedDensity, Model2Config, clamp_density,
+                     reflected_density_x, total_reflected, narrow_sideband_ratio)
+from .model2 import (Model2Config, clamp_density,
                      conditional_reflected_env,
                      conditional_reflected_noenv,
                      joint_reflected_noenv, marginal_reflected_noenv,

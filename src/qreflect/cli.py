@@ -17,9 +17,9 @@ the fit and every CSV.  A moment-level block takes 64e6 // (3 n_steps + 2) seeds
 CSV floats are Python's shortest round-trip repr.  --threads N runs two stages
 in min(N, rows, usable CPUs) forked slices (slices.split) and changes no output:
 a wavefunction-level qsd ensemble's seeds and every command's files.  A sweep's
-totals, and a model1 sweep's densities, take one batched quadrature call each
-(oscquad.batched).  BENCH_25.json, BENCH_26.json and BENCH_33.json hold the
-timings.
+totals take one batched quadrature call in their total function, and a model1
+sweep's densities one here (oscquad.batched).  BENCH_25.json, BENCH_26.json and
+BENCH_32.json time the forked slices, BENCH_33.json the batched sweeps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .config import _ALIASES, COMMANDS, RunConfig, parse_config, serialize_confi
 from .errors import ClosureError, ConfigError, QreflectError, RegimeEscalation
 from .grids import gaussian_packet, to_momentum
 from .model1 import (EnvironmentSpec, narrow_sideband_ratio, reflected_density_p,
-                     reflected_density_x, sweep_total_p, total_reflected)
+                     reflected_density_x, total_reflected)
 from .model2 import (Model2Config, clamp_density, conditional_reflected_env,
                      finite_density, reflected_density_env, total_reflected_model2)
 from .oscquad import batched
@@ -223,7 +223,7 @@ def _run_model1(cfg: RunConfig):
     p_grid = np.linspace(-3.0 * params.p_bar, 3.0 * params.p_bar, 601)
     p_grid = p_grid[np.abs(p_grid - params.p_bar) > 1e-9]
     # model1 densities are not clamped; the sweep's densities take one batched call, a
-    # row per strength, and so do its totals
+    # row per strength
     densities = batched(lambda values: finite_density(density_of(p_grid, values[:, None])),
                         np.array(sweep, float))
     files = [(f"density_{cfg.coupling}_{strength:g}.csv",
@@ -234,7 +234,7 @@ def _run_model1(cfg: RunConfig):
     files.append(("density.svg", line_plot(
         plot_series, f"reflected momentum density ({cfg.coupling}-coupling)", "p", "density")))
     if len(sweep) > 1:
-        totals = batched(lambda part: total_reflected(params, part, tau=tau), envs)
+        totals = total_reflected(params, envs, tau=tau)
         files += [(f"total_vs_{'D' if cfg.coupling == 'x' else 'Dp'}.csv",
                    (["coupling_strength", "total_reflected"], np.column_stack((sweep, totals)))),
                   ("total.svg", line_plot(
@@ -299,8 +299,8 @@ def _run_model2(cfg: RunConfig):
     _check_log_axis(sweep, "--D_sweep")
     files, lines, plot_series = [], [], []
     for D, c, cutoffs in zip(sweep, configs, cutoff_sets):
-        dens = clamp_density(reflected_density_env(c, p_grid, D=D) if cfg.P is None
-                             else conditional_reflected_env(c, p_grid, cfg.P, D=D))
+        dens = clamp_density(reflected_density_env(c, p_grid) if cfg.P is None
+                             else conditional_reflected_env(c, p_grid, cfg.P))
         name = (f"density_D{D:g}.csv" if cfg.P is None
                 else f"conditional_density_D{D:g}_P{cfg.P:g}.csv")
         files.append((name, (["p", "density"], np.column_stack((p_grid, dens)))))
@@ -349,7 +349,7 @@ def run_figures(which: int, cfg: RunConfig | None = None):
         xs = tuple(np.logspace(-2, 2, 17).tolist())
         params = [base.replace(command="model1", coupling="p", a=a, V0=0.01).physical_params()
                   for a in a_values]
-        totals = [sweep_total_p(p, xs) for p in params]
+        totals = [total_reflected(p, [EnvironmentSpec.momentum(x) for x in xs]) for p in params]
     else:  # figure 5: one p-integral over every (D, width), one s-integral per (p, D)
         key, title = "D", "two-particle total reflected probability vs D"
         xs = tuple(np.logspace(-2, 2, 13).tolist())

@@ -106,8 +106,12 @@ def reflected_density_x(
         live = ~zero
         beta = beta[live]
         upper = np.minimum(tau, decay_cutoff((beta, 3)))
-        if not np.all(np.isfinite(upper)):
-            raise QuadratureError("integral does not converge: D = 0 with infinite tau")
+        if not np.all(np.isfinite(upper)):  # tau = inf, and beta is 0 or too small to decay
+            p, D, k = p_arr[live], D[live], int(np.argmin(np.isfinite(upper)))
+            raise QuadratureError(
+                f"integral does not converge at p = {p[k]:.6g}, D = {D[k]:.3g}: the decay rate "
+                f"D (p - p_bar)^2 / 12 m^2 hbar^2 is zero at infinite tau "
+                f"({'p = p_bar' if p[k] == pb else 'the rate underflows'})")
         if math.isinf(tau):
             env = lambda s, i: np.exp(-beta[i] * (s * s * s))
         else:
@@ -154,9 +158,8 @@ def reflected_density_p(p, params: PhysicalParams, D_p=None):
     if not np.all(fits):
         raise ConfigError("(2 m hbar D_p)^2 overflows against (p - p_bar)^2, got "
                           f"D_p = {float(D_p[~fits].flat[0])!r}")
-    v2 = potential_momentum(params.potential, p_arr - pb, hbar) ** 2
     bracket = (2.0 * c * pb / math.pi) / ((p_arr + pb) ** 2 + squares(c) * (p_arr - pb) ** 2)
-    dens = 2.0 * math.pi * m**2 / (hbar * pb**2) * v2 * bracket
+    dens = born_delta_coefficient(p_arr, params) * bracket
     return float(dens) if scalar else dens
 
 
@@ -173,7 +176,8 @@ def total_reflected(
     D_p = 1).  The density is finite at p = 0; integrate_oscillatory_batch at
     omega = 0 bisects every p-panel its run-time error estimate does not resolve.
     env is one EnvironmentSpec, or a sequence of specs of one kind, whose totals
-    take one batched p-integral, a point per strength, and return an array.
+    take one batched p-integral, a point per strength, and return an array; when
+    that batch fails, each strength reruns alone (oscquad.batched).
     Raises QuadratureError when a strength's density at p_min exceeds
     _EDGE_FRACTION of its peak over its evaluated nodes, as its total would then be
     truncated; the upper limit does not truncate, and the density may peak there
@@ -185,34 +189,31 @@ def total_reflected(
     kinds = {spec.kind for spec in specs}
     if len(kinds) > 1:
         raise ConfigError("total_reflected takes environments of one coupling kind")
-    strength = np.array([spec.strength for spec in specs])
     if "position_coupling" in kinds:
-        density = lambda p, i: reflected_density_x(p, params, strength[i], tau)
+        density = lambda p, D: reflected_density_x(p, params, D, tau)
     else:
-        density = lambda p, i: reflected_density_p(p, params, strength[i])
-    peak = np.zeros(len(specs))  # each strength's largest |density| over its nodes
+        density = lambda p, D_p: reflected_density_p(p, params, D_p)
 
-    def envelope(s, i):
-        dens = density(s + p_min, i)
-        np.maximum.at(peak, i[:, 0], np.max(np.abs(dens), axis=1))
-        return dens
+    def run(strength):  # one p-integral, a point per strength
+        peak = np.zeros(len(strength))  # each strength's largest |density| over its nodes
 
-    totals = integrate_oscillatory_batch(envelope, np.zeros(len(specs)), -p_min, -p_min)
-    for edge, top in zip(np.abs(density(p_min, np.arange(len(specs)))), peak):
-        if top > 0 and edge > _EDGE_FRACTION * top:
-            raise QuadratureError(
-                f"density at the lower limit p = {p_min:.6g} is {edge / top:.3g} of the peak "
-                f"(> {_EDGE_FRACTION:g}), so the total is truncated; total_reflected's p_min "
-                "argument sets a lower limit"
-            )
+        def envelope(s, i):
+            dens = density(s + p_min, strength[i])
+            np.maximum.at(peak, i[:, 0], np.max(np.abs(dens), axis=1))
+            return dens
+
+        totals = integrate_oscillatory_batch(envelope, np.zeros(len(strength)), -p_min, -p_min)
+        for edge, top in zip(np.abs(density(p_min, strength)), peak):
+            if top > 0 and edge > _EDGE_FRACTION * top:
+                raise QuadratureError(
+                    f"density at the lower limit p = {p_min:.6g} is {edge / top:.3g} of the "
+                    f"peak (> {_EDGE_FRACTION:g}), so the total is truncated; "
+                    "total_reflected's p_min argument sets a lower limit"
+                )
+        return totals
+
+    totals = batched(run, np.array([spec.strength for spec in specs]))
     return float(totals[0]) if isinstance(env, EnvironmentSpec) else totals
-
-
-def sweep_total_p(params: PhysicalParams, D_p_values) -> np.ndarray:
-    """Total reflected probability versus D_p for momentum coupling, every D_p in
-    one batched p-integral (oscquad.batched)."""
-    return batched(lambda values: total_reflected(
-        params, [EnvironmentSpec.momentum(D_p) for D_p in values]), np.asarray(D_p_values, float))
 
 
 def narrow_sideband_ratio(params: PhysicalParams, D: float | None = None) -> float:

@@ -3,10 +3,11 @@
 Second-order perturbation theory in the contact barrier V(x - X) with the
 incoming light particle in the plane-wave limit and the target in a Gaussian
 state.  The environment, when present, couples only to the target position.
-The joint and conditional densities return the smooth coefficient of their
-energy-conservation delta(E) (ConstrainedDensity).  The marginal integrates
-the delta over the target momentum analytically, at its root and with the
-Jacobian M/|p - p_bar|, never by numerical smearing.
+The joint and conditional densities return the float coefficient of their
+delta(E), E(p, P) the kinetic-energy mismatch when the light particle ends at p
+and the target at P (at incoming target momentum P + p - p_bar).  The marginal
+integrates the delta over the target momentum analytically, at its root and
+with the Jacobian M/|p - p_bar|, never by numerical smearing.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class Model2Config:
                             steady_target=self.steady_target)
 
 
-@dataclass(frozen=True)
-class ConstrainedDensity:
-    """Smooth coefficient multiplying delta(E), where E(p, P) is the kinetic-energy
-    mismatch when the light particle ends at p and the target at P (total
-    momentum fixes the incoming target momentum to P + p - p_bar)."""
-
-    coefficient: float
-
-
 def _v_squared(params: PhysicalParams, delta):
     """V^2(delta): a float for a float delta, else an array."""
     v = potential_momentum(params.potential, delta, params.hbar)
@@ -87,7 +79,7 @@ def _target(cfg: Model2Config) -> tuple[float, float, float, float, float, float
     return p.m, p.M, p.hbar, p.p_bar, p.P_bar, p.Sigma
 
 
-def joint_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedDensity:
+def joint_reflected_noenv(cfg: Model2Config, p: float, P: float) -> float:
     """Joint density coefficient for light momentum p and target momentum P.
 
     (2 sqrt(pi) Sigma m / hbar^2 p_bar) V^2(p - p_bar)
@@ -95,12 +87,11 @@ def joint_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedD
     """
     m, M, hbar, pb, Pb, Sg = _target(cfg)
     delta = p - pb
-    coef = (
+    return (
         2.0 * math.sqrt(math.pi) * Sg * m / (hbar**2 * pb)
         * _v_squared(cfg.params, delta)
         * math.exp(-(Sg**2) * (delta + P - Pb) ** 2 / hbar**2)
     )
-    return ConstrainedDensity(coef)
 
 
 def target_momentum_density(cfg: Model2Config, P: float) -> float:
@@ -140,7 +131,7 @@ def _marginal(cfg: Model2Config, p_arr: np.ndarray, Sg) -> np.ndarray:
     return pref * np.exp(-squares(Sg) * M**2 * F**2 / (hbar**2 * delta**2))
 
 
-def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> ConstrainedDensity:
+def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> float:
     """Density of p conditioned on measuring the target at P (no environment).
 
     Coefficient (2 pi m / hbar p_bar) V^2(p - p_bar)
@@ -151,12 +142,11 @@ def conditional_reflected_noenv(cfg: Model2Config, p: float, P: float) -> Constr
     m, M, hbar, pb, Pb, Sg = _target(cfg)
     delta = p - pb
     dP = P - Pb
-    coef = (
+    return (
         2.0 * math.pi * m / (hbar * pb)
         * _v_squared(cfg.params, delta)
         * math.exp(-(Sg**2) * ((delta + dP) ** 2 - dP**2) / hbar**2)
     )
-    return ConstrainedDensity(coef)
 
 
 # -- with environment -----------------------------------------------------------
@@ -408,7 +398,9 @@ def total_reflected_model2(cfg: Model2Config, D_values, barriers=None) -> np.nda
     (barrier, D); each of its node slices takes one s-integral per distinct (p, D),
     which serves every barrier.  clamp_density's floor holds for each (D, barrier)
     over its evaluated nodes; shallower lobes stay, as zeroing one would put a
-    kink in p.
+    kink in p.  Nothing checks the mass below -8 p_bar: at figure 5's D = 100 it is
+    6.0% of the whole at a = 0.1 (3.1% at D = 10) and 16.7% at a = 0.05, where the
+    density at -8 p_bar is 4.2% and 7.6% of its peak.
     """
     specs = (cfg.params.potential,) if barriers is None else tuple(barriers)
     totals = batched(lambda values: _sweep_totals(cfg, values, specs),

@@ -36,6 +36,7 @@ from .params import PhysicalParams
 from .timescales import in_float_range, scattering_time
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal range
+_FRAME_MOVES = 200  # a coupled row's frame moves at least every n_steps // 200 steps
 
 
 class NoiseStream:
@@ -112,19 +113,19 @@ def grid_for(params: PhysicalParams, env: EnvironmentSpec, t_final: float,
              n_points: int) -> SpatialGrid:
     """The periodic grid that holds every trajectory to t_final, dx resolving the packet
     and its localized width, in a power of two of at least 256 points.  The wavefunction
-    driver re-centres each row after every record, so under position coupling the grid
-    holds one packet, not its center's walk.  Raises ConfigError when the spread
-    overflows or the grid needs more than n_points."""
+    driver re-centres a coupled row at least every n_steps // _FRAME_MOVES steps, so under
+    position coupling the grid holds one packet, not its center's walk.  Raises
+    ConfigError when the spread overflows or the grid needs more than n_points."""
     m, hbar, sigma, strength = params.m, params.hbar, params.sigma, env.strength
     try:  # float ** and math.ceil raise on overflow where * and + give inf
         if env.kind == "position_coupling":
             # 8 widths of the packet, which spreads freely until t_c localizes it, and
-            # 4 sd of its center's drift between two of the CLI's 200 records, at the
-            # sd of <p> at t_final, sqrt(2 D t_final)
+            # 4 sd of its center's drift between two frame moves, at the sd of <p> at
+            # t_final, sqrt(2 D t_final)
             dx = min(sigma / 10.0, params.sigma_q / 4.0)
             free = (hbar * min(t_final, coupling_time(params, env)) / (2.0 * m * sigma)) ** 2
             half = (8.0 * math.sqrt(sigma**2 + free)
-                    + 4.0 * math.sqrt(2.0 * strength * t_final) * (t_final / 200.0) / m)
+                    + 4.0 * math.sqrt(2.0 * strength * t_final) * (t_final / _FRAME_MOVES) / m)
         else:
             # 8 sd of the ensemble's spread: -D_p [p, [p, rho]] adds 2 hbar^2 D_p t
             # to the free <x^2>(t) = sigma^2 + (hbar t / 2 m sigma)^2
@@ -317,54 +318,59 @@ def _recentre(vals: np.ndarray, mean_x, grid: SpatialGrid) -> tuple[np.ndarray, 
 def _step_block(psi: WaveFunction, env: EnvironmentSpec, params: PhysicalParams, dt: float,
                 n_steps: int, record_every: int, block: list, out: np.ndarray) -> np.ndarray:
     """Step block's seeds from psi as one array, recording into out; returns the final rows,
-    each in its own frame: after each record _recentre rolls every row, and the records
-    add the row's offset back to <x>.  Neither the kinetic phase nor the noise factor's
-    x - <x> depends on the frame, so the frames move only roundoff."""
-    grid, hbar, edge = psi.grid, params.hbar, psi.grid.n_points // 16
+    each in its own frame.  At each record and, coupled, every n_steps // _FRAME_MOVES
+    steps at most, _recentre rolls each row to its <x> (summed as position_moments sums
+    it); the records add the offset back.  Neither the kinetic phase nor the noise
+    factor's x - <x> depends on the frame, so the frames move only roundoff."""
+    grid, dx, hbar, edge = psi.grid, psi.grid.dx, params.hbar, psi.grid.n_points // 16
+    frame_every = max(1, n_steps // _FRAME_MOVES) if env.strength > 0 else record_every
     dBs = iter(_block_increments(block, n_steps, dt).T[..., None])
     stepper = _trajectory_stepper(grid, env, params, dt, dBs.__next__)
     vals = np.tile(psi.values, (len(block), 1))  # C order: row sums as for one row
-    step, offset = 0, np.zeros(len(block), dtype=int)  # each row's frame, in cells
-    for j in range(out.shape[1]):
-        if j:
-            chunk = min(record_every, n_steps - step)
-            try:
-                vals = stepper.advance(vals, chunk)
-            except NumericalError as exc:
-                # each step draws its increments first, so the draws taken count it
-                raise NumericalError(f"{exc} for seed {block[exc.row]} at step "
-                                     f"{n_steps - length_hint(dBs)}") from exc
-            step += chunk
+    step, j, offset = 0, 0, np.zeros(len(block), dtype=int)  # each row's frame, in cells
+    while True:
         rho = abs_squared(vals)
-        mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
-        if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
-            row = int(np.argmax(mass))
-            raise GridTooNarrowError(f"seed {block[row]} holds probability "
-                                     f"{mass[row]:.3g} in the outer 1/16 of the grid "
-                                     f"at t = {step * dt:.6g}")
-        out[:, j, 0] = step * dt
-        out[:, j, 1:] = position_moments(vals, grid, hbar)
-        vals, shift = _recentre(vals, out[:, j, 1], grid)
-        out[:, j, 1] += offset * grid.dx
+        if step % record_every == 0 or step == n_steps:
+            mass = (rho[:, :edge].sum(-1) + rho[:, rho.shape[-1] - edge:].sum(-1)) / rho.sum(-1)
+            if mass.max() > 1e-5:  # the packet is about to wrap around the periodic grid
+                row = int(np.argmax(mass))
+                raise GridTooNarrowError(f"seed {block[row]} holds probability "
+                                         f"{mass[row]:.3g} in the outer 1/16 of the grid "
+                                         f"at t = {step * dt:.6g}")
+            out[:, j, 0] = step * dt
+            out[:, j, 1:] = position_moments(vals, grid, hbar)
+            out[:, j, 1] += offset * dx
+            j += 1
+        vals, shift = _recentre(vals, (grid.x * rho).sum(-1) * dx / (rho.sum(-1) * dx), grid)
         offset += shift
-    return vals
+        if step == n_steps:
+            return vals
+        chunk = min(frame_every, record_every - step % record_every, n_steps - step)
+        try:
+            vals = stepper.advance(vals, chunk)
+        except NumericalError as exc:
+            # each step draws its increments first, so the draws taken count it
+            raise NumericalError(f"{exc} for seed {block[exc.row]} at step "
+                                 f"{n_steps - length_hint(dBs)}") from exc
+        step += chunk
 
 
 def run_wavefunction_ensemble(psi0: WaveFunction, env: EnvironmentSpec, params: PhysicalParams,
                               dt: float, n_steps: int, seeds, record_every: int = 1,
                               workers: int = 1) -> np.ndarray:
     """Records of one trajectory per seed: the rows of one array, stepped in blocks
-    of 64 with the steps between records fused and the moments of a block taken in
+    of 64 with the steps between frame moves fused and the moments of a block taken in
     one call per record.  The noise factor is real and applied once per step, with
     the norm from sum |psi|^2 f^2, and every sum runs along a C-ordered row, not
     through BLAS: each row equals its seed's run alone, bit for bit, and within
     2.2e-13 of a column's peak of the direct complex-factor form, however
-    slices.split splits the seeds over workers.  After each record a row rolls by
-    whole cells, so that its <x> sits at the grid's centre cell, and its records add
-    the offset back: the grid holds one packet, not its center's walk.
-    Raises GridTooNarrowError when a record holds more than 1e-5 of a row's
-    probability in the outer 1/16 of its frame on either side, and NumericalError
-    naming the seed and step when a row's norm^2 is zero, subnormal or non-finite."""
+    slices.split splits the seeds over workers.  At each record, and under a coupling
+    every n_steps // _FRAME_MOVES steps, a row rolls by whole cells to put its <x> at
+    the grid's centre cell, and its records add the offset back: the grid holds one
+    packet, not its center's walk.  Raises GridTooNarrowError when a record holds
+    more than 1e-5 of a row's probability in the outer 1/16 of its frame on either
+    side, and NumericalError naming the seed and step when a row's norm^2 is zero,
+    subnormal or non-finite."""
     seeds, records = _ensemble(seeds, n_steps, record_every)
     psi = psi0.normalized()
 

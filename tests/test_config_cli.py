@@ -467,6 +467,19 @@ def test_a_bad_later_sweep_entry_fails_before_any_output(tmp_path, capsys, args,
     assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
 
 
+def test_an_underflowing_decay_rate_fails_with_its_cause(tmp_path, capsys):
+    # D (p - p_bar)^2 / 12 m^2 hbar^2 underflows at D = 1e-320, so at infinite tau the
+    # x-coupling s-integral does not converge at any p: exit 3, naming that cause
+    assert main(["model1", "--coupling", "x", "--D", "1e-320", "--tau_inf", "true",
+                 "--outdir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "numerical failure: integral does not converge at p = -3, D = 1e-320: the decay "
+        "rate D (p - p_bar)^2 / 12 m^2 hbar^2 is zero at infinite tau (the rate "
+        "underflows)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved_config.txt"]
+
+
 def test_a_later_sweep_point_that_fails_numerically_fails_before_any_output(tmp_path, capsys):
     # D = 1e300 leaves the s-integral unresolved: D = 1's CSV and cutoff line were
     # written before it failed

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad, quad
 
 from qreflect import (ConfigError, EnvironmentSpec, PhysicalParams, PotentialSpec,
                       QuadratureError, born_delta_coefficient, reflected_density_p,
-                      reflected_density_x, sweep_total_p, total_reflected, narrow_sideband_ratio)
+                      reflected_density_x, total_reflected, narrow_sideband_ratio)
 from qreflect import model1
 
 GAUSS = PotentialSpec.gaussian(0.01, 0.1)
@@ -154,7 +154,7 @@ def test_total_zero_barrier():
 def test_total_monotone_and_suppressed():
     params = make_params()
     sweep = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0])
-    totals = sweep_total_p(params, sweep)
+    totals = total_reflected(params, [EnvironmentSpec.momentum(x) for x in sweep])
     assert np.all(np.diff(totals) < 0)
     assert totals[-1] / totals[0] < 0.20
 
@@ -262,6 +262,20 @@ def test_x_density_mixes_zero_and_positive_strengths(tau):
         assert np.array_equal(row, reflected_density_x(p, params, D, tau))
 
 
+def test_x_density_names_a_zero_decay_rate_at_infinite_tau():
+    # at infinite tau a D > 0 point converges only through its decay rate
+    # D (p - p_bar)^2 / 12 m^2 hbar^2: the message names the point and why the rate is
+    # zero, p = p_bar or an underflow, not a D = 0 that the point does not have
+    params = make_params(sigma=10.0)
+    with pytest.raises(QuadratureError, match=r"at p = 1, D = 1: .* is zero at infinite "
+                                              r"tau \(p = p_bar\)$"):
+        reflected_density_x(np.array([-1.0, 1.0]), params, 1.0, math.inf)
+    with pytest.raises(QuadratureError, match=r"at p = -1, D = 1e-320: .*\(the rate "
+                                              r"underflows\)$"):
+        reflected_density_x(-1.0, params, 1e-320, math.inf)
+    assert np.isfinite(reflected_density_x(1.0, params, 1.0))  # a finite tau bounds s
+
+
 def test_total_takes_one_coupling_kind():
     with pytest.raises(ConfigError, match="one coupling kind"):
         total_reflected(make_params(), [EnvironmentSpec.momentum(1.0),
@@ -270,12 +284,12 @@ def test_total_takes_one_coupling_kind():
 
 def test_sweep_past_the_panel_budget_runs_value_by_value(monkeypatch):
     # 17 values need 136 first-pass panels, past a budget of 100 that each value's
-    # p-integral fits: the batch fails, and the sweep reruns one value at a time
+    # p-integral fits: the batch fails, and total_reflected reruns one value at a time
     from qreflect import oscquad
 
     params = make_params()
-    sweep = np.logspace(-2, 2, 17)
-    want = sweep_total_p(params, sweep)
+    envs = [EnvironmentSpec.momentum(D_p) for D_p in np.logspace(-2, 2, 17)]
+    want = total_reflected(params, envs)
     calls, batch = [], model1.integrate_oscillatory_batch
 
     def spy(envelope, omega, upper, scale):
@@ -284,5 +298,5 @@ def test_sweep_past_the_panel_budget_runs_value_by_value(monkeypatch):
 
     monkeypatch.setattr(oscquad, "_MAX_PANELS", 100)
     monkeypatch.setattr(model1, "integrate_oscillatory_batch", spy)
-    assert sweep_total_p(params, sweep).tolist() == want.tolist()
+    assert total_reflected(params, envs).tolist() == want.tolist()
     assert calls == [17] + [1] * 17

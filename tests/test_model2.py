@@ -43,7 +43,7 @@ def make_cfg(M=10.0, Sigma=1.0, sigma=1.0, tau=None, steady=False, D=0.0, a=0.1,
 
 def test_zero_barrier_vanishes():
     cfg = make_cfg(V0=0.0)
-    assert joint_reflected_noenv(cfg, -1.0, 0.3).coefficient == 0.0
+    assert joint_reflected_noenv(cfg, -1.0, 0.3) == 0.0
     assert marginal_reflected_noenv(cfg, -1.0) == 0.0
     totals = total_reflected_model2(make_cfg(V0=0.0, D=1.0, steady=True), [0.5, 2.0])
     assert np.all(totals == 0.0)
@@ -152,8 +152,8 @@ def test_conditional_times_target_density_is_joint():
     for (p, P) in ((-0.9, 0.3), (-1.5, -0.7), (-0.4, 1.9)):
         joint = joint_reflected_noenv(cfg, p, P)
         cond = conditional_reflected_noenv(cfg, p, P)
-        assert cond.coefficient * target_momentum_density(cfg, P) == pytest.approx(
-            joint.coefficient, rel=1e-12)
+        assert cond * target_momentum_density(cfg, P) == pytest.approx(
+            joint, rel=1e-12)
 
 
 def test_conditional_narrow_target_recovers_unitary_form():
@@ -162,14 +162,14 @@ def test_conditional_narrow_target_recovers_unitary_form():
     cfg = make_cfg(M=10.0, Sigma=0.01)
     got = conditional_reflected_noenv(cfg, -1.0, 0.0)
     bare = 2 * math.pi / 1.0 * float(potential_momentum(GAUSS, -2.0)) ** 2
-    assert got.coefficient == pytest.approx(bare, rel=1e-3)
+    assert got == pytest.approx(bare, rel=1e-3)
 
 
 def test_conditional_suppression_factor_arithmetic():
     Sigma = 1.0
     cfg = make_cfg(M=10.0, Sigma=Sigma)
     p, P = -0.8, 1.0  # P = Sigma_p scale
-    got = conditional_reflected_noenv(cfg, p, P).coefficient
+    got = conditional_reflected_noenv(cfg, p, P)
     bare = 2 * math.pi * float(potential_momentum(GAUSS, p - 1.0)) ** 2
     delta = p - 1.0
     expected = bare * math.exp(-(Sigma**2) * ((delta + P) ** 2 - P**2))
@@ -445,7 +445,7 @@ def test_marginal_equals_joint_at_constraint_root():
     pb, m, M = cfg.params.p_bar, cfg.params.m, cfg.params.M
     for p, value in zip(p_grid, marginal):
         root = 0.5 * (M * (pb + p) / m - (p - pb))
-        at_root = joint_reflected_noenv(cfg, float(p), root).coefficient
+        at_root = joint_reflected_noenv(cfg, float(p), root)
         assert value == pytest.approx(at_root * M / abs(p - pb), rel=1e-6)
 
 

@@ -6,7 +6,9 @@ and reads no ``.energy``; each integrator sizes the grid it steps on
 (``qsd.grid_for``, ``unitary.grid_for``), so ``cli.py`` names no
 ``SpatialGrid`` and calls no ``log2``; and only ``timescales`` assigns the
 model-2 cutoffs T_z, T_d_p and T_1, so no second copy of a formula can drift
-from the first.  Only ``slices`` forks, so the worker-count rule and the reaping
+from the first.  ``qsd.grid_for`` sizes an x-coupled grid for the drift between
+two frame moves, and the wavefunction driver moves its frames that often: both
+read one constant.  Only ``slices`` forks, so the worker-count rule and the reaping
 of children have one home.  Only ``cli._write`` opens an output file, and no
 runner prints, so a run that fails leaves no partial output.  numpy is the one runtime dependency: no module
 imports scipy, which is for tests only.
@@ -75,6 +77,17 @@ def test_only_timescales_assigns_the_model2_cutoffs():
            for path in sorted(_PACKAGE.glob("*.py")) if path.name != "timescales.py"
            for name in sorted(set(_bound_names(_tree(path.name))) & _CUTOFFS)]
     assert not bad, "\n".join(bad)
+
+
+def test_grid_for_and_the_driver_read_one_frame_interval():
+    tree = _tree("qsd.py")
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("grid_for", "_step_block"):
+        nodes = list(ast.walk(functions[name]))
+        assert "_FRAME_MOVES" in {_name(node) for node in nodes}, name
+        assert not [node.lineno for node in nodes
+                    if isinstance(node, ast.Constant) and node.value == 200], name
+    assert list(_bound_names(tree)).count("_FRAME_MOVES") == 1
 
 
 def test_only_slices_forks():

@@ -630,6 +630,26 @@ def test_wavefunction_driver_rejects_mass_at_the_periodic_edge():
         run_wavefunction_ensemble(psi0, env, params, 0.002, 1000, [5], record_every=50)
 
 
+def test_a_driver_that_records_rarely_still_moves_its_frames():
+    # grid_for sizes an x-coupled grid for the drift between two frame moves, at most
+    # n_steps // 200 steps apart.  A frame that moved only at records let seed 68 drift
+    # into the outer 1/16 of these 256 points when recording only at the start and the
+    # end; the frames move on the same steps whatever record_every is, so the last
+    # record keeps its bits
+    params, env = PhysicalParams(D=1.0), EnvironmentSpec.position(1.0)
+    t_loc = qsd.coupling_time(params, env)
+    t_final = 5.0 * t_loc
+    grid = qsd.grid_for(params, env, t_final, 4096)
+    dt = min(t_loc / 200.0, 0.045 * qsd.dt_limit(params, env, grid))  # the CLI's default
+    n_steps = math.ceil(t_final / dt)
+    assert (grid.n_points, n_steps) == (256, 1769)
+    psi0 = gaussian_packet(params, grid, center=0.0, mean_p=0.0)
+    rare = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, range(61, 69), n_steps)
+    often = run_wavefunction_ensemble(psi0, env, params, dt, n_steps, range(61, 69), 8)
+    assert rare.shape == (8, 2, 6)
+    assert np.array_equal(rare[:, -1], often[:, -1])
+
+
 def test_recentre_rolls_whole_cells_and_leaves_a_nonfinite_row():
     # dx = 0.125 and the centre cell at x = 0: <x> = 1 is 8 cells right, -0.3 is
     # 2.4 cells left; a nan mean shifts by 0, with no warning from casting nan
