@@ -202,7 +202,13 @@ def total_reflected(
             np.maximum.at(peak, i[:, 0], np.max(np.abs(dens), axis=1))
             return dens
 
-        totals = integrate_oscillatory_batch(envelope, np.zeros(len(strength)), -p_min, -p_min)
+        # the estimate's tolerance is relative to each point's peak over its first-pass
+        # nodes, and at large tau the x density peaks within 2 pi m hbar / (tau p_bar)
+        # of -p_bar: scale -p_min / 2 lays 8 panels, whose edges fall on -p_bar at the
+        # default p_min; 4 put -p_bar mid-panel, far from any node, and a sigma = 3000
+        # total at D = 1e-8 then fails its 12 bisections
+        totals = integrate_oscillatory_batch(envelope, np.zeros(len(strength)), -p_min,
+                                             -0.5 * p_min)
         for edge, top in zip(np.abs(density(p_min, strength)), peak):
             if top > 0 and edge > _EDGE_FRACTION * top:
                 raise QuadratureError(

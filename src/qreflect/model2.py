@@ -33,6 +33,8 @@ _W_THETA = np.arange(1 - 2 * _W_N, 2 * _W_N) * math.pi / (2 * _W_N)
 _W_T = _W_L * np.tan(0.5 * _W_THETA)
 _W_COEFFS = (np.cos(np.arange(_W_N, 0, -1)[:, None] * _W_THETA)
              @ (np.exp(-_W_T**2) * (_W_L**2 + _W_T**2)) / (4 * _W_N))
+# exp_quadratic_integral's near branch: one 24-node Gauss-Legendre panel on [0, 1]
+_UNIT_NODES, _UNIT_WEIGHTS = panel_nodes(0.0, 1.0, 1)
 
 
 @dataclass(frozen=True)
@@ -244,17 +246,26 @@ def _traced_envelope(tau: float, beta, gamma, kappa):
     return envelope
 
 
-def _faddeeva(z):
+def _faddeeva(z: np.ndarray) -> np.ndarray:
     """The Faddeeva function w(z) = e^(-z^2) erfc(-iz) for Im z >= 0, by Weideman's
     rational expansion (SIAM J. Numer. Anal. 31:1497, 1994) with N = 40 terms:
-    w = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz)), Z = (L + iz)/(L - iz), |Z| <= 1."""
-    d = _W_L - 1j * z
-    big_z = (_W_L + 1j * z) / d
-    p = np.full(np.shape(z), _W_COEFFS[0], complex)
+    w = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz)), Z = (L + iz)/(L - iz), |Z| <= 1.
+
+    Works in place, with z's own array as L - iz, so that it holds three arrays of
+    z's size at once; z is overwritten."""
+    z *= 1j
+    big_z = z + _W_L
+    d = np.subtract(_W_L, z, out=z)
+    big_z /= d
+    p = np.full(d.shape, _W_COEFFS[0], complex)
     for c in _W_COEFFS[1:]:  # Horner's rule
         p *= big_z
         p += c
-    return (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
+    p *= 2.0
+    p /= d
+    p += 1.0 / math.sqrt(math.pi)
+    p /= d
+    return p
 
 
 def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
@@ -280,19 +291,26 @@ def exp_quadratic_integral(A, B, C, U) -> np.ndarray:
     out = np.empty(A.shape, complex)
     near = (A * U**2 < 1e-2) & (np.abs(B) * U < math.pi)
     far = ~near
-    # A = 0 is the A -> 0 limit of the same formula; the floor keeps 1/a finite
-    a = np.sqrt(np.maximum(A[far], np.finfo(float).tiny))
-    t0 = B[far] / (2.0 * a)
-    sign = np.where(t0.imag > 0.0, -1.0, 1.0)
-    e0 = np.exp(C[far])
-    e1 = np.exp(C[far] + A[far] * U[far] ** 2 + B[far] * U[far])
-    bracket = e1 * _faddeeva(-sign * (t0 + a * U[far])) - e0 * _faddeeva(-sign * t0)
-    out[far] = sign * 0.5j * math.sqrt(math.pi) / a * bracket
-    x, wx = panel_nodes(0.0, 1.0, 1)
-    u = U[near, None] * x
+    scale, e1, e0, z = _far_terms(A[far], B[far], C[far], U[far])
+    w1, w0 = np.split(_faddeeva(z), 2)  # one call for both terms
+    out[far] = scale * (e1 * w1 - e0 * w0)
+    u = U[near, None] * _UNIT_NODES
     f = np.exp(A[near, None] * u**2 + B[near, None] * u + C[near, None])
-    out[near] = U[near] * (f @ wx)
+    out[near] = U[near] * (f @ _UNIT_WEIGHTS)
     return out
+
+
+def _far_terms(A, B, C, U):
+    """The far branch of exp_quadratic_integral on its own A, B, C, U: the prefactor
+    sign i sqrt(pi) / 2 sqrt(A), e^(C + A U^2 + B U), e^C and the arguments z1, z0,
+    concatenated.  Its copies of A, B, C, U and t are freed on return, before the
+    Faddeeva function allocates arrays twice their length."""
+    # A = 0 is the A -> 0 limit of the same formula; the floor keeps 1/a finite
+    a = np.sqrt(np.maximum(A, np.finfo(float).tiny))
+    t0 = B / (2.0 * a)
+    sign = np.where(t0.imag > 0.0, -1.0, 1.0)
+    z = np.concatenate([-sign * (t0 + a * U), -sign * t0])
+    return sign * 0.5j * math.sqrt(math.pi) / a, np.exp(C + A * U**2 + B * U), np.exp(C), z
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan: finite_density rejects it
@@ -355,7 +373,10 @@ def conditional_reflected_env(cfg: Model2Config, p, P: float, D: float | None = 
     upper = np.minimum(tau, decay_cutoff((0.25 * beta, 3)))
     # where the suppression underflows the density is 0 whatever the integral
     upper = np.where(suppression > 0.0, upper, 0.0)
-    integral = integrate_oscillatory_batch(envelope, omega, upper, upper)
+    # the envelope carries the q-phase that omega leaves out, so it varies faster than
+    # its support: scale 0.5 upper keeps 8 first-pass panels per upper, until each
+    # Faddeeva term is integrated against its own carrier (ROADMAP item 3(b))
+    integral = integrate_oscillatory_batch(envelope, omega, upper, 0.5 * upper)
     # the displayed expression is I + I*, so only the real part survives
     dens = m / (hbar**2 * pb) * _v_squared(params, delta) * suppression * 2.0 * integral / tau
     return float(dens[0]) if np.ndim(p) == 0 else dens

@@ -506,7 +506,7 @@ _OVERFLOW = "config error: (2 m hbar D_p)^2 overflows against (p - p_bar)^2, got
     (["model1", "--coupling", "p", "--Dp_sweep", "1,1e153,1e300"], 2, _OVERFLOW + "1e+300"),
     (["model2", "--M", "10", "--sigma", "100", "--steady-target", "true",
       "--D_sweep", "1,1e300,10"], 3,
-     "numerical failure: oscillatory integral: 880 panel(s) still unresolved after 12 "
+     "numerical failure: oscillatory integral: 865 panel(s) still unresolved after 12 "
      "bisections, near s = 0"),
 ])
 def test_a_batched_sweep_fails_as_a_call_per_value_does(tmp_path, capsys, args, code, last):

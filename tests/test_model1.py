@@ -300,3 +300,27 @@ def test_sweep_past_the_panel_budget_runs_value_by_value(monkeypatch):
     monkeypatch.setattr(model1, "integrate_oscillatory_batch", spy)
     assert total_reflected(params, envs).tolist() == want.tolist()
     assert calls == [17] + [1] * 17
+
+
+def test_x_total_finds_a_peak_narrower_than_its_first_pass(monkeypatch):
+    # at sigma = 3000 (tau = 7520) the x density peaks within 2 pi / (tau p_bar) of
+    # -p_bar, and the estimate's tolerance is relative to the peak over the first
+    # pass's nodes: 8 panels put an edge, and nodes, next to -p_bar; 4 put it mid-panel,
+    # between nodes, and the total then fails its 12 bisections
+    from qreflect import oscquad
+    from qreflect.cli import build_config
+
+    cfg = build_config(["model1", "--coupling", "x", "--sigma", "3000"])
+    params, tau, env = cfg.physical_params(), cfg.resolved_tau(), EnvironmentSpec.position(1e-8)
+    laid, points = [], oscquad._integrate_points
+
+    def spy(envelope, idx, omega, upper, n):
+        laid.append(n.tolist())
+        return points(envelope, idx, omega, upper, n)
+
+    monkeypatch.setattr(oscquad, "_integrate_points", spy)
+    total = total_reflected(params, env, tau=tau)
+    assert laid[0] == [8]
+    monkeypatch.setattr(oscquad, "_ENVELOPE_CAP", 0.25 / 16)
+    monkeypatch.setattr(oscquad, "_MAX_PANELS", 4_000_000)
+    assert total == pytest.approx(total_reflected(params, env, tau=tau), rel=1e-12)

@@ -11,7 +11,9 @@ two frame moves, and the wavefunction driver moves its frames that often: both
 read one constant.  Only ``slices`` forks, so the worker-count rule and the reaping
 of children have one home.  Only ``cli._write`` opens an output file, and no
 runner prints, so a run that fails leaves no partial output.  numpy is the one runtime dependency: no module
-imports scipy, which is for tests only.
+imports scipy, which is for tests only.  Only ``oscquad._panel_counts`` reads the
+envelope cap, so a kernel that needs a finer first pass says so through the scale
+it passes, not through a second cap.
 """
 
 import ast
@@ -88,6 +90,20 @@ def test_grid_for_and_the_driver_read_one_frame_interval():
         assert not [node.lineno for node in nodes
                     if isinstance(node, ast.Constant) and node.value == 200], name
     assert list(_bound_names(tree)).count("_FRAME_MOVES") == 1
+
+
+def test_only_the_panel_count_reads_the_envelope_cap():
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(_PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path.name))
+             if _name(node) == "_ENVELOPE_CAP" and (isinstance(node, ast.alias) or isinstance(
+                 getattr(node, "ctx", None), ast.Load))]
+    tree = _tree("oscquad.py")
+    counts, = (top for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_panel_counts")
+    inside = [f"oscquad.py:{node.lineno}" for node in ast.walk(counts)
+              if _name(node) == "_ENVELOPE_CAP"]
+    assert len(inside) == 1 and reads == inside, reads
+    assert list(_bound_names(tree)).count("_ENVELOPE_CAP") == 1
 
 
 def test_only_slices_forks():

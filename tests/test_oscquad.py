@@ -235,26 +235,18 @@ def test_kernel_array_paths_equal_their_scalar_views(kernel):
 
 
 def test_conditional_sweep_makes_one_batch_call_per_D(tmp_path, monkeypatch):
-    # the s-integral runs through the shared batch integrator; panel_nodes is
-    # left only to the nearly-linear branch of the closed-form u-integral
-    stray, inside = [], [0]
-    nodes, closed = oscquad.panel_nodes, model2.exp_quadratic_integral
+    # the s-integral runs through the shared batch integrator, and the nearly-linear
+    # branch of the closed-form u-integral takes the one panel built at import: no
+    # run-time call lays fixed panels
+    stray, nodes = [], oscquad.panel_nodes
 
     def nodes_spy(*args):
-        if not inside[0]:
-            stray.append(args)
+        stray.append(args)
         return nodes(*args)
 
-    def closed_spy(*args):
-        inside[0] += 1
-        try:
-            return closed(*args)
-        finally:
-            inside[0] -= 1
-
     other, totals = _spy_totals(monkeypatch)
-    monkeypatch.setattr(model2, "panel_nodes", nodes_spy)
-    monkeypatch.setattr(model2, "exp_quadratic_integral", closed_spy)
+    for mod in (oscquad, model2):
+        monkeypatch.setattr(mod, "panel_nodes", nodes_spy)
     assert main(["model2", "--M", "10", "--sigma", "100", "--a", "0.1", "--V0", "0.01",
                  "--steady-target", "true", "--D_sweep", "0.01,1,10", "--P", "0",
                  "--outdir", str(tmp_path)]) == 0
@@ -470,3 +462,73 @@ def test_integrals_match_the_direct_cosine_loop(monkeypatch):
             want = kernel()
         got = kernel()
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# -- the first pass ---------------------------------------------------------------------
+
+_FINE_CAP = 0.25 / 16  # a first pass 16 times finer than 4 panels per envelope scale
+
+
+def _first_pass_outputs():
+    """The benchmark's model1 x sweep (densities and totals), figure 4's densities and
+    figure 5's totals, on every 20th p (p = -p_bar among them) and every 3rd D, as {name: column}."""
+    from qreflect import EnvironmentSpec, Model2Config
+    from qreflect.cli import build_config
+
+    x = build_config(["model1", "--coupling", "x", "--D_sweep", "0.001,0.01,0.1",
+                      "--sigma", "10"])
+    params, tau = x.physical_params(), x.resolved_tau()
+    p_x = np.linspace(-3.0, 3.0, 601)
+    p_x = p_x[np.abs(p_x - params.p_bar) > 1e-9][::20]
+    cols = {f"x density D={D:g}": dens for D, dens in
+            zip(x.D_sweep, model1.reflected_density_x(p_x, params, np.array(x.D_sweep)[:, None],
+                                                      tau))}
+    cols["x totals"] = model1.total_reflected(
+        params, [EnvironmentSpec.position(D) for D in x.D_sweep], tau=tau)
+    fig = [build_config(["model2", "--M", "10", "--sigma", "100", "--a", f"{a:g}", "--V0",
+                         "0.01", "--steady-target", "true"]) for a in (0.1, 0.2, 0.4)]
+    m2 = Model2Config(fig[0].physical_params().replace(D=0.01), tau=fig[0].resolved_tau(),
+                      steady_target=True)
+    p_4 = np.linspace(-3.0, 1.0, 401)[:-1][::20]
+    for D in (0.01, 0.1, 1.0, 10.0):
+        cols[f"figure 4 density D={D:g}"] = model2.reflected_density_env(m2.with_D(D), p_4)
+    totals = model2.total_reflected_model2(m2, np.logspace(-2, 2, 13)[::3],
+                                           [c.physical_params().potential for c in fig])
+    cols.update({f"figure 5 totals a={a:g}": row for a, row in zip((0.1, 0.2, 0.4), totals)})
+    return cols
+
+
+def test_first_pass_matches_one_16_times_finer(monkeypatch):
+    # the densities and totals that a coarser first pass speeds up, against a first
+    # pass 16 times finer than 4 panels per envelope scale: within 1e-14 of each
+    # column's peak, so the run-time estimate refines every panel the first pass misses
+    got = _first_pass_outputs()
+    monkeypatch.setattr(oscquad, "_ENVELOPE_CAP", _FINE_CAP)
+    want = _first_pass_outputs()
+    for name, column in want.items():
+        assert np.max(np.abs(got[name] - column)) <= 1e-14 * np.max(np.abs(column)), name
+
+
+def test_conditional_first_pass_lays_8_panels_per_support(monkeypatch):
+    # the conditional kernel's envelope carries the q-phase that omega leaves out, so its
+    # first pass keeps 8 panels per support length, whatever the envelope cap
+    from qreflect import Model2Config, PhysicalParams, PotentialSpec
+
+    fig4 = Model2Config(PhysicalParams(M=10.0, sigma=100.0, D=1.0,
+                                       potential=PotentialSpec.gaussian(0.01, 0.1)),
+                        steady_target=True)
+    laid, points = [], oscquad._integrate_points
+
+    def spy(envelope, idx, omega, upper, n):
+        laid.append((omega, upper, n))
+        return points(envelope, idx, omega, upper, n)
+
+    monkeypatch.setattr(oscquad, "_integrate_points", spy)
+    p = np.linspace(-3.0, 1.0, 401)[:-1][::20]
+    for D, P in ((0.01, 0.0), (1.0, 0.3), (10.0, 0.0)):
+        model2.conditional_reflected_env(fig4.with_D(D), p, P)
+    assert len(laid) == 3
+    for omega, upper, n in laid:
+        with np.errstate(divide="ignore"):
+            width = np.minimum(np.minimum(10.0 * math.pi / np.abs(omega), 0.125 * upper), upper)
+        assert n.tolist() == np.ceil(upper / width).tolist()
